@@ -4,9 +4,12 @@ The regular set of a wall is the wall minus all smaller walls contained
 in it.  Its connected components (subchambers) are found by refining the
 wall along the affine spans of its codimension-1 subwalls, then merging
 cells across any shared facet that no actual subwall covers.  The
-crossing graph records which subchambers are adjacent (plus an exterior
-node), and for every adjacency the separating subchambers of the
-codimension-1 strata together with forward/backward weight counts.
+crossing graph is read off the same refinement: every facet of a cell is
+shared with exactly one other cell or lies on the wall's boundary, so
+the facets left between two subchambers (or a subchamber and the
+exterior) are its edges.  Each edge carries the separating subchambers
+of the codimension-1 strata together with forward/backward weight
+counts.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from .errors import MalformedXray, SingularLevel, XrayError
 from .exactgeom import (
     Polytope,
     clip_halfspace,
-    clip_to_polytope,
     facet_polytopes,
     hull,
+    relative_interior_point,
     side_functional,
     span_hyperplane,
 )
-from .ratmath import RatVector, format_rational, vneg
+from .ratmath import RatVector, format_rational, sign, vdot, vneg
 from .xray import WeightedXray, stratum_weights_in
 
 EXTERIOR = -1
@@ -75,31 +78,22 @@ class CrossingGraph:
     edges: tuple[CrossingEdge, ...]
 
 
-def _centroid(points: Sequence[RatVector]) -> RatVector:
-    m = len(points)
-    return tuple(sum(col, Fraction(0)) / m for col in zip(*points))
-
-
 def _fmt_point(p: RatVector) -> str:
     return "(" + ",".join(format_rational(c) for c in p) + ")"
 
 
-def subchambers(x: WeightedXray, f: str) -> tuple[Subchamber, ...]:
-    """Closed subchambers of the wall of f, sorted by representative.
+def _decompose(x: WeightedXray, f: str) -> tuple[tuple[Subchamber, ...], tuple[tuple[int, int, RatVector], ...]]:
+    """Subchambers of f's wall and the face pieces between them, cached.
 
-    A 0-dimensional wall is its own (trivial) subchamber.  Results are
-    cached on the X-ray, keyed by stratum id.
+    A piece is (source, dest, rep): two adjacent subchambers, source <
+    dest, or EXTERIOR and a subchamber meeting one wall facet; rep is the
+    vertex centroid of the face they share.
     """
-    key = ("subchambers", f)
+    key = ("decomposition", f)
     if key in x._cache:
         return x._cache[key]
-    s = x.stratum(f)
-    wall = s.wall
+    wall = x.stratum(f).wall
     k = wall.dim
-    if k == 0:
-        out = (Subchamber(f, 0, wall, wall.vertices[0]),)
-        x._cache[key] = out
-        return out
     lower = sorted(x.below(f))
     hyperplanes: dict[tuple[RatVector, Fraction], None] = {}
     for g in lower:
@@ -109,13 +103,13 @@ def subchambers(x: WeightedXray, f: str) -> tuple[Subchamber, ...]:
     cells = [wall]
     for normal, offset in hyperplanes:
         split = []
-        for cell in cells:
-            for piece in (
-                clip_halfspace(cell, normal, offset),
-                clip_halfspace(cell, vneg(normal), -offset),
-            ):
-                if piece is not None and piece.dim == k:
-                    split.append(piece)
+        for cell in cells:  # cut only cells the hyperplane passes through
+            sides = {sign(vdot(normal, v) - offset) for v in cell.vertices}
+            if {-1, 1} <= sides:
+                split.append(clip_halfspace(cell, normal, offset))
+                split.append(clip_halfspace(cell, vneg(normal), -offset))
+            else:
+                split.append(cell)
         cells = split
 
     root = list(range(len(cells)))
@@ -127,28 +121,56 @@ def subchambers(x: WeightedXray, f: str) -> tuple[Subchamber, ...]:
         return i
 
     subwalls = [x.stratum(g).wall for g in lower]
-    owners: dict[tuple[RatVector, ...], list[int]] = {}
+    owners: dict[tuple[RatVector, ...], tuple[Polytope, list[int]]] = {}
     for i, cell in enumerate(cells):
         for facet in facet_polytopes(cell):
-            owners.setdefault(facet.vertices, []).append(i)
-    for verts, idxs in owners.items():
+            owners.setdefault(facet.vertices, (facet, []))[1].append(i)
+    for facet, idxs in owners.values():
         if len(idxs) == 2:
-            mid = _centroid(verts)
+            mid = relative_interior_point(facet)
             if not any(w.contains(mid) for w in subwalls):
                 root[find(idxs[0])] = find(idxs[1])
+
+    # Each facet is shared by two cells or lies on one wall facet.
+    shared: dict[tuple, list[Polytope]] = {}
+    for facet, idxs in owners.values():
+        if len(idxs) == 2:
+            a, b = sorted(find(i) for i in idxs)
+            if a != b:
+                shared.setdefault((a, b), []).append(facet)
+        else:
+            mid = relative_interior_point(facet)
+            on = next(fc for fc in wall.facets if vdot(fc[0], mid) == fc[1])
+            shared.setdefault((EXTERIOR, find(idxs[0]), on), []).append(facet)
 
     groups: dict[int, list[Polytope]] = {}
     for i, cell in enumerate(cells):
         groups.setdefault(find(i), []).append(cell)
     merged = []
-    for members in groups.values():
-        points = sorted({v for cell in members for v in cell.vertices})
-        chamber = hull(points)
-        merged.append((_centroid(chamber.vertices), chamber))
-    merged.sort(key=lambda pair: pair[0])
-    out = tuple(Subchamber(f, i, cell, rep) for i, (rep, cell) in enumerate(merged))
+    for r, members in groups.items():
+        chamber = members[0] if len(members) == 1 else hull({v for cell in members for v in cell.vertices})
+        merged.append((relative_interior_point(chamber), chamber, r))
+    merged.sort(key=lambda item: item[0])
+    chambers = tuple(Subchamber(f, i, cell, rep) for i, (rep, cell, _) in enumerate(merged))
+    index = {r: i for i, (_, _, r) in enumerate(merged)}
+    index[EXTERIOR] = EXTERIOR
+    pieces = []
+    for (a, b, *_), facets in shared.items():
+        piece = facets[0] if len(facets) == 1 else hull(v for facet in facets for v in facet.vertices)
+        source, dest = sorted((index[a], index[b]))
+        pieces.append((source, dest, relative_interior_point(piece)))
+    out = (chambers, tuple(pieces))
     x._cache[key] = out
     return out
+
+
+def subchambers(x: WeightedXray, f: str) -> tuple[Subchamber, ...]:
+    """Closed subchambers of the wall of f, sorted by representative.
+
+    A 0-dimensional wall is its own (trivial) subchamber.  Results are
+    cached on the X-ray, keyed by stratum id.
+    """
+    return _decompose(x, f)[0]
 
 
 def locate(x: WeightedXray, f: str, q: RatVector) -> Subchamber:
@@ -185,29 +207,12 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
     key = ("crossing_graph", f)
     if key in x._cache:
         return x._cache[key]
-    chambers = subchambers(x, f)
-    wall = x.stratum(f).wall
-    k = wall.dim
-    nodes = (EXTERIOR,) + tuple(range(len(chambers)))
-    if k == 0:
-        graph = CrossingGraph(f, nodes, ())
-        x._cache[key] = graph
-        return graph
+    chambers, pieces = _decompose(x, f)
+    k = x.dim(f)
     principal = [g for g in sorted(x.below(f)) if x.dim(g) == k - 1]
-    edges = []
-    for i in range(len(chambers)):
-        for j in range(i + 1, len(chambers)):
-            shared = clip_to_polytope(chambers[i].cell, chambers[j].cell)
-            if shared is not None and shared.dim == k - 1:
-                rep = _centroid(shared.vertices)
-                edges.append(_build_edge(x, f, principal, chambers, i, j, rep))
-    for chamber in chambers:
-        for facet in facet_polytopes(chamber.cell):
-            mid = _centroid(facet.vertices)
-            if any(sum(n * c for n, c in zip(normal, mid)) == offset for normal, offset in wall.facets):
-                edges.append(_build_edge(x, f, principal, chambers, EXTERIOR, chamber.index, mid))
+    edges = [_build_edge(x, f, principal, chambers, source, dest, rep) for source, dest, rep in pieces]
     edges.sort(key=lambda e: (e.source, e.dest, e.facet_rep))
-    graph = CrossingGraph(f, nodes, tuple(edges))
+    graph = CrossingGraph(f, (EXTERIOR,) + tuple(range(len(chambers))), tuple(edges))
     x._cache[key] = graph
     return graph
 

@@ -267,47 +267,14 @@ def _complete_to_ambient(rows: list[RatVector], d: int) -> list[RatVector]:
     return out
 
 
-def side_functional(ambient: AffineSpan, separator: AffineSpan, toward: RatVector) -> SideFunctional:
-    """Functional vanishing on `separator`, positive at `toward`.
-
-    `separator`'s linear part must be a codimension-1 subspace of
-    `ambient`'s linear part.  The functional is chosen to vanish on the
-    orthogonal completion of the ambient space as well, so it classifies
-    weight vectors of the ambient wall unambiguously; it is normalized
-    to a primitive integer normal.
-    """
-    if not all(ambient.lin_contains(b) for b in separator.basis):
-        raise ValueError("separator is not contained in the ambient span")
-    if separator.dim != ambient.dim - 1:
-        raise ValueError("separator is not codimension 1 in the ambient span")
-    d = ambient.ambient_dim
-    rows = list(separator.basis)
-    pick = next(
-        (b for b in ambient.basis if not in_span(separator.basis, separator.pivots, b)),
-        None,
-    )
-    if pick is None:
-        raise ValueError("degenerate ambient/separator pair")
-    rows.append(pick)
-    rows = _complete_to_ambient(rows, d)
-    rhs = tuple(Fraction(1) if i == separator.dim else ZERO for i in range(d))
-    normal = solve_square(rows, rhs)
-    offset = vdot(normal, separator.base)
-    normal, offset = primitive_functional(normal, offset)
-    side = vdot(normal, toward) - offset
-    if side == 0:
-        raise ValueError("toward point lies on the separator")
-    if side < 0:
-        normal, offset = vneg(normal), -offset
-    return SideFunctional(normal, offset)
-
-
 def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> Facet:
     """Unoriented hyperplane (normal, offset) through `sub` within `ambient`.
 
-    Canonical up to the sign convention (first nonzero normal entry
-    positive), so two sub-flats spanning the same hyperplane produce
-    equal keys.
+    `sub` must have codimension 1 in `ambient`.  The hyperplane also
+    contains the orthogonal completion of `ambient`, so its normal
+    classifies weight vectors of the ambient wall unambiguously.  The
+    normal is primitive integer with first nonzero entry positive, so
+    two sub-flats spanning the same hyperplane produce equal keys.
     """
     if not all(ambient.lin_contains(b) for b in sub.basis):
         raise ValueError("sub-flat is not contained in the ambient span")
@@ -331,6 +298,18 @@ def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> Facet:
     if lead < 0:
         normal, offset = vneg(normal), -offset
     return normal, offset
+
+
+def side_functional(ambient: AffineSpan, separator: AffineSpan, toward: RatVector) -> SideFunctional:
+    """The hyperplane of span_hyperplane(ambient, separator), oriented
+    so that the functional is positive at `toward`."""
+    normal, offset = span_hyperplane(ambient, separator)
+    side = vdot(normal, toward) - offset
+    if side == 0:
+        raise ValueError("toward point lies on the separator")
+    if side < 0:
+        normal, offset = vneg(normal), -offset
+    return SideFunctional(normal, offset)
 
 
 def clip_halfspace(p: Polytope, normal: RatVector, offset: Fraction) -> Polytope | None:

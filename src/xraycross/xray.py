@@ -485,6 +485,8 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         except (ValueError, TypeError) as e:
             raise MalformedXray(f"{where}: {e}") from None
 
+    if not isinstance(doc["strata"], (list, tuple)):
+        raise MalformedXray("strata must be a list")
     strata = []
     seen_ids = set()
     for i, raw in enumerate(doc["strata"]):
@@ -494,6 +496,8 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         sid = raw["id"]
         if not isinstance(sid, str) or not sid:
             raise MalformedXray(f"{where}: id must be a nonempty string")
+        if not isinstance(raw["vertices"], (list, tuple)):
+            raise MalformedXray(f"{where}: vertices must be a list")
         verts = [parse_vector(v, f"{where}.vertices[{j}]") for j, v in enumerate(raw["vertices"])]
         if not verts:
             raise MalformedXray(f"{where}: stratum '{sid}' has no vertices")
@@ -506,9 +510,13 @@ def from_interchange(doc: Mapping) -> WeightedXray:
             if sid not in raw_vd:
                 raise MalformedXray(f"vertex stratum '{sid}' has no vertex_data entry")
             entry = raw_vd[sid]
+            if not isinstance(entry, Mapping):
+                raise MalformedXray(f"vertex_data['{sid}'] must be an object")
             for key in ("weights", "signature", "poincare", "euler"):
                 if key not in entry:
                     raise MalformedXray(f"vertex_data['{sid}'] is missing '{key}'")
+            if not isinstance(entry["weights"], (list, tuple)):
+                raise MalformedXray(f"vertex_data['{sid}']: weights must be a list")
             weights = [parse_vector(w, f"vertex_data['{sid}'].weights[{j}]") for j, w in enumerate(entry["weights"])]
             sig, poin, eul = entry["signature"], entry["poincare"], entry["euler"]
             if not isinstance(sig, int) or not isinstance(eul, int):

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
 from xraycross.errors import SingularLevel, XrayError
-from xraycross.exactgeom import side_functional
-from xraycross.ratmath import as_vec, sign, vscale
+from xraycross.exactgeom import clip_to_polytope, facet_polytopes, side_functional
+from xraycross.generators import ProjectionMatrix, cpn_xray
+from xraycross.ratmath import as_vec, rank, sign, vdot, vscale
 from xraycross.xray import stratum_weights_in
 
 DIAG = "w2-3-4-5"
@@ -232,3 +234,52 @@ def test_scaled_functional_same_counts(ncp4):
     raw = [sign(ell.on_vector(w)) for w in weights]
     doubled = [sign(ell.on_vector(vscale(w, Fraction(2)))) for w in weights]
     assert raw == doubled
+
+
+def random_cpn(d, n, seed):
+    """CP^n under a seeded projection with distinct columns and full rank."""
+    rng = random.Random(seed)
+    while True:
+        rows = tuple(
+            tuple(Fraction(rng.randint(0, 40), rng.randint(1, 5)) for _ in range(n + 1))
+            for _ in range(d)
+        )
+        if len(set(zip(*rows))) == n + 1 and rank(rows) == d:
+            return cpn_xray(n, ProjectionMatrix(rows))
+
+
+def pairwise_edges(x, f):
+    """Crossing-graph edges found by clipping every pair of chamber cells.
+
+    A (k-1)-dimensional intersection of two chambers is one edge; a
+    chamber facet lying on a wall facet is one exterior edge.  Each rep
+    is the vertex centroid of the shared face.
+    """
+
+    def centroid(p):
+        return tuple(sum(col, Fraction(0)) / len(p.vertices) for col in zip(*p.vertices))
+
+    wall = x.stratum(f).wall
+    chambers = subchambers(x, f)
+    edges = []
+    for a, b in combinations(chambers, 2):
+        shared = clip_to_polytope(a.cell, b.cell)
+        if shared is not None and shared.dim == wall.dim - 1:
+            edges.append((a.index, b.index, centroid(shared)))
+    for chamber in chambers:
+        for facet in facet_polytopes(chamber.cell):
+            mid = centroid(facet)
+            if any(vdot(normal, mid) == offset for normal, offset in wall.facets):
+                edges.append((EXTERIOR, chamber.index, mid))
+    return sorted(edges)
+
+
+def test_crossing_graph_matches_pairwise_clipping(cp3, cp4, ncp4, toric_triangle, unit_square, segment):
+    xs = [cp3, cp4, ncp4, toric_triangle, unit_square, segment]
+    xs += [random_cpn(2, 5, seed) for seed in range(3)]
+    xs += [random_cpn(3, 4, seed) for seed in range(2)]
+    for x in xs:
+        for sid in x.ids:
+            graph = crossing_graph(x, sid)
+            assert [(e.source, e.dest, e.facet_rep) for e in graph.edges] == pairwise_edges(x, sid)
+            assert all(e.separators for e in graph.edges)

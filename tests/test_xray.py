@@ -229,3 +229,30 @@ def test_rejects_order_cycle():
     b = Stratum("b", seg, ("a",), (), None)
     with pytest.raises(MalformedXray, match="cycle"):
         WeightedXray(1, 1, (a, b))
+
+
+def test_interchange_rejects_strata_not_a_list():
+    doc = {"torus_rank": 1, "half_dim": 1, "strata": 5, "vertex_data": {}}
+    with pytest.raises(MalformedXray, match="strata must be a list"):
+        from_interchange(doc)
+
+
+def test_interchange_rejects_vertices_not_a_list(cp3):
+    doc = to_interchange(cp3)
+    doc["strata"][0] = {**doc["strata"][0], "vertices": 5}
+    with pytest.raises(MalformedXray, match=r"strata\[0\]: vertices must be a list"):
+        from_interchange(doc)
+
+
+def test_interchange_rejects_vertex_data_entry_not_an_object(cp3):
+    doc = to_interchange(cp3)
+    doc["vertex_data"]["v1"] = 5
+    with pytest.raises(MalformedXray, match=r"vertex_data\['v1'\] must be an object"):
+        from_interchange(doc)
+
+
+def test_interchange_rejects_weights_not_a_list(cp3):
+    doc = to_interchange(cp3)
+    doc["vertex_data"]["v2"]["weights"] = 5
+    with pytest.raises(MalformedXray, match=r"vertex_data\['v2'\]: weights must be a list"):
+        from_interchange(doc)
