@@ -201,9 +201,15 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     return Polytope(tuple(verts), span, tuple(sorted(amb_facets)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def facet_polytopes(p: Polytope) -> tuple[Polytope, ...]:
-    """The (dim-1)-dimensional faces of p, one polytope per facet."""
+    """The (dim-1)-dimensional faces of p, one polytope per facet.
+
+    The cache is bounded so a long-lived process does not grow with
+    every X-ray it sees; one X-ray's validation, crossing graphs and
+    propagation use a few hundred entries at the sizes this package
+    handles.
+    """
     out = []
     for n, c in p.facets:
         on = [v for v in p.vertices if vdot(n, v) == c]

@@ -66,6 +66,10 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
     span (plus the full set as the top stratum); the wall of K is the
     hull of its columns.  Every vertex is an isolated fixed point with
     weights {col_j - col_k} and seeds (1, 1, 1).
+
+    A flat of dimension < d is spanned by at most d of its columns, so
+    the strata are found as the flats of <= d columns, each collecting
+    every column on it: C(n+1, <=d) spans, not 2^(n+1) subsets.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -77,15 +81,13 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
         raise ValueError("fixed points not isolated: unsupported")
 
     everyone = tuple(range(n + 1))
-    subsets: list[tuple[int, ...]] = [everyone]
-    for size in range(1, n + 1):
-        for K in combinations(range(n + 1), size):
-            span = AffineSpan.from_points([cols[k] for k in K])
-            if span.dim >= d:
-                continue
-            if any(span.contains(cols[j]) for j in range(n + 1) if j not in K):
-                continue
-            subsets.append(K)
+    # At most d points span a flat of dimension < d.  When every column
+    # lies on one such flat it collects all of them, which is the top.
+    subsets: dict[tuple[int, ...], None] = {everyone: None}
+    for size in range(1, d + 1):
+        for B in combinations(everyone, size):
+            span = AffineSpan.from_points([cols[b] for b in B])
+            subsets[tuple(j for j in everyone if span.contains(cols[j]))] = None
 
     def name(K: tuple[int, ...]) -> str:
         if K == everyone:

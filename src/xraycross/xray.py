@@ -221,7 +221,9 @@ class WeightedXray:
         return tops[0]
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(canonical_json(self).encode()).hexdigest()[:16]
+        if "fingerprint" not in self._cache:
+            self._cache["fingerprint"] = hashlib.sha256(canonical_json(self).encode()).hexdigest()[:16]
+        return self._cache["fingerprint"]
 
 
 # -- weight bookkeeping ---------------------------------------------------
@@ -323,6 +325,12 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     wall's span; (b) every linear subset of the weights (intersection
     with a subspace spanned by weight directions) is the tangent cone of
     exactly one stratum through the vertex.
+
+    A span of directions in Q^d is spanned by at most d of them, so
+    subsets of <= d directions reach every linear subset.  A tangent
+    cone spans its wall's linear part and a subset S spans the subspace
+    it was cut out by, so equal cones need equal RREF bases: only walls
+    with S's basis are compared, and no match is lost.
     """
     d = x.torus_rank
     vio: set[Violation] = set()
@@ -340,14 +348,18 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
             if not _cones_equal(tangent[fid], inspan, d):
                 vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
         dirs = sorted({primitive_vector(w) for w in alpha if not is_zero_vector(w)})
-        subsets: dict[tuple[RatVector, ...], None] = {}
-        for size in range(len(dirs) + 1):
+        subsets: dict[tuple[RatVector, ...], tuple[RatVector, ...]] = {}
+        for size in range(min(len(dirs), d) + 1):
             for B in combinations(dirs, size):
                 basis, pivots = rref(B)
                 S = tuple(w for w in alpha if in_span(basis, pivots, w))
-                subsets[S] = None
-        for S in sorted(subsets):
-            matches = [fid for fid in ups if _cones_equal(tangent[fid], list(S), d)]
+                subsets[S] = basis
+        for S, basis in sorted(subsets.items()):
+            matches = [
+                fid
+                for fid in ups
+                if x.stratum(fid).wall.span.basis == basis and _cones_equal(tangent[fid], list(S), d)
+            ]
             if len(matches) != 1:
                 vio.add(
                     Violation(
@@ -471,14 +483,15 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         if key not in doc:
             raise MalformedXray(f"missing field '{key}'")
     d, n = doc["torus_rank"], doc["half_dim"]
-    if not isinstance(d, int) or not isinstance(n, int):
-        raise MalformedXray("torus_rank and half_dim must be integers")
+    for key in ("torus_rank", "half_dim"):
+        if not _is_int(doc[key]):
+            raise MalformedXray(f"{key} must be an integer, got {doc[key]!r}")
     raw_vd = doc["vertex_data"]
     if not isinstance(raw_vd, Mapping):
         raise MalformedXray("vertex_data must be an object")
 
     def parse_vector(v, where: str) -> RatVector:
-        if not isinstance(v, (list, tuple)):
+        if not isinstance(v, (list, tuple)) or any(isinstance(c, bool) for c in v):
             raise MalformedXray(f"{where}: expected a vector, got {v!r}")
         try:
             return tuple(rat(c) for c in v)
@@ -488,7 +501,6 @@ def from_interchange(doc: Mapping) -> WeightedXray:
     if not isinstance(doc["strata"], (list, tuple)):
         raise MalformedXray("strata must be a list")
     strata = []
-    seen_ids = set()
     for i, raw in enumerate(doc["strata"]):
         where = f"strata[{i}]"
         if not isinstance(raw, Mapping) or "id" not in raw or "vertices" not in raw:
@@ -519,17 +531,22 @@ def from_interchange(doc: Mapping) -> WeightedXray:
                 raise MalformedXray(f"vertex_data['{sid}']: weights must be a list")
             weights = [parse_vector(w, f"vertex_data['{sid}'].weights[{j}]") for j, w in enumerate(entry["weights"])]
             sig, poin, eul = entry["signature"], entry["poincare"], entry["euler"]
-            if not isinstance(sig, int) or not isinstance(eul, int):
-                raise MalformedXray(f"vertex_data['{sid}']: signature and euler must be integers")
-            if not (isinstance(poin, list) and all(isinstance(c, int) for c in poin)):
+            for key, value in (("signature", sig), ("euler", eul)):
+                if not _is_int(value):
+                    raise MalformedXray(f"vertex_data['{sid}']: {key} must be an integer, got {value!r}")
+            if not (isinstance(poin, list) and all(_is_int(c) for c in poin)):
                 raise MalformedXray(f"vertex_data['{sid}']: poincare must be a list of integer coefficients")
             vertex_data = VertexData(tuple(weights), sig, IntPolynomial(tuple(poin)), eul)
         strata.append(Stratum(id=sid, wall=wall, parents=tuple(parents), vertex_data=vertex_data))
-        seen_ids.add(sid)
     stray = sorted(set(raw_vd) - {s.id for s in strata if s.vertex_data is not None})
     if stray:
         raise MalformedXray(f"vertex_data supplied for non-vertex strata: {stray}")
     return WeightedXray(d, n, tuple(strata))
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass, but `true` is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def canonical_json(x: WeightedXray) -> str:

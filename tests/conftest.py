@@ -9,6 +9,7 @@ ncp4  : CP^4 under a non-generic projection; vertices t, q, r, s lie
         with subchambers A, B, C and top chambers alpha, beta, gamma.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from xraycross.generators import (
     standard_cube_xray,
     standard_simplex_xray,
 )
+from xraycross.ratmath import rank
 
 CP3_ROWS = ((0, 1, 2, 3),)
 CP4_ROWS = (
@@ -30,6 +32,22 @@ NCP4_ROWS = (
     (0, 0, 4, Fraction(5, 2), Fraction(3, 2)),
 )
 DIAG = "w2-3-4-5"
+
+
+def seeded_rows(d, n, seed, grid=None):
+    """Seeded d x (n+1) projection with distinct columns and full rank.
+
+    Entries are integers 0..40 over denominators 1..5, or, with grid=g,
+    integers 0..g, where small grids give collinear and coplanar columns.
+    """
+    rng = random.Random(seed)
+    while True:
+        if grid is None:
+            rows = tuple(tuple(Fraction(rng.randint(0, 40), rng.randint(1, 5)) for _ in range(n + 1)) for _ in range(d))
+        else:
+            rows = tuple(tuple(Fraction(rng.randint(0, grid)) for _ in range(n + 1)) for _ in range(d))
+        if len(set(zip(*rows))) == n + 1 and rank(rows) == d:
+            return ProjectionMatrix(rows)
 
 
 @pytest.fixture(scope="session")

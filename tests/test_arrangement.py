@@ -7,9 +7,10 @@ import pytest
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
 from xraycross.errors import SingularLevel, XrayError
 from xraycross.exactgeom import clip_to_polytope, facet_polytopes, side_functional
-from xraycross.generators import ProjectionMatrix, cpn_xray
-from xraycross.ratmath import as_vec, rank, sign, vdot, vscale
+from xraycross.generators import cpn_xray
+from xraycross.ratmath import as_vec, sign, vdot, vscale
 from xraycross.xray import stratum_weights_in
+from conftest import seeded_rows
 
 DIAG = "w2-3-4-5"
 
@@ -238,14 +239,7 @@ def test_scaled_functional_same_counts(ncp4):
 
 def random_cpn(d, n, seed):
     """CP^n under a seeded projection with distinct columns and full rank."""
-    rng = random.Random(seed)
-    while True:
-        rows = tuple(
-            tuple(Fraction(rng.randint(0, 40), rng.randint(1, 5)) for _ in range(n + 1))
-            for _ in range(d)
-        )
-        if len(set(zip(*rows))) == n + 1 and rank(rows) == d:
-            return cpn_xray(n, ProjectionMatrix(rows))
+    return cpn_xray(n, seeded_rows(d, n, seed))
 
 
 def pairwise_edges(x, f):

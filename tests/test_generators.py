@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from xraycross import generators
 from xraycross.errors import MalformedXray, ValidationFailed
-from xraycross.exactgeom import hull
+from xraycross.exactgeom import AffineSpan, hull
 from xraycross.generators import (
     ProjectionMatrix,
     cpn_xray,
@@ -13,9 +16,10 @@ from xraycross.generators import (
     standard_cube_xray,
     standard_simplex_xray,
 )
-from xraycross.ratmath import as_vec
-from xraycross.xray import to_interchange, transform
-from conftest import CP4_ROWS, DIAG, NCP4_ROWS
+from xraycross.intpoly import IntPolynomial
+from xraycross.ratmath import as_vec, vsub
+from xraycross.xray import Stratum, VertexData, WeightedXray, canonical_json, to_interchange, transform
+from conftest import CP3_ROWS, CP4_ROWS, DIAG, NCP4_ROWS, seeded_rows
 
 
 def test_cp3_structure(cp3):
@@ -203,3 +207,70 @@ def test_affine_equivariance_generic(cp4):
     direct = cpn_xray(4, ProjectionMatrix(rows))
     mapped = transform(cp4, a, (0, 0))
     assert direct == mapped
+
+
+def cpn_xray_all_subsets(n, pi):
+    """Reference: cpn_xray by testing every one of the 2^(n+1) column subsets."""
+    d = pi.d
+    cols = [pi.column(j) for j in range(n + 1)]
+    everyone = tuple(range(n + 1))
+    subsets = [everyone]
+    for size in range(1, n + 1):
+        for K in combinations(range(n + 1), size):
+            span = AffineSpan.from_points([cols[k] for k in K])
+            if span.dim >= d:
+                continue
+            if any(span.contains(cols[j]) for j in range(n + 1) if j not in K):
+                continue
+            subsets.append(K)
+
+    def name(K):
+        if K == everyone:
+            return "top"
+        if len(K) == 1:
+            return f"v{K[0] + 1}"
+        return "w" + "-".join(str(k + 1) for k in K)
+
+    strata = []
+    for K in subsets:
+        vertex_data = None
+        if len(K) == 1:
+            weights = tuple(vsub(cols[j], cols[K[0]]) for j in range(n + 1) if j != K[0])
+            vertex_data = VertexData(weights, 1, IntPolynomial.one(), 1)
+        parents = tuple(name(P) for P in subsets if set(K) < set(P))
+        strata.append(Stratum(name(K), hull([cols[k] for k in K]), parents, (), vertex_data))
+    return WeightedXray(d, n, tuple(strata))
+
+
+def test_cpn_flats_match_all_subsets():
+    cases = [ProjectionMatrix(rows) for rows in (CP3_ROWS, CP4_ROWS, NCP4_ROWS)]
+    cases += [seeded_rows(1, n, seed) for n in (6, 8) for seed in range(3)]
+    cases += [seeded_rows(2, n, seed) for n in (4, 6) for seed in range(3)]
+    cases += [seeded_rows(3, 5, seed) for seed in range(3)]
+    cases += [seeded_rows(2, 5, seed, grid=3) for seed in range(12)]
+    cases += [seeded_rows(3, 5, seed, grid=3) for seed in range(6)]
+    for pi in cases:
+        n = pi.cols - 1
+        assert canonical_json(cpn_xray(n, pi)) == canonical_json(cpn_xray_all_subsets(n, pi))
+
+
+def test_cpn_all_columns_on_one_line():
+    pi = ProjectionMatrix(((0, 1, 2, 3), (1, 2, 3, 4)))
+    x = cpn_xray(3, pi)
+    assert set(x.ids) == {"top", "v1", "v2", "v3", "v4"}
+    assert x.dim("top") == 1
+    assert canonical_json(x) == canonical_json(cpn_xray_all_subsets(3, pi))
+
+
+def test_cpn_span_count_is_polynomial(monkeypatch):
+    calls = []
+
+    def from_points(points):
+        calls.append(points)
+        return AffineSpan.from_points(points)
+
+    monkeypatch.setattr(generators, "AffineSpan", SimpleNamespace(from_points=from_points))
+    n = 12
+    x = cpn_xray(n, ProjectionMatrix((tuple(range(n + 1)),)))
+    assert len(x.strata) == n + 2
+    assert len(calls) <= n + 1

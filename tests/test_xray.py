@@ -1,26 +1,36 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
+from xraycross import xray
 from xraycross.errors import MalformedXray
 from xraycross.exactgeom import hull
+from xraycross.generators import cpn_xray
 from xraycross.intpoly import IntPolynomial
-from xraycross.ratmath import as_vec
+from xraycross.ratmath import as_vec, format_rational, in_span, is_zero_vector, primitive_vector, rref, vsub
 from xraycross.xray import (
     Stratum,
     VertexData,
+    Violation,
     WeightedXray,
+    _cones_equal,
+    _fmt_points,
     complex_dim_of_stratum,
     from_interchange,
     is_toric_structure_free,
     stratum_weights_in,
     to_interchange,
+    canonical_json,
     transform,
     validate_all,
     validate_consistency,
     validate_darboux,
     validate_poset,
 )
+from conftest import seeded_rows
 
 DIAG = "w2-3-4-5"
 
@@ -255,4 +265,110 @@ def test_interchange_rejects_weights_not_a_list(cp3):
     doc = to_interchange(cp3)
     doc["vertex_data"]["v2"]["weights"] = 5
     with pytest.raises(MalformedXray, match=r"vertex_data\['v2'\]: weights must be a list"):
+        from_interchange(doc)
+
+
+def validate_darboux_all_subsets(x):
+    """Reference: validate_darboux over all 2^|dirs| direction subsets, every
+    subset compared with every stratum through the vertex."""
+    d = x.torus_rank
+    vio = set()
+    for pid in x.vertex_ids:
+        p = x.stratum(pid)
+        point = p.wall.vertices[0]
+        alpha = p.vertex_data.weights
+        ups = [pid] + sorted(x.above(pid))
+        tangent = {fid: [vsub(u, point) for u in x.stratum(fid).wall.vertices] for fid in ups}
+        for fid in ups:
+            span = x.stratum(fid).wall.span
+            inspan = [w for w in alpha if span.lin_contains(w)]
+            if not _cones_equal(tangent[fid], inspan, d):
+                vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
+        dirs = sorted({primitive_vector(w) for w in alpha if not is_zero_vector(w)})
+        subsets = set()
+        for size in range(len(dirs) + 1):
+            for B in combinations(dirs, size):
+                basis, pivots = rref(B)
+                subsets.add(tuple(w for w in alpha if in_span(basis, pivots, w)))
+        for S in sorted(subsets):
+            matches = [fid for fid in ups if _cones_equal(tangent[fid], list(S), d)]
+            if len(matches) != 1:
+                detail = f"weight subset {_fmt_points(S)} is the tangent cone of {len(matches)} strata {matches}"
+                vio.add(Violation(pid, "darboux-subset", detail))
+    return sorted(vio)
+
+
+def mutate_weight(x, seed):
+    """Negate or replace one weight at one vertex."""
+    rng = random.Random(seed)
+    doc = to_interchange(x)
+    vid = rng.choice(sorted(doc["vertex_data"]))
+    ws = doc["vertex_data"][vid]["weights"]
+    j = rng.randrange(len(ws))
+    if seed % 2:
+        ws[j] = [format_rational(-Fraction(c)) for c in ws[j]]
+    else:
+        ws[j] = [str(rng.randint(-3, 3)) for _ in ws[j]]
+    return from_interchange(doc)
+
+
+def test_darboux_matches_all_subsets(cp3, cp4, ncp4, toric_triangle, unit_square, segment):
+    xs = [cp3, cp4, ncp4, toric_triangle, unit_square, segment, drop_stratum(cp4, "w1-2")]
+    xs += [cpn_xray(n, seeded_rows(1, n, seed)) for n in (5, 7) for seed in range(2)]
+    xs += [cpn_xray(5, seeded_rows(2, 5, seed)) for seed in range(2)]
+    xs += [cpn_xray(4, seeded_rows(3, 4, 0))]
+    xs += [cpn_xray(4, seeded_rows(2, 4, seed, grid=3)) for seed in range(6)]
+    xs += [cpn_xray(4, seeded_rows(3, 4, seed, grid=3)) for seed in range(2)]
+    xs += [mutate_weight(xs[k], seed) for seed, k in enumerate(range(7, len(xs)))]
+    with_violations = 0
+    for x in xs:
+        got = validate_darboux(x)
+        assert got == validate_darboux_all_subsets(x)
+        with_violations += bool(got)
+    assert with_violations >= 10
+
+
+def test_darboux_rref_count_is_polynomial(monkeypatch):
+    calls = []
+
+    def counting_rref(rows):
+        calls.append(rows)
+        return rref(rows)
+
+    x = cpn_xray(8, seeded_rows(2, 8, 0))
+    monkeypatch.setattr(xray, "rref", counting_rref)
+    assert validate_darboux(x) == []
+    n = x.half_dim
+    assert len(calls) <= len(x.vertex_ids) * sum(comb(n, s) for s in range(3))
+
+
+def test_fingerprint_is_computed_once(monkeypatch, ncp4):
+    x = from_interchange(to_interchange(ncp4))
+    calls = []
+
+    def counting_json(y):
+        calls.append(y)
+        return canonical_json(y)
+
+    monkeypatch.setattr(xray, "canonical_json", counting_json)
+    assert x.fingerprint() == x.fingerprint() == ncp4.fingerprint()
+    assert len(calls) == 1
+
+
+BOOLEAN_EDITS = {
+    "torus_rank": lambda doc: doc.__setitem__("torus_rank", True),
+    "half_dim": lambda doc: doc.__setitem__("half_dim", True),
+    "signature": lambda doc: doc["vertex_data"]["v1"].__setitem__("signature", True),
+    "euler": lambda doc: doc["vertex_data"]["v1"].__setitem__("euler", False),
+    "poincare": lambda doc: doc["vertex_data"]["v1"].__setitem__("poincare", [True]),
+    "weights": lambda doc: doc["vertex_data"]["v1"]["weights"].__setitem__(0, [True]),
+    "vertices": lambda doc: doc["strata"][0].__setitem__("vertices", [[True]]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_EDITS))
+def test_interchange_rejects_booleans(cp3, field):
+    doc = to_interchange(cp3)
+    BOOLEAN_EDITS[field](doc)
+    with pytest.raises(MalformedXray, match=field):
         from_interchange(doc)
