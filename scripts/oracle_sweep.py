@@ -6,6 +6,7 @@ closed-form localization sums, including the two-sided singular value
 at every critical level.  The restriction sweep walks every crossing
 edge of the rank-2 worked examples and compares the recursion's jump
 with the jump of the residual circle built from the separating wall.
+Both assert that circle.cross_check passes, one wall at a time.
 
 Random components come in sign-mirrored pairs with equal seeds so that
 the invariants telescope to zero outside the moment image, as they must
@@ -16,16 +17,9 @@ import argparse
 from fractions import Fraction
 from random import Random
 
-from xraycross.arrangement import EXTERIOR, crossing_graph, subchambers
-from xraycross.circle import (
-    from_rank1_xray,
-    poincare_regular,
-    restrict_to_line,
-    signature_regular,
-    signature_singular,
-    wall_cross_delta,
-)
-from xraycross.engine import INT_POLYNOMIAL, INTEGER, POINCARE, SIGNATURE, propagate
+from xraycross.arrangement import crossing_graph, subchambers
+from xraycross.circle import cross_check
+from xraycross.engine import POINCARE, SIGNATURE, propagate
 from xraycross.exactgeom import hull
 from xraycross.generators import ProjectionMatrix, cpn_xray
 from xraycross.intpoly import IntPolynomial
@@ -85,17 +79,10 @@ def rank1_sweep(count: int, seed: int) -> tuple[int, int]:
         violations = validate_all(x)
         if violations:
             raise AssertionError(f"generator produced an invalid X-ray: {violations}")
-        sig = propagate(x, SIGNATURE)
-        poin = propagate(x, POINCARE)
-        data = from_rank1_xray(x)
-        for cell in subchambers(x, "top"):
-            a = cell.rep[0]
-            assert sig.value("top", cell.index) == signature_regular(data, a)
-            assert poin.value("top", cell.index) == poincare_regular(data, a)
-            chambers += 1
-        for c in data.levels():
-            signature_singular(data, c)
-            levels += 1
+        report = cross_check(x, "top", propagate(x, SIGNATURE), propagate(x, POINCARE))
+        assert report.passed, [line for line in report.lines if not line.passed]
+        chambers += len(subchambers(x, "top"))
+        levels += len(x.vertex_ids)
     return chambers, levels
 
 
@@ -120,16 +107,9 @@ def restriction_sweep() -> int:
         for sid in x.ids:
             if x.dim(sid) < 1:
                 continue
-            for e in crossing_graph(x, sid).edges:
-                data = restrict_to_line(
-                    x, sid, e.source, e.dest, sig, poin, facet_rep=e.facet_rep
-                )
-                for ring, table in ((INTEGER, sig), (INT_POLYNOMIAL, poin)):
-                    zero = 0 if ring == INTEGER else IntPolynomial.zero()
-                    left = zero if e.source == EXTERIOR else table.value(sid, e.source)
-                    right = zero if e.dest == EXTERIOR else table.value(sid, e.dest)
-                    assert wall_cross_delta(data, 0, ring) == right - left, (name, sid, e)
-                edges += 1
+            report = cross_check(x, sid, sig, poin)
+            assert report.passed, (name, sid, [line for line in report.lines if not line.passed])
+            edges += len(crossing_graph(x, sid).edges)
     return edges
 
 

@@ -3,7 +3,8 @@
 Build or load an X-ray, validate its structure, decompose walls into
 subchambers, and propagate signature, Poincare polynomial, and Euler
 characteristic across every wall by recursive wall-crossing.  Circle
-(rank-1) closed formulas serve as independent cross-checks.
+(rank-1) closed formulas serve as independent cross-checks, run by
+cross_check.
 """
 
 from .arrangement import (
@@ -19,6 +20,7 @@ from .arrangement import (
 from .circle import (
     CircleFixedData,
     FixedComponent,
+    cross_check,
     from_rank1_xray,
     poincare_regular,
     restrict_to_line,
@@ -104,6 +106,7 @@ __all__ = [
     "check_parity",
     "check_sig_equals_poincare_at_i",
     "cpn_xray",
+    "cross_check",
     "crossing_graph",
     "delzant_shortcut",
     "delzant_xray",

@@ -9,7 +9,8 @@ is asserted on every call because it pins down the sign convention.
 
 restrict_to_line turns one crossing-graph edge of a higher-rank X-ray
 into rank-1 fixed data for the residual circle, so the closed forms can
-cross-check every recursive wall-crossing step.
+cross-check every recursive wall-crossing step.  cross_check runs the
+whole comparison for one wall and reports it line by line.
 """
 
 from __future__ import annotations
@@ -17,20 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import EXTERIOR, crossing_graph
+from .arrangement import EXTERIOR, crossing_graph, subchambers
 from .engine import (
     INT_POLYNOMIAL,
     INTEGER,
     POINCARE,
     SIGNATURE,
+    CheckLine,
     InvariantTable,
+    Report,
     propagate,
     w_poincare,
     w_signature,
 )
 from .errors import PropagationError, SingularLevel, XrayError
 from .intpoly import IntPolynomial
-from .ratmath import Rational, format_rational, rat
+from .ratmath import Rational, format_point, format_rational, rat
 
 
 @dataclass(frozen=True)
@@ -219,6 +222,52 @@ def restrict_to_line(
             )
         )
     return CircleFixedData(tuple(components))
+
+
+def cross_check(x, f: str, sig: InvariantTable, poin: InvariantTable) -> Report:
+    """The engine's signature and Poincare tables on wall f against the circle.
+
+    d = 1 (f must be the top wall): each subchamber's values against
+    signature_regular and poincare_regular at its rep, and the two-sided
+    singular signature at every critical level.  d >= 2: each crossing
+    edge of f, the engine's jump against wall_cross_delta of the
+    residual circle that restrict_to_line builds from its separators.
+    """
+    lines = []
+    if x.torus_rank == 1:
+        if f != x.top_id:
+            raise ValueError("at d = 1 the circle formulas check the top wall only")
+        data = from_rank1_xray(x)
+        for cell in subchambers(x, f):
+            a = cell.rep[0]
+            for kind, want, got in (
+                ("signature", sig.value(f, cell.index), signature_regular(data, a)),
+                ("poincare", poin.value(f, cell.index), poincare_regular(data, a)),
+            ):
+                lines.append(CheckLine(f"chamber {cell.index} {kind}", want == got, f"engine {want}, circle {got}"))
+        for c in data.levels():
+            name = f"singular level {format_rational(c)} two-sided"
+            try:
+                signature_singular(data, c)
+                lines.append(CheckLine(name, True))
+            except PropagationError as e:
+                lines.append(CheckLine(name, False, str(e)))
+        return Report("circle oracle", tuple(lines))
+
+    def at(table, node, zero):
+        return zero if node == EXTERIOR else table.value(f, node)
+
+    for edge in crossing_graph(x, f).edges:
+        data = restrict_to_line(x, f, edge.source, edge.dest, sig, poin, facet_rep=edge.facet_rep)
+        name = f"edge {edge.source}->{edge.dest} at {format_point(edge.facet_rep)}"
+        for kind, table, ring, zero in (
+            ("signature", sig, INTEGER, 0),
+            ("poincare", poin, INT_POLYNOMIAL, IntPolynomial.zero()),
+        ):
+            want = at(table, edge.dest, zero) - at(table, edge.source, zero)
+            got = wall_cross_delta(data, 0, ring)
+            lines.append(CheckLine(f"{name} {kind} delta", want == got, f"engine {want}, circle {got}"))
+    return Report("circle oracle", tuple(lines))
 
 
 def to_records(data: CircleFixedData) -> list[dict]:

@@ -13,21 +13,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .arrangement import EXTERIOR, crossing_graph, locate, subchambers
-from .circle import (
-    from_rank1_xray,
-    poincare_regular,
-    restrict_to_line,
-    signature_regular,
-    signature_singular,
-    wall_cross_delta,
-)
+from .arrangement import locate, subchambers
+from .circle import cross_check
 from .engine import (
     EULER,
-    INT_POLYNOMIAL,
-    INTEGER,
     POINCARE,
     SIGNATURE,
+    CheckLine,
     check_parity,
     check_sig_equals_poincare_at_i,
     propagate,
@@ -42,7 +34,7 @@ from .generators import (
     standard_simplex_xray,
 )
 from .intpoly import IntPolynomial
-from .ratmath import format_rational, rat
+from .ratmath import format_point, format_rational, rat
 from .render import render_svg
 from .xray import validate_all
 
@@ -73,12 +65,12 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(rat(entry.strip()) for entry in text.split(","))
 
 
-def _fmt_point(p) -> str:
-    return "(" + ", ".join(format_rational(c) for c in p) + ")"
-
-
-def _fmt_value(v) -> str:
-    return str(v)
+def _print_lines(lines) -> bool:
+    """Print each check as 'name: PASS|FAIL', with the detail of a failure; True if all passed."""
+    for line in lines:
+        suffix = f"  {line.detail}" if line.detail and not line.passed else ""
+        print(f"{line.name}: {_verdict(line.passed)}{suffix}")
+    return all(line.passed for line in lines)
 
 
 def _load(args):
@@ -118,7 +110,7 @@ def cmd_chambers(args) -> int:
     cells = subchambers(x, sid)
     if args.locate is not None:
         cell = locate(x, sid, _parse_point(args.locate))
-        print(f"subchamber {cell.index} of '{sid}', rep {_fmt_point(cell.rep)}")
+        print(f"subchamber {cell.index} of '{sid}', rep {format_point(cell.rep)}")
         return 0
     if args.format == "json":
         doc = [
@@ -133,8 +125,8 @@ def cmd_chambers(args) -> int:
         return 0
     print(f"wall '{sid}': {len(cells)} subchamber(s)")
     for cell in cells:
-        verts = " ".join(_fmt_point(v) for v in cell.cell.vertices)
-        print(f"  {cell.index}: rep {_fmt_point(cell.rep)}  vertices {verts}")
+        verts = " ".join(format_point(v) for v in cell.cell.vertices)
+        print(f"  {cell.index}: rep {format_point(cell.rep)}  vertices {verts}")
     return 0
 
 
@@ -154,9 +146,9 @@ def cmd_invariants(args) -> int:
     parity = check_parity(x, tables["sig"], tables["euler"])
     gauss = check_sig_equals_poincare_at_i(x, tables["sig"], tables["poincare"])
     checks = [
-        ("cycle consistency", True, ""),
-        ("parity sig = euler (mod 2)", parity.passed, "; ".join(l.detail for l in parity.lines if not l.passed)),
-        ("signature = P(i)", gauss.passed, "; ".join(l.detail for l in gauss.lines if not l.passed)),
+        CheckLine("cycle consistency", True),
+        CheckLine("parity sig = euler (mod 2)", parity.passed, "; ".join(l.detail for l in parity.lines if not l.passed)),
+        CheckLine("signature = P(i)", gauss.passed, "; ".join(l.detail for l in gauss.lines if not l.passed)),
     ]
 
     keys = sorted(tables["sig"].values)
@@ -172,115 +164,49 @@ def cmd_invariants(args) -> int:
                 value = tables[name].value(sid, chamber)
                 row[name] = list(value.coeffs) if isinstance(value, IntPolynomial) else value
             rows.append(row)
-        doc = {"rows": rows, "checks": {name: ok for name, ok, _ in checks}}
+        doc = {"rows": rows, "checks": {line.name: line.passed for line in checks}}
         print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0 if all(ok for _, ok, _ in checks) else 1
+        return 0 if all(line.passed for line in checks) else 1
     header = "stratum subchamber rep " + " ".join(which)
     print(header)
     for sid, chamber in keys:
         rep = subchambers(x, sid)[chamber].rep
-        cols = " ".join(_fmt_value(tables[name].value(sid, chamber)) for name in which)
-        print(f"{sid} {chamber} {_fmt_point(rep)} {cols}")
-    ok = True
-    for name, passed, detail in checks:
-        suffix = f"  {detail}" if detail and not passed else ""
-        print(f"{name}: {_verdict(passed)}{suffix}")
-        ok = ok and passed
-    return 0 if ok else 1
+        cols = " ".join(str(tables[name].value(sid, chamber)) for name in which)
+        print(f"{sid} {chamber} {format_point(rep)} {cols}")
+    return 0 if _print_lines(checks) else 1
 
 
 def cmd_oracle(args) -> int:
     x = _load(args)
-    lines: list[tuple[str, bool, str]] = []
+    lines = []
     for vid in x.vertex_ids:
         vd = x.stratum(vid).vertex_data
         re, im = vd.seed_poincare.at_i()
-        lines.append(
-            (
+        lines += [
+            CheckLine(
                 f"seed {vid}: signature = P(i)",
                 im == 0 and re == vd.seed_signature,
                 f"signature {vd.seed_signature}, P(i) = {re}{im:+}i",
-            )
-        )
-        lines.append(
-            (
+            ),
+            CheckLine(
                 f"seed {vid}: euler = P(-1)",
                 vd.seed_poincare(-1) == vd.seed_euler,
                 f"euler {vd.seed_euler}, P(-1) = {vd.seed_poincare(-1)}",
-            )
-        )
-        lines.append(
-            (
+            ),
+            CheckLine(
                 f"seed {vid}: signature = euler (mod 2)",
                 (vd.seed_signature - vd.seed_euler) % 2 == 0,
                 f"signature {vd.seed_signature}, euler {vd.seed_euler}",
-            )
-        )
+            ),
+        ]
     try:
         sig = propagate(x, SIGNATURE)
         poin = propagate(x, POINCARE)
     except PropagationError as e:
-        lines.append(("cycle consistency", False, str(e)))
-        ok = all(passed for _, passed, _ in lines)
-        for name, passed, detail in lines:
-            suffix = f"  {detail}" if detail and not passed else ""
-            print(f"{name}: {_verdict(passed)}{suffix}")
-        print(f"oracle: {_verdict(False)}")
-        return 1
-    if x.torus_rank == 1:
-        data = from_rank1_xray(x)
-        top = x.top_id
-        for cell in subchambers(x, top):
-            a = cell.rep[0]
-            want_s, got_s = sig.value(top, cell.index), signature_regular(data, a)
-            lines.append(
-                (
-                    f"chamber {cell.index} signature",
-                    want_s == got_s,
-                    f"engine {want_s}, circle {got_s}",
-                )
-            )
-            want_p, got_p = poin.value(top, cell.index), poincare_regular(data, a)
-            lines.append(
-                (
-                    f"chamber {cell.index} poincare",
-                    want_p == got_p,
-                    f"engine {want_p}, circle {got_p}",
-                )
-            )
-        for c in data.levels():
-            try:
-                signature_singular(data, c)
-                lines.append((f"singular level {format_rational(c)} two-sided", True, ""))
-            except PropagationError as e:
-                lines.append((f"singular level {format_rational(c)} two-sided", False, str(e)))
+        lines.append(CheckLine("cycle consistency", False, str(e)))
     else:
-        top = x.top_id
-        graph = crossing_graph(x, top)
-
-        def sig_at(node):
-            return 0 if node == EXTERIOR else sig.value(top, node)
-
-        def poin_at(node):
-            return IntPolynomial.zero() if node == EXTERIOR else poin.value(top, node)
-
-        for edge in graph.edges:
-            data = restrict_to_line(
-                x, top, edge.source, edge.dest,
-                sig_table=sig, poin_table=poin, facet_rep=edge.facet_rep,
-            )
-            want_s = sig_at(edge.dest) - sig_at(edge.source)
-            got_s = wall_cross_delta(data, 0, INTEGER)
-            want_p = poin_at(edge.dest) - poin_at(edge.source)
-            got_p = wall_cross_delta(data, 0, INT_POLYNOMIAL)
-            name = f"edge {edge.source}->{edge.dest} at {_fmt_point(edge.facet_rep)}"
-            lines.append((f"{name} signature delta", want_s == got_s, f"engine {want_s}, circle {got_s}"))
-            lines.append((f"{name} poincare delta", want_p == got_p, f"engine {want_p}, circle {got_p}"))
-    ok = True
-    for name, passed, detail in lines:
-        suffix = f"  {detail}" if detail and not passed else ""
-        print(f"{name}: {_verdict(passed)}{suffix}")
-        ok = ok and passed
+        lines += cross_check(x, x.top_id, sig, poin).lines
+    ok = _print_lines(lines)
     print(f"oracle: {_verdict(ok)}")
     return 0 if ok else 1
 

@@ -24,12 +24,10 @@ from .ratmath import (
     ZERO,
     as_vec,
     in_span,
-    is_zero_vector,
     nullspace,
     primitive_functional,
     rank,
     rat,
-    reduce_mod,
     rref,
     solve_square,
     vdot,
@@ -58,11 +56,6 @@ class AffineSpan:
         base = min(points)
         basis, pivots = rref([vsub(p, base) for p in points])
         return AffineSpan(base, basis, pivots)
-
-    @staticmethod
-    def from_base_and_vectors(base: RatVector, vectors: Iterable[RatVector]) -> "AffineSpan":
-        basis, pivots = rref(list(vectors))
-        return AffineSpan(tuple(base), basis, pivots)
 
     @property
     def dim(self) -> int:
@@ -343,7 +336,12 @@ def clip_halfspace(p: Polytope, normal: RatVector, offset: Fraction) -> Polytope
 
 def clip_to_polytope(p: Polytope, q: Polytope) -> Polytope | None:
     """Intersection p with q's facet system: exact p cap q when p's span
-    is contained in q's span (the only way this is used)."""
+    is contained in q's span (the only way this is used).
+
+    Nothing in the package calls it since the crossing graph is read off
+    the subchamber refinement.  It stays as the pairwise reference in
+    tests/test_arrangement.py, and because bench/tracer.py binds it by
+    name; tests/test_scripts.py checks that binding."""
     cur: Polytope | None = p
     for n, c in q.facets:
         if cur is None:

@@ -55,8 +55,8 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def vec(*coords: int | str | Fraction) -> RatVector:
-    return tuple(rat(c) for c in coords)
+def format_point(p: Iterable[Fraction]) -> str:
+    return "(" + ", ".join(format_rational(c) for c in p) + ")"
 
 
 def as_vec(coords: Iterable[int | str | Fraction]) -> RatVector:

@@ -1,13 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xraycross.arrangement import EXTERIOR, crossing_graph
+from xraycross.arrangement import EXTERIOR, crossing_graph, subchambers
 from xraycross.circle import (
     CircleFixedData,
     FixedComponent,
+    cross_check,
     from_rank1_xray,
     from_records,
     poincare_regular,
@@ -28,6 +30,7 @@ from xraycross.engine import (
 )
 from xraycross.errors import SingularLevel, XrayError
 from xraycross.intpoly import IntPolynomial
+from xraycross.ratmath import format_point
 
 DIAG = "w2-3-4-5"
 
@@ -233,6 +236,60 @@ def test_restrict_matches_engine_on_every_top_edge(cp4, ncp4):
             )
             assert wall_cross_delta(data, Fraction(0), INTEGER) == want_s
             assert wall_cross_delta(data, Fraction(0), INT_POLYNOMIAL) == want_p
+
+
+def engine_tables(x):
+    return propagate(x, SIGNATURE), propagate(x, POINCARE)
+
+
+def bump(table, chamber, by=1):
+    """A copy of table with by added to the top wall's value at chamber."""
+    values = dict(table.values)
+    values[("top", chamber)] += by
+    return replace(table, values=values)
+
+
+def failing(report):
+    return {line.name for line in report.lines if not line.passed}
+
+
+def test_cross_check_passes_on_cp3(cp3):
+    report = cross_check(cp3, "top", *engine_tables(cp3))
+    assert report.passed
+    assert len(report.lines) == 2 * len(subchambers(cp3, "top")) + len(from_rank1_xray(cp3).levels())
+    assert [line.name for line in report.lines[:2]] == ["chamber 0 signature", "chamber 0 poincare"]
+    assert report.lines[-1].name == "singular level 3 two-sided"
+
+
+@pytest.mark.parametrize("name", ["cp4", "ncp4"])
+def test_cross_check_passes_at_d2(name, request):
+    x = request.getfixturevalue(name)
+    report = cross_check(x, "top", *engine_tables(x))
+    assert report.passed
+    assert len(report.lines) == 2 * len(crossing_graph(x, "top").edges)
+
+
+def test_cross_check_names_the_corrupted_chamber_on_cp3(cp3):
+    sig, poin = engine_tables(cp3)
+    assert failing(cross_check(cp3, "top", bump(sig, 1), poin)) == {"chamber 1 signature"}
+    assert failing(cross_check(cp3, "top", sig, bump(poin, 2, IntPolynomial.one()))) == {"chamber 2 poincare"}
+
+
+@pytest.mark.parametrize("name", ["cp4", "ncp4"])
+def test_cross_check_names_the_corrupted_chamber_at_d2(name, request):
+    x = request.getfixturevalue(name)
+    sig, poin = engine_tables(x)
+    edges = crossing_graph(x, "top").edges
+    for chamber in range(len(subchambers(x, "top"))):
+        touching = [e for e in edges if chamber in (e.source, e.dest)]
+        assert touching
+        want = {f"edge {e.source}->{e.dest} at {format_point(e.facet_rep)} signature delta" for e in touching}
+        assert failing(cross_check(x, "top", bump(sig, chamber), poin)) == want
+
+
+def test_cross_check_rejects_lower_walls_at_d1(cp3):
+    with pytest.raises(ValueError, match="top wall"):
+        cross_check(cp3, "v1", *engine_tables(cp3))
 
 
 def test_records_roundtrip():

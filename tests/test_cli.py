@@ -153,6 +153,12 @@ def test_oracle_corrupted_seed_fails(files):
     assert "seed v1: signature = P(i): FAIL" in out.stdout
 
 
+def test_oracle_corrupted_seed_reports_cycle_failure(files):
+    out = run_cli("oracle", str(files["corrupt"]))
+    assert "cycle consistency: FAIL" in out.stdout
+    assert out.stdout.splitlines()[-1] == "oracle: FAIL"
+
+
 def test_color_disabled_means_no_escape_codes(files):
     out = run_cli("oracle", str(files["cp3"]), color="0")
     assert "\x1b[" not in out.stdout
