@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import EXTERIOR, crossing_graph, subchambers
+from .arrangement import EXTERIOR, CrossingEdge, crossing_graph, subchambers
 from .engine import (
     INT_POLYNOMIAL,
     INTEGER,
@@ -211,17 +211,22 @@ def restrict_to_line(
         sig_table = propagate(x, SIGNATURE)
     if poin_table is None:
         poin_table = propagate(x, POINCARE)
-    components = []
-    for sep in edge.separators:
-        components.append(
+    return _edge_circle(edge, sig_table, poin_table)
+
+
+def _edge_circle(edge: CrossingEdge, sig_table: InvariantTable, poin_table: InvariantTable) -> CircleFixedData:
+    """restrict_to_line for an edge already in hand: one level-0 component per separator."""
+    return CircleFixedData(
+        tuple(
             FixedComponent(
                 Fraction(0),
                 (1,) * sep.f + (-1,) * sep.b,
                 sig_table.value(sep.g, sep.r),
                 poin_table.value(sep.g, sep.r),
             )
+            for sep in edge.separators
         )
-    return CircleFixedData(tuple(components))
+    )
 
 
 def cross_check(x, f: str, sig: InvariantTable, poin: InvariantTable) -> Report:
@@ -231,7 +236,7 @@ def cross_check(x, f: str, sig: InvariantTable, poin: InvariantTable) -> Report:
     signature_regular and poincare_regular at its rep, and the two-sided
     singular signature at every critical level.  d >= 2: each crossing
     edge of f, the engine's jump against wall_cross_delta of the
-    residual circle that restrict_to_line builds from its separators.
+    residual circle built from its separators, as restrict_to_line does.
     """
     lines = []
     if x.torus_rank == 1:
@@ -258,7 +263,7 @@ def cross_check(x, f: str, sig: InvariantTable, poin: InvariantTable) -> Report:
         return zero if node == EXTERIOR else table.value(f, node)
 
     for edge in crossing_graph(x, f).edges:
-        data = restrict_to_line(x, f, edge.source, edge.dest, sig, poin, facet_rep=edge.facet_rep)
+        data = _edge_circle(edge, sig, poin)
         name = f"edge {edge.source}->{edge.dest} at {format_point(edge.facet_rep)}"
         for kind, table, ring, zero in (
             ("signature", sig, INTEGER, 0),
@@ -269,27 +274,3 @@ def cross_check(x, f: str, sig: InvariantTable, poin: InvariantTable) -> Report:
             lines.append(CheckLine(f"{name} {kind} delta", want == got, f"engine {want}, circle {got}"))
     return Report("circle oracle", tuple(lines))
 
-
-def to_records(data: CircleFixedData) -> list[dict]:
-    return [
-        {
-            "level": format_rational(comp.level),
-            "weights": list(comp.weights),
-            "signature": comp.seed_signature,
-            "poincare": list(comp.seed_poincare.coeffs),
-        }
-        for comp in data.components
-    ]
-
-
-def from_records(records) -> CircleFixedData:
-    components = tuple(
-        FixedComponent(
-            rat(rec["level"]),
-            tuple(rec["weights"]),
-            rec["signature"],
-            IntPolynomial(tuple(rec["poincare"])),
-        )
-        for rec in records
-    )
-    return CircleFixedData(components)

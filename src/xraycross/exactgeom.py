@@ -269,11 +269,18 @@ def _complete_to_ambient(rows: list[RatVector], d: int) -> list[RatVector]:
 def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> Facet:
     """Unoriented hyperplane (normal, offset) through `sub` within `ambient`.
 
-    `sub` must have codimension 1 in `ambient`.  The hyperplane also
-    contains the orthogonal completion of `ambient`, so its normal
-    classifies weight vectors of the ambient wall unambiguously.  The
-    normal is primitive integer with first nonzero entry positive, so
-    two sub-flats spanning the same hyperplane produce equal keys.
+    `sub` must have codimension 1 in `ambient`.  The normal is zero on
+    `sub`'s directions and on the standard basis vectors that complete
+    them and one of `ambient`'s to a basis of Q^d.  That completion is
+    fixed by the RREF bases, so the key is canonical: the normal is
+    primitive integer with first nonzero entry positive, and two
+    sub-flats spanning the same hyperplane produce equal keys.  The
+    normal need not vanish on the orthogonal complement of `ambient`
+    (for the line through (1,1) in Q^2 it is (0, 1)), so it classifies
+    only vectors in `ambient`'s linear span.  Those are all it is given:
+    `_build_edge` classifies `stratum_weights_in(x, g, f)`, and the
+    cell cuts in `arrangement._decompose` evaluate it at points of the
+    wall.
     """
     if not all(ambient.lin_contains(b) for b in sub.basis):
         raise ValueError("sub-flat is not contained in the ambient span")

@@ -285,14 +285,10 @@ def validate_poset(x: WeightedXray) -> list[Violation]:
                 if len(matches) != 1:
                     where = _fmt_points(face.vertices)
                     vio.add(Violation(s.id, "face", f"face {where} is the wall of {len(matches)} chain members {matches}"))
-    seen_pairs: set[tuple[str, str]] = set()
     for j in x.ids:
         ups = sorted({j} | set(x.above(j)))
         for a, b in combinations(ups, 2):
-            if (a, b) in seen_pairs:
-                continue
             if x.stratum(a).wall.span.same_lin(x.stratum(b).wall.span):
-                seen_pairs.add((a, b))
                 vio.add(Violation(a, "span-uniqueness", f"strata '{a}' and '{b}' above a common stratum share a wall span"))
     return sorted(vio)
 
@@ -330,7 +326,9 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     subsets of <= d directions reach every linear subset.  A tangent
     cone spans its wall's linear part and a subset S spans the subspace
     it was cut out by, so equal cones need equal RREF bases: only walls
-    with S's basis are compared, and no match is lost.
+    with S's basis can match.  The weights in such a wall's span are
+    exactly S, so its comparison with S is the one (a) made, and S's
+    matches are the walls with its basis that passed (a).
     """
     d = x.torus_rank
     vio: set[Violation] = set()
@@ -338,29 +336,20 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
         p = x.stratum(pid)
         point = p.wall.vertices[0]
         alpha = p.vertex_data.weights
-        ups = [pid] + sorted(x.above(pid))
-        tangent: dict[str, list[RatVector]] = {
-            fid: [vsub(u, point) for u in x.stratum(fid).wall.vertices] for fid in ups
-        }
-        for fid in ups:
-            span = x.stratum(fid).wall.span
-            inspan = [w for w in alpha if span.lin_contains(w)]
-            if not _cones_equal(tangent[fid], inspan, d):
+        passed: list[tuple[tuple[RatVector, ...], str]] = []
+        for fid in [pid] + sorted(x.above(pid)):
+            wall = x.stratum(fid).wall
+            inspan = [w for w in alpha if wall.span.lin_contains(w)]
+            if _cones_equal([vsub(u, point) for u in wall.vertices], inspan, d):
+                passed.append((wall.span.basis, fid))
+            else:
                 vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
         dirs = sorted({primitive_vector(w) for w in alpha if not is_zero_vector(w)})
-        subsets: dict[tuple[RatVector, ...], tuple[RatVector, ...]] = {}
-        for size in range(min(len(dirs), d) + 1):
-            for B in combinations(dirs, size):
-                basis, pivots = rref(B)
-                S = tuple(w for w in alpha if in_span(basis, pivots, w))
-                subsets[S] = basis
-        for S, basis in sorted(subsets.items()):
-            matches = [
-                fid
-                for fid in ups
-                if x.stratum(fid).wall.span.basis == basis and _cones_equal(tangent[fid], list(S), d)
-            ]
+        spans = {rref(B) for size in range(min(len(dirs), d) + 1) for B in combinations(dirs, size)}
+        for basis, pivots in spans:
+            matches = [fid for b, fid in passed if b == basis]
             if len(matches) != 1:
+                S = tuple(w for w in alpha if in_span(basis, pivots, w))
                 vio.add(
                     Violation(
                         pid,
@@ -513,6 +502,8 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         verts = [parse_vector(v, f"{where}.vertices[{j}]") for j, v in enumerate(raw["vertices"])]
         if not verts:
             raise MalformedXray(f"{where}: stratum '{sid}' has no vertices")
+        if len(dims := {len(v) for v in verts}) > 1:
+            raise MalformedXray(f"{where}: vertices of mixed dimension {sorted(dims)}")
         parents = raw.get("parents", [])
         if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
             raise MalformedXray(f"{where}: parents must be a list of ids")

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from xraycross import circle
 from xraycross.arrangement import EXTERIOR, crossing_graph, subchambers
 from xraycross.circle import (
     CircleFixedData,
     FixedComponent,
     cross_check,
     from_rank1_xray,
-    from_records,
     poincare_regular,
     restrict_to_line,
     signature_regular,
     signature_singular,
-    to_records,
     wall_cross_delta,
 )
 from xraycross.engine import (
@@ -269,6 +268,21 @@ def test_cross_check_passes_at_d2(name, request):
     assert len(report.lines) == 2 * len(crossing_graph(x, "top").edges)
 
 
+@pytest.mark.parametrize("name", ["cp4", "ncp4"])
+def test_cross_check_builds_the_crossing_graph_once(monkeypatch, name, request):
+    x = request.getfixturevalue(name)
+    tables = engine_tables(x)
+    calls = []
+
+    def counting_graph(y, f):
+        calls.append(f)
+        return crossing_graph(y, f)
+
+    monkeypatch.setattr(circle, "crossing_graph", counting_graph)
+    assert cross_check(x, "top", *tables).passed
+    assert calls == ["top"]
+
+
 def test_cross_check_names_the_corrupted_chamber_on_cp3(cp3):
     sig, poin = engine_tables(cp3)
     assert failing(cross_check(cp3, "top", bump(sig, 1), poin)) == {"chamber 1 signature"}
@@ -290,18 +304,6 @@ def test_cross_check_names_the_corrupted_chamber_at_d2(name, request):
 def test_cross_check_rejects_lower_walls_at_d1(cp3):
     with pytest.raises(ValueError, match="top wall"):
         cross_check(cp3, "v1", *engine_tables(cp3))
-
-
-def test_records_roundtrip():
-    data = cp3_data()
-    records = to_records(data)
-    assert records[0] == {
-        "level": "0",
-        "weights": [1, 1, 1],
-        "signature": 1,
-        "poincare": [1],
-    }
-    assert from_records(records) == data
 
 
 levels_strategy = st.lists(

@@ -372,3 +372,43 @@ def test_interchange_rejects_booleans(cp3, field):
     BOOLEAN_EDITS[field](doc)
     with pytest.raises(MalformedXray, match=field):
         from_interchange(doc)
+
+
+@pytest.mark.parametrize("name", ["cp4", "ncp4", "seeded"])
+def test_darboux_compares_each_wall_cone_once(monkeypatch, request, name):
+    x = cpn_xray(6, seeded_rows(2, 6, 0)) if name == "seeded" else request.getfixturevalue(name)
+    calls = []
+
+    def counting_cones_equal(a, b, dim):
+        calls.append((a, b))
+        return _cones_equal(a, b, dim)
+
+    monkeypatch.setattr(xray, "_cones_equal", counting_cones_equal)
+    assert validate_darboux(x) == []
+    assert len(calls) == sum(1 + len(x.above(v)) for v in x.vertex_ids)
+
+
+def test_darboux_two_matches_and_cone_violation_match_all_subsets():
+    seg1 = hull([as_vec((0,)), as_vec((1,))])
+    seg2 = hull([as_vec((0,)), as_vec((2,))])
+    strata = [
+        Stratum("a", hull([as_vec((0,))]), ("s1", "s2"), (), VertexData((as_vec((1,)),), **seeds_one())),
+        Stratum("b", hull([as_vec((1,))]), ("s1", "s2"), (), VertexData((as_vec((-1,)),), **seeds_one())),
+        Stratum("c", hull([as_vec((2,))]), ("s2",), (), VertexData((as_vec((-1,)),), **seeds_one())),
+        Stratum("s1", seg1, (), (), None),
+        Stratum("s2", seg2, (), (), None),
+    ]
+    x = WeightedXray(1, 1, tuple(strata))
+    got = validate_darboux(x)
+    assert got == validate_darboux_all_subsets(x)
+    lines = [str(v) for v in got]
+    assert "[darboux-subset] a: weight subset {(1)} is the tangent cone of 2 strata ['s1', 's2']" in lines
+    assert any(v.kind == "darboux-cone" and v.stratum == "b" for v in got)
+
+
+def test_interchange_rejects_vertices_of_mixed_dimension(cp3):
+    doc = to_interchange(cp3)
+    i = next(i for i, s in enumerate(doc["strata"]) if s["id"] == "top")
+    doc["strata"][i] = {**doc["strata"][i], "vertices": [["1"], ["1", "2"]]}
+    with pytest.raises(MalformedXray, match=rf"strata\[{i}\]: vertices of mixed dimension"):
+        from_interchange(doc)
