@@ -3,32 +3,24 @@
 The regular set of a wall is the wall minus all smaller walls contained
 in it.  Its connected components (subchambers) are found by refining the
 wall along the affine spans of its codimension-1 subwalls, then merging
-cells across any shared facet that no actual subwall covers.  The
-crossing graph is read off the same refinement: every facet of a cell is
-shared with exactly one other cell or lies on the wall's boundary, so
-the facets left between two subchambers (or a subchamber and the
-exterior) are its edges.  Each edge carries the separating subchambers
-of the codimension-1 strata together with forward/backward weight
-counts.
+cells across any shared facet that no actual subwall covers.  A facet
+of a cell is the tuple of its vertices tight on one of the cell's own
+inequalities.  The crossing graph is read off the same refinement:
+every facet of a cell is shared with exactly one other cell or lies on
+the wall's boundary, so the facets left between two subchambers (or a
+subchamber and the exterior) are its edges.  Each edge carries the
+separating subchambers of the codimension-1 strata together with
+forward/backward weight counts.  Each subwall's hyperplane is computed
+once per wall and shared by the cuts and the edges.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import MalformedXray, SingularLevel, XrayError
-from .exactgeom import (
-    Polytope,
-    clip_halfspace,
-    facet_polytopes,
-    hull,
-    relative_interior_point,
-    side_functional,
-    span_hyperplane,
-)
+from .exactgeom import Facet, Polytope, centroid, clip_halfspace, hull, span_hyperplane
 from .ratmath import RatVector, format_rational, sign, vdot, vneg
 from .xray import WeightedXray, stratum_weights_in
 
@@ -82,9 +74,15 @@ def _fmt_point(p: RatVector) -> str:
     return "(" + ",".join(format_rational(c) for c in p) + ")"
 
 
-def _decompose(x: WeightedXray, f: str) -> tuple[tuple[Subchamber, ...], tuple[tuple[int, int, RatVector], ...]]:
-    """Subchambers of f's wall and the face pieces between them, cached.
+def _decompose(
+    x: WeightedXray, f: str
+) -> tuple[tuple[Subchamber, ...], tuple[tuple[int, int, RatVector], ...], dict[str, Facet]]:
+    """Subchambers of f's wall, the face pieces between them and each
+    codimension-1 subwall's hyperplane, cached.
 
+    The hyperplanes are computed once: the cuts use the distinct ones and
+    `crossing_graph` orients them to count separator weights.  A facet of
+    a cell is the tuple of its vertices tight on one of its inequalities.
     A piece is (source, dest, rep): two adjacent subchambers, source <
     dest, or EXTERIOR and a subchamber meeting one wall facet; rep is the
     vertex centroid of the face they share.
@@ -95,13 +93,10 @@ def _decompose(x: WeightedXray, f: str) -> tuple[tuple[Subchamber, ...], tuple[t
     wall = x.stratum(f).wall
     k = wall.dim
     lower = sorted(x.below(f))
-    hyperplanes: dict[tuple[RatVector, Fraction], None] = {}
-    for g in lower:
-        if x.dim(g) == k - 1:
-            hyperplanes[span_hyperplane(wall.span, x.stratum(g).wall.span)] = None
+    planes = {g: span_hyperplane(wall.span, x.stratum(g).wall.span) for g in lower if x.dim(g) == k - 1}
 
     cells = [wall]
-    for normal, offset in hyperplanes:
+    for normal, offset in dict.fromkeys(planes.values()):
         split = []
         for cell in cells:  # cut only cells the hyperplane passes through
             sides = {sign(vdot(normal, v) - offset) for v in cell.vertices}
@@ -121,25 +116,25 @@ def _decompose(x: WeightedXray, f: str) -> tuple[tuple[Subchamber, ...], tuple[t
         return i
 
     subwalls = [x.stratum(g).wall for g in lower]
-    owners: dict[tuple[RatVector, ...], tuple[Polytope, list[int]]] = {}
+    owners: dict[tuple[RatVector, ...], list[int]] = {}
     for i, cell in enumerate(cells):
-        for facet in facet_polytopes(cell):
-            owners.setdefault(facet.vertices, (facet, []))[1].append(i)
-    for facet, idxs in owners.values():
+        for n, c in cell.facets:
+            owners.setdefault(tuple(v for v in cell.vertices if vdot(n, v) == c), []).append(i)
+    for facet, idxs in owners.items():
         if len(idxs) == 2:
-            mid = relative_interior_point(facet)
+            mid = centroid(facet)
             if not any(w.contains(mid) for w in subwalls):
                 root[find(idxs[0])] = find(idxs[1])
 
     # Each facet is shared by two cells or lies on one wall facet.
-    shared: dict[tuple, list[Polytope]] = {}
-    for facet, idxs in owners.values():
+    shared: dict[tuple, list[tuple[RatVector, ...]]] = {}
+    for facet, idxs in owners.items():
         if len(idxs) == 2:
             a, b = sorted(find(i) for i in idxs)
             if a != b:
                 shared.setdefault((a, b), []).append(facet)
         else:
-            mid = relative_interior_point(facet)
+            mid = centroid(facet)
             on = next(fc for fc in wall.facets if vdot(fc[0], mid) == fc[1])
             shared.setdefault((EXTERIOR, find(idxs[0]), on), []).append(facet)
 
@@ -149,17 +144,17 @@ def _decompose(x: WeightedXray, f: str) -> tuple[tuple[Subchamber, ...], tuple[t
     merged = []
     for r, members in groups.items():
         chamber = members[0] if len(members) == 1 else hull({v for cell in members for v in cell.vertices})
-        merged.append((relative_interior_point(chamber), chamber, r))
+        merged.append((centroid(chamber.vertices), chamber, r))
     merged.sort(key=lambda item: item[0])
     chambers = tuple(Subchamber(f, i, cell, rep) for i, (rep, cell, _) in enumerate(merged))
     index = {r: i for i, (_, _, r) in enumerate(merged)}
     index[EXTERIOR] = EXTERIOR
     pieces = []
     for (a, b, *_), facets in shared.items():
-        piece = facets[0] if len(facets) == 1 else hull(v for facet in facets for v in facet.vertices)
+        piece = facets[0] if len(facets) == 1 else hull(v for facet in facets for v in facet).vertices
         source, dest = sorted((index[a], index[b]))
-        pieces.append((source, dest, relative_interior_point(piece)))
-    out = (chambers, tuple(pieces))
+        pieces.append((source, dest, centroid(piece)))
+    out = (chambers, tuple(pieces), planes)
     x._cache[key] = out
     return out
 
@@ -207,10 +202,8 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
     key = ("crossing_graph", f)
     if key in x._cache:
         return x._cache[key]
-    chambers, pieces = _decompose(x, f)
-    k = x.dim(f)
-    principal = [g for g in sorted(x.below(f)) if x.dim(g) == k - 1]
-    edges = [_build_edge(x, f, principal, chambers, source, dest, rep) for source, dest, rep in pieces]
+    chambers, pieces, planes = _decompose(x, f)
+    edges = [_build_edge(x, f, planes, chambers[dest].rep, source, dest, rep) for source, dest, rep in pieces]
     edges.sort(key=lambda e: (e.source, e.dest, e.facet_rep))
     graph = CrossingGraph(f, (EXTERIOR,) + tuple(range(len(chambers))), tuple(edges))
     x._cache[key] = graph
@@ -220,26 +213,28 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
 def _build_edge(
     x: WeightedXray,
     f: str,
-    principal: Iterable[str],
-    chambers: Sequence[Subchamber],
+    planes: dict[str, Facet],
+    toward: RatVector,
     source: int,
     dest: int,
     facet_rep: RatVector,
 ) -> CrossingEdge:
-    toward = chambers[dest].rep
-    ambient = x.stratum(f).wall.span
     separators = []
-    for g in principal:
-        gwall = x.stratum(g).wall
-        if not gwall.contains(facet_rep):
+    for g, (normal, offset) in planes.items():
+        if not x.stratum(g).wall.contains(facet_rep):
             continue
-        if any(x.stratum(h).wall.contains(facet_rep) for h in x.below(g)):
+        try:
+            r = locate(x, g, facet_rep)
+        except SingularLevel:
             continue  # on a subwall of g, not in an open subchamber
-        r = locate(x, g, facet_rep)
-        ell = side_functional(ambient, gwall.span, toward)
+        side = vdot(normal, toward) - offset
+        if side == 0:
+            raise ValueError("toward point lies on the separator")
+        if side < 0:
+            normal = vneg(normal)
         forward = backward = 0
         for w in stratum_weights_in(x, g, f):
-            v = ell.on_vector(w)
+            v = vdot(normal, w)
             if v > 0:
                 forward += 1
             elif v < 0:

@@ -224,13 +224,14 @@ def faces(p: Polytope, k: int) -> list[Polytope]:
     return [level[key] for key in sorted(level)]
 
 
+def centroid(points: Sequence[RatVector]) -> RatVector:
+    """Average of a nonempty point list, exact."""
+    return tuple(sum(col, ZERO) / len(points) for col in zip(*points))
+
+
 def relative_interior_point(p: Polytope) -> RatVector:
     """Vertex centroid: always in the relative interior, stays rational."""
-    n = Fraction(len(p.vertices))
-    acc = [ZERO] * p.ambient_dim
-    for v in p.vertices:
-        acc = [a + x for a, x in zip(acc, v)]
-    return tuple(a / n for a in acc)
+    return centroid(p.vertices)
 
 
 @dataclass(frozen=True)

@@ -141,12 +141,6 @@ def in_span(basis: Sequence[RatVector], pivots: Sequence[int], v: RatVector) -> 
     return is_zero_vector(reduce_mod(basis, pivots, v))
 
 
-def span_coords(basis: Sequence[RatVector], pivots: Sequence[int], v: RatVector) -> RatVector:
-    # Valid only when v lies in the span: RREF rows have identity pattern
-    # on the pivot columns, so coordinates can be read off directly.
-    return tuple(v[p] for p in pivots)
-
-
 def solve_square(rows: Sequence[RatVector], rhs: RatVector) -> RatVector:
     """Solve M x = rhs exactly for square M given by rows.  Raises on singular M."""
     n = len(rows)

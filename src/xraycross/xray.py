@@ -504,6 +504,8 @@ def from_interchange(doc: Mapping) -> WeightedXray:
             raise MalformedXray(f"{where}: stratum '{sid}' has no vertices")
         if len(dims := {len(v) for v in verts}) > 1:
             raise MalformedXray(f"{where}: vertices of mixed dimension {sorted(dims)}")
+        if len(verts[0]) != d:
+            raise MalformedXray(f"{where}: vertices of stratum '{sid}' have length {len(verts[0])}, expected torus_rank {d}")
         parents = raw.get("parents", [])
         if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
             raise MalformedXray(f"{where}: parents must be a list of ids")

@@ -4,13 +4,14 @@ from itertools import combinations
 
 import pytest
 
+from xraycross import arrangement, exactgeom
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
 from xraycross.errors import SingularLevel, XrayError
 from xraycross.exactgeom import clip_to_polytope, facet_polytopes, side_functional
-from xraycross.generators import cpn_xray
+from xraycross.generators import ProjectionMatrix, cpn_xray
 from xraycross.ratmath import as_vec, sign, vdot, vscale
 from xraycross.xray import stratum_weights_in
-from conftest import seeded_rows
+from conftest import CP4_ROWS, NCP4_ROWS, seeded_rows
 
 DIAG = "w2-3-4-5"
 
@@ -277,3 +278,37 @@ def test_crossing_graph_matches_pairwise_clipping(cp3, cp4, ncp4, toric_triangle
             graph = crossing_graph(x, sid)
             assert [(e.source, e.dest, e.facet_rep) for e in graph.edges] == pairwise_edges(x, sid)
             assert all(e.separators for e in graph.edges)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cpn_xray(4, ProjectionMatrix(CP4_ROWS)),
+        lambda: cpn_xray(4, ProjectionMatrix(NCP4_ROWS)),
+        lambda: random_cpn(2, 6, 0),
+    ],
+    ids=["cp4", "ncp4", "seeded"],
+)
+def test_one_hyperplane_per_subwall(monkeypatch, make):
+    """The cuts and the separator counts share one span_hyperplane call
+    per codimension-1 subwall; no side functional is built."""
+    x = make()  # fresh: the decomposition is cached on the X-ray
+    calls = {"span_hyperplane": 0, "side_functional": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        original = getattr(exactgeom, name)
+        for module in (exactgeom, arrangement):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    for sid in x.ids:
+        subchambers(x, sid)
+        crossing_graph(x, sid)
+    subwalls = sum(1 for f in x.ids for g in x.below(f) if x.dim(g) == x.dim(f) - 1)
+    assert calls == {"span_hyperplane": subwalls, "side_functional": 0}

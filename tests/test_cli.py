@@ -4,15 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 CP3 = ["gen", "cpn", "--n", "3", "--matrix", "0,1,2,3"]
 NCP4 = ["gen", "cpn", "--n", "4", "--matrix", "0,4,0,3/2,5/2;0,0,4,5/2,3/2"]
 
 
 def run_cli(*args, color="0"):
-    env = dict(os.environ, XRAY_COLOR=color)
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, XRAY_COLOR=color, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "xraycross", *args],
         capture_output=True,

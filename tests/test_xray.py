@@ -412,3 +412,13 @@ def test_interchange_rejects_vertices_of_mixed_dimension(cp3):
     doc["strata"][i] = {**doc["strata"][i], "vertices": [["1"], ["1", "2"]]}
     with pytest.raises(MalformedXray, match=rf"strata\[{i}\]: vertices of mixed dimension"):
         from_interchange(doc)
+
+
+@pytest.mark.parametrize("vertices", [[["1", "2"]], [[]]])
+def test_interchange_rejects_vertices_of_wrong_length(cp3, vertices):
+    doc = to_interchange(cp3)
+    i = next(i for i, s in enumerate(doc["strata"]) if s["id"] == "top")
+    doc["strata"][i] = {**doc["strata"][i], "vertices": vertices}
+    length = len(vertices[0])
+    with pytest.raises(MalformedXray, match=rf"strata\[{i}\]: vertices of stratum 'top' have length {length}, expected torus_rank 1"):
+        from_interchange(doc)
