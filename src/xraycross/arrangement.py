@@ -3,15 +3,19 @@
 The regular set of a wall is the wall minus all smaller walls contained
 in it.  Its connected components (subchambers) are found by refining the
 wall along the affine spans of its codimension-1 subwalls, then merging
-cells across any shared facet that no actual subwall covers.  A facet
-of a cell is the tuple of its vertices tight on one of the cell's own
-inequalities.  The crossing graph is read off the same refinement:
-every facet of a cell is shared with exactly one other cell or lies on
-the wall's boundary, so the facets left between two subchambers (or a
-subchamber and the exterior) are its edges.  Each edge carries the
-separating subchambers of the codimension-1 strata together with
-forward/backward weight counts.  Each subwall's hyperplane is computed
-once per wall and shared by the cuts and the edges.
+cells across any shared facet that no actual subwall covers.  The cells
+are cut by double description (`exactgeom.Refinement`): each vertex
+carries the set of cell inequalities it is tight on, so a cut, a merged
+chamber's facets and vertices, and the face two chambers share are all
+read off those sets, with no convex hull.  A facet of a cell is the
+tuple of its vertices tight on one of the cell's own inequalities.  The
+crossing graph is read off the same refinement: every facet of a cell
+is shared with exactly one other cell or lies on the wall's boundary,
+so the facets left between two subchambers (or a subchamber and the
+exterior) are its edges.  Each edge carries the separating subchambers
+of the codimension-1 strata together with forward/backward weight
+counts.  Each subwall's hyperplane is computed once per wall and shared
+by the cuts and the edges.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import MalformedXray, SingularLevel, XrayError
-from .exactgeom import Facet, Polytope, centroid, clip_halfspace, hull, span_hyperplane
-from .ratmath import RatVector, format_rational, sign, vdot, vneg
+from .exactgeom import Facet, Polytope, Refinement, centroid, span_hyperplane
+from .ratmath import RatVector, format_rational, vdot, vneg
 from .xray import WeightedXray, stratum_weights_in
 
 EXTERIOR = -1
@@ -82,10 +86,14 @@ def _decompose(
 
     The hyperplanes are computed once: the cuts use the distinct ones and
     `crossing_graph` orients them to count separator weights.  A facet of
-    a cell is the tuple of its vertices tight on one of its inequalities.
-    A piece is (source, dest, rep): two adjacent subchambers, source <
-    dest, or EXTERIOR and a subchamber meeting one wall facet; rep is the
-    vertex centroid of the face they share.
+    a cell is the tuple of its vertex ids tight on one of its inequalities.
+    A merged chamber's facets are its cells' facets less those two of its
+    cells share, and its vertices are the cells' vertices where those
+    facets have full rank; a subchamber is convex, so this is the hull of
+    its cells.  A piece is (source, dest, rep): two adjacent subchambers,
+    source < dest, or EXTERIOR and a subchamber meeting one wall facet;
+    rep is the vertex centroid of the face they share, whose vertices are
+    found the same way from the two sides' facets.
     """
     key = ("decomposition", f)
     if key in x._cache:
@@ -95,17 +103,10 @@ def _decompose(
     lower = sorted(x.below(f))
     planes = {g: span_hyperplane(wall.span, x.stratum(g).wall.span) for g in lower if x.dim(g) == k - 1}
 
-    cells = [wall]
+    ref = Refinement(wall)
     for normal, offset in dict.fromkeys(planes.values()):
-        split = []
-        for cell in cells:  # cut only cells the hyperplane passes through
-            sides = {sign(vdot(normal, v) - offset) for v in cell.vertices}
-            if {-1, 1} <= sides:
-                split.append(clip_halfspace(cell, normal, offset))
-                split.append(clip_halfspace(cell, vneg(normal), -offset))
-            else:
-                split.append(cell)
-        cells = split
+        ref.cut(normal, offset)
+    cells, points = ref.cells, ref.points
 
     root = list(range(len(cells)))
 
@@ -116,34 +117,55 @@ def _decompose(
         return i
 
     subwalls = [x.stratum(g).wall for g in lower]
-    owners: dict[tuple[RatVector, ...], list[int]] = {}
-    for i, cell in enumerate(cells):
-        for n, c in cell.facets:
-            owners.setdefault(tuple(v for v in cell.vertices if vdot(n, v) == c), []).append(i)
-    for facet, idxs in owners.items():
-        if len(idxs) == 2:
-            mid = centroid(facet)
+    masks = []
+    owners: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, (ids, tight) in enumerate(cells):
+        mask = 0
+        for t in tight:
+            mask |= t
+        masks.append(mask)
+        for bit in range(mask.bit_length()):
+            if mask >> bit & 1:
+                facet = tuple(sorted(v for v, t in zip(ids, tight) if t >> bit & 1))
+                owners.setdefault(facet, []).append((i, bit))
+    for facet, own in owners.items():
+        if len(own) == 2:
+            mid = centroid([points[v] for v in facet])
             if not any(w.contains(mid) for w in subwalls):
-                root[find(idxs[0])] = find(idxs[1])
+                root[find(own[0][0])] = find(own[1][0])
 
-    # Each facet is shared by two cells or lies on one wall facet.
-    shared: dict[tuple, list[tuple[RatVector, ...]]] = {}
-    for facet, idxs in owners.items():
-        if len(idxs) == 2:
-            a, b = sorted(find(i) for i in idxs)
-            if a != b:
+    # Each facet is shared by two cells or lies on one wall facet, whose
+    # bit it carries.  A chamber's facets are its cells' facets less
+    # those shared by two of its cells.
+    groups: dict[int, list[int]] = {}
+    for i in range(len(cells)):
+        groups.setdefault(find(i), []).append(i)
+    inner = dict.fromkeys(groups, 0)
+    shared: dict[tuple, list[tuple[int, ...]]] = {}
+    for facet, own in owners.items():
+        if len(own) == 2:
+            (i, bi), (j, bj) = own
+            a, b = sorted((find(i), find(j)))
+            if a == b:
+                inner[a] |= 1 << bi | 1 << bj
+            else:
                 shared.setdefault((a, b), []).append(facet)
         else:
-            mid = centroid(facet)
-            on = next(fc for fc in wall.facets if vdot(fc[0], mid) == fc[1])
-            shared.setdefault((EXTERIOR, find(idxs[0]), on), []).append(facet)
+            (i, bit), = own
+            shared.setdefault((EXTERIOR, find(i), bit), []).append(facet)
 
-    groups: dict[int, list[Polytope]] = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(find(i), []).append(cell)
+    bounds = {}
     merged = []
     for r, members in groups.items():
-        chamber = members[0] if len(members) == 1 else hull({v for cell in members for v in cell.vertices})
+        mask = 0
+        for i in members:
+            mask |= masks[i]
+        bounds[r] = mask & ~inner[r]
+        if len(members) == 1:
+            ids = cells[r][0]
+        else:
+            ids = ref.vertices(dict.fromkeys(v for i in members for v in cells[i][0]), bounds[r])
+        chamber = ref.polytope(ids, bounds[r])
         merged.append((centroid(chamber.vertices), chamber, r))
     merged.sort(key=lambda item: item[0])
     chambers = tuple(Subchamber(f, i, cell, rep) for i, (rep, cell, _) in enumerate(merged))
@@ -151,9 +173,12 @@ def _decompose(
     index[EXTERIOR] = EXTERIOR
     pieces = []
     for (a, b, *_), facets in shared.items():
-        piece = facets[0] if len(facets) == 1 else hull(v for facet in facets for v in facet).vertices
+        ids = facets[0]
+        if len(facets) > 1:
+            mask = bounds[b] if a == EXTERIOR else bounds[a] | bounds[b]
+            ids = ref.vertices(dict.fromkeys(v for facet in facets for v in facet), mask)
         source, dest = sorted((index[a], index[b]))
-        pieces.append((source, dest, centroid(piece)))
+        pieces.append((source, dest, centroid([points[v] for v in ids])))
     out = (chambers, tuple(pieces), planes)
     x._cache[key] = out
     return out

@@ -229,9 +229,133 @@ def centroid(points: Sequence[RatVector]) -> RatVector:
     return tuple(sum(col, ZERO) / len(points) for col in zip(*points))
 
 
-def relative_interior_point(p: Polytope) -> RatVector:
-    """Vertex centroid: always in the relative interior, stays rational."""
-    return centroid(p.vertices)
+def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> Facet:
+    """{x in span : normal . x <= offset} in `hull`'s canonical form.
+
+    The normal is supported on the span's pivot columns, and (normal,
+    offset) is primitive integer, so a facet of any full-dimensional
+    polytope in the span compares equal to the one `hull` finds.
+    """
+    n = [ZERO] * span.ambient_dim
+    for row, p in zip(span.basis, span.pivots):
+        n[p] = vdot(normal, row)
+    n = tuple(n)
+    return primitive_functional(n, offset - vdot(normal, span.base) + vdot(n, span.base))
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+Cell = tuple[tuple[int, ...], tuple[int, ...]]  # vertex ids, tight mask of each vertex
+
+
+class Refinement:
+    """A polytope cut into cells by hyperplanes of its span, kept by
+    double description (Motzkin et al. 1953; Fukuda & Prodon 1996).
+
+    points: every vertex of every cell, by id; cells share ids.
+    facets: the inequality table, in `span_facet` form: the polytope's
+            own facets, then both orientations of each cut.
+    cells:  (vertex ids, tight masks): bit i of a vertex's mask is set
+            when the vertex lies on facets[i].  The masks only ever name
+            facets of the cell, so their union is the cell's facet set.
+
+    No hull is taken: a cut finds new vertices and facets from the masks
+    alone (`cut`), and a union of cells reads its vertices off the
+    masks' normals (`vertices`).
+    """
+
+    def __init__(self, p: Polytope):
+        self.span = p.span
+        self.points = list(p.vertices)
+        self.facets = list(p.facets)
+        tight = tuple(
+            sum(1 << i for i, (n, c) in enumerate(p.facets) if vdot(n, v) == c) for v in p.vertices
+        )
+        self.cells: list[Cell] = [(tuple(range(len(self.points))), tight)]
+        self._tight_at: list[int] | None = None
+
+    def cut(self, normal: RatVector, offset: Fraction) -> None:
+        """Split every cell with vertices strictly on both sides of the
+        hyperplane normal . x = offset into its lower and upper halves,
+        in that order.  normal must be a functional on the span whose
+        zero set meets the span in a hyperplane.
+
+        One double-description step per cell: a half keeps the vertices
+        on its side and on the plane, and gains one point on each edge
+        ab with s(a) < 0 < s(b).  Vertices a, b span an edge when no
+        third vertex is tight on all of T(a) & T(b).  An old facet
+        survives in a half when one of its vertices is strictly inside
+        that half; the plane is the half's one new facet.
+        """
+        lo = len(self.facets)
+        low = span_facet(self.span, normal, offset)
+        self.facets += [low, (vneg(low[0]), -low[1])]
+        vals = [vdot(normal, p) - offset for p in self.points]
+        edge_points: dict[tuple[int, int], int] = {}
+        cells: list[Cell] = []
+        for ids, tight in self.cells:
+            neg = [(v, t) for v, t in zip(ids, tight) if vals[v] < 0]
+            pos = [(v, t) for v, t in zip(ids, tight) if vals[v] > 0]
+            if not (neg and pos):
+                cells.append((ids, tight))
+                continue
+            on = [(v, t) for v, t in zip(ids, tight) if vals[v] == 0]
+            cross = []
+            for a, ta in neg:
+                for b, tb in pos:
+                    common = ta & tb
+                    if any(v != a and v != b and t & common == common for v, t in zip(ids, tight)):
+                        continue
+                    key = (a, b) if a < b else (b, a)
+                    if key not in edge_points:
+                        pa, pb = self.points[a], self.points[b]
+                        step = vals[a] / (vals[a] - vals[b])
+                        edge_points[key] = len(self.points)
+                        self.points.append(tuple(x + step * (y - x) for x, y in zip(pa, pb)))
+                    cross.append((edge_points[key], common))
+            for side, bit in ((neg, lo), (pos, lo + 1)):
+                keep = 0
+                for _, t in side:
+                    keep |= t
+                plane = 1 << bit
+                half = side + [(v, t & keep | plane) for v, t in on] + [(v, t | plane) for v, t in cross]
+                cells.append((tuple(v for v, _ in half), tuple(t for _, t in half)))
+        self.cells = cells
+        self._tight_at = None
+
+    def vertices(self, candidates: Iterable[int], mask: int) -> list[int]:
+        """The candidates that are vertices of the polytope the facets in
+        mask cut out of the span: those whose tight normals have full rank.
+
+        A candidate's tight set is the union of its masks over all cells.
+        That holds every facet in mask through it when the facets are
+        those of a union of cells, or of two unions meeting in a face,
+        and the candidates are vertices of those cells: the cells form a
+        face-to-face complex, so a facet through a candidate is tiled by
+        cell facets that have it as a vertex.
+        """
+        if self._tight_at is None:
+            self._tight_at = [0] * len(self.points)
+            for ids, tight in self.cells:
+                for v, t in zip(ids, tight):
+                    self._tight_at[v] |= t
+        k = self.span.dim
+        return [
+            v
+            for v in candidates
+            if rank([self.facets[i][0] for i in _bits(self._tight_at[v] & mask)]) == k
+        ]
+
+    def polytope(self, ids: Iterable[int], mask: int) -> Polytope:
+        """The polytope with vertex ids ids and the facets in mask."""
+        verts = tuple(sorted(self.points[v] for v in ids))
+        span = AffineSpan(verts[0], self.span.basis, self.span.pivots)
+        return Polytope(verts, span, tuple(sorted(self.facets[i] for i in _bits(mask))))
 
 
 @dataclass(frozen=True)
@@ -324,6 +448,11 @@ def clip_halfspace(p: Polytope, normal: RatVector, offset: Fraction) -> Polytope
 
     May drop dimension (the cut can graze a face); returns None when the
     intersection is empty.
+
+    Nothing in the package calls it since `Refinement.cut` splits cells
+    by double description.  It stays as the reference that cut is tested
+    against in tests/test_exactgeom.py, and because bench/tracer.py binds
+    it by name.
     """
     vals = {v: vdot(normal, v) - offset for v in p.vertices}
     if all(s <= 0 for s in vals.values()):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +37,12 @@ from .ratmath import (
     vdot,
     vsub,
 )
+
+# `hull` tries every vertex subset of size <= torus_rank, so a stratum
+# with more than this many is refused before any geometry runs.  At this
+# bound one hull takes seconds; `delzant --cube 4`, the largest input
+# the tests and the benchmark build, has 2517.
+MAX_HULL_SUBSETS = 20_000
 
 
 @dataclass(frozen=True)
@@ -509,6 +516,12 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         parents = raw.get("parents", [])
         if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
             raise MalformedXray(f"{where}: parents must be a list of ids")
+        m = len(set(verts))
+        if sum(math.comb(m, j) for j in range(min(d, m) + 1)) > MAX_HULL_SUBSETS:
+            raise MalformedXray(
+                f"{where}: stratum '{sid}' has {m} distinct vertices at torus_rank {d}, "
+                f"more than {MAX_HULL_SUBSETS} vertex subsets to hull"
+            )
         wall = hull(verts)
         vertex_data = None
         if wall.dim == 0:

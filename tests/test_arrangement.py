@@ -7,7 +7,7 @@ import pytest
 from xraycross import arrangement, exactgeom
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
 from xraycross.errors import SingularLevel, XrayError
-from xraycross.exactgeom import clip_to_polytope, facet_polytopes, side_functional
+from xraycross.exactgeom import clip_to_polytope, facet_polytopes, hull, side_functional
 from xraycross.generators import ProjectionMatrix, cpn_xray
 from xraycross.ratmath import as_vec, sign, vdot, vscale
 from xraycross.xray import stratum_weights_in
@@ -280,20 +280,9 @@ def test_crossing_graph_matches_pairwise_clipping(cp3, cp4, ncp4, toric_triangle
             assert all(e.separators for e in graph.edges)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: cpn_xray(4, ProjectionMatrix(CP4_ROWS)),
-        lambda: cpn_xray(4, ProjectionMatrix(NCP4_ROWS)),
-        lambda: random_cpn(2, 6, 0),
-    ],
-    ids=["cp4", "ncp4", "seeded"],
-)
-def test_one_hyperplane_per_subwall(monkeypatch, make):
-    """The cuts and the separator counts share one span_hyperplane call
-    per codimension-1 subwall; no side functional is built."""
-    x = make()  # fresh: the decomposition is cached on the X-ray
-    calls = {"span_hyperplane": 0, "side_functional": 0}
+def count_calls(monkeypatch, names):
+    """Count calls to the named exactgeom functions, wherever bound."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapper(*args):
@@ -307,8 +296,44 @@ def test_one_hyperplane_per_subwall(monkeypatch, make):
         for module in (exactgeom, arrangement):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
+    return calls
+
+
+FRESH = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cpn_xray(4, ProjectionMatrix(CP4_ROWS)),
+        lambda: cpn_xray(4, ProjectionMatrix(NCP4_ROWS)),
+        lambda: random_cpn(2, 6, 0),
+        lambda: random_cpn(3, 4, 0),
+    ],
+    ids=["cp4", "ncp4", "seeded", "seeded3"],
+)
+
+
+@FRESH
+def test_one_hyperplane_per_subwall(monkeypatch, make):
+    """The cuts and the separator counts share one span_hyperplane call
+    per codimension-1 subwall; no side functional is built."""
+    x = make()  # fresh: the decomposition is cached on the X-ray
+    calls = count_calls(monkeypatch, ["span_hyperplane", "side_functional"])
     for sid in x.ids:
         subchambers(x, sid)
         crossing_graph(x, sid)
     subwalls = sum(1 for f in x.ids for g in x.below(f) if x.dim(g) == x.dim(f) - 1)
     assert calls == {"span_hyperplane": subwalls, "side_functional": 0}
+
+
+@FRESH
+def test_cells_cut_without_hulls(monkeypatch, make):
+    """Subchambers and crossing graphs take no hull and walk no face
+    lattice, and every chamber's cell is in hull's canonical form."""
+    x = make()
+    calls = count_calls(monkeypatch, ["hull", "clip_halfspace", "faces", "facet_polytopes"])
+    chambers = [c for sid in x.ids for c in subchambers(x, sid)]
+    for sid in x.ids:
+        crossing_graph(x, sid)
+    assert calls == {"hull": 0, "clip_halfspace": 0, "faces": 0, "facet_polytopes": 0}
+    monkeypatch.undo()
+    for chamber in chambers:
+        assert chamber.cell == hull(chamber.cell.vertices)

@@ -3,20 +3,21 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xraycross.exactgeom import (
     AffineSpan,
+    Refinement,
+    centroid,
     clip_halfspace,
     clip_to_polytope,
     faces,
     hull,
-    relative_interior_point,
     side_functional,
     span_hyperplane,
 )
-from xraycross.ratmath import as_vec, solve_square, vsub
+from xraycross.ratmath import as_vec, solve_square, vdot, vneg, vsub
 
 coords = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -101,10 +102,11 @@ def test_simplex_face_counts(d):
 
 
 def test_relative_interior_point_examples():
-    assert relative_interior_point(hull(pts((2, 3)))) == as_vec((2, 3))
-    assert relative_interior_point(hull(pts((0, 0), (4, 0)))) == as_vec((2, 0))
+    """The vertex centroid lies in the relative interior."""
+    assert centroid(hull(pts((2, 3))).vertices) == as_vec((2, 3))
+    assert centroid(hull(pts((0, 0), (4, 0))).vertices) == as_vec((2, 0))
     tri = hull(pts((0, 0), (4, 0), (0, 4)))
-    assert relative_interior_point(tri) == as_vec(("4/3", "4/3"))
+    assert centroid(tri.vertices) == as_vec(("4/3", "4/3"))
     assert tri.relative_interior_contains(as_vec(("4/3", "4/3")))
 
 
@@ -199,6 +201,50 @@ def test_clip_to_polytope():
     }
     far = hull(pts((5, 5), (6, 5), (5, 6)))
     assert clip_to_polytope(a, far) is None
+
+
+def refinement_halves(p, normal, offset):
+    ref = Refinement(p)
+    ref.cut(normal, offset)
+    assert len(ref.cells) == 2
+    out = []
+    for ids, tight in ref.cells:
+        mask = 0
+        for t in tight:
+            mask |= t
+        out.append(ref.polytope(ids, mask))
+    return out
+
+
+@st.composite
+def cut_polytopes(draw):
+    """A 1-3 dimensional hull of seeded points in Q^1..Q^3 and a
+    hyperplane through its span with vertices strictly on both sides."""
+    dim = draw(st.integers(1, 3))
+    ambient = draw(st.integers(dim, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    frame = [[Fraction(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(dim)]
+    origin = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ambient)]
+    points = []
+    for _ in range(rng.randint(dim + 1, dim + 5)):
+        coef = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+        points.append(tuple(o + sum((c * row[j] for c, row in zip(coef, frame)), Fraction(0)) for j, o in enumerate(origin)))
+    p = hull(points)
+    assume(p.dim == dim)
+    normal = tuple(Fraction(rng.randint(-3, 3)) for _ in range(ambient))
+    values = sorted({vdot(normal, v) for v in p.vertices})
+    assume(len(values) >= 2)
+    offset = draw(st.sampled_from(values[1:-1] + [(values[0] + values[-1]) / 2]))
+    return p, normal, offset
+
+
+@settings(deadline=None)
+@given(cut_polytopes())
+def test_refinement_cut_matches_clip_halfspace(case):
+    p, normal, offset = case
+    lower, upper = refinement_halves(p, normal, offset)
+    assert lower == clip_halfspace(p, normal, offset)
+    assert upper == clip_halfspace(p, vneg(normal), -offset)
 
 
 def test_affine_span_coords_roundtrip():

@@ -422,3 +422,19 @@ def test_interchange_rejects_vertices_of_wrong_length(cp3, vertices):
     length = len(vertices[0])
     with pytest.raises(MalformedXray, match=rf"strata\[{i}\]: vertices of stratum 'top' have length {length}, expected torus_rank 1"):
         from_interchange(doc)
+
+
+def test_interchange_rejects_oversized_stratum_before_hull(monkeypatch):
+    """torus_rank 12 with 40 vertices would ask hull for C(40, <=12)
+    subsets; the document is refused before any hull runs."""
+
+    def no_hull(points):
+        raise AssertionError("hull called on oversized input")
+
+    monkeypatch.setattr(xray, "hull", no_hull)
+    rng = random.Random(12)
+    vertices = [[str(rng.randint(0, 99)) for _ in range(12)] for _ in range(40)]
+    doc = {"torus_rank": 12, "half_dim": 12, "strata": [{"id": "top", "vertices": vertices}], "vertex_data": {}}
+    assert len({tuple(v) for v in vertices}) == 40
+    with pytest.raises(MalformedXray, match=r"strata\[0\]: stratum 'top' has 40 distinct vertices at torus_rank 12"):
+        from_interchange(doc)
