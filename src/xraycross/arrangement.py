@@ -116,7 +116,8 @@ def _decompose(
             i = root[i]
         return i
 
-    subwalls = [x.stratum(g).wall for g in lower]
+    # A point off a codimension-1 subwall's plane is not on that subwall.
+    subwalls = [(x.stratum(g).wall, planes.get(g)) for g in lower]
     masks = []
     owners: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i, (ids, tight) in enumerate(cells):
@@ -131,7 +132,7 @@ def _decompose(
     for facet, own in owners.items():
         if len(own) == 2:
             mid = centroid([points[v] for v in facet])
-            if not any(w.contains(mid) for w in subwalls):
+            if not any((h is None or vdot(h[0], mid) == h[1]) and w.contains(mid) for w, h in subwalls):
                 root[find(own[0][0])] = find(own[1][0])
 
     # Each facet is shared by two cells or lies on one wall facet, whose
@@ -246,7 +247,7 @@ def _build_edge(
 ) -> CrossingEdge:
     separators = []
     for g, (normal, offset) in planes.items():
-        if not x.stratum(g).wall.contains(facet_rep):
+        if vdot(normal, facet_rep) != offset or not x.stratum(g).wall.contains(facet_rep):
             continue
         try:
             r = locate(x, g, facet_rep)

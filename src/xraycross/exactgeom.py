@@ -243,6 +243,12 @@ def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> Facet:
     return primitive_functional(n, offset - vdot(normal, span.base) + vdot(n, span.base))
 
 
+def tight_mask(p: Polytope, point: RatVector) -> int:
+    """Bitmask of p's facets through point: bit i is set when point lies
+    on p.facets[i]."""
+    return sum(1 << i for i, (n, c) in enumerate(p.facets) if vdot(n, point) == c)
+
+
 def _bits(mask: int) -> Iterable[int]:
     while mask:
         low = mask & -mask
@@ -273,9 +279,7 @@ class Refinement:
         self.span = p.span
         self.points = list(p.vertices)
         self.facets = list(p.facets)
-        tight = tuple(
-            sum(1 << i for i, (n, c) in enumerate(p.facets) if vdot(n, v) == c) for v in p.vertices
-        )
+        tight = tuple(tight_mask(p, v) for v in p.vertices)
         self.cells: list[Cell] = [(tuple(range(len(self.points))), tight)]
         self._tight_at: list[int] | None = None
 

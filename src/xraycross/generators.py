@@ -210,6 +210,8 @@ def load_xray(path, checked: bool = True) -> WeightedXray:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedXray(f"parse error: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise MalformedXray(f"parse error: {e}") from None
     x = from_interchange(doc)
     if checked:
         violations = validate_all(x)

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedXray
-from .exactgeom import Polytope, faces, hull
+from .exactgeom import Polytope, faces, hull, tight_mask
 from .intpoly import IntPolynomial
 from .ratmath import (
     RatVector,
@@ -329,16 +329,30 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     with a subspace spanned by weight directions) is the tangent cone of
     exactly one stratum through the vertex.
 
+    (a) is read off the wall's facet system (`_tangent_cone_matches`).
+    The weight cone lies in the tangent cone when every weight has
+    n . w <= 0 on each facet through the point.  When the point is a
+    vertex of the wall, the tangent cone is pointed and its extreme rays
+    run along the edges to the adjacent vertices, so it lies in the
+    weight cone exactly when each ray is the direction of some weight.
+    When the point is not a vertex (an inner fixed point of a d = 1
+    CP^n, a fixed point inside a polygon), each vertex direction is
+    tested for membership in the weight cone (`_cone_contains`).  Each
+    wall's facet masks are computed once per call.
+
     A span of directions in Q^d is spanned by at most d of them, so
-    subsets of <= d directions reach every linear subset.  A tangent
-    cone spans its wall's linear part and a subset S spans the subspace
-    it was cut out by, so equal cones need equal RREF bases: only walls
-    with S's basis can match.  The weights in such a wall's span are
-    exactly S, so its comparison with S is the one (a) made, and S's
-    matches are the walls with its basis that passed (a).
+    subsets of <= d directions reach every linear subset; an independent
+    d-subset spans Q^d and a dependent one spans what a smaller subset
+    does, so subsets of < d directions and, at full rank, Q^d suffice.
+    A tangent cone spans its wall's linear part and a subset S spans the
+    subspace it was cut out by, so equal cones need equal RREF bases:
+    only walls with S's basis can match.  The weights in such a wall's
+    span are exactly S, so its comparison with S is the one (a) made,
+    and S's matches are the walls with its basis that passed (a).
     """
     d = x.torus_rank
     vio: set[Violation] = set()
+    tight: dict[str, tuple[int, ...]] = {}
     for pid in x.vertex_ids:
         p = x.stratum(pid)
         point = p.wall.vertices[0]
@@ -346,13 +360,18 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
         passed: list[tuple[tuple[RatVector, ...], str]] = []
         for fid in [pid] + sorted(x.above(pid)):
             wall = x.stratum(fid).wall
-            inspan = [w for w in alpha if wall.span.lin_contains(w)]
-            if _cones_equal([vsub(u, point) for u in wall.vertices], inspan, d):
+            if fid not in tight:
+                tight[fid] = tuple(tight_mask(wall, v) for v in wall.vertices)
+            inspan = alpha if wall.dim == d else [w for w in alpha if wall.span.lin_contains(w)]
+            if _tangent_cone_matches(wall, tight[fid], point, inspan, d):
                 passed.append((wall.span.basis, fid))
             else:
                 vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
         dirs = sorted({primitive_vector(w) for w in alpha if not is_zero_vector(w)})
-        spans = {rref(B) for size in range(min(len(dirs), d) + 1) for B in combinations(dirs, size)}
+        spans = {rref(B) for size in range(min(len(dirs), d - 1) + 1) for B in combinations(dirs, size)}
+        whole = rref(dirs)
+        if len(whole[1]) == d:
+            spans.add(whole)
         for basis, pivots in spans:
             matches = [fid for b, fid in passed if b == basis]
             if len(matches) != 1:
@@ -371,7 +390,39 @@ def validate_all(x: WeightedXray) -> list[Violation]:
     return sorted(validate_poset(x) + validate_consistency(x) + validate_darboux(x))
 
 
-def _cone_contains(gens: Sequence[RatVector], w: RatVector, dim: int) -> bool:
+def _tangent_cone_matches(
+    wall: Polytope, tight: Sequence[int], point: RatVector, gens: Sequence[RatVector], dim: int
+) -> bool:
+    """Is the tangent cone of wall at point the cone on gens?
+
+    tight[j] is `tight_mask(wall, wall.vertices[j])`; point lies in the
+    wall and gens in its linear span.  gens lie in the tangent cone when
+    they satisfy every facet through point.  At a vertex, the cone's
+    extreme rays run to the adjacent vertices q (no third vertex is
+    tight on every facet point and q share, the test `Refinement.cut`
+    uses), and an extreme ray is a nonnegative combination of members of
+    the cone only as a multiple of one of them.  Elsewhere each vertex
+    direction must lie in the cone on gens.
+    """
+    verts = wall.vertices
+    i = verts.index(point) if point in verts else None
+    here = tight_mask(wall, point) if i is None else tight[i]
+    normals = [n for b, (n, _) in enumerate(wall.facets) if here >> b & 1]
+    if any(vdot(n, w) > 0 for w in gens for n in normals):
+        return False
+    dirs = {primitive_vector(w) for w in gens if not is_zero_vector(w)}
+    if i is None:
+        return all(_cone_contains(dirs, u, dim) for u in {primitive_vector(vsub(q, point)) for q in verts})
+    for j, t in enumerate(tight):
+        common = here & t
+        if j == i or any(k != i and k != j and s & common == common for k, s in enumerate(tight)):
+            continue
+        if primitive_vector(vsub(verts[j], point)) not in dirs:
+            return False
+    return True
+
+
+def _cone_contains(gens: Iterable[RatVector], w: RatVector, dim: int) -> bool:
     """Is w a nonnegative combination of gens?  Exact, by conic Caratheodory:
     any member is a nonnegative combination of a linearly independent subset."""
     if is_zero_vector(w):
@@ -393,10 +444,6 @@ def _cone_contains(gens: Sequence[RatVector], w: RatVector, dim: int) -> bool:
             if tuple(recon) == w:
                 return True
     return False
-
-
-def _cones_equal(a: Sequence[RatVector], b: Sequence[RatVector], dim: int) -> bool:
-    return all(_cone_contains(b, v, dim) for v in a) and all(_cone_contains(a, v, dim) for v in b)
 
 
 def _fmt_points(points: Iterable[RatVector]) -> str:

@@ -170,6 +170,15 @@ def test_load_rejects_json_syntax_error(tmp_path):
         load_xray(path)
 
 
+def test_load_rejects_overlong_integer(tmp_path):
+    """json.loads raises a bare ValueError past Python's 4300-digit
+    integer limit; it is reported as a parse error like any other."""
+    path = tmp_path / "digits.json"
+    path.write_text('{"euler": 1' + "0" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(MalformedXray, match="parse error: .*4300 digits"):
+        load_xray(path)
+
+
 def test_load_rejects_invalid_xray(tmp_path, cp4):
     import json
 

@@ -4,19 +4,31 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xraycross import xray
 from xraycross.errors import MalformedXray
-from xraycross.exactgeom import hull
-from xraycross.generators import cpn_xray
+from xraycross.exactgeom import centroid, faces, hull, tight_mask
+from xraycross.generators import cpn_xray, standard_cube_xray, standard_simplex_xray
 from xraycross.intpoly import IntPolynomial
-from xraycross.ratmath import as_vec, format_rational, in_span, is_zero_vector, primitive_vector, rref, vsub
+from xraycross.ratmath import (
+    as_vec,
+    format_rational,
+    in_span,
+    is_zero_vector,
+    primitive_vector,
+    rref,
+    vadd,
+    vscale,
+    vsub,
+)
 from xraycross.xray import (
     Stratum,
     VertexData,
     Violation,
     WeightedXray,
-    _cones_equal,
+    _cone_contains,
     _fmt_points,
     complex_dim_of_stratum,
     from_interchange,
@@ -268,6 +280,10 @@ def test_interchange_rejects_weights_not_a_list(cp3):
         from_interchange(doc)
 
 
+def _cones_equal(a, b, dim):
+    return all(_cone_contains(b, v, dim) for v in a) and all(_cone_contains(a, v, dim) for v in b)
+
+
 def validate_darboux_all_subsets(x):
     """Reference: validate_darboux over all 2^|dirs| direction subsets, every
     subset compared with every stratum through the vertex."""
@@ -378,14 +394,70 @@ def test_interchange_rejects_booleans(cp3, field):
 def test_darboux_compares_each_wall_cone_once(monkeypatch, request, name):
     x = cpn_xray(6, seeded_rows(2, 6, 0)) if name == "seeded" else request.getfixturevalue(name)
     calls = []
+    compare = xray._tangent_cone_matches
 
-    def counting_cones_equal(a, b, dim):
-        calls.append((a, b))
-        return _cones_equal(a, b, dim)
+    def counting_compare(wall, tight, point, gens, dim):
+        calls.append((wall, point))
+        return compare(wall, tight, point, gens, dim)
 
-    monkeypatch.setattr(xray, "_cones_equal", counting_cones_equal)
+    monkeypatch.setattr(xray, "_tangent_cone_matches", counting_compare)
     assert validate_darboux(x) == []
     assert len(calls) == sum(1 + len(x.above(v)) for v in x.vertex_ids)
+
+
+@pytest.mark.parametrize("x", [standard_simplex_xray(3), standard_cube_xray(2)], ids=["simplex3", "cube2"])
+def test_darboux_at_wall_vertices_solves_nothing(monkeypatch, x):
+    """Every fixed point is a vertex of every wall through it, so each
+    cone comparison is read off facets and edges with no Gram solve."""
+    calls = []
+    solve = xray.solve_square
+
+    def counting_solve(a, b):
+        calls.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(xray, "solve_square", counting_solve)
+    assert validate_darboux(x) == []
+    assert calls == []
+
+
+@settings(deadline=None)
+@given(
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    where=st.sampled_from(["vertex", "boundary", "interior"]),
+    kind=st.sampled_from(["exact", "less", "more"]),
+)
+def test_tangent_cone_matches_cones_equal(k, seed, where, kind):
+    """The facet-and-edge comparison agrees with comparing cones on all
+    vertex directions, at a vertex, a boundary point that is no vertex
+    and an interior point, for the exact generators, one fewer and one
+    more in the wall's span."""
+    rng = random.Random(seed)
+    wall = hull([as_vec([rng.randint(-3, 3) for _ in range(k)]) for _ in range(rng.randint(1, k + 3))])
+    verts = wall.vertices
+    if where == "interior":
+        point = centroid(verts)
+    elif where == "boundary" and wall.dim >= 2:
+        point = centroid(rng.choice(faces(wall, rng.randrange(1, wall.dim))).vertices)
+    else:
+        point = rng.choice(verts)
+    if point in verts:
+        edges = faces(wall, 1) if wall.dim else []
+        gens = [vsub(q, point) for e in edges if point in e.vertices for q in e.vertices if q != point]
+    else:
+        gens = [vsub(q, point) for q in verts]
+    gens = [vscale(g, Fraction(rng.randint(1, 3))) for g in gens]
+    if kind == "less" and gens:
+        gens.pop(rng.randrange(len(gens)))
+    elif kind == "more":
+        extra = as_vec([0] * k)
+        for b in wall.span.basis:
+            extra = vadd(extra, vscale(b, Fraction(rng.randint(-2, 2))))
+        gens.append(extra)
+    tight = tuple(tight_mask(wall, v) for v in verts)
+    tangent = [vsub(q, point) for q in verts]
+    assert xray._tangent_cone_matches(wall, tight, point, gens, k) == _cones_equal(tangent, gens, k)
 
 
 def test_darboux_two_matches_and_cone_violation_match_all_subsets():
