@@ -16,15 +16,24 @@ exterior) are its edges.  Each edge carries the separating subchambers
 of the codimension-1 strata together with forward/backward weight
 counts.  Each subwall's hyperplane is computed once per wall and shared
 by the cuts and the edges.
+
+The refinement also records each cell's sign vector over the cut
+planes, so `locate` places a point by its signs on those planes, taken
+in integers: a point on no plane is looked up by sign vector, and a
+codimension-1 subwall is tested only for a point on its plane.  A
+regular point on a plane's extension beyond its subwall lies on the
+boundary of cells, and for it the closed subchambers are scanned.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
 from .errors import MalformedXray, SingularLevel, XrayError
-from .exactgeom import Facet, Polytope, Refinement, centroid, span_hyperplane
+from .exactgeom import Polytope, Refinement, centroid, span_hyperplane
 from .ratmath import RatVector, format_rational, vdot, vneg
 from .xray import WeightedXray, stratum_weights_in
 
@@ -78,22 +87,42 @@ def _fmt_point(p: RatVector) -> str:
     return "(" + ",".join(format_rational(c) for c in p) + ")"
 
 
-def _decompose(
-    x: WeightedXray, f: str
-) -> tuple[tuple[Subchamber, ...], tuple[tuple[int, int, RatVector], ...], dict[str, Facet]]:
-    """Subchambers of f's wall, the face pieces between them and each
-    codimension-1 subwall's hyperplane, cached.
+@dataclass(frozen=True)
+class _Decomposition:
+    """One wall's subchambers and what is read off them, cached.
 
-    The hyperplanes are computed once: the cuts use the distinct ones and
-    `crossing_graph` orients them to count separator weights.  A facet of
-    a cell is the tuple of its vertex ids tight on one of its inequalities.
-    A merged chamber's facets are its cells' facets less those two of its
+    pieces:   (source, dest, rep) per face between two subchambers,
+              source < dest, or between EXTERIOR and a subchamber.
+    cuts:     the distinct hyperplanes of the codimension-1 subwalls in
+              cut order, as primitive integer (normal, offset) pairs.
+    subwalls: (id, wall, index of its plane in cuts or None) for every
+              smaller stratum, sorted by id; None marks a subwall of
+              codimension above 1.
+    cell_of:  each refinement cell's sign vector over cuts, mapped to
+              the index of the subchamber holding the cell.
+    """
+
+    chambers: tuple[Subchamber, ...]
+    pieces: tuple[tuple[int, int, RatVector], ...]
+    cuts: tuple[tuple[tuple[int, ...], int], ...]
+    subwalls: tuple[tuple[str, Polytope, int | None], ...]
+    cell_of: dict[tuple[int, ...], int]
+
+
+def _decompose(x: WeightedXray, f: str) -> _Decomposition:
+    """Subchambers of f's wall, the face pieces between them, the
+    subwalls' hyperplanes and the sign-vector index, cached.
+
+    Each codimension-1 subwall's hyperplane is computed once: the cuts
+    use the distinct ones, the merge test, `locate` and `crossing_graph`
+    read a point's signs on them, and `crossing_graph` orients them to
+    count separator weights.  A facet of a cell is the tuple of its
+    vertex ids tight on one of its inequalities.  A merged chamber's facets are its cells' facets less those two of its
     cells share, and its vertices are the cells' vertices where those
     facets have full rank; a subchamber is convex, so this is the hull of
-    its cells.  A piece is (source, dest, rep): two adjacent subchambers,
-    source < dest, or EXTERIOR and a subchamber meeting one wall facet;
-    rep is the vertex centroid of the face they share, whose vertices are
-    found the same way from the two sides' facets.
+    its cells.  A piece's rep is the vertex centroid of the face the two
+    sides share, whose vertices are found the same way from the two
+    sides' facets.
     """
     key = ("decomposition", f)
     if key in x._cache:
@@ -102,9 +131,10 @@ def _decompose(
     k = wall.dim
     lower = sorted(x.below(f))
     planes = {g: span_hyperplane(wall.span, x.stratum(g).wall.span) for g in lower if x.dim(g) == k - 1}
+    distinct = list(dict.fromkeys(planes.values()))
 
     ref = Refinement(wall)
-    for normal, offset in dict.fromkeys(planes.values()):
+    for normal, offset in distinct:
         ref.cut(normal, offset)
     cells, points = ref.cells, ref.points
 
@@ -116,8 +146,9 @@ def _decompose(
             i = root[i]
         return i
 
-    # A point off a codimension-1 subwall's plane is not on that subwall.
-    subwalls = [(x.stratum(g).wall, planes.get(g)) for g in lower]
+    cuts = tuple((tuple(int(c) for c in normal), int(offset)) for normal, offset in distinct)
+    cut_index = {plane: i for i, plane in enumerate(distinct)}
+    subwalls = tuple((g, x.stratum(g).wall, cut_index[planes[g]] if g in planes else None) for g in lower)
     masks = []
     owners: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i, (ids, tight) in enumerate(cells):
@@ -132,7 +163,7 @@ def _decompose(
     for facet, own in owners.items():
         if len(own) == 2:
             mid = centroid([points[v] for v in facet])
-            if not any((h is None or vdot(h[0], mid) == h[1]) and w.contains(mid) for w, h in subwalls):
+            if _subwall_holding(subwalls, _signs(cuts, mid), mid) is None:
                 root[find(own[0][0])] = find(own[1][0])
 
     # Each facet is shared by two cells or lies on one wall facet, whose
@@ -180,7 +211,13 @@ def _decompose(
             ids = ref.vertices(dict.fromkeys(v for facet in facets for v in facet), mask)
         source, dest = sorted((index[a], index[b]))
         pieces.append((source, dest, centroid([points[v] for v in ids])))
-    out = (chambers, tuple(pieces), planes)
+    out = _Decomposition(
+        chambers,
+        tuple(pieces),
+        cuts,
+        subwalls,
+        {sv: index[find(i)] for i, sv in enumerate(ref.signs)},
+    )
     x._cache[key] = out
     return out
 
@@ -191,7 +228,29 @@ def subchambers(x: WeightedXray, f: str) -> tuple[Subchamber, ...]:
     A 0-dimensional wall is its own (trivial) subchamber.  Results are
     cached on the X-ray, keyed by stratum id.
     """
-    return _decompose(x, f)[0]
+    return _decompose(x, f).chambers
+
+
+def _signs(cuts: tuple[tuple[tuple[int, ...], int], ...], q: RatVector) -> tuple[int, ...]:
+    """Sign of normal . q - offset on each cut, in integers: q's
+    denominators are cleared once, and the cuts are integer already."""
+    den = lcm(*(c.denominator for c in q))
+    scaled = [c.numerator * (den // c.denominator) for c in q]
+    out = []
+    for normal, offset in cuts:
+        s = sum(map(mul, normal, scaled)) - offset * den
+        out.append((s > 0) - (s < 0))
+    return tuple(out)
+
+
+def _subwall_holding(
+    subwalls: tuple[tuple[str, Polytope, int | None], ...], signs: tuple[int, ...], q: RatVector
+) -> str | None:
+    """The first subwall in id order that contains q, or None.  A point
+    off a codimension-1 subwall's plane (a nonzero sign) is not on that
+    subwall, so only the subwalls on q's planes and those of higher
+    codimension are tested."""
+    return next((g for g, w, i in subwalls if (i is None or signs[i] == 0) and w.contains(q)), None)
 
 
 def locate(x: WeightedXray, f: str, q: RatVector) -> Subchamber:
@@ -200,18 +259,30 @@ def locate(x: WeightedXray, f: str, q: RatVector) -> Subchamber:
     q must be a regular point of the wall: inside it but on no smaller
     wall.  Singular points are rejected with a pointer to the smaller
     stratum, since the reduction there belongs to a different stratum's
-    table.
+    table; the first smaller stratum in id order that contains q is
+    named.
+
+    q's signs on the wall's distinct cut planes decide it: a
+    codimension-1 subwall is tested only when q lies on its plane, and
+    when no sign is zero q is in the open cell with that sign vector,
+    found by lookup.  A regular point on a cut plane (the plane of a
+    subwall, outside that subwall) lies on the boundary of its cells,
+    and the closed subchambers are scanned for it instead.
     """
     wall = x.stratum(f).wall
     if not wall.contains(q):
         raise XrayError(f"point {_fmt_point(q)} not in wall '{f}'")
-    for g in sorted(x.below(f)):
-        if x.stratum(g).wall.contains(q):
-            raise SingularLevel(
-                f"point {_fmt_point(q)} lies on subwall '{g}': "
-                "singular point of this wall; query a smaller stratum"
-            )
-    for chamber in subchambers(x, f):
+    dec = _decompose(x, f)
+    signs = _signs(dec.cuts, q)
+    g = _subwall_holding(dec.subwalls, signs, q)
+    if g is not None:
+        raise SingularLevel(
+            f"point {_fmt_point(q)} lies on subwall '{g}': "
+            "singular point of this wall; query a smaller stratum"
+        )
+    if 0 not in signs:
+        return dec.chambers[dec.cell_of[signs]]
+    for chamber in dec.chambers:
         if chamber.cell.contains(q):
             return chamber
     raise XrayError(f"point {_fmt_point(q)} is in no subchamber of '{f}'")
@@ -228,8 +299,9 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
     key = ("crossing_graph", f)
     if key in x._cache:
         return x._cache[key]
-    chambers, pieces, planes = _decompose(x, f)
-    edges = [_build_edge(x, f, planes, chambers[dest].rep, source, dest, rep) for source, dest, rep in pieces]
+    dec = _decompose(x, f)
+    chambers = dec.chambers
+    edges = [_build_edge(x, f, dec, chambers[dest].rep, source, dest, rep) for source, dest, rep in dec.pieces]
     edges.sort(key=lambda e: (e.source, e.dest, e.facet_rep))
     graph = CrossingGraph(f, (EXTERIOR,) + tuple(range(len(chambers))), tuple(edges))
     x._cache[key] = graph
@@ -239,16 +311,18 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
 def _build_edge(
     x: WeightedXray,
     f: str,
-    planes: dict[str, Facet],
+    dec: _Decomposition,
     toward: RatVector,
     source: int,
     dest: int,
     facet_rep: RatVector,
 ) -> CrossingEdge:
     separators = []
-    for g, (normal, offset) in planes.items():
-        if vdot(normal, facet_rep) != offset or not x.stratum(g).wall.contains(facet_rep):
+    signs = _signs(dec.cuts, facet_rep)
+    for g, wall, i in dec.subwalls:
+        if i is None or signs[i] != 0 or not wall.contains(facet_rep):
             continue
+        normal, offset = dec.cuts[i]
         try:
             r = locate(x, g, facet_rep)
         except SingularLevel:

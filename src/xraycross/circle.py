@@ -195,16 +195,16 @@ def restrict_to_line(
     is joined through more than one facet.
     """
     graph = crossing_graph(x, f)
+    rep = None if facet_rep is None else tuple(facet_rep)
     edge = None
     for candidate in graph.edges:
-        if facet_rep is not None and candidate.facet_rep != tuple(facet_rep):
+        pair = (candidate.source, candidate.dest)
+        if pair != (p1, p2) and pair != (p2, p1):
             continue
-        if (candidate.source, candidate.dest) == (p1, p2):
-            edge = candidate
-            break
-        if (candidate.source, candidate.dest) == (p2, p1):
-            edge = candidate.reversed()
-            break
+        if rep is not None and candidate.facet_rep != rep:
+            continue
+        edge = candidate if pair == (p1, p2) else candidate.reversed()
+        break
     if edge is None:
         raise XrayError(f"subchambers {p1} and {p2} of '{f}' are not adjacent")
     if sig_table is None:

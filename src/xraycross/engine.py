@@ -6,8 +6,9 @@ by the sum of w(f_i, b_i) times the invariant of each separating
 subchamber, and the invariant of the empty (exterior) reduction is 0.
 Propagation therefore runs bottom-up in wall dimension, seeding vertex
 strata and breadth-first-filling each crossing graph from its exterior
-node; every non-tree edge is then re-checked, so a path-dependent input
-cannot produce a silently wrong table.
+node; every edge the walk did not cross forward is then re-checked, so
+a path-dependent input cannot produce a silently wrong table.  The walk
+depends on the crossing graph alone and is cached on the X-ray.
 
 Argument convention used everywhere: the first argument f counts
 weights pointing toward the destination chamber, the second b counts
@@ -105,7 +106,9 @@ class Report:
         return all(line.passed for line in self.lines)
 
 
-def _edge_delta(spec: RecursiveInvariantSpec, values, edge: CrossingEdge):
+def _edge_delta(spec: RecursiveInvariantSpec, values, edge: CrossingEdge, backward: bool):
+    """The change in spec's value crossing edge, from source to dest, or
+    from dest to source when backward: f and b swap roles."""
     total = spec.zero()
     for sep in edge.separators:
         try:
@@ -114,8 +117,61 @@ def _edge_delta(spec: RecursiveInvariantSpec, values, edge: CrossingEdge):
             raise PropagationError(
                 f"missing lower value for subchamber {sep.r} of '{sep.g}'"
             ) from None
-        total = total + spec.wall_cross(sep.f, sep.b) * lower
+        cross = spec.wall_cross(sep.b, sep.f) if backward else spec.wall_cross(sep.f, sep.b)
+        total = total + cross * lower
     return total
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """One crossing graph's breadth-first walk from the exterior.
+
+    steps:     (node, dest, edge index, backward) in visiting order: dest
+               is reached from node across edges[edge index], against
+               the edge's orientation when backward.
+    unreached: the nodes the walk never reaches.
+    recheck:   the indices of the edges the cycle check recomputes, in
+               graph order: every edge except those the walk crosses
+               forward, whose difference is the crossing sum by
+               construction.
+    """
+
+    edges: tuple[CrossingEdge, ...]
+    steps: tuple[tuple[int, int, int, bool], ...]
+    unreached: tuple[int, ...]
+    recheck: tuple[int, ...]
+
+
+def _walk(x: WeightedXray, sid: str) -> _Walk:
+    """The walk of sid's crossing graph, cached on the X-ray: it depends
+    on the graph alone, so every spec propagated on x shares it."""
+    key = ("walk", sid)
+    if key in x._cache:
+        return x._cache[key]
+    graph = crossing_graph(x, sid)
+    oriented: dict[int, list[tuple[int, int, bool]]] = {node: [] for node in graph.nodes}
+    for i, edge in enumerate(graph.edges):
+        oriented[edge.source].append((edge.dest, i, False))
+        oriented[edge.dest].append((edge.source, i, True))
+    seen = {EXTERIOR}
+    steps = []
+    queue = deque([EXTERIOR])
+    while queue:
+        node = queue.popleft()
+        for dest, i, backward in sorted(oriented[node], key=lambda step: step[0]):
+            if dest not in seen:
+                seen.add(dest)
+                steps.append((node, dest, i, backward))
+                queue.append(dest)
+    crossed = {i for _, _, i, backward in steps if not backward}
+    walk = _Walk(
+        graph.edges,
+        tuple(steps),
+        tuple(node for node in graph.nodes if node not in seen),
+        tuple(i for i in range(len(graph.edges)) if i not in crossed),
+    )
+    x._cache[key] = walk
+    return walk
 
 
 def propagate(x: WeightedXray, spec: RecursiveInvariantSpec) -> InvariantTable:
@@ -129,35 +185,26 @@ def propagate(x: WeightedXray, spec: RecursiveInvariantSpec) -> InvariantTable:
         if x.dim(sid) == 0:
             values[(sid, 0)] = spec.seed(x.stratum(sid).vertex_data)
             continue
-        graph = crossing_graph(x, sid)
-        oriented: dict[int, list[CrossingEdge]] = {node: [] for node in graph.nodes}
-        for edge in graph.edges:
-            oriented[edge.source].append(edge)
-            oriented[edge.dest].append(edge.reversed())
+        walk = _walk(x, sid)
+        edges = walk.edges
         level: dict[int, object] = {EXTERIOR: spec.zero()}
-        queue = deque([EXTERIOR])
-        while queue:
-            node = queue.popleft()
-            for edge in sorted(oriented[node], key=lambda e: e.dest):
-                if edge.dest in level:
-                    continue
-                level[edge.dest] = level[node] + _edge_delta(spec, values, edge)
-                queue.append(edge.dest)
-        unreached = [node for node in graph.nodes if node not in level]
-        if unreached:
+        for node, dest, i, backward in walk.steps:
+            level[dest] = level[node] + _edge_delta(spec, values, edges[i], backward)
+        if walk.unreached:
             raise PropagationError(
-                f"wall '{sid}': subchambers {unreached} unreachable from the exterior"
+                f"wall '{sid}': subchambers {list(walk.unreached)} unreachable from the exterior"
             )
-        for edge in graph.edges:
+        for i in walk.recheck:
+            edge = edges[i]
             observed = level[edge.dest] - level[edge.source]
-            expected = _edge_delta(spec, values, edge)
+            expected = _edge_delta(spec, values, edge, False)
             if observed != expected:
                 raise PropagationError(
                     f"wall '{sid}': {spec.name} is path-dependent between chambers "
                     f"{edge.source} and {edge.dest}: difference {observed}, "
                     f"crossing sum {expected}"
                 )
-        for node in graph.nodes:
+        for node in sorted(level):
             if node != EXTERIOR:
                 values[(sid, node)] = level[node]
     return InvariantTable(spec.name, x.fingerprint(), values)

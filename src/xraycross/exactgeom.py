@@ -269,6 +269,8 @@ class Refinement:
     cells:  (vertex ids, tight masks): bit i of a vertex's mask is set
             when the vertex lies on facets[i].  The masks only ever name
             facets of the cell, so their union is the cell's facet set.
+    signs:  each cell's sign vector over the cuts, in cut order: -1 or
+            +1 as the cell's interior lies below or above the cut.
 
     No hull is taken: a cut finds new vertices and facets from the masks
     alone (`cut`), and a union of cells reads its vertices off the
@@ -281,13 +283,16 @@ class Refinement:
         self.facets = list(p.facets)
         tight = tuple(tight_mask(p, v) for v in p.vertices)
         self.cells: list[Cell] = [(tuple(range(len(self.points))), tight)]
+        self.signs: list[tuple[int, ...]] = [()]
         self._tight_at: list[int] | None = None
 
     def cut(self, normal: RatVector, offset: Fraction) -> None:
         """Split every cell with vertices strictly on both sides of the
         hyperplane normal . x = offset into its lower and upper halves,
-        in that order.  normal must be a functional on the span whose
-        zero set meets the span in a hyperplane.
+        in that order, and extend every sign vector by the cell's side:
+        -1 for a lower half or a cell below the plane, +1 otherwise.
+        normal must be a functional on the span whose zero set meets the
+        span in a hyperplane.
 
         One double-description step per cell: a half keeps the vertices
         on its side and on the plane, and gains one point on each edge
@@ -302,11 +307,13 @@ class Refinement:
         vals = [vdot(normal, p) - offset for p in self.points]
         edge_points: dict[tuple[int, int], int] = {}
         cells: list[Cell] = []
-        for ids, tight in self.cells:
+        signs: list[tuple[int, ...]] = []
+        for (ids, tight), sv in zip(self.cells, self.signs):
             neg = [(v, t) for v, t in zip(ids, tight) if vals[v] < 0]
             pos = [(v, t) for v, t in zip(ids, tight) if vals[v] > 0]
             if not (neg and pos):
                 cells.append((ids, tight))
+                signs.append(sv + (-1 if neg else 1,))
                 continue
             on = [(v, t) for v, t in zip(ids, tight) if vals[v] == 0]
             cross = []
@@ -329,7 +336,9 @@ class Refinement:
                 plane = 1 << bit
                 half = side + [(v, t & keep | plane) for v, t in on] + [(v, t | plane) for v, t in cross]
                 cells.append((tuple(v for v, _ in half), tuple(t for _, t in half)))
+            signs += [sv + (-1,), sv + (1,)]
         self.cells = cells
+        self.signs = signs
         self._tight_at = None
 
     def vertices(self, candidates: Iterable[int], mask: int) -> list[int]:

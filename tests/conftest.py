@@ -39,7 +39,11 @@ def seeded_rows(d, n, seed, grid=None):
 
     Entries are integers 0..40 over denominators 1..5, or, with grid=g,
     integers 0..g, where small grids give collinear and coplanar columns.
+    A grid with fewer than n + 1 points raises ValueError: it cannot hold
+    n + 1 distinct columns.
     """
+    if grid is not None and (grid + 1) ** d < n + 1:
+        raise ValueError(f"a {grid + 1}^{d} grid holds no {n + 1} distinct columns")
     rng = random.Random(seed)
     while True:
         if grid is None:

@@ -4,12 +4,13 @@ from itertools import combinations
 
 import pytest
 
+import conftest
 from xraycross import arrangement, exactgeom
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
 from xraycross.errors import SingularLevel, XrayError
-from xraycross.exactgeom import clip_to_polytope, facet_polytopes, hull, side_functional
+from xraycross.exactgeom import Polytope, clip_to_polytope, facet_polytopes, hull, side_functional, span_hyperplane
 from xraycross.generators import ProjectionMatrix, cpn_xray
-from xraycross.ratmath import as_vec, sign, vdot, vscale
+from xraycross.ratmath import as_vec, format_rational, sign, vdot, vscale
 from xraycross.xray import stratum_weights_in
 from conftest import CP4_ROWS, NCP4_ROWS, seeded_rows
 
@@ -241,6 +242,120 @@ def test_scaled_functional_same_counts(ncp4):
 def random_cpn(d, n, seed):
     """CP^n under a seeded projection with distinct columns and full rank."""
     return cpn_xray(n, seeded_rows(d, n, seed))
+
+
+def test_seeded_rows_rejects_a_grid_too_small(monkeypatch):
+    """Four grid values cannot make six distinct columns: seeded_rows
+    raises before it draws a single row."""
+    monkeypatch.setattr(conftest, "random", None)
+    with pytest.raises(ValueError, match="distinct columns"):
+        seeded_rows(1, 5, 0, grid=3)
+
+
+def locate_by_scan(x, f, q):
+    """The subchamber of f's wall holding q, found by testing the wall,
+    then every subwall in id order, then each chamber's closed cell."""
+    point = "(" + ",".join(format_rational(c) for c in q) + ")"
+    if not x.stratum(f).wall.contains(q):
+        raise XrayError(f"point {point} not in wall '{f}'")
+    for g in sorted(x.below(f)):
+        if x.stratum(g).wall.contains(q):
+            raise SingularLevel(
+                f"point {point} lies on subwall '{g}': singular point of this wall; query a smaller stratum"
+            )
+    for chamber in subchambers(x, f):
+        if chamber.cell.contains(q):
+            return chamber
+    raise XrayError(f"point {point} is in no subchamber of '{f}'")
+
+
+def outcome(find, x, f, q):
+    try:
+        return find(x, f, q).index
+    except XrayError as e:
+        return type(e), str(e)
+
+
+def cut_planes(x, f):
+    """The hyperplanes of f's codimension-1 subwalls."""
+    span = x.stratum(f).wall.span
+    return [span_hyperplane(span, x.stratum(g).wall.span) for g in x.below(f) if x.dim(g) == x.dim(f) - 1]
+
+
+def probe_points(x, f, rng):
+    """Chamber reps and vertices, crossing-edge reps, and seeded affine
+    combinations of them, some beyond the wall."""
+    base = [c.rep for c in subchambers(x, f)] + [v for c in subchambers(x, f) for v in c.cell.vertices]
+    if x.dim(f):
+        base += [e.facet_rep for e in crossing_graph(x, f).edges]
+    base = list(dict.fromkeys(base))
+    extra = []
+    for _ in range(min(30, len(base) ** 2)):
+        a, b = rng.choice(base), rng.choice(base)
+        t = Fraction(rng.randint(-2, 6), 4)
+        extra.append(tuple(ai + t * (bi - ai) for ai, bi in zip(a, b)))
+    return base + extra
+
+
+def test_locate_matches_scan(cp3, cp4, ncp4, toric_triangle, unit_square, segment):
+    """locate gives the scan's chamber, or its exception type and text,
+    on regular points off and on the cut planes, subwall points and
+    points outside the wall: every stratum of the fixtures and of seeded
+    CP^n at d = 1, 2, 3, and a grid of tenths over [0, 4]^2 on the top
+    walls of cp4 and ncp4."""
+    cases = []
+    xs = [cp3, cp4, ncp4, toric_triangle, unit_square, segment]
+    xs += [random_cpn(1, 5, 0), random_cpn(2, 5, 0), random_cpn(3, 4, 0)]
+    for x in xs:
+        rng = random.Random(len(cases))
+        cases += [(x, f, q) for f in sorted(x.ids) for q in probe_points(x, f, rng)]
+    grid = [(Fraction(i, 10), Fraction(j, 10)) for i in range(41) for j in range(41)]
+    cases += [(x, "top", q) for x in (cp4, ncp4) for q in grid]
+    kinds = set()
+    planes = {}
+    for x, f, q in cases:
+        got = outcome(locate, x, f, q)
+        assert got == outcome(locate_by_scan, x, f, q), (f, q)
+        if isinstance(got, int):
+            if (id(x), f) not in planes:
+                planes[id(x), f] = cut_planes(x, f)
+            on_plane = any(vdot(normal, q) == offset for normal, offset in planes[id(x), f])
+            kinds.add("on a cut plane" if on_plane else "regular")
+        else:
+            kinds.add(got[0])
+    assert kinds == {"regular", "on a cut plane", SingularLevel, XrayError}
+
+
+@pytest.mark.parametrize("name", ["cp4", "ncp4", "seeded3"])
+def test_locate_by_sign_vector_tests_no_chamber(monkeypatch, request, name):
+    """A point on no cut plane is placed by its sign vector: locate tests
+    only the wall and the subwalls of dimension below k - 1 for
+    containment, never a codimension-1 subwall or a chamber."""
+    x = random_cpn(3, 4, 0) if name == "seeded3" else request.getfixturevalue(name)
+    tested = []
+    contains = Polytope.contains
+
+    def recording(self, point):
+        tested.append(self)
+        return contains(self, point)
+
+    hits = 0
+    for f in x.ids:
+        k = x.dim(f)
+        if k == 0:
+            continue
+        expected = [x.stratum(f).wall] + [x.stratum(g).wall for g in sorted(x.below(f)) if x.dim(g) < k - 1]
+        planes = cut_planes(x, f)
+        for chamber in subchambers(x, f):
+            if any(vdot(normal, chamber.rep) == offset for normal, offset in planes):
+                continue
+            tested.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Polytope, "contains", recording)
+                assert locate(x, f, chamber.rep) is chamber
+            assert tested == expected
+            hits += 1
+    assert hits > 0
 
 
 def pairwise_edges(x, f):

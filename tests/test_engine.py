@@ -1,5 +1,6 @@
 import pytest
 
+from xraycross import engine
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
 from xraycross.engine import (
     EULER,
@@ -264,3 +265,64 @@ def test_serialize_table(cp3):
     assert top_rows[0]["value"] == [1, 0, 1, 0, 1]
     vertex_rows = [r for r in rows if r["stratum"] == "v1"]
     assert vertex_rows[0]["value"] == [1]
+
+
+def backward_tree_edges(graph):
+    """Tree edges of a breadth-first walk from the exterior, each node's
+    neighbours taken in node order, that the walk crosses from dest to
+    source."""
+    neighbours = {node: [] for node in graph.nodes}
+    for e in graph.edges:
+        neighbours[e.source].append((e.dest, 0))
+        neighbours[e.dest].append((e.source, 1))
+    seen = {EXTERIOR}
+    frontier = [EXTERIOR]
+    backward = 0
+    for node in frontier:
+        for other, against in sorted(neighbours[node], key=lambda n: n[0]):
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+                backward += against
+    return backward
+
+
+@pytest.mark.parametrize("name", ["cp3", "cp4", "ncp4"])
+def test_propagate_computes_each_crossing_once(monkeypatch, request, name):
+    """One crossing sum per edge, plus one per tree edge crossed
+    backward: a tree edge crossed forward is not recomputed by the cycle
+    check."""
+    x = request.getfixturevalue(name)
+    graphs = [crossing_graph(x, sid) for sid in x.ids if x.dim(sid) > 0]
+    expected = sum(len(g.edges) + backward_tree_edges(g) for g in graphs)
+    assert expected < sum(len(g.edges) + len(g.nodes) - 1 for g in graphs)
+    calls = []
+    delta = engine._edge_delta
+
+    def counting(*args):
+        calls.append(args)
+        return delta(*args)
+
+    monkeypatch.setattr(engine, "_edge_delta", counting)
+    for spec in (SIGNATURE, POINCARE, EULER):
+        calls.clear()
+        propagate(x, spec)
+        assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    ("name", "message"),
+    [
+        ("cp4", "wall 'top': lopsided is path-dependent between chambers 0 and 1: difference -2, crossing sum 1"),
+        ("ncp4", f"wall '{DIAG}': lopsided is path-dependent between chambers 1 and 2: difference -2, crossing sum 1"),
+    ],
+)
+def test_one_sided_crossing_is_path_dependent(request, name, message):
+    """A crossing function that is not antisymmetric, w(f, b) = f, gives
+    each edge a different sum in its two directions; the cycle check
+    names the first edge whose sum disagrees with the walk."""
+    x = request.getfixturevalue(name)
+    lopsided = RecursiveInvariantSpec("lopsided", "INTEGER", lambda f, b: f, lambda vd: vd.seed_signature)
+    with pytest.raises(PropagationError) as err:
+        propagate(x, lopsided)
+    assert str(err.value) == message

@@ -207,6 +207,7 @@ def refinement_halves(p, normal, offset):
     ref = Refinement(p)
     ref.cut(normal, offset)
     assert len(ref.cells) == 2
+    assert ref.signs == [(-1,), (1,)]
     out = []
     for ids, tight in ref.cells:
         mask = 0
@@ -245,6 +246,19 @@ def test_refinement_cut_matches_clip_halfspace(case):
     lower, upper = refinement_halves(p, normal, offset)
     assert lower == clip_halfspace(p, normal, offset)
     assert upper == clip_halfspace(p, vneg(normal), -offset)
+
+
+def test_refinement_sign_vectors():
+    """Each cell's sign vector gives the side of every cut its interior
+    lies on, whether the cut split it or passed it by."""
+    ref = Refinement(hull(pts((0, 0), (4, 0), (0, 4))))
+    cuts = [(as_vec((1, 0)), Fraction(1)), (as_vec((0, 1)), Fraction(1)), (as_vec((1, 1)), Fraction(3))]
+    for normal, offset in cuts:
+        ref.cut(normal, offset)
+    assert len(ref.signs) == len(ref.cells) == len(set(ref.signs)) == 7
+    for (ids, _), signs in zip(ref.cells, ref.signs):
+        mid = tuple(sum(col) / len(ids) for col in zip(*(ref.points[v] for v in ids)))
+        assert signs == tuple(1 if vdot(n, mid) > c else -1 for n, c in cuts)
 
 
 def test_affine_span_coords_roundtrip():
