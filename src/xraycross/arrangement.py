@@ -29,12 +29,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import lcm
-from operator import mul
 
 from .errors import MalformedXray, SingularLevel, XrayError
 from .exactgeom import Polytope, Refinement, centroid, span_hyperplane
-from .ratmath import RatVector, format_rational, vdot, vneg
+from .ratmath import RatVector, clear_denominators, format_rational, idot
 from .xray import WeightedXray, stratum_weights_in
 
 EXTERIOR = -1
@@ -233,12 +231,12 @@ def subchambers(x: WeightedXray, f: str) -> tuple[Subchamber, ...]:
 
 def _signs(cuts: tuple[tuple[tuple[int, ...], int], ...], q: RatVector) -> tuple[int, ...]:
     """Sign of normal . q - offset on each cut, in integers: q's
-    denominators are cleared once, and the cuts are integer already."""
-    den = lcm(*(c.denominator for c in q))
-    scaled = [c.numerator * (den // c.denominator) for c in q]
+    denominators are cleared once (`ratmath.clear_denominators`), and the
+    cuts are integer already."""
+    scaled, den = clear_denominators(q)
     out = []
     for normal, offset in cuts:
-        s = sum(map(mul, normal, scaled)) - offset * den
+        s = idot(normal, scaled) - offset * den
         out.append((s > 0) - (s < 0))
     return tuple(out)
 
@@ -262,7 +260,8 @@ def locate(x: WeightedXray, f: str, q: RatVector) -> Subchamber:
     table; the first smaller stratum in id order that contains q is
     named.
 
-    q's signs on the wall's distinct cut planes decide it: a
+    q's signs on the wall's distinct cut planes, taken in integers by
+    `_signs` after `ratmath.clear_denominators`, decide it: a
     codimension-1 subwall is tested only when q lies on its plane, and
     when no sign is zero q is in the open cell with that sign vector,
     found by lookup.  A regular point on a cut plane (the plane of a
@@ -319,6 +318,7 @@ def _build_edge(
 ) -> CrossingEdge:
     separators = []
     signs = _signs(dec.cuts, facet_rep)
+    toward_scaled, toward_den = clear_denominators(toward)
     for g, wall, i in dec.subwalls:
         if i is None or signs[i] != 0 or not wall.contains(facet_rep):
             continue
@@ -327,14 +327,14 @@ def _build_edge(
             r = locate(x, g, facet_rep)
         except SingularLevel:
             continue  # on a subwall of g, not in an open subchamber
-        side = vdot(normal, toward) - offset
+        side = idot(normal, toward_scaled) - offset * toward_den
         if side == 0:
             raise ValueError("toward point lies on the separator")
         if side < 0:
-            normal = vneg(normal)
+            normal = tuple(-c for c in normal)
         forward = backward = 0
         for w in stratum_weights_in(x, g, f):
-            v = vdot(normal, w)
+            v = idot(normal, clear_denominators(w)[0])
             if v > 0:
                 forward += 1
             elif v < 0:

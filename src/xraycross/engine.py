@@ -353,9 +353,10 @@ def check_dim4_positivity(
 
 def serialize_table(x: WeightedXray, table: InvariantTable) -> list[dict]:
     """Rows of (stratum, subchamber, rep, value), values JSON-ready."""
+    chambers = {sid: subchambers(x, sid) for sid in {sid for sid, _ in table.values}}
     rows = []
     for (sid, chamber) in sorted(table.values):
-        rep = subchambers(x, sid)[chamber].rep
+        rep = chambers[sid][chamber].rep
         value = table.value(sid, chamber)
         rows.append(
             {

@@ -2,8 +2,11 @@
 
 Polytopes here are small (a handful of vertices, ambient dimension a few)
 but the predicates must be exact: chamber decompositions hinge on points
-that lie exactly on walls.  Everything is computed over Fraction with no
-epsilon anywhere.
+that lie exactly on walls.  There is no epsilon anywhere.  Every predicate
+runs in integers: a point's denominators are cleared once into (P, D)
+(`clear_denominators`), so a . x <= b is decided as a . P <= b * D
+against integer equations and facets that each span and polytope builds
+once.  Fractions remain for stored coordinates and output.
 
 A polytope carries both descriptions: its vertex list and a facet system
 of linear inequalities.  The inequalities use ambient coordinates and are
@@ -15,25 +18,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from .ratmath import (
     RatVector,
     ZERO,
     as_vec,
-    in_span,
-    nullspace,
+    clear_denominators,
+    cross_product,
+    idot,
     primitive_functional,
     rank,
-    rat,
     rref,
     solve_square,
     vdot,
     vneg,
     vsub,
 )
+
+IntFunctional = tuple[tuple[int, ...], int]  # (a, b): the form a . x against b
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,33 @@ class AffineSpan:
     def ambient_dim(self) -> int:
         return len(self.base)
 
+    @cached_property
+    def equations(self) -> tuple[IntFunctional, ...]:
+        """Primitive integer (a, b) whose solutions a . x = b, taken
+        together, are the span: one per non-pivot column, from the
+        annihilator of the RREF basis (Fractions here, once per span)."""
+        out = []
+        for fc in range(self.ambient_dim):
+            if fc in self.pivots:
+                continue
+            a = [ZERO] * self.ambient_dim
+            a[fc] = Fraction(1)
+            for row, p in zip(self.basis, self.pivots):
+                a[p] = -row[fc]
+            normal, offset = primitive_functional(tuple(a), vdot(a, self.base))
+            out.append((tuple(int(x) for x in normal), int(offset)))
+        return tuple(out)
+
+    def holds(self, scaled: tuple[int, ...], den: int) -> bool:
+        """Does the point scaled / den lie in the span?"""
+        return all(idot(a, scaled) == b * den for a, b in self.equations)
+
     def lin_contains(self, v: RatVector) -> bool:
-        return in_span(self.basis, self.pivots, v)
+        scaled, _ = clear_denominators(v)
+        return all(idot(a, scaled) == 0 for a, _ in self.equations)
 
     def contains(self, point: RatVector) -> bool:
-        return self.lin_contains(vsub(point, self.base))
+        return self.holds(*clear_denominators(point))
 
     def coords(self, point: RatVector) -> RatVector:
         """Coordinates of a point of the span in the canonical basis.
@@ -115,21 +143,33 @@ class Polytope:
     def ambient_dim(self) -> int:
         return self.span.ambient_dim
 
+    @cached_property
+    def int_facets(self) -> tuple[IntFunctional, ...]:
+        """The facets as integer tuples, each a positive multiple of
+        (normal, offset); `hull`'s facets are primitive integer already."""
+        out = []
+        for n, c in self.facets:
+            ints, _ = clear_denominators(n + (c,))
+            out.append((ints[:-1], ints[-1]))
+        return tuple(out)
+
     def contains(self, point: RatVector) -> bool:
         if len(point) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        if not self.span.contains(point):
+        scaled, den = clear_denominators(point)
+        if not self.span.holds(scaled, den):
             return False
-        return all(vdot(n, point) <= c for n, c in self.facets)
+        return all(idot(n, scaled) <= c * den for n, c in self.int_facets)
 
     def relative_interior_contains(self, point: RatVector) -> bool:
         if len(point) != self.ambient_dim:
             raise ValueError("dimension mismatch")
         if self.dim == 0:
             return point == self.vertices[0]
-        if not self.span.contains(point):
+        scaled, den = clear_denominators(point)
+        if not self.span.holds(scaled, den):
             return False
-        return all(vdot(n, point) < c for n, c in self.facets)
+        return all(idot(n, scaled) < c * den for n, c in self.int_facets)
 
 
 def hull(points: Iterable[RatVector]) -> Polytope:
@@ -140,30 +180,39 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     repeated points) at the small scales this package works at.
     Degenerate input collapses to a lower-dimensional polytope rather
     than an error; a single repeated point gives a 0-polytope.
+
+    The search runs in integers: the points are scaled by one common
+    denominator, a k-subset's normal in the span coordinates is the
+    generalized cross product of its k - 1 differences (`cross_product`), and
+    every side and tightness test is an integer dot product.
     """
     pts = sorted({as_vec(p) for p in points})
     if not pts:
         raise ValueError("empty point set")
     if len({len(p) for p in pts}) != 1:
         raise ValueError("points of mixed dimension")
-    span = AffineSpan.from_points(pts)
+    d = len(pts[0])
+    flat, den = clear_denominators([c for p in pts for c in p])
+    scaled = [flat[i : i + d] for i in range(0, len(flat), d)]
+    origin = scaled[0]
+    basis, pivots = rref([tuple(x - o for x, o in zip(p, origin)) for p in scaled])
+    span = AffineSpan(pts[0], basis, pivots)
     k = span.dim
     if k == 0:
         return Polytope((pts[0],), span, ())
 
-    ys = [span.coords(p) for p in pts]
-    found: dict[tuple[RatVector, Fraction], None] = {}
-    for comb in combinations(range(len(pts)), k):
-        base_y = ys[comb[0]]
-        diffs = [vsub(ys[i], base_y) for i in comb[1:]]
-        ns = nullspace(diffs, k)
-        if len(ns) != 1:
+    # den times the span coordinates of each point.
+    ys = [tuple(p[j] - origin[j] for j in pivots) for p in scaled]
+    found: dict[IntFunctional, None] = {}
+    for comb in combinations(ys, k):
+        base_y = comb[0]
+        u = cross_product([[a - b for a, b in zip(y, base_y)] for y in comb[1:]], k)
+        if u is None:
             continue  # affinely dependent subset: spans no unique hyperplane
-        u = ns[0]
-        c = vdot(u, base_y)
+        c = idot(u, base_y)
         has_pos = has_neg = False
         for y in ys:
-            s = vdot(u, y) - c
+            s = idot(u, y) - c
             if s > 0:
                 has_pos = True
             elif s < 0:
@@ -172,25 +221,23 @@ def hull(points: Iterable[RatVector]) -> Polytope:
                 break
         if has_pos and has_neg:
             continue
+        g = gcd(c, *u)
         if has_pos:
-            u, c = vneg(u), -c
-        found[primitive_functional(u, c)] = None
+            g = -g
+        found[tuple(a // g for a in u), c // g] = None
 
-    span_facets = sorted(found)
-    verts = []
-    for i, y in enumerate(ys):
-        active = [u for u, c in span_facets if vdot(u, y) == c]
-        if rank(active) == k:
-            verts.append(pts[i])
+    verts = [pts[i] for i, y in enumerate(ys) if rank([u for u, c in found if idot(u, y) == c]) == k]
 
+    # u . y <= c on den-scaled span coordinates is den * u . x[pivots]
+    # <= c + u . origin[pivots] on the ambient point x.
     amb_facets = []
-    d = span.ambient_dim
-    for u, c in span_facets:
-        n = [ZERO] * d
-        for coef, p in zip(u, span.pivots):
-            n[p] = coef
-        offset = c + vdot(tuple(n), span.base)
-        amb_facets.append(primitive_functional(tuple(n), offset))
+    for u, c in found:
+        n = [0] * d
+        for coef, p in zip(u, pivots):
+            n[p] = den * coef
+        offset = c + idot(u, (origin[p] for p in pivots))
+        g = gcd(offset, *n)
+        amb_facets.append((tuple(Fraction(a // g) for a in n), Fraction(offset // g)))
     return Polytope(tuple(verts), span, tuple(sorted(amb_facets)))
 
 
@@ -203,11 +250,8 @@ def facet_polytopes(p: Polytope) -> tuple[Polytope, ...]:
     propagation use a few hundred entries at the sizes this package
     handles.
     """
-    out = []
-    for n, c in p.facets:
-        on = [v for v in p.vertices if vdot(n, v) == c]
-        out.append(hull(on))
-    return tuple(out)
+    tight = [tight_mask(p, v) for v in p.vertices]
+    return tuple(hull(v for v, t in zip(p.vertices, tight) if t >> i & 1) for i in range(len(p.facets)))
 
 
 def faces(p: Polytope, k: int) -> list[Polytope]:
@@ -246,7 +290,8 @@ def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> Facet:
 def tight_mask(p: Polytope, point: RatVector) -> int:
     """Bitmask of p's facets through point: bit i is set when point lies
     on p.facets[i]."""
-    return sum(1 << i for i, (n, c) in enumerate(p.facets) if vdot(n, point) == c)
+    scaled, den = clear_denominators(point)
+    return sum(1 << i for i, (n, c) in enumerate(p.int_facets) if idot(n, scaled) == c * den)
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -264,6 +309,7 @@ class Refinement:
     double description (Motzkin et al. 1953; Fukuda & Prodon 1996).
 
     points: every vertex of every cell, by id; cells share ids.
+    scaled: each point's `clear_denominators` form, for the cut signs.
     facets: the inequality table, in `span_facet` form: the polytope's
             own facets, then both orientations of each cut.
     cells:  (vertex ids, tight masks): bit i of a vertex's mask is set
@@ -280,6 +326,7 @@ class Refinement:
     def __init__(self, p: Polytope):
         self.span = p.span
         self.points = list(p.vertices)
+        self.scaled = [clear_denominators(v) for v in self.points]
         self.facets = list(p.facets)
         tight = tuple(tight_mask(p, v) for v in p.vertices)
         self.cells: list[Cell] = [(tuple(range(len(self.points))), tight)]
@@ -304,7 +351,10 @@ class Refinement:
         lo = len(self.facets)
         low = span_facet(self.span, normal, offset)
         self.facets += [low, (vneg(low[0]), -low[1])]
-        vals = [vdot(normal, p) - offset for p in self.points]
+        ints, _ = clear_denominators(tuple(normal) + (offset,))
+        a_int, b_int = ints[:-1], ints[-1]
+        # A positive multiple of normal . p - offset at each point p.
+        vals = [idot(a_int, scaled) - b_int * den for scaled, den in self.scaled]
         edge_points: dict[tuple[int, int], int] = {}
         cells: list[Cell] = []
         signs: list[tuple[int, ...]] = []
@@ -324,10 +374,14 @@ class Refinement:
                         continue
                     key = (a, b) if a < b else (b, a)
                     if key not in edge_points:
-                        pa, pb = self.points[a], self.points[b]
-                        step = vals[a] / (vals[a] - vals[b])
+                        # (vals[a] * pb - vals[b] * pa) / (vals[a] - vals[b]) on the
+                        # scaled points, whose denominators cancel into den.
+                        (pa, da), (pb, db) = self.scaled[a], self.scaled[b]
+                        den = vals[a] * db - vals[b] * da
+                        point = tuple(Fraction(vals[a] * y - vals[b] * x, den) for x, y in zip(pa, pb))
                         edge_points[key] = len(self.points)
-                        self.points.append(tuple(x + step * (y - x) for x, y in zip(pa, pb)))
+                        self.points.append(point)
+                        self.scaled.append(clear_denominators(point))
                     cross.append((edge_points[key], common))
             for side, bit in ((neg, lo), (pos, lo + 1)):
                 keep = 0
@@ -393,14 +447,12 @@ class SideFunctional:
 def _complete_to_ambient(rows: list[RatVector], d: int) -> list[RatVector]:
     """Extend independent rows to a basis of Q^d with standard basis vectors."""
     out = list(rows)
-    basis, pivots = rref(out)
     for i in range(d):
         if len(out) == d:
             break
         e = tuple(Fraction(1) if j == i else ZERO for j in range(d))
-        if not in_span(basis, pivots, e):
+        if rank(out + [e]) > len(out):
             out.append(e)
-            basis, pivots = rref(out)
     return out
 
 
@@ -427,7 +479,7 @@ def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> Facet:
     d = ambient.ambient_dim
     rows = list(sub.basis)
     pick = next(
-        (b for b in ambient.basis if not in_span(sub.basis, sub.pivots, b)),
+        (b for b in ambient.basis if not sub.lin_contains(b)),
         None,
     )
     if pick is None:

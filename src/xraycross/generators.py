@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import MalformedXray, ValidationFailed
-from .exactgeom import AffineSpan, Polytope, faces, hull
+from .exactgeom import AffineSpan, Polytope, faces, hull, tight_mask
 from .intpoly import IntPolynomial
-from .ratmath import RatVector, as_vec, format_rational, rank, vdot, vsub
+from .ratmath import RatVector, as_vec, format_rational, rank, vsub
 from .xray import (
     Stratum,
     VertexData,
@@ -127,8 +127,7 @@ def delzant_xray(p: Polytope, weights_at_vertices: Mapping[RatVector, Sequence[R
     if p.dim != d:
         raise ValueError("polytope must be full-dimensional")
     for v in p.vertices:
-        active = sum(1 for normal, offset in p.facets if vdot(normal, v) == offset)
-        if active != d:
+        if tight_mask(p, v).bit_count() != d:
             raise ValueError("non-simple polytope")
 
     vertex_index = {v: i + 1 for i, v in enumerate(p.vertices)}

@@ -19,9 +19,15 @@ class IntPolynomial:
         cs = tuple(self.coeffs)
         if not all(isinstance(c, int) for c in cs):
             raise TypeError("IntPolynomial coefficients must be ints")
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", _strip(cs))
+
+    @classmethod
+    def _of(cls, coeffs: list[int] | tuple[int, ...]) -> "IntPolynomial":
+        """A result built from int coefficients already: skips the type
+        check in __post_init__, only trailing zeros are stripped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", _strip(tuple(coeffs)))
+        return out
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -51,21 +57,28 @@ class IntPolynomial:
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self.coefficient(k) + other.coefficient(k) for k in range(n)))
+        long, short = self.coeffs, other.coeffs
+        if len(long) < len(short):
+            long, short = short, long
+        out = list(long)
+        for k, c in enumerate(short):
+            out[k] += c
+        return IntPolynomial._of(out)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self.coefficient(k) - other.coefficient(k) for k in range(n)))
+        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        for k, c in enumerate(other.coeffs):
+            out[k] -= c
+        return IntPolynomial._of(out)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return IntPolynomial._of(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
+            return IntPolynomial._of(tuple(c * other for c in self.coeffs))
         if isinstance(other, IntPolynomial):
             if not self.coeffs or not other.coeffs:
                 return IntPolynomial.zero()
@@ -75,7 +88,7 @@ class IntPolynomial:
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-            return IntPolynomial(tuple(out))
+            return IntPolynomial._of(out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -115,3 +128,11 @@ class IntPolynomial:
                     parts.append(f"{c}{var}")
         text = "+".join(parts)
         return text.replace("+-", "-")
+
+
+def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """coeffs without trailing zeros."""
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return coeffs[:end]

@@ -19,7 +19,7 @@ from xraycross.engine import (
 )
 from xraycross.errors import PropagationError
 from xraycross.intpoly import IntPolynomial
-from xraycross.ratmath import as_vec
+from xraycross.ratmath import as_vec, format_rational
 from xraycross.xray import from_interchange, to_interchange
 
 DIAG = "w2-3-4-5"
@@ -265,6 +265,26 @@ def test_serialize_table(cp3):
     assert top_rows[0]["value"] == [1, 0, 1, 0, 1]
     vertex_rows = [r for r in rows if r["stratum"] == "v1"]
     assert vertex_rows[0]["value"] == [1]
+
+
+@pytest.mark.parametrize("name", ["cp4", "ncp4"])
+def test_serialize_table_reads_each_stratum_once(name, request, monkeypatch):
+    """One subchambers lookup per stratum, and the rows of a lookup per row."""
+    x = request.getfixturevalue(name)
+    table = propagate(x, SIGNATURE)
+    expected = [
+        {"stratum": sid, "subchamber": c, "rep": [format_rational(v) for v in subchambers(x, sid)[c].rep], "value": table.value(sid, c)}
+        for sid, c in sorted(table.values)
+    ]
+    calls = []
+
+    def counting(x, sid):
+        calls.append(sid)
+        return subchambers(x, sid)
+
+    monkeypatch.setattr(engine, "subchambers", counting)
+    assert serialize_table(x, table) == expected
+    assert sorted(calls) == sorted(set(x.ids))
 
 
 def backward_tree_edges(graph):

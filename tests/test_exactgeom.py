@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from xraycross import exactgeom
 from xraycross.exactgeom import (
     AffineSpan,
+    Polytope,
     Refinement,
     centroid,
     clip_halfspace,
@@ -16,14 +19,129 @@ from xraycross.exactgeom import (
     hull,
     side_functional,
     span_hyperplane,
+    tight_mask,
 )
-from xraycross.ratmath import as_vec, solve_square, vdot, vneg, vsub
+from xraycross.ratmath import ZERO, as_vec, solve_square, vdot, vneg, vsub
+
+from test_ratmath import (
+    in_span,
+    nullspace_by_fractions,
+    primitive_by_fractions,
+    rank_by_fractions,
+    rref_by_fractions,
+)
 
 coords = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 def pts(*rows):
     return [as_vec(r) for r in rows]
+
+
+def hull_by_fractions(points):
+    """Reference: the supporting-hyperplane search in Fractions, with a
+    nullspace per subset and Fraction elimination throughout."""
+    pts_ = sorted({as_vec(p) for p in points})
+    base = pts_[0]
+    span = AffineSpan(base, *rref_by_fractions([vsub(p, base) for p in pts_]))
+    k = span.dim
+    if k == 0:
+        return Polytope((pts_[0],), span, ())
+    ys = [tuple(vsub(p, base)[j] for j in span.pivots) for p in pts_]
+    found = {}
+    for comb in combinations(range(len(pts_)), k):
+        base_y = ys[comb[0]]
+        ns = nullspace_by_fractions([vsub(ys[i], base_y) for i in comb[1:]], k)
+        if len(ns) != 1:
+            continue
+        u = ns[0]
+        c = vdot(u, base_y)
+        sides = {(vdot(u, y) > c) - (vdot(u, y) < c) for y in ys}
+        if {1, -1} <= sides:
+            continue
+        if 1 in sides:
+            u, c = vneg(u), -c
+        found[primitive_by_fractions(u, c)] = None
+    span_facets = sorted(found)
+    verts = [pts_[i] for i, y in enumerate(ys) if rank_by_fractions([u for u, c in span_facets if vdot(u, y) == c]) == k]
+    amb_facets = []
+    for u, c in span_facets:
+        n = [ZERO] * span.ambient_dim
+        for coef, p in zip(u, span.pivots):
+            n[p] = coef
+        amb_facets.append(primitive_by_fractions(tuple(n), c + vdot(tuple(n), span.base)))
+    return Polytope(tuple(verts), span, tuple(sorted(amb_facets)))
+
+
+@st.composite
+def seeded_point_sets(draw):
+    """Seeded rational points in Q^1..Q^4 on a random affine frame of
+    dimension 0..ambient, so sets come out repeated, collinear,
+    coplanar or lower-dimensional, with negative coordinates; and probe
+    points: the points themselves, midpoints, points of the frame's span
+    and random points of the ambient space."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ambient = rng.randint(1, 4)
+    dim = rng.randint(0, ambient)
+    frame = [[Fraction(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(dim)]
+    origin = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ambient)]
+
+    def on_frame():
+        coef = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+        return tuple(o + sum((c * row[j] for c, row in zip(coef, frame)), ZERO) for j, o in enumerate(origin))
+
+    points = [on_frame() for _ in range(rng.randint(1, 8 - ambient))]
+    points += [rng.choice(points) for _ in range(rng.randint(0, 2))]
+    probes = list(points)
+    probes += [tuple((x + y) / 2 for x, y in zip(rng.choice(points), rng.choice(points))) for _ in range(4)]
+    probes += [on_frame() for _ in range(4)]
+    probes += [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(ambient)) for _ in range(4)]
+    return points, probes
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeded_point_sets())
+def test_hull_matches_fraction_reference(case):
+    points, _ = case
+    got, want = hull(points), hull_by_fractions(points)
+    assert got.vertices == want.vertices
+    assert got.span == want.span
+    assert got.facets == want.facets
+    assert repr(got) == repr(want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeded_point_sets())
+def test_integer_predicates_match_fraction_evaluation(case):
+    """Membership, span and tight-set tests agree with the same
+    inequalities evaluated in Fractions."""
+    points, probes = case
+    p = hull(points)
+    span = p.span
+    for q in probes:
+        in_aff = in_span(span.basis, span.pivots, vsub(q, span.base))
+        assert span.contains(q) == in_aff
+        assert span.lin_contains(q) == in_span(span.basis, span.pivots, q)
+        assert p.contains(q) == (in_aff and all(vdot(n, q) <= c for n, c in p.facets))
+        inside = q == p.vertices[0] if p.dim == 0 else in_aff and all(vdot(n, q) < c for n, c in p.facets)
+        assert p.relative_interior_contains(q) == inside
+        assert tight_mask(p, q) == sum(1 << i for i, (n, c) in enumerate(p.facets) if vdot(n, q) == c)
+    assert all(p.contains(q) for q in points)
+
+
+def test_hull_and_contains_call_no_nullspace(cp4, monkeypatch):
+    """hull takes each subset's normal by integer cross product, and
+    membership reads integer facets: no Fraction nullspace is solved."""
+
+    def no_nullspace(*args):
+        raise AssertionError("nullspace called")
+
+    monkeypatch.setattr(exactgeom, "nullspace", no_nullspace, raising=False)
+    for s in cp4.strata:
+        wall = hull(s.wall.vertices)
+        assert wall == s.wall
+        assert all(wall.contains(v) for v in wall.vertices)
+        assert wall.contains(centroid(wall.vertices))
 
 
 def test_hull_single_point():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,3 +96,25 @@ def test_gaussian_evaluation_is_homomorphism(p, q):
     assert (sr, si) == (pr + qr, pi + qi)
     mr, mi = (p * q).at_i()
     assert (mr, mi) == (pr * qr - pi * qi, pr * qi + pi * qr)
+
+
+@given(coeff_lists, coeff_lists, st.integers(min_value=-3, max_value=3))
+def test_arithmetic_matches_coefficientwise_construction(a, b, s):
+    """Results built inside the class equal the publicly constructed
+    polynomial with the same coefficients, trailing zeros stripped."""
+    p, q = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
+    n = max(len(a), len(b))
+    a0, b0 = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    assert p + q == IntPolynomial(tuple(x + y for x, y in zip(a0, b0)))
+    assert p - q == IntPolynomial(tuple(x - y for x, y in zip(a0, b0)))
+    assert -p == IntPolynomial(tuple(-x for x in a))
+    assert p * s == IntPolynomial(tuple(x * s for x in a))
+    for r in (p + q, p - q, -p, p * s, p * q):
+        assert not r.coeffs or r.coeffs[-1] != 0
+        assert all(type(c) is int for c in r.coeffs)
+
+
+@pytest.mark.parametrize("bad", [(1, 2.0), (Fraction(1, 2),), ("1",)])
+def test_public_construction_rejects_non_int_coefficients(bad):
+    with pytest.raises(TypeError, match="ints"):
+        IntPolynomial(bad)

@@ -15,11 +15,11 @@ from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import (
     as_vec,
     format_rational,
-    in_span,
     is_zero_vector,
     primitive_vector,
     rref,
     vadd,
+    vdot,
     vscale,
     vsub,
 )
@@ -43,6 +43,7 @@ from xraycross.xray import (
     validate_poset,
 )
 from conftest import seeded_rows
+from test_ratmath import in_span, reduce_mod, rref_by_fractions, solve_square_by_fractions
 
 DIAG = "w2-3-4-5"
 
@@ -304,7 +305,7 @@ def validate_darboux_all_subsets(x):
         subsets = set()
         for size in range(len(dirs) + 1):
             for B in combinations(dirs, size):
-                basis, pivots = rref(B)
+                basis, pivots = rref_by_fractions(B)
                 subsets.add(tuple(w for w in alpha if in_span(basis, pivots, w)))
         for S in sorted(subsets):
             matches = [fid for fid in ups if _cones_equal(tangent[fid], list(S), d)]
@@ -340,6 +341,81 @@ def test_darboux_matches_all_subsets(cp3, cp4, ncp4, toric_triangle, unit_square
     for x in xs:
         got = validate_darboux(x)
         assert got == validate_darboux_all_subsets(x)
+        with_violations += bool(got)
+    assert with_violations >= 10
+
+
+def cone_contains_by_fractions(gens, w, dim):
+    """Reference: the conic Caratheodory search with a Fraction Gram solve
+    and a Fraction reconstruction."""
+    if is_zero_vector(w):
+        return True
+    gs = sorted({g for g in gens if not is_zero_vector(g)})
+    for size in range(1, min(len(gs), dim) + 1):
+        for sub in combinations(gs, size):
+            gram = [tuple(vdot(a, b) for b in sub) for a in sub]
+            try:
+                lam = solve_square_by_fractions(gram, tuple(vdot(a, w) for a in sub))
+            except ValueError:
+                continue
+            if any(c < 0 for c in lam):
+                continue
+            recon = [Fraction(0)] * len(w)
+            for c, g in zip(lam, sub):
+                recon = [r + c * gi for r, gi in zip(recon, g)]
+            if tuple(recon) == w:
+                return True
+    return False
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**32))
+def test_cone_contains_matches_fractions(seed):
+    """Seeded generators in Q^1..Q^3, zero, repeated and dependent ones
+    included, against members, non-members and boundary directions."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+
+    def vec():
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+
+    gens = [vec() for _ in range(rng.randint(0, 4))]
+    gens += [vscale(rng.choice(gens), Fraction(rng.randint(1, 3), 2)) for _ in range(rng.randint(0, 2)) if gens]
+    probes = [vec() for _ in range(3)] + gens
+    probes += [vadd(vscale(a, Fraction(rng.randint(0, 2))), b) for a, b in combinations(gens, 2)][:4]
+    for w in probes:
+        assert _cone_contains(gens, w, dim) == cone_contains_by_fractions(gens, w, dim)
+
+
+def validate_consistency_by_reduce_mod(x):
+    """Reference: weight classes as Fraction coset representatives mod
+    the wall span (`reduce_mod` on its RREF basis)."""
+    vio = set()
+    for g in x.strata:
+        vs = x.vertices_below(g.id)
+        if len(vs) < 2:
+            continue
+        span = g.wall.span
+
+        def classes(vid):
+            return sorted(reduce_mod(span.basis, span.pivots, w) for w in x.stratum(vid).vertex_data.weights)
+
+        ref = classes(vs[0])
+        for v in vs[1:]:
+            if classes(v) != ref:
+                detail = f"weight classes at '{v}' differ from '{vs[0]}' modulo the wall span"
+                vio.add(Violation(g.id, "consistency", detail))
+    return sorted(vio)
+
+
+def test_consistency_matches_reduce_mod_classes(cp3, cp4, ncp4, toric_triangle, unit_square, segment):
+    xs = [cp3, cp4, ncp4, toric_triangle, unit_square, segment]
+    xs += [cpn_xray(n, seeded_rows(d, n, seed)) for d, n, seed in ((1, 5, 0), (1, 7, 1), (2, 4, 2), (2, 5, 3), (3, 4, 4))]
+    xs += [mutate_weight(x, seed) for x in xs for seed in range(4)]
+    with_violations = 0
+    for x in xs:
+        got = validate_consistency(x)
+        assert got == validate_consistency_by_reduce_mod(x)
         with_violations += bool(got)
     assert with_violations >= 10
 
@@ -410,13 +486,13 @@ def test_darboux_at_wall_vertices_solves_nothing(monkeypatch, x):
     """Every fixed point is a vertex of every wall through it, so each
     cone comparison is read off facets and edges with no Gram solve."""
     calls = []
-    solve = xray.solve_square
+    solve = xray.solve_scaled
 
     def counting_solve(a, b):
         calls.append(a)
         return solve(a, b)
 
-    monkeypatch.setattr(xray, "solve_square", counting_solve)
+    monkeypatch.setattr(xray, "solve_scaled", counting_solve)
     assert validate_darboux(x) == []
     assert calls == []
 
