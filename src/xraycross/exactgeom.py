@@ -92,9 +92,12 @@ class AffineSpan:
         """Does the point scaled / den lie in the span?"""
         return all(idot(a, scaled) == b * den for a, b in self.equations)
 
-    def lin_contains(self, v: RatVector) -> bool:
-        scaled, _ = clear_denominators(v)
+    def lin_holds(self, scaled: Sequence[int]) -> bool:
+        """Does the integer vector scaled lie in the span's linear part?"""
         return all(idot(a, scaled) == 0 for a, _ in self.equations)
+
+    def lin_contains(self, v: RatVector) -> bool:
+        return self.lin_holds(clear_denominators(v)[0])
 
     def contains(self, point: RatVector) -> bool:
         return self.holds(*clear_denominators(point))
@@ -152,6 +155,12 @@ class Polytope:
             ints, _ = clear_denominators(n + (c,))
             out.append((ints[:-1], ints[-1]))
         return tuple(out)
+
+    @cached_property
+    def vertex_masks(self) -> tuple[int, ...]:
+        """`tight_mask` of each vertex, in vertex order: the vertex-facet
+        incidences."""
+        return tuple(tight_mask(self, v) for v in self.vertices)
 
     def contains(self, point: RatVector) -> bool:
         if len(point) != self.ambient_dim:
@@ -245,27 +254,50 @@ def hull(points: Iterable[RatVector]) -> Polytope:
 def facet_polytopes(p: Polytope) -> tuple[Polytope, ...]:
     """The (dim-1)-dimensional faces of p, one polytope per facet.
 
-    The cache is bounded so a long-lived process does not grow with
-    every X-ray it sees; one X-ray's validation, crossing graphs and
-    propagation use a few hundred entries at the sizes this package
-    handles.
+    Nothing in the package calls it: faces are read off the vertex masks
+    (`face_lattice`), so its process-global cache stays empty.  It stays
+    because bench/tracer.py binds it by name and bench/run.py reports
+    its `cache_info()`; tests/test_arrangement.py also uses it.
     """
-    tight = [tight_mask(p, v) for v in p.vertices]
-    return tuple(hull(v for v, t in zip(p.vertices, tight) if t >> i & 1) for i in range(len(p.facets)))
+    return tuple(hull(v for v, t in zip(p.vertices, p.vertex_masks) if t >> i & 1) for i in range(len(p.facets)))
+
+
+def face_lattice(p: Polytope) -> list[list[int]]:
+    """Every nonempty face of p as a bitmask over p.vertices (bit j for
+    vertices[j]); entry k lists the k-dimensional faces.
+
+    The lattice is read off the vertex-facet incidences alone (Kaibel &
+    Pfetsch 2002; Ziegler, Lectures on Polytopes, ch. 2): the facets of a
+    face F are the maximal proper nonempty sets F & V_i, where V_i holds
+    the vertices on facet i of p.  Each F & V_i is a face of F, and a
+    facet G of F is a face of p, cut out by the facets of p through it,
+    one of which misses a vertex of F; so G = F & V_i for that i.
+    """
+    on = [0] * len(p.facets)
+    for j, t in enumerate(p.vertex_masks):
+        for i in bits(t):
+            on[i] |= 1 << j
+    levels = [[(1 << len(p.vertices)) - 1]]
+    for _ in range(p.dim):
+        below: dict[int, None] = {}
+        for f in levels[-1]:
+            cuts = {f & v for v in on} - {0, f}
+            for c in cuts:
+                if not any(c != o and c & o == c for o in cuts):
+                    below[c] = None
+        levels.append(list(below))
+    return levels[::-1]
 
 
 def faces(p: Polytope, k: int) -> list[Polytope]:
-    """All k-dimensional faces of p, deduplicated, in vertex-lex order."""
+    """All k-dimensional faces of p, deduplicated, in vertex-lex order:
+    each vertex set of `face_lattice` level k, hulled."""
     if not 0 <= k <= p.dim:
         raise ValueError(f"face dimension {k} out of range for a {p.dim}-polytope")
-    level = {p.vertices: p}
-    for _ in range(p.dim - k):
-        nxt: dict[tuple[RatVector, ...], Polytope] = {}
-        for q in level.values():
-            for f in facet_polytopes(q):
-                nxt[f.vertices] = f
-        level = nxt
-    return [level[key] for key in sorted(level)]
+    if k == p.dim:
+        return [p]
+    keys = sorted(tuple(p.vertices[j] for j in bits(m)) for m in face_lattice(p)[k])
+    return [hull(key) for key in keys]
 
 
 def centroid(points: Sequence[RatVector]) -> RatVector:
@@ -294,7 +326,8 @@ def tight_mask(p: Polytope, point: RatVector) -> int:
     return sum(1 << i for i, (n, c) in enumerate(p.int_facets) if idot(n, scaled) == c * den)
 
 
-def _bits(mask: int) -> Iterable[int]:
+def bits(mask: int) -> Iterable[int]:
+    """The indices of mask's set bits, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -328,8 +361,7 @@ class Refinement:
         self.points = list(p.vertices)
         self.scaled = [clear_denominators(v) for v in self.points]
         self.facets = list(p.facets)
-        tight = tuple(tight_mask(p, v) for v in p.vertices)
-        self.cells: list[Cell] = [(tuple(range(len(self.points))), tight)]
+        self.cells: list[Cell] = [(tuple(range(len(self.points))), p.vertex_masks)]
         self.signs: list[tuple[int, ...]] = [()]
         self._tight_at: list[int] | None = None
 
@@ -415,14 +447,14 @@ class Refinement:
         return [
             v
             for v in candidates
-            if rank([self.facets[i][0] for i in _bits(self._tight_at[v] & mask)]) == k
+            if rank([self.facets[i][0] for i in bits(self._tight_at[v] & mask)]) == k
         ]
 
     def polytope(self, ids: Iterable[int], mask: int) -> Polytope:
         """The polytope with vertex ids ids and the facets in mask."""
         verts = tuple(sorted(self.points[v] for v in ids))
         span = AffineSpan(verts[0], self.span.basis, self.span.pivots)
-        return Polytope(verts, span, tuple(sorted(self.facets[i] for i in _bits(mask))))
+        return Polytope(verts, span, tuple(sorted(self.facets[i] for i in bits(mask))))
 
 
 @dataclass(frozen=True)

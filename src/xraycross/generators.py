@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import MalformedXray, ValidationFailed
-from .exactgeom import AffineSpan, Polytope, faces, hull, tight_mask
+from .exactgeom import AffineSpan, Polytope, bits, face_lattice, hull
 from .intpoly import IntPolynomial
 from .ratmath import RatVector, as_vec, format_rational, rank, vsub
 from .xray import (
@@ -122,42 +122,38 @@ def delzant_xray(p: Polytope, weights_at_vertices: Mapping[RatVector, Sequence[R
     vertex point to the d weights at that fixed point (the edge
     directions, up to positive scale).  The result carries the full face
     lattice of p as its stratum poset and is validated before return.
+    Faces are vertex bitmasks (`face_lattice`); a face's parents are the
+    faces whose masks contain its own.
     """
     d = p.ambient_dim
     if p.dim != d:
         raise ValueError("polytope must be full-dimensional")
-    for v in p.vertices:
-        if tight_mask(p, v).bit_count() != d:
-            raise ValueError("non-simple polytope")
+    if any(t.bit_count() != d for t in p.vertex_masks):
+        raise ValueError("non-simple polytope")
 
-    vertex_index = {v: i + 1 for i, v in enumerate(p.vertices)}
-
-    def name(face: Polytope) -> str:
-        if face.dim == d:
+    def name(k: int, mask: int) -> str:
+        if k == d:
             return "top"
-        nums = sorted(vertex_index[v] for v in face.vertices)
-        if face.dim == 0:
+        nums = [j + 1 for j in bits(mask)]
+        if k == 0:
             return f"v{nums[0]}"
-        prefix = "e" if face.dim == 1 else "f"
+        prefix = "e" if k == 1 else "f"
         return prefix + "-".join(str(i) for i in nums)
 
-    all_faces = [face for k in range(d + 1) for face in faces(p, k)]
+    lattice = face_lattice(p)
     strata = []
-    for face in all_faces:
-        mine = set(face.vertices)
-        parents = tuple(
-            name(other)
-            for other in all_faces
-            if other.dim > face.dim and mine < set(other.vertices)
-        )
-        vertex_data = None
-        if face.dim == 0:
-            v = face.vertices[0]
-            if v not in weights_at_vertices:
-                raise ValueError(f"no weights supplied for vertex ({', '.join(format_rational(c) for c in v)})")
-            weights = tuple(sorted(as_vec(w) for w in weights_at_vertices[v]))
-            vertex_data = VertexData(weights, 1, IntPolynomial.one(), 1)
-        strata.append(Stratum(id=name(face), wall=face, parents=parents, vertex_data=vertex_data))
+    for k, level in enumerate(lattice):
+        for mask in sorted(level):
+            parents = tuple(name(j, m) for j in range(k + 1, d + 1) for m in lattice[j] if m & mask == mask)
+            verts = [p.vertices[j] for j in bits(mask)]
+            vertex_data = None
+            if k == 0:
+                v = verts[0]
+                if v not in weights_at_vertices:
+                    raise ValueError(f"no weights supplied for vertex ({', '.join(format_rational(c) for c in v)})")
+                weights = tuple(sorted(as_vec(w) for w in weights_at_vertices[v]))
+                vertex_data = VertexData(weights, 1, IntPolynomial.one(), 1)
+            strata.append(Stratum(id=name(k, mask), wall=hull(verts), parents=parents, vertex_data=vertex_data))
     x = WeightedXray(d, d, tuple(strata))
     violations = validate_all(x)
     if violations:

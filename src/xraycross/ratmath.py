@@ -223,13 +223,12 @@ def primitive_functional(normal: RatVector, offset: Fraction) -> tuple[RatVector
     return tuple(Fraction(i // g) for i in ints[:-1]), Fraction(ints[-1] // g)
 
 
-def primitive_vector(v: RatVector) -> RatVector:
-    """Integer primitive vector on the same ray (orientation preserved)."""
+def primitive_ints(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on v's ray (orientation preserved);
+    the zero vector stays zero."""
     ints, _ = clear_denominators(v)
-    g = gcd(*ints)
-    if g == 0:
-        return v
-    return tuple(Fraction(i // g) for i in ints)
+    g = gcd(*ints) or 1
+    return tuple([i // g for i in ints])
 
 
 def sign(q: Fraction) -> int:

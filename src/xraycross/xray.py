@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedXray
-from .exactgeom import Polytope, faces, hull, tight_mask
+from .exactgeom import Polytope, bits, face_lattice, hull, tight_mask
 from .intpoly import IntPolynomial
 from .ratmath import (
     RatVector,
@@ -29,7 +29,7 @@ from .ratmath import (
     format_rational,
     idot,
     is_zero_vector,
-    primitive_vector,
+    primitive_ints,
     rank,
     rat,
     rref,
@@ -44,6 +44,23 @@ from .ratmath import (
 # position at d = 2: 1.0 s); `delzant --cube 4`, the largest input the
 # tests and the benchmark build, has 2517.
 MAX_HULL_SUBSETS = 20_000
+
+# More strata than this are refused before any geometry runs.  The
+# ancestor sets grow with the square of the order's depth: at this bound
+# a chain (each stratum the only parent of the next) loads in 0.3 s with
+# a 70 MB peak on a 2-CPU Xeon VM, and a checked load of it, which finds
+# about 10^6 dimension and span violations, takes 16 s with a 330 MB
+# peak.  `delzant --cube 4` has 81 strata and a generic CP^8 under a
+# rank-4 torus 256.
+MAX_STRATA = 1_000
+
+# A rational whose numerator or denominator has more digits than this is
+# refused before any hull.  On the same VM a checked load of a seeded
+# (3, 5) CP^n X-ray takes 0.84 s when its longest numerator or
+# denominator has 500 digits and 2.8 s at 1 000, against 0.01 s at 6;
+# at (2, 7) it takes 0.15 s at 500 digits.
+MAX_RATIONAL_DIGITS = 500
+_RATIONAL_BOUND = 10**MAX_RATIONAL_DIGITS
 
 
 @dataclass(frozen=True)
@@ -124,32 +141,49 @@ class WeightedXray:
                     raise MalformedXray(f"stratum '{s.id}' is its own parent")
             declared[s.id] = set(s.parents)
 
-        above: dict[str, set[str]] = {}
-
-        def climb(sid: str, trail: tuple[str, ...]) -> set[str]:
-            if sid in above:
-                return above[sid]
-            if sid in trail:
-                raise MalformedXray(f"cycle in stratum order through '{sid}'")
+        # Ancestor sets in topological order (Kahn 1962), with no
+        # recursion however deep the order: a stratum is taken once all
+        # its declared parents are.  What is never taken lies on a cycle
+        # or below one, and each such stratum has a parent not taken.
+        declared_below: dict[str, list[str]] = {sid: [] for sid in ids}
+        for sid in ids:
+            for p in declared[sid]:
+                declared_below[p].append(sid)
+        waiting = {sid: len(declared[sid]) for sid in ids}
+        ready = [sid for sid in ids if not declared[sid]]
+        above: dict[str, frozenset[str]] = {}
+        while ready:
+            sid = ready.pop()
             acc: set[str] = set()
             for p in declared[sid]:
                 acc.add(p)
-                acc |= climb(p, trail + (sid,))
-            above[sid] = acc
-            return acc
+                acc |= above[p]
+            above[sid] = frozenset(acc)
+            for c in declared_below[sid]:
+                waiting[c] -= 1
+                if not waiting[c]:
+                    ready.append(c)
+        if len(above) < len(ids):
+            sid = next(s for s in ids if s not in above)
+            trail: set[str] = set()
+            while sid not in trail:
+                trail.add(sid)
+                sid = min(p for p in declared[sid] if p not in above)
+            raise MalformedXray(f"cycle in stratum order through '{sid}'")
 
-        for sid in ids:
-            climb(sid, ())
-
-        below: dict[str, set[str]] = {sid: set() for sid in ids}
+        below_sets: dict[str, set[str]] = {sid: set() for sid in ids}
         for sid, ups in above.items():
             for u in ups:
-                below[u].add(sid)
+                below_sets[u].add(sid)
+        below = {sid: frozenset(below_sets.pop(sid)) for sid in ids}
 
-        covers: dict[str, set[str]] = {}
+        # A covering parent is declared: any other ancestor lies above a
+        # declared parent.  It covers unless it lies above another one.
+        covers = {sid: {p for p in ps if not any(p in above[q] for q in ps)} for sid, ps in declared.items()}
+        children: dict[str, list[str]] = {sid: [] for sid in ids}
         for sid in ids:
-            ups = above[sid]
-            covers[sid] = {a for a in ups if not any(a in above[b] for b in ups if b != a)}
+            for p in covers[sid]:
+                children[p].append(sid)
 
         by_id = {s.id: s for s in strata}
         for s in strata:
@@ -176,14 +210,14 @@ class WeightedXray:
             replace(
                 by_id[sid],
                 parents=tuple(sorted(covers[sid])),
-                children=tuple(sorted(c for c in ids if sid in covers[c])),
+                children=tuple(sorted(children[sid])),
             )
             for sid in sorted(ids)
         )
         object.__setattr__(self, "strata", normalized)
         self._cache["by_id"] = {s.id: s for s in normalized}
-        self._cache["above"] = {sid: frozenset(above[sid]) for sid in ids}
-        self._cache["below"] = {sid: frozenset(below[sid]) for sid in ids}
+        self._cache["above"] = above
+        self._cache["below"] = below
         self._cache["vertex_ids"] = tuple(s.id for s in normalized if s.wall.dim == 0)
 
     # -- basic queries ----------------------------------------------------
@@ -267,12 +301,14 @@ def is_toric_structure_free(x: WeightedXray, f: str) -> bool:
     f's wall (nothing cuts through the interior), and the stratum's
     complex dimension equals the wall dimension.  On such walls every
     reduced space is a toric variety and the invariants are forced.
+    A wall is the hull of its vertices, so walls are compared with the
+    faces of `face_lattice` by vertex tuple.
     """
     s = x.stratum(f)
-    for g in x.below(f):
-        gw = x.stratum(g).wall
-        if gw not in faces(s.wall, gw.dim):
-            return False
+    verts = s.wall.vertices
+    keys = {tuple(verts[j] for j in bits(m)) for level in face_lattice(s.wall) for m in level}
+    if any(x.stratum(g).wall.vertices not in keys for g in x.below(f)):
+        return False
     return complex_dim_of_stratum(x, f) == s.wall.dim
 
 
@@ -280,24 +316,47 @@ def is_toric_structure_free(x: WeightedXray, f: str) -> bool:
 
 
 def validate_poset(x: WeightedXray) -> list[Violation]:
-    """Order axioms: dimension decrease, face coverage, span uniqueness."""
+    """Order axioms: dimension decrease, face coverage, span uniqueness.
+
+    Every face of every wall must be the wall of exactly one stratum at
+    or below it.  A wall is the hull of its vertices, so a face is keyed
+    by its vertex tuple, written with one integer id per point: faces
+    come off the wall's vertex masks (`face_lattice`) and are looked up
+    in a dict from each wall's key to its strata; no face is hulled.
+    Two strata share a span when their RREF bases are equal
+    (`AffineSpan.same_lin`), so strata are grouped by basis once, and
+    the groups are checked along the chain above each minimal stratum.
+    """
     vio: set[Violation] = set()
+    dim = {s.id: s.wall.dim for s in x.strata}
     for a in x.ids:
         for b in x.above(a):
-            if x.dim(a) >= x.dim(b):
-                vio.add(Violation(a, "dimension", f"dim {x.dim(a)} wall below dim {x.dim(b)} wall '{b}'"))
+            if dim[a] >= dim[b]:
+                vio.add(Violation(a, "dimension", f"dim {dim[a]} wall below dim {dim[b]} wall '{b}'"))
+    point_id: dict[RatVector, int] = {}
+    key = {s.id: tuple(point_id.setdefault(v, len(point_id)) for v in s.wall.vertices) for s in x.strata}
+    by_key: dict[tuple[int, ...], list[str]] = {}
+    by_basis: dict[tuple[RatVector, ...], list[str]] = {}
     for s in x.strata:
-        for k in range(0, s.wall.dim + 1):
-            for face in faces(s.wall, k):
-                matches = [t for t in x.ids if x.leq(t, s.id) and x.stratum(t).wall == face]
+        by_key.setdefault(key[s.id], []).append(s.id)
+        by_basis.setdefault(s.wall.span.basis, []).append(s.id)
+    for s in x.strata:
+        ids = key[s.id]
+        for level in face_lattice(s.wall):
+            for m in level:
+                matches = [t for t in by_key.get(tuple(ids[j] for j in bits(m)), ()) if x.leq(t, s.id)]
                 if len(matches) != 1:
-                    where = _fmt_points(face.vertices)
+                    where = _fmt_points(s.wall.vertices[j] for j in bits(m))
                     vio.add(Violation(s.id, "face", f"face {where} is the wall of {len(matches)} chain members {matches}"))
-    for j in x.ids:
-        ups = sorted({j} | set(x.above(j)))
-        for a, b in combinations(ups, 2):
-            if x.stratum(a).wall.span.same_lin(x.stratum(b).wall.span):
-                vio.add(Violation(a, "span-uniqueness", f"strata '{a}' and '{b}' above a common stratum share a wall span"))
+    # A stratum's chain holds the chain of everything above it, so the
+    # minimal strata's chains hold every pair there is to check.
+    shared = {sid: group for group in by_basis.values() if len(group) > 1 for sid in group}
+    for j in (t for t in x.ids if not x.below(t)):
+        ups = {j} | x.above(j)
+        for a in ups & shared.keys():
+            for b in shared[a]:
+                if a < b and b in ups:
+                    vio.add(Violation(a, "span-uniqueness", f"strata '{a}' and '{b}' above a common stratum share a wall span"))
     return sorted(vio)
 
 
@@ -308,9 +367,11 @@ def validate_consistency(x: WeightedXray) -> list[Violation]:
     functionals vanishing on its linear part, so two weights are
     congruent modulo the span exactly when their values on those normals
     agree.  A weight's class is that value vector, kept as integer
-    numerators over a denominator in lowest terms.
+    numerators over a denominator in lowest terms.  Each vertex's
+    weights are cleared to integers once.
     """
     vio: set[Violation] = set()
+    cleared = {vid: [clear_denominators(w) for w in x.stratum(vid).vertex_data.weights] for vid in x.vertex_ids}
     for g in x.strata:
         vs = x.vertices_below(g.id)
         if len(vs) < 2:
@@ -319,8 +380,7 @@ def validate_consistency(x: WeightedXray) -> list[Violation]:
 
         def classes(vid: str) -> tuple[tuple[tuple[int, ...], int], ...]:
             out = []
-            for w in x.stratum(vid).vertex_data.weights:
-                scaled, den = clear_denominators(w)
+            for scaled, den in cleared[vid]:
                 values = [idot(a, scaled) for a in normals]
                 common = math.gcd(den, *values)
                 out.append((tuple(v // common for v in values), den // common))
@@ -351,7 +411,8 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     When the point is not a vertex (an inner fixed point of a d = 1
     CP^n, a fixed point inside a polygon), each vertex direction is
     tested for membership in the weight cone (`_cone_contains`).  Each
-    wall's facet masks are computed once per call.
+    wall's vertex masks are computed once (`Polytope.vertex_masks`), and
+    each vertex's weights are cleared to primitive integer rays once.
 
     A span of directions in Q^d is spanned by at most d of them, so
     subsets of <= d directions reach every linear subset; an independent
@@ -361,32 +422,31 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     subspace it was cut out by, so equal cones need equal RREF bases:
     only walls with S's basis can match.  The weights in such a wall's
     span are exactly S, so its comparison with S is the one (a) made,
-    and S's matches are the walls with its basis that passed (a).
+    and S's matches are the walls with its basis that passed (a), kept
+    in a dict from basis to wall ids.
     """
     d = x.torus_rank
     vio: set[Violation] = set()
-    tight: dict[str, tuple[int, ...]] = {}
     for pid in x.vertex_ids:
         p = x.stratum(pid)
         point = p.wall.vertices[0]
         alpha = p.vertex_data.weights
-        passed: list[tuple[tuple[RatVector, ...], str]] = []
+        rays = [primitive_ints(w) for w in alpha]
+        passed: dict[tuple[RatVector, ...], list[str]] = {}
         for fid in [pid] + sorted(x.above(pid)):
             wall = x.stratum(fid).wall
-            if fid not in tight:
-                tight[fid] = tuple(tight_mask(wall, v) for v in wall.vertices)
-            inspan = alpha if wall.dim == d else [w for w in alpha if wall.span.lin_contains(w)]
-            if _tangent_cone_matches(wall, tight[fid], point, inspan, d):
-                passed.append((wall.span.basis, fid))
+            inspan = rays if wall.dim == d else [r for r in rays if wall.span.lin_holds(r)]
+            if _tangent_cone_matches(wall, wall.vertex_masks, point, inspan, d):
+                passed.setdefault(wall.span.basis, []).append(fid)
             else:
                 vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
-        dirs = sorted({primitive_vector(w) for w in alpha if not is_zero_vector(w)})
+        dirs = sorted({r for r in rays if any(r)})
         spans = {rref(B) for size in range(min(len(dirs), d - 1) + 1) for B in combinations(dirs, size)}
         whole = rref(dirs)
         if len(whole[1]) == d:
             spans.add(whole)
         for basis, _ in spans:
-            matches = [fid for b, fid in passed if b == basis]
+            matches = passed.get(basis, [])
             if len(matches) != 1:
                 S = tuple(w for w in alpha if rank(basis + (w,)) == len(basis))
                 vio.add(
@@ -404,12 +464,13 @@ def validate_all(x: WeightedXray) -> list[Violation]:
 
 
 def _tangent_cone_matches(
-    wall: Polytope, tight: Sequence[int], point: RatVector, gens: Sequence[RatVector], dim: int
+    wall: Polytope, tight: Sequence[int], point: RatVector, gens: Sequence[tuple[int, ...]], dim: int
 ) -> bool:
     """Is the tangent cone of wall at point the cone on gens?
 
     tight[j] is `tight_mask(wall, wall.vertices[j])`; point lies in the
-    wall and gens in its linear span.  gens lie in the tangent cone when
+    wall, and gens are primitive integer rays (`primitive_ints`) in its
+    linear span, the zero vector allowed.  gens lie in the tangent cone when
     they satisfy every facet through point.  At a vertex, the cone's
     extreme rays run to the adjacent vertices q (no third vertex is
     tight on every facet point and q share, the test `Refinement.cut`
@@ -421,16 +482,16 @@ def _tangent_cone_matches(
     i = verts.index(point) if point in verts else None
     here = tight_mask(wall, point) if i is None else tight[i]
     normals = [n for b, (n, _) in enumerate(wall.int_facets) if here >> b & 1]
-    if any(idot(n, clear_denominators(w)[0]) > 0 for w in gens for n in normals):
+    if any(idot(n, g) > 0 for g in gens for n in normals):
         return False
-    dirs = {primitive_vector(w) for w in gens if not is_zero_vector(w)}
+    dirs = {g for g in gens if any(g)}
     if i is None:
-        return all(_cone_contains(dirs, u, dim) for u in {primitive_vector(vsub(q, point)) for q in verts})
+        return all(_cone_contains(dirs, u, dim) for u in {primitive_ints(vsub(q, point)) for q in verts})
     for j, t in enumerate(tight):
         common = here & t
         if j == i or any(k != i and k != j and s & common == common for k, s in enumerate(tight)):
             continue
-        if primitive_vector(vsub(verts[j], point)) not in dirs:
+        if primitive_ints(vsub(verts[j], point)) not in dirs:
             return False
     return True
 
@@ -553,13 +614,20 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         if not isinstance(v, (list, tuple)) or any(isinstance(c, bool) for c in v):
             raise MalformedXray(f"{where}: expected a vector, got {v!r}")
         try:
-            return tuple(rat(c) for c in v)
+            vec = tuple(rat(c) for c in v)
         except (ValueError, TypeError) as e:
             raise MalformedXray(f"{where}: {e}") from None
+        for j, q in enumerate(vec):
+            if abs(q.numerator) >= _RATIONAL_BOUND or q.denominator >= _RATIONAL_BOUND:
+                raise MalformedXray(f"{where}[{j}]: numerator or denominator of more than {MAX_RATIONAL_DIGITS} digits")
+        return vec
 
     if not isinstance(doc["strata"], (list, tuple)):
         raise MalformedXray("strata must be a list")
-    strata = []
+    if len(doc["strata"]) > MAX_STRATA:
+        raise MalformedXray(f"strata: {len(doc['strata'])} strata, more than {MAX_STRATA}")
+    # Every field is parsed and bounded before the first hull.
+    parsed = []
     for i, raw in enumerate(doc["strata"]):
         where = f"strata[{i}]"
         if not isinstance(raw, Mapping) or "id" not in raw or "vertices" not in raw:
@@ -585,9 +653,8 @@ def from_interchange(doc: Mapping) -> WeightedXray:
                 f"{where}: stratum '{sid}' has {m} distinct vertices at torus_rank {d}, "
                 f"more than {MAX_HULL_SUBSETS} vertex subsets to hull"
             )
-        wall = hull(verts)
         vertex_data = None
-        if wall.dim == 0:
+        if m == 1:  # one distinct point: a 0-dimensional wall
             if sid not in raw_vd:
                 raise MalformedXray(f"vertex stratum '{sid}' has no vertex_data entry")
             entry = raw_vd[sid]
@@ -606,10 +673,11 @@ def from_interchange(doc: Mapping) -> WeightedXray:
             if not (isinstance(poin, list) and all(_is_int(c) for c in poin)):
                 raise MalformedXray(f"vertex_data['{sid}']: poincare must be a list of integer coefficients")
             vertex_data = VertexData(tuple(weights), sig, IntPolynomial(tuple(poin)), eul)
-        strata.append(Stratum(id=sid, wall=wall, parents=tuple(parents), vertex_data=vertex_data))
-    stray = sorted(set(raw_vd) - {s.id for s in strata if s.vertex_data is not None})
+        parsed.append((sid, verts, tuple(parents), vertex_data))
+    stray = sorted(set(raw_vd) - {sid for sid, _, _, vd in parsed if vd is not None})
     if stray:
         raise MalformedXray(f"vertex_data supplied for non-vertex strata: {stray}")
+    strata = (Stratum(id=sid, wall=hull(verts), parents=parents, vertex_data=vd) for sid, verts, parents, vd in parsed)
     return WeightedXray(d, n, tuple(strata))
 
 

@@ -5,11 +5,11 @@ from itertools import combinations
 import pytest
 
 import conftest
-from xraycross import arrangement, exactgeom
+from xraycross import arrangement, exactgeom, generators, xray
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
 from xraycross.errors import SingularLevel, XrayError
 from xraycross.exactgeom import Polytope, clip_to_polytope, facet_polytopes, hull, side_functional, span_hyperplane
-from xraycross.generators import ProjectionMatrix, cpn_xray
+from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, save_xray
 from xraycross.ratmath import as_vec, format_rational, sign, vdot, vscale
 from xraycross.xray import stratum_weights_in
 from conftest import CP4_ROWS, NCP4_ROWS, seeded_rows
@@ -408,7 +408,7 @@ def count_calls(monkeypatch, names):
 
     for name in calls:
         original = getattr(exactgeom, name)
-        for module in (exactgeom, arrangement):
+        for module in (exactgeom, arrangement, xray, generators):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
     return calls
@@ -452,3 +452,20 @@ def test_cells_cut_without_hulls(monkeypatch, make):
     monkeypatch.undo()
     for chamber in chambers:
         assert chamber.cell == hull(chamber.cell.vertices)
+
+
+@pytest.mark.parametrize("d,n,seed", [(1, 6, 0), (2, 6, 1), (2, 5, 2), (3, 4, 3)])
+def test_checked_load_and_cells_walk_no_face_hulls(monkeypatch, tmp_path, d, n, seed):
+    """A checked load reads faces off vertex masks, and the cells take no
+    hull either: facet_polytopes is never called and its process-global
+    cache stays empty."""
+    path = tmp_path / "x.json"
+    save_xray(cpn_xray(n, seeded_rows(d, n, seed)), path)
+    facet_polytopes.cache_clear()
+    calls = count_calls(monkeypatch, ["facet_polytopes", "faces"])
+    x = load_xray(path, checked=True)
+    for sid in x.ids:
+        subchambers(x, sid)
+        crossing_graph(x, sid)
+    assert calls == {"facet_polytopes": 0, "faces": 0}
+    assert facet_polytopes.cache_info().currsize == 0

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -12,9 +12,11 @@ from xraycross.exactgeom import (
     AffineSpan,
     Polytope,
     Refinement,
+    bits,
     centroid,
     clip_halfspace,
     clip_to_polytope,
+    face_lattice,
     faces,
     hull,
     side_functional,
@@ -217,6 +219,48 @@ def test_simplex_face_counts(d):
     simplex = hull(vertices)
     for k in range(d + 1):
         assert len(faces(simplex, k)) == comb(d + 1, k + 1)
+
+
+def faces_by_facet_hulls(p, k):
+    """Reference: the recursive enumeration `faces` ran before the mask
+    lattice, hulling every facet's vertices at every level."""
+    if not 0 <= k <= p.dim:
+        raise ValueError(f"face dimension {k} out of range for a {p.dim}-polytope")
+    level = {p.vertices: p}
+    for _ in range(p.dim - k):
+        nxt = {}
+        for q in level.values():
+            tight = [tight_mask(q, v) for v in q.vertices]
+            for i in range(len(q.facets)):
+                f = hull(v for v, t in zip(q.vertices, tight) if t >> i & 1)
+                nxt[f.vertices] = f
+        level = nxt
+    return [level[key] for key in sorted(level)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeded_point_sets())
+def test_faces_match_facet_hull_reference(case):
+    """The mask lattice gives the faces the facet-hull recursion does,
+    at every k, on rational polytopes of dimension 0..4."""
+    points, _ = case
+    p = hull(points)
+    lattice = face_lattice(p)
+    assert len(lattice) == p.dim + 1
+    for k in range(p.dim + 1):
+        want = faces_by_facet_hulls(p, k)
+        assert faces(p, k) == want
+        assert sorted(tuple(p.vertices[j] for j in bits(m)) for m in lattice[k]) == [f.vertices for f in want]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_faces_match_reference_on_cube_and_cross_polytope(d):
+    cube = hull(as_vec(c) for c in product((0, 1), repeat=d))
+    cross = hull(as_vec([s if j == i else 0 for j in range(d)]) for i in range(d) for s in (-1, 1))
+    for p in (cube, cross):
+        for k in range(d + 1):
+            assert faces(p, k) == faces_by_facet_hulls(p, k)
+    assert [len(level) for level in face_lattice(cube)] == [comb(d, k) * 2 ** (d - k) for k in range(d + 1)]
 
 
 def test_relative_interior_point_examples():

@@ -17,7 +17,7 @@ from xraycross.ratmath import (
     nullspace,
     parse_rational,
     primitive_functional,
-    primitive_vector,
+    primitive_ints,
     rank,
     rat,
     rref,
@@ -122,6 +122,13 @@ def primitive_by_fractions(normal, offset):
     return tuple(Fraction(i // g) for i in ints[:-1]), Fraction(ints[-1] // g)
 
 
+def primitive_vector(v):
+    """Reference: the primitive vector on v's ray as Fractions, which
+    the Darboux check compared before it took integer rays."""
+    n, _ = primitive_by_fractions(tuple(v), ZERO)
+    return n
+
+
 def test_parse_basic():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("-4") == Fraction(-4)
@@ -209,8 +216,10 @@ def test_primitive_functional():
 
 
 def test_primitive_vector():
-    assert primitive_vector(as_vec(["2/3", "4/3"])) == (Fraction(1), Fraction(2))
-    assert primitive_vector(as_vec([0, "-3/2"])) == (Fraction(0), Fraction(-1))
+    assert primitive_ints(as_vec(["2/3", "4/3"])) == (1, 2)
+    assert primitive_ints(as_vec([0, "-3/2"])) == (0, -1)
+    assert primitive_ints(as_vec([0, 0])) == (0, 0)
+    assert primitive_ints(as_vec(["-6/5", "4/5"])) == primitive_vector(as_vec(["-6/5", "4/5"])) == (-3, 2)
 
 
 def test_sign():

@@ -14,9 +14,12 @@ from xraycross.generators import cpn_xray, standard_cube_xray, standard_simplex_
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import (
     as_vec,
+    clear_denominators,
     format_rational,
+    idot,
     is_zero_vector,
-    primitive_vector,
+    primitive_ints,
+    rank,
     rref,
     vadd,
     vdot,
@@ -43,7 +46,8 @@ from xraycross.xray import (
     validate_poset,
 )
 from conftest import seeded_rows
-from test_ratmath import in_span, reduce_mod, rref_by_fractions, solve_square_by_fractions
+from test_exactgeom import faces_by_facet_hulls
+from test_ratmath import in_span, primitive_vector, reduce_mod, rref_by_fractions, solve_square_by_fractions
 
 DIAG = "w2-3-4-5"
 
@@ -420,6 +424,144 @@ def test_consistency_matches_reduce_mod_classes(cp3, cp4, ncp4, toric_triangle, 
     assert with_violations >= 10
 
 
+def validate_poset_by_faces(x):
+    """Reference: the face check on hulled faces (`faces_by_facet_hulls`)
+    matched against every chain member by full Polytope equality, and
+    the span check over every pair above every stratum."""
+    vio = set()
+    for a in x.ids:
+        for b in x.above(a):
+            if x.dim(a) >= x.dim(b):
+                vio.add(Violation(a, "dimension", f"dim {x.dim(a)} wall below dim {x.dim(b)} wall '{b}'"))
+    for s in x.strata:
+        for k in range(0, s.wall.dim + 1):
+            for face in faces_by_facet_hulls(s.wall, k):
+                matches = [t for t in x.ids if x.leq(t, s.id) and x.stratum(t).wall == face]
+                if len(matches) != 1:
+                    where = _fmt_points(face.vertices)
+                    vio.add(Violation(s.id, "face", f"face {where} is the wall of {len(matches)} chain members {matches}"))
+    for j in x.ids:
+        ups = sorted({j} | set(x.above(j)))
+        for a, b in combinations(ups, 2):
+            if x.stratum(a).wall.span.same_lin(x.stratum(b).wall.span):
+                vio.add(Violation(a, "span-uniqueness", f"strata '{a}' and '{b}' above a common stratum share a wall span"))
+    return sorted(vio)
+
+
+def tangent_cone_matches_by_fractions(wall, tight, point, gens, dim):
+    """Reference: `_tangent_cone_matches` on Fraction weights, each
+    cleared and made primitive again for every wall."""
+    verts = wall.vertices
+    i = verts.index(point) if point in verts else None
+    here = tight_mask(wall, point) if i is None else tight[i]
+    normals = [n for b, (n, _) in enumerate(wall.int_facets) if here >> b & 1]
+    if any(idot(n, clear_denominators(w)[0]) > 0 for w in gens for n in normals):
+        return False
+    dirs = {primitive_vector(w) for w in gens if not is_zero_vector(w)}
+    if i is None:
+        return all(_cone_contains(dirs, u, dim) for u in {primitive_vector(vsub(q, point)) for q in verts})
+    for j, t in enumerate(tight):
+        common = here & t
+        if j == i or any(k != i and k != j and s & common == common for k, s in enumerate(tight)):
+            continue
+        if primitive_vector(vsub(verts[j], point)) not in dirs:
+            return False
+    return True
+
+
+def validate_darboux_by_scan(x):
+    """Reference: validate_darboux with Fraction weights and a scan of
+    the passed walls' bases for every direction subset."""
+    d = x.torus_rank
+    vio = set()
+    for pid in x.vertex_ids:
+        p = x.stratum(pid)
+        point = p.wall.vertices[0]
+        alpha = p.vertex_data.weights
+        passed = []
+        for fid in [pid] + sorted(x.above(pid)):
+            wall = x.stratum(fid).wall
+            tight = tuple(tight_mask(wall, v) for v in wall.vertices)
+            inspan = alpha if wall.dim == d else [w for w in alpha if wall.span.lin_contains(w)]
+            if tangent_cone_matches_by_fractions(wall, tight, point, inspan, d):
+                passed.append((wall.span.basis, fid))
+            else:
+                vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
+        dirs = sorted({primitive_vector(w) for w in alpha if not is_zero_vector(w)})
+        spans = {rref(B) for size in range(min(len(dirs), d - 1) + 1) for B in combinations(dirs, size)}
+        whole = rref(dirs)
+        if len(whole[1]) == d:
+            spans.add(whole)
+        for basis, _ in spans:
+            matches = [fid for b, fid in passed if b == basis]
+            if len(matches) != 1:
+                S = tuple(w for w in alpha if rank(basis + (w,)) == len(basis))
+                detail = f"weight subset {_fmt_points(S)} is the tangent cone of {len(matches)} strata {matches}"
+                vio.add(Violation(pid, "darboux-subset", detail))
+    return sorted(vio)
+
+
+def twin_stratum(x, sid):
+    """A second stratum with sid's wall and parents, above all that sid covers."""
+    doc = to_interchange(x)
+    twin = f"{sid}-twin"
+    for s in doc["strata"]:
+        if sid in s["parents"]:
+            s["parents"] = s["parents"] + [twin]
+    doc["strata"].append({**next(s for s in doc["strata"] if s["id"] == sid), "id": twin})
+    if sid in doc["vertex_data"]:
+        doc["vertex_data"][twin] = doc["vertex_data"][sid]
+    return from_interchange(doc)
+
+
+def drop_parent(x, seed):
+    """Remove one covering relation: the child leaves the parent's chain."""
+    rng = random.Random(seed)
+    doc = to_interchange(x)
+    s = rng.choice([s for s in doc["strata"] if s["parents"]])
+    s["parents"] = [p for p in s["parents"] if p != rng.choice(s["parents"])]
+    return from_interchange(doc)
+
+
+def validator_corpus(fixtures):
+    """About 400 X-rays: the fixtures, seeded and grid CP^n at d = 1..3,
+    and a mutate_weight, a drop_stratum and either a twin_stratum or a
+    drop_parent copy of each."""
+    xs = list(fixtures)
+    xs += [cpn_xray(n, seeded_rows(1, n, seed)) for n in range(2, 9) for seed in range(4)]
+    xs += [cpn_xray(n, seeded_rows(2, n, seed)) for n in range(3, 7) for seed in range(4)]
+    xs += [cpn_xray(n, seeded_rows(3, n, seed)) for n in (4, 5) for seed in range(2)]
+    xs += [cpn_xray(n, seeded_rows(2, n, seed, grid=g)) for n in range(3, 7) for g in (2, 3) for seed in range(6)]
+    xs += [cpn_xray(n, seeded_rows(3, n, seed, grid=2)) for n in (4, 5) for seed in range(4)]
+    rng = random.Random(0)
+    base = list(xs)
+    xs += [mutate_weight(x, seed) for seed, x in enumerate(base)]
+    xs += [drop_stratum(x, rng.choice([s for s in x.ids if s != x.top_id])) for x in base]
+    xs += [
+        twin_stratum(x, rng.choice([s for s in x.ids if s != x.top_id])) if k % 2 else drop_parent(x, k)
+        for k, x in enumerate(base)
+    ]
+    return xs
+
+
+def test_validators_match_references_on_corpus(cp3, cp4, ncp4, toric_triangle, unit_square, segment):
+    """All three validators give the references' violation lists, word
+    for word, on X-rays with and without violations."""
+    xs = validator_corpus([cp3, cp4, ncp4, toric_triangle, unit_square, segment])
+    with_violations = 0
+    kinds = set()
+    for x in xs:
+        poset, consistency, darboux = validate_poset(x), validate_consistency(x), validate_darboux(x)
+        assert poset == validate_poset_by_faces(x)
+        assert consistency == validate_consistency_by_reduce_mod(x)
+        assert darboux == validate_darboux_by_scan(x)
+        with_violations += bool(poset or consistency or darboux)
+        kinds |= {v.kind for v in poset}
+    assert len(xs) >= 390
+    assert with_violations >= 250
+    assert kinds >= {"face", "span-uniqueness"}
+
+
 def test_darboux_rref_count_is_polynomial(monkeypatch):
     calls = []
 
@@ -533,7 +675,8 @@ def test_tangent_cone_matches_cones_equal(k, seed, where, kind):
         gens.append(extra)
     tight = tuple(tight_mask(wall, v) for v in verts)
     tangent = [vsub(q, point) for q in verts]
-    assert xray._tangent_cone_matches(wall, tight, point, gens, k) == _cones_equal(tangent, gens, k)
+    rays = [primitive_ints(g) for g in gens]
+    assert xray._tangent_cone_matches(wall, tight, point, rays, k) == _cones_equal(tangent, gens, k)
 
 
 def test_darboux_two_matches_and_cone_violation_match_all_subsets():
@@ -586,3 +729,63 @@ def test_interchange_rejects_oversized_stratum_before_hull(monkeypatch):
     assert len({tuple(v) for v in vertices}) == 40
     with pytest.raises(MalformedXray, match=r"strata\[0\]: stratum 'top' has 40 distinct vertices at torus_rank 12"):
         from_interchange(doc)
+
+
+def chain_strata(length):
+    """length strata on one segment, each the only parent of the one before."""
+    seg = hull([as_vec((0,)), as_vec((1,))])
+    return [Stratum(f"s{i:04d}", seg, (f"s{i + 1:04d}",) if i + 1 < length else ()) for i in range(length)]
+
+
+def test_deep_parent_chain_builds_without_recursion():
+    """1 500 strata deep, past the interpreter's recursion limit: the
+    ancestor sets are filled in topological order."""
+    x = WeightedXray(1, 1, tuple(chain_strata(1500)))
+    assert len(x.above("s0000")) == 1499
+    assert x.below("s1499") == frozenset(x.ids) - {"s1499"}
+    assert x.stratum("s0700").parents == ("s0701",)
+    assert x.stratum("s0700").children == ("s0699",)
+
+
+def test_cycle_above_a_deep_chain_is_malformed():
+    strata = chain_strata(1500)
+    strata[-1] = Stratum("s1499", strata[-1].wall, ("s1400",))
+    with pytest.raises(MalformedXray, match="cycle in stratum order through 's1400'"):
+        WeightedXray(1, 1, tuple(strata))
+
+
+def no_hull(points):
+    raise AssertionError("hull called on out-of-bounds input")
+
+
+def test_interchange_rejects_too_many_strata_before_hull(monkeypatch):
+    monkeypatch.setattr(xray, "hull", no_hull)
+    count = xray.MAX_STRATA + 1
+    doc = {"torus_rank": 1, "half_dim": 1, "strata": [{"id": f"s{i}", "vertices": [["0"]]} for i in range(count)], "vertex_data": {}}
+    with pytest.raises(MalformedXray, match=rf"strata: {count} strata, more than {xray.MAX_STRATA}"):
+        from_interchange(doc)
+
+
+@pytest.mark.parametrize("where", ["vertex", "numerator", "denominator"])
+def test_interchange_rejects_long_rationals_before_hull(monkeypatch, cp3, where):
+    """A rational past the digit bound in the last stratum's vertices or
+    in a weight is refused before any stratum is hulled."""
+    monkeypatch.setattr(xray, "hull", no_hull)
+    digits = "7" * (xray.MAX_RATIONAL_DIGITS + 1)
+    doc = to_interchange(cp3)
+    if where == "vertex":
+        last = len(doc["strata"]) - 1
+        doc["strata"][last]["vertices"][0] = [digits]
+        path = rf"strata\[{last}\]\.vertices\[0\]\[0\]"
+    else:
+        vid = sorted(doc["vertex_data"])[-1]
+        doc["vertex_data"][vid]["weights"][1] = [digits if where == "numerator" else f"1/{digits}"]
+        path = rf"vertex_data\['{vid}'\]\.weights\[1\]\[0\]"
+    with pytest.raises(MalformedXray, match=rf"{path}: numerator or denominator of more than {xray.MAX_RATIONAL_DIGITS} digits"):
+        from_interchange(doc)
+
+
+def test_largest_generated_input_is_within_bounds():
+    """delzant --cube 4, 81 strata, loads back unchanged."""
+    x = standard_cube_xray(4)
+    assert from_interchange(to_interchange(x)) == x
