@@ -20,9 +20,10 @@ by the cuts and the edges.
 The refinement also records each cell's sign vector over the cut
 planes, so `locate` places a point by its signs on those planes, taken
 in integers: a point on no plane is looked up by sign vector, and a
-codimension-1 subwall is tested only for a point on its plane.  A
-regular point on a plane's extension beyond its subwall lies on the
-boundary of cells, and for it the closed subchambers are scanned.
+subwall is tested only for a point on every cut plane that holds it
+(its own plane, for a codimension-1 subwall).  A regular point on a
+plane's extension beyond its subwall lies on the boundary of cells,
+and for it the closed subchambers are scanned.
 """
 
 from __future__ import annotations
@@ -93,9 +94,13 @@ class _Decomposition:
               source < dest, or between EXTERIOR and a subchamber.
     cuts:     the distinct hyperplanes of the codimension-1 subwalls in
               cut order, as primitive integer (normal, offset) pairs.
-    subwalls: (id, wall, index of its plane in cuts or None) for every
-              smaller stratum, sorted by id; None marks a subwall of
-              codimension above 1.
+    subwalls: (id, wall, plane, holding) for every smaller stratum,
+              sorted by id.  plane is the index in cuts of a
+              codimension-1 subwall's own hyperplane, None for a subwall
+              of higher codimension.  holding indexes every cut plane
+              that contains the subwall: (plane,) for codimension 1, and
+              for a higher codimension the planes all of its vertices
+              lie on, which may be none.
     cell_of:  each refinement cell's sign vector over cuts, mapped to
               the index of the subchamber holding the cell.
     """
@@ -103,7 +108,7 @@ class _Decomposition:
     chambers: tuple[Subchamber, ...]
     pieces: tuple[tuple[int, int, RatVector], ...]
     cuts: tuple[tuple[tuple[int, ...], int], ...]
-    subwalls: tuple[tuple[str, Polytope, int | None], ...]
+    subwalls: tuple[tuple[str, Polytope, int | None, tuple[int, ...]], ...]
     cell_of: dict[tuple[int, ...], int]
 
 
@@ -114,11 +119,14 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
     Each codimension-1 subwall's hyperplane is computed once: the cuts
     use the distinct ones, the merge test, `locate` and `crossing_graph`
     read a point's signs on them, and `crossing_graph` orients them to
-    count separator weights.  A facet of a cell is the tuple of its
-    vertex ids tight on one of its inequalities.  A merged chamber's facets are its cells' facets less those two of its
-    cells share, and its vertices are the cells' vertices where those
-    facets have full rank; a subchamber is convex, so this is the hull of
-    its cells.  A piece's rep is the vertex centroid of the face the two
+    count separator weights.  A subwall of higher codimension records
+    the cut planes holding it, found by testing its vertices in
+    integers, so the merge test and `locate` skip it for a point off
+    one of them.  A facet of a cell is the tuple of its vertex ids
+    tight on one of its inequalities.  A merged chamber's facets are
+    its cells' facets less those two of its cells share, and its
+    vertices are the cells' vertices where those facets have full rank;
+    a subchamber is convex, so this is the hull of its cells.  A piece's rep is the vertex centroid of the face the two
     sides share, whose vertices are found the same way from the two
     sides' facets.
     """
@@ -146,7 +154,14 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
 
     cuts = tuple((tuple(int(c) for c in normal), int(offset)) for normal, offset in distinct)
     cut_index = {plane: i for i, plane in enumerate(distinct)}
-    subwalls = tuple((g, x.stratum(g).wall, cut_index[planes[g]] if g in planes else None) for g in lower)
+    subwalls = []
+    for g in lower:
+        sub = x.stratum(g).wall
+        if g in planes:
+            i = cut_index[planes[g]]
+            subwalls.append((g, sub, i, (i,)))
+        else:
+            subwalls.append((g, sub, None, _planes_holding(cuts, sub.vertices)))
     masks = []
     owners: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i, (ids, tight) in enumerate(cells):
@@ -213,7 +228,7 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
         chambers,
         tuple(pieces),
         cuts,
-        subwalls,
+        tuple(subwalls),
         {sv: index[find(i)] for i, sv in enumerate(ref.signs)},
     )
     x._cache[key] = out
@@ -241,14 +256,25 @@ def _signs(cuts: tuple[tuple[tuple[int, ...], int], ...], q: RatVector) -> tuple
     return tuple(out)
 
 
+def _planes_holding(cuts: tuple[tuple[tuple[int, ...], int], ...], vertices) -> tuple[int, ...]:
+    """The indices of the cuts that every vertex lies on, decided in
+    integers."""
+    scaled = [clear_denominators(v) for v in vertices]
+    return tuple(
+        i for i, (normal, offset) in enumerate(cuts) if all(idot(normal, v) == offset * den for v, den in scaled)
+    )
+
+
 def _subwall_holding(
-    subwalls: tuple[tuple[str, Polytope, int | None], ...], signs: tuple[int, ...], q: RatVector
+    subwalls: tuple[tuple[str, Polytope, int | None, tuple[int, ...]], ...], signs: tuple[int, ...], q: RatVector
 ) -> str | None:
     """The first subwall in id order that contains q, or None.  A point
-    off a codimension-1 subwall's plane (a nonzero sign) is not on that
-    subwall, so only the subwalls on q's planes and those of higher
-    codimension are tested."""
-    return next((g for g, w, i in subwalls if (i is None or signs[i] == 0) and w.contains(q)), None)
+    off a plane holding a subwall (a nonzero sign) is not on that
+    subwall, so a subwall is tested only when q lies on every plane that
+    holds it; one on no plane is always tested."""
+    return next(
+        (g for g, w, _, holding in subwalls if all(signs[i] == 0 for i in holding) and w.contains(q)), None
+    )
 
 
 def locate(x: WeightedXray, f: str, q: RatVector) -> Subchamber:
@@ -261,9 +287,9 @@ def locate(x: WeightedXray, f: str, q: RatVector) -> Subchamber:
     named.
 
     q's signs on the wall's distinct cut planes, taken in integers by
-    `_signs` after `ratmath.clear_denominators`, decide it: a
-    codimension-1 subwall is tested only when q lies on its plane, and
-    when no sign is zero q is in the open cell with that sign vector,
+    `_signs` after `ratmath.clear_denominators`, decide it: a subwall
+    is tested only when q lies on every cut plane holding it, and when
+    no sign is zero q is in the open cell with that sign vector,
     found by lookup.  A regular point on a cut plane (the plane of a
     subwall, outside that subwall) lies on the boundary of its cells,
     and the closed subchambers are scanned for it instead.
@@ -319,7 +345,7 @@ def _build_edge(
     separators = []
     signs = _signs(dec.cuts, facet_rep)
     toward_scaled, toward_den = clear_denominators(toward)
-    for g, wall, i in dec.subwalls:
+    for g, wall, i, _ in dec.subwalls:
         if i is None or signs[i] != 0 or not wall.contains(facet_rep):
             continue
         normal, offset = dec.cuts[i]

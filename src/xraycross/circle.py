@@ -15,6 +15,7 @@ whole comparison for one wall and reports it line by line.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +39,11 @@ from .ratmath import Rational, format_point, format_rational, rat
 
 @dataclass(frozen=True)
 class FixedComponent:
-    """One fixed component: moment level, nonzero normal weights, seeds."""
+    """One fixed component: moment level, nonzero normal weights, seeds.
+
+    f, b and q (the counts of positive, negative and all weights) are
+    set once at construction; they are not fields, so repr and equality
+    see the four fields only."""
 
     level: Fraction
     weights: tuple[int, ...]
@@ -48,30 +53,34 @@ class FixedComponent:
     def __post_init__(self):
         if any(w == 0 for w in self.weights):
             raise ValueError("fixed-component weights must be nonzero")
-        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
-
-    @property
-    def f(self) -> int:
-        return sum(1 for w in self.weights if w > 0)
-
-    @property
-    def b(self) -> int:
-        return sum(1 for w in self.weights if w < 0)
-
-    @property
-    def q(self) -> int:
-        return len(self.weights)
+        weights = tuple(sorted(self.weights))
+        f = sum(1 for w in weights if w > 0)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "b", len(weights) - f)
+        object.__setattr__(self, "q", len(weights))
 
 
 @dataclass(frozen=True)
 class CircleFixedData:
+    """Fixed components of a circle action.  The sorted levels and each
+    level's components (in component order) are indexed once at
+    construction."""
+
     components: tuple[FixedComponent, ...]
 
+    def __post_init__(self):
+        by_level: dict[Fraction, list[FixedComponent]] = {}
+        for comp in self.components:
+            by_level.setdefault(comp.level, []).append(comp)
+        object.__setattr__(self, "_levels", tuple(sorted(by_level)))
+        object.__setattr__(self, "_by_level", {c: tuple(comps) for c, comps in by_level.items()})
+
     def levels(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({c.level for c in self.components}))
+        return self._levels
 
     def at_level(self, c: Rational) -> tuple[FixedComponent, ...]:
-        return tuple(comp for comp in self.components if comp.level == c)
+        return self._by_level.get(c, ())
 
 
 def signature_regular(data: CircleFixedData, a: Rational) -> int:
@@ -82,7 +91,7 @@ def signature_regular(data: CircleFixedData, a: Rational) -> int:
     the signature.
     """
     a = rat(a)
-    if a in data.levels():
+    if data.at_level(a):
         raise SingularLevel(f"level {format_rational(a)} is singular; use signature_singular")
     total = 0
     for comp in data.components:
@@ -94,7 +103,7 @@ def signature_regular(data: CircleFixedData, a: Rational) -> int:
 def poincare_regular(data: CircleFixedData, a: Rational) -> IntPolynomial:
     """Poincare polynomial of the reduction at the regular level a."""
     a = rat(a)
-    if a in data.levels():
+    if data.at_level(a):
         raise SingularLevel(f"level {format_rational(a)} is singular; use signature_singular")
     total = IntPolynomial.zero()
     for comp in data.components:
@@ -136,10 +145,9 @@ def signature_singular(data: CircleFixedData, c: Rational) -> int:
     if not at:
         raise XrayError(f"level {format_rational(c)} is not a wall")
     levels = data.levels()
-    lower = [v for v in levels if v < c]
-    upper = [v for v in levels if v > c]
-    just_below = (lower[-1] + c) / 2 if lower else c - 1
-    just_above = (c + upper[0]) / 2 if upper else c + 1
+    i = bisect_left(levels, c)
+    just_below = (levels[i - 1] + c) / 2 if i else c - 1
+    just_above = (c + levels[i + 1]) / 2 if i + 1 < len(levels) else c + 1
     from_below = signature_regular(data, just_below) + sum(
         w_signature(comp.f, comp.b) * comp.seed_signature for comp in at if comp.b >= comp.f
     )
@@ -194,24 +202,30 @@ def restrict_to_line(
     the engine's crossing delta.  facet_rep picks one edge when the pair
     is joined through more than one facet.
     """
-    graph = crossing_graph(x, f)
     rep = None if facet_rep is None else tuple(facet_rep)
-    edge = None
-    for candidate in graph.edges:
-        pair = (candidate.source, candidate.dest)
-        if pair != (p1, p2) and pair != (p2, p1):
-            continue
-        if rep is not None and candidate.facet_rep != rep:
-            continue
-        edge = candidate if pair == (p1, p2) else candidate.reversed()
-        break
+    pair = (p1, p2) if p1 <= p2 else (p2, p1)
+    edge = next((e for e in _edges_by_pair(x, f).get(pair, ()) if rep is None or e.facet_rep == rep), None)
     if edge is None:
         raise XrayError(f"subchambers {p1} and {p2} of '{f}' are not adjacent")
+    if (edge.source, edge.dest) != (p1, p2):
+        edge = edge.reversed()
     if sig_table is None:
         sig_table = propagate(x, SIGNATURE)
     if poin_table is None:
         poin_table = propagate(x, POINCARE)
     return _edge_circle(edge, sig_table, poin_table)
+
+
+def _edges_by_pair(x, f: str) -> dict[tuple[int, int], tuple[CrossingEdge, ...]]:
+    """f's crossing-graph edges keyed by their endpoints in ascending
+    order, each key's edges in graph order; cached on the X-ray."""
+    key = ("edges by pair", f)
+    if key not in x._cache:
+        index: dict[tuple[int, int], list[CrossingEdge]] = {}
+        for edge in crossing_graph(x, f).edges:
+            index.setdefault(tuple(sorted((edge.source, edge.dest))), []).append(edge)
+        x._cache[key] = {pair: tuple(edges) for pair, edges in index.items()}
+    return x._cache[key]
 
 
 def _edge_circle(edge: CrossingEdge, sig_table: InvariantTable, poin_table: InvariantTable) -> CircleFixedData:

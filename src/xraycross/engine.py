@@ -8,7 +8,11 @@ Propagation therefore runs bottom-up in wall dimension, seeding vertex
 strata and breadth-first-filling each crossing graph from its exterior
 node; every edge the walk did not cross forward is then re-checked, so
 a path-dependent input cannot produce a silently wrong table.  The walk
-depends on the crossing graph alone and is cached on the X-ray.
+depends on the X-ray alone, so it is compiled once per X-ray into a
+propagation plan cached on it: the strata in (dim, id) order and, for
+each wall, its steps and re-check edges, each carrying its separators
+already oriented as ((g, r), f, b) terms.  A propagate call only looks
+lower values up and sums, computing each w(f, b) once per call.
 
 Argument convention used everywhere: the first argument f counts
 weights pointing toward the destination chamber, the second b counts
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .arrangement import EXTERIOR, CrossingEdge, crossing_graph, subchambers
+from .arrangement import EXTERIOR, CrossingGraph, crossing_graph, subchambers
 from .errors import PropagationError
 from .intpoly import IntPolynomial
 from .ratmath import format_rational
@@ -50,7 +54,7 @@ def w_poincare(f: int, b: int) -> IntPolynomial:
         coeffs = [0] * (2 * b - 2 + 1)
         for k in range(f, b):
             coeffs[2 * k] = -1
-    return IntPolynomial(tuple(coeffs))
+    return IntPolynomial._of(coeffs)
 
 
 def w_euler(f: int, b: int) -> int:
@@ -106,72 +110,98 @@ class Report:
         return all(line.passed for line in self.lines)
 
 
-def _edge_delta(spec: RecursiveInvariantSpec, values, edge: CrossingEdge, backward: bool):
-    """The change in spec's value crossing edge, from source to dest, or
-    from dest to source when backward: f and b swap roles."""
+_Term = tuple[tuple[str, int], int, int]
+
+
+def _edge_delta(spec: RecursiveInvariantSpec, values, terms: tuple[_Term, ...], crossings: dict):
+    """The change in spec's value across one oriented crossing: the sum
+    of w(f, b) times the lower value of (g, r) over its terms.
+
+    crossings memoizes spec.wall_cross by (f, b) within one propagate
+    call.  A term with a zero coefficient adds nothing, but is skipped
+    only after its lower value is looked up, so a missing one still
+    raises."""
     total = spec.zero()
-    for sep in edge.separators:
+    for key, f, b in terms:
         try:
-            lower = values[(sep.g, sep.r)]
+            lower = values[key]
         except KeyError:
             raise PropagationError(
-                f"missing lower value for subchamber {sep.r} of '{sep.g}'"
+                f"missing lower value for subchamber {key[1]} of '{key[0]}'"
             ) from None
-        cross = spec.wall_cross(sep.b, sep.f) if backward else spec.wall_cross(sep.f, sep.b)
-        total = total + cross * lower
+        fb = (f, b)
+        cross = crossings.get(fb)
+        if cross is None:
+            cross = crossings[fb] = spec.wall_cross(f, b)
+        if cross:
+            total = total + cross * lower
     return total
 
 
 @dataclass(frozen=True)
-class _Walk:
-    """One crossing graph's breadth-first walk from the exterior.
+class _WallPlan:
+    """One wall's breadth-first walk from the exterior, compiled.
 
-    steps:     (node, dest, edge index, backward) in visiting order: dest
-               is reached from node across edges[edge index], against
-               the edge's orientation when backward.
+    steps:     (node, dest, terms) in visiting order: dest is reached
+               from node, and terms are the crossing's separators
+               oriented from node to dest.
     unreached: the nodes the walk never reaches.
-    recheck:   the indices of the edges the cycle check recomputes, in
-               graph order: every edge except those the walk crosses
-               forward, whose difference is the crossing sum by
-               construction.
+    recheck:   (source, dest, terms) for the edges the cycle check
+               recomputes, in graph order: every edge except those the
+               walk crosses forward, whose difference is the crossing
+               sum by construction.
+    chambers:  the wall's subchamber indices, ascending.
     """
 
-    edges: tuple[CrossingEdge, ...]
-    steps: tuple[tuple[int, int, int, bool], ...]
+    steps: tuple[tuple[int, int, tuple[_Term, ...]], ...]
     unreached: tuple[int, ...]
-    recheck: tuple[int, ...]
+    recheck: tuple[tuple[int, int, tuple[_Term, ...]], ...]
+    chambers: tuple[int, ...]
 
 
-def _walk(x: WeightedXray, sid: str) -> _Walk:
-    """The walk of sid's crossing graph, cached on the X-ray: it depends
-    on the graph alone, so every spec propagated on x shares it."""
-    key = ("walk", sid)
-    if key in x._cache:
-        return x._cache[key]
-    graph = crossing_graph(x, sid)
+def _wall_plan(graph: CrossingGraph) -> _WallPlan:
+    """The walk of one crossing graph, each node's neighbours taken in
+    node order."""
+    forward = [tuple(((sep.g, sep.r), sep.f, sep.b) for sep in edge.separators) for edge in graph.edges]
     oriented: dict[int, list[tuple[int, int, bool]]] = {node: [] for node in graph.nodes}
     for i, edge in enumerate(graph.edges):
         oriented[edge.source].append((edge.dest, i, False))
         oriented[edge.dest].append((edge.source, i, True))
     seen = {EXTERIOR}
     steps = []
+    crossed = set()
     queue = deque([EXTERIOR])
     while queue:
         node = queue.popleft()
         for dest, i, backward in sorted(oriented[node], key=lambda step: step[0]):
             if dest not in seen:
                 seen.add(dest)
-                steps.append((node, dest, i, backward))
+                if backward:
+                    steps.append((node, dest, tuple((key, b, f) for key, f, b in forward[i])))
+                else:
+                    steps.append((node, dest, forward[i]))
+                    crossed.add(i)
                 queue.append(dest)
-    crossed = {i for _, _, i, backward in steps if not backward}
-    walk = _Walk(
-        graph.edges,
+    return _WallPlan(
         tuple(steps),
         tuple(node for node in graph.nodes if node not in seen),
-        tuple(i for i in range(len(graph.edges)) if i not in crossed),
+        tuple((edge.source, edge.dest, forward[i]) for i, edge in enumerate(graph.edges) if i not in crossed),
+        tuple(sorted(node for node in graph.nodes if node != EXTERIOR)),
     )
-    x._cache[key] = walk
-    return walk
+
+
+def _plan(x: WeightedXray) -> tuple[tuple[str, _WallPlan | None], ...]:
+    """Every stratum in (dim, id) order with its wall's walk (None for a
+    vertex), cached on the X-ray: it depends on the crossing graphs
+    alone, so every spec propagated on x shares it."""
+    plan = x._cache.get("propagation plan")
+    if plan is None:
+        plan = tuple(
+            (sid, _wall_plan(crossing_graph(x, sid)) if x.dim(sid) else None)
+            for sid in sorted(x.ids, key=lambda s: (x.dim(s), s))
+        )
+        x._cache["propagation plan"] = plan
+    return plan
 
 
 def propagate(x: WeightedXray, spec: RecursiveInvariantSpec) -> InvariantTable:
@@ -180,33 +210,30 @@ def propagate(x: WeightedXray, spec: RecursiveInvariantSpec) -> InvariantTable:
     Requires an X-ray that passes the validators; on inconsistent input
     the cycle check aborts rather than return a path-dependent table.
     """
+    crossings: dict[tuple[int, int], object] = {}
     values: dict[tuple[str, int], object] = {}
-    for sid in sorted(x.ids, key=lambda s: (x.dim(s), s)):
-        if x.dim(sid) == 0:
+    for sid, wall in _plan(x):
+        if wall is None:
             values[(sid, 0)] = spec.seed(x.stratum(sid).vertex_data)
             continue
-        walk = _walk(x, sid)
-        edges = walk.edges
         level: dict[int, object] = {EXTERIOR: spec.zero()}
-        for node, dest, i, backward in walk.steps:
-            level[dest] = level[node] + _edge_delta(spec, values, edges[i], backward)
-        if walk.unreached:
+        for node, dest, terms in wall.steps:
+            level[dest] = level[node] + _edge_delta(spec, values, terms, crossings)
+        if wall.unreached:
             raise PropagationError(
-                f"wall '{sid}': subchambers {list(walk.unreached)} unreachable from the exterior"
+                f"wall '{sid}': subchambers {list(wall.unreached)} unreachable from the exterior"
             )
-        for i in walk.recheck:
-            edge = edges[i]
-            observed = level[edge.dest] - level[edge.source]
-            expected = _edge_delta(spec, values, edge, False)
+        for source, dest, terms in wall.recheck:
+            observed = level[dest] - level[source]
+            expected = _edge_delta(spec, values, terms, crossings)
             if observed != expected:
                 raise PropagationError(
                     f"wall '{sid}': {spec.name} is path-dependent between chambers "
-                    f"{edge.source} and {edge.dest}: difference {observed}, "
+                    f"{source} and {dest}: difference {observed}, "
                     f"crossing sum {expected}"
                 )
-        for node in sorted(level):
-            if node != EXTERIOR:
-                values[(sid, node)] = level[node]
+        for node in wall.chambers:
+            values[(sid, node)] = level[node]
     return InvariantTable(spec.name, x.fingerprint(), values)
 
 
@@ -351,18 +378,29 @@ def check_dim4_positivity(
     return Report("dimension-4 positivity", tuple(lines))
 
 
+def _rep_strings(x: WeightedXray, sid: str) -> tuple[tuple[str, ...], ...]:
+    """Each subchamber rep of sid's wall, formatted, cached on the X-ray."""
+    key = ("rep strings", sid)
+    if key not in x._cache:
+        x._cache[key] = tuple(tuple(format_rational(c) for c in cell.rep) for cell in subchambers(x, sid))
+    return x._cache[key]
+
+
 def serialize_table(x: WeightedXray, table: InvariantTable) -> list[dict]:
-    """Rows of (stratum, subchamber, rep, value), values JSON-ready."""
-    chambers = {sid: subchambers(x, sid) for sid in {sid for sid, _ in table.values}}
+    """Rows of (stratum, subchamber, rep, value), values JSON-ready.
+
+    The reps are formatted once per X-ray; each row gets its own list."""
+    reps: dict[str, tuple[tuple[str, ...], ...]] = {}
     rows = []
-    for (sid, chamber) in sorted(table.values):
-        rep = chambers[sid][chamber].rep
-        value = table.value(sid, chamber)
+    for sid, chamber in sorted(table.values):
+        if sid not in reps:
+            reps[sid] = _rep_strings(x, sid)
+        value = table.values[(sid, chamber)]
         rows.append(
             {
                 "stratum": sid,
                 "subchamber": chamber,
-                "rep": [format_rational(c) for c in rep],
+                "rep": list(reps[sid][chamber]),
                 "value": list(value.coeffs) if isinstance(value, IntPolynomial) else value,
             }
         )

@@ -31,7 +31,8 @@ class IntPolynomial:
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
-        return cls(())
+        """The zero polynomial, one shared frozen instance."""
+        return _ZERO
 
     @classmethod
     def one(cls) -> "IntPolynomial":
@@ -136,3 +137,6 @@ def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     while end and coeffs[end - 1] == 0:
         end -= 1
     return coeffs[:end]
+
+
+_ZERO = IntPolynomial(())

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 
+from xraycross.arrangement import crossing_graph
+from xraycross.errors import XrayError
 from xraycross.generators import (
     ProjectionMatrix,
     cpn_xray,
@@ -52,6 +54,21 @@ def seeded_rows(d, n, seed, grid=None):
             rows = tuple(tuple(Fraction(rng.randint(0, grid)) for _ in range(n + 1)) for _ in range(d))
         if len(set(zip(*rows))) == n + 1 and rank(rows) == d:
             return ProjectionMatrix(rows)
+
+
+def edge_by_scan(x, f, p1, p2, facet_rep=None):
+    """The crossing edge restrict_to_line turns into a circle, found by
+    scanning f's crossing graph in order: the first edge joining p1 and
+    p2, through facet_rep when one is given, oriented from p1 to p2."""
+    rep = None if facet_rep is None else tuple(facet_rep)
+    for candidate in crossing_graph(x, f).edges:
+        pair = (candidate.source, candidate.dest)
+        if pair != (p1, p2) and pair != (p2, p1):
+            continue
+        if rep is not None and candidate.facet_rep != rep:
+            continue
+        return candidate if pair == (p1, p2) else candidate.reversed()
+    raise XrayError(f"subchambers {p1} and {p2} of '{f}' are not adjacent")
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +29,9 @@ from xraycross.engine import (
 )
 from xraycross.errors import SingularLevel, XrayError
 from xraycross.intpoly import IntPolynomial
+from xraycross.generators import cpn_xray
 from xraycross.ratmath import format_point
+from conftest import edge_by_scan, seeded_rows
 
 DIAG = "w2-3-4-5"
 
@@ -53,6 +55,49 @@ def cp3_data():
 def test_component_counts():
     c = FixedComponent(Fraction(1), (-1, 1, 1), 1, IntPolynomial.one())
     assert (c.f, c.b, c.q) == (2, 1, 3)
+
+
+def test_component_counts_are_set_once_and_stay_out_of_repr_and_equality():
+    c = FixedComponent(Fraction(1), (1, -1, 1), 1, IntPolynomial.one())
+    assert [f.name for f in fields(c)] == ["level", "weights", "seed_signature", "seed_poincare"]
+    assert repr(c) == (
+        "FixedComponent(level=Fraction(1, 1), weights=(-1, 1, 1), seed_signature=1, "
+        "seed_poincare=IntPolynomial(coeffs=(1,)))"
+    )
+    same = FixedComponent(Fraction(1), (-1, 1, 1), 1, IntPolynomial.one())
+    assert c == same and hash(c) == hash(same)
+    assert c != FixedComponent(Fraction(1), (-1, -1, 1), 1, IntPolynomial.one())
+    assert c != replace(c, seed_signature=-1)
+    flipped = replace(c, weights=(-1, -1, -1, 1))
+    assert (flipped.f, flipped.b, flipped.q) == (1, 3, 4)
+    for weights in ((1,), (-1,), (1, 1, -1, -1, -1), (-2, 3, 5)):
+        comp = FixedComponent(Fraction(0), weights, 1, IntPolynomial.one())
+        assert comp.f == sum(1 for w in weights if w > 0)
+        assert comp.b == sum(1 for w in weights if w < 0)
+        assert comp.q == len(weights)
+
+
+def test_at_level_of_an_absent_level_is_empty():
+    data = cp3_data()
+    assert data.at_level(Fraction(1, 2)) == ()
+    assert data.at_level(7) == ()
+    assert CircleFixedData(()).at_level(0) == ()
+    assert CircleFixedData(()).levels() == ()
+    assert [c.weights for c in data.at_level(1)] == [(-1, 1, 1)]
+
+
+def test_at_level_keeps_component_order():
+    one = IntPolynomial.one()
+    comps = (
+        FixedComponent(Fraction(2), (1,), 1, one),
+        FixedComponent(Fraction(0), (-1,), 2, one),
+        FixedComponent(Fraction(2), (-1, -1), 3, one),
+    )
+    data = CircleFixedData(comps)
+    assert data.levels() == (Fraction(0), Fraction(2))
+    assert data.at_level(Fraction(2)) == (comps[0], comps[2])
+    assert data == CircleFixedData(comps)
+    assert repr(data).startswith("CircleFixedData(components=(FixedComponent(level=Fraction(2, 1)")
 
 
 def test_component_rejects_zero_weight():
@@ -235,6 +280,44 @@ def test_restrict_matches_engine_on_every_top_edge(cp4, ncp4):
             )
             assert wall_cross_delta(data, Fraction(0), INTEGER) == want_s
             assert wall_cross_delta(data, Fraction(0), INT_POLYNOMIAL) == want_p
+
+
+@pytest.mark.parametrize(("d", "n", "seed", "grid"), [(2, 5, 0, None), (2, 5, 3, 2), (3, 4, 1, None), (3, 5, 2, 2)])
+def test_restrict_to_line_picks_the_scanned_edge(d, n, seed, grid):
+    """On every edge of every wall, restrict_to_line turns the same edge
+    into a circle as the scan of the crossing graph: for the pair as
+    given, for the reversed pair, and through the edge's facet."""
+    x = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
+    sig, poin = engine_tables(x)
+    checked = 0
+    for f in x.ids:
+        if x.dim(f) == 0:
+            continue
+        for edge in crossing_graph(x, f).edges:
+            for p1, p2 in ((edge.source, edge.dest), (edge.dest, edge.source)):
+                for rep in (None, edge.facet_rep):
+                    got = restrict_to_line(x, f, p1, p2, sig_table=sig, poin_table=poin, facet_rep=rep)
+                    assert got == circle._edge_circle(edge_by_scan(x, f, p1, p2, rep), sig, poin)
+                    checked += 1
+    assert checked > 0
+
+
+def test_restrict_to_line_rejects_what_the_scan_rejects():
+    """A pair with no edge between them, a node paired with itself, and a
+    facet rep of another edge all raise the scan's XrayError."""
+    x = cpn_xray(5, seeded_rows(2, 5, 0))
+    sig, poin = engine_tables(x)
+    edges = crossing_graph(x, "top").edges
+    joined = {(e.source, e.dest) for e in edges} | {(e.dest, e.source) for e in edges}
+    nodes = crossing_graph(x, "top").nodes
+    apart = next((a, b) for a in nodes for b in nodes if a != b and (a, b) not in joined)
+    other = next(e.facet_rep for e in edges if (e.source, e.dest) != (edges[0].source, edges[0].dest))
+    for p1, p2, rep in (apart + (None,), (0, 0, None), (edges[0].source, edges[0].dest, other)):
+        with pytest.raises(XrayError) as scanned:
+            edge_by_scan(x, "top", p1, p2, rep)
+        with pytest.raises(XrayError, match="not adjacent") as got:
+            restrict_to_line(x, "top", p1, p2, sig_table=sig, poin_table=poin, facet_rep=rep)
+        assert str(got.value) == str(scanned.value)
 
 
 def engine_tables(x):

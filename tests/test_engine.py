@@ -1,12 +1,19 @@
+from collections import Counter, deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xraycross import engine
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
+from xraycross.circle import _edge_circle, cross_check, wall_cross_delta
 from xraycross.engine import (
     EULER,
     POINCARE,
     SIGNATURE,
+    CheckLine,
     RecursiveInvariantSpec,
+    Report,
     check_dim4_positivity,
     check_parity,
     check_sig_equals_poincare_at_i,
@@ -18,9 +25,11 @@ from xraycross.engine import (
     w_signature,
 )
 from xraycross.errors import PropagationError
+from xraycross.generators import cpn_xray
 from xraycross.intpoly import IntPolynomial
-from xraycross.ratmath import as_vec, format_rational
+from xraycross.ratmath import as_vec, format_point, format_rational
 from xraycross.xray import from_interchange, to_interchange
+from conftest import edge_by_scan, seeded_rows
 
 DIAG = "w2-3-4-5"
 
@@ -269,8 +278,10 @@ def test_serialize_table(cp3):
 
 @pytest.mark.parametrize("name", ["cp4", "ncp4"])
 def test_serialize_table_reads_each_stratum_once(name, request, monkeypatch):
-    """One subchambers lookup per stratum, and the rows of a lookup per row."""
-    x = request.getfixturevalue(name)
+    """One subchambers lookup per stratum on an X-ray's first table, and
+    none on later ones: the reps are formatted once per X-ray, and each
+    row still gets its own rep list."""
+    x = fresh(request.getfixturevalue(name))
     table = propagate(x, SIGNATURE)
     expected = [
         {"stratum": sid, "subchamber": c, "rep": [format_rational(v) for v in subchambers(x, sid)[c].rep], "value": table.value(sid, c)}
@@ -283,8 +294,15 @@ def test_serialize_table_reads_each_stratum_once(name, request, monkeypatch):
         return subchambers(x, sid)
 
     monkeypatch.setattr(engine, "subchambers", counting)
-    assert serialize_table(x, table) == expected
+    first = serialize_table(x, table)
+    assert first == expected
     assert sorted(calls) == sorted(set(x.ids))
+    calls.clear()
+    first[0]["rep"].append("changed")
+    again = serialize_table(x, propagate(x, EULER))
+    assert calls == []
+    assert [row["rep"] for row in again] == [row["rep"] for row in expected]
+    assert len({id(row["rep"]) for row in again}) == len(again)
 
 
 def backward_tree_edges(graph):
@@ -346,3 +364,185 @@ def test_one_sided_crossing_is_path_dependent(request, name, message):
     with pytest.raises(PropagationError) as err:
         propagate(x, lopsided)
     assert str(err.value) == message
+
+
+def fresh(x):
+    """A copy of x with no cached geometry or plan."""
+    return from_interchange(to_interchange(x))
+
+
+LOPSIDED = RecursiveInvariantSpec("lopsided", "INTEGER", lambda f, b: f, lambda vd: vd.seed_signature)
+
+
+def reference_edge_delta(spec, values, edge, backward):
+    """The change in spec's value crossing edge, from source to dest, or
+    from dest to source when backward, one separator at a time."""
+    total = spec.zero()
+    for sep in edge.separators:
+        try:
+            lower = values[(sep.g, sep.r)]
+        except KeyError:
+            raise PropagationError(f"missing lower value for subchamber {sep.r} of '{sep.g}'") from None
+        cross = spec.wall_cross(sep.b, sep.f) if backward else spec.wall_cross(sep.f, sep.b)
+        total = total + cross * lower
+    return total
+
+
+def reference_propagate(x, spec):
+    """propagate with nothing compiled: each wall's breadth-first walk is
+    taken from its crossing graph on every call, and every crossing sum
+    is taken from the edge's separators."""
+    values = {}
+    for sid in sorted(x.ids, key=lambda s: (x.dim(s), s)):
+        if x.dim(sid) == 0:
+            values[(sid, 0)] = spec.seed(x.stratum(sid).vertex_data)
+            continue
+        graph = crossing_graph(x, sid)
+        oriented = {node: [] for node in graph.nodes}
+        for i, edge in enumerate(graph.edges):
+            oriented[edge.source].append((edge.dest, i, False))
+            oriented[edge.dest].append((edge.source, i, True))
+        level = {EXTERIOR: spec.zero()}
+        crossed = set()
+        queue = deque([EXTERIOR])
+        while queue:
+            node = queue.popleft()
+            for dest, i, backward in sorted(oriented[node], key=lambda step: step[0]):
+                if dest not in level:
+                    level[dest] = level[node] + reference_edge_delta(spec, values, graph.edges[i], backward)
+                    if not backward:
+                        crossed.add(i)
+                    queue.append(dest)
+        unreached = [node for node in graph.nodes if node not in level]
+        if unreached:
+            raise PropagationError(f"wall '{sid}': subchambers {unreached} unreachable from the exterior")
+        for i, edge in enumerate(graph.edges):
+            if i in crossed:
+                continue
+            observed = level[edge.dest] - level[edge.source]
+            expected = reference_edge_delta(spec, values, edge, False)
+            if observed != expected:
+                raise PropagationError(
+                    f"wall '{sid}': {spec.name} is path-dependent between chambers "
+                    f"{edge.source} and {edge.dest}: difference {observed}, crossing sum {expected}"
+                )
+        for node in sorted(level):
+            if node != EXTERIOR:
+                values[(sid, node)] = level[node]
+    return engine.InvariantTable(spec.name, x.fingerprint(), values)
+
+
+def reference_serialize_table(x, table):
+    """serialize_table formatting each row's rep anew."""
+    return [
+        {
+            "stratum": sid,
+            "subchamber": c,
+            "rep": [format_rational(v) for v in subchambers(x, sid)[c].rep],
+            "value": list(value.coeffs) if isinstance(value, IntPolynomial) else value,
+        }
+        for (sid, c), value in sorted(table.values.items())
+    ]
+
+
+def reference_cross_check(x, f, sig, poin):
+    """cross_check with each d >= 2 edge's circle built from the edge the
+    crossing-graph scan finds for its endpoints and facet."""
+    if x.torus_rank == 1:
+        return cross_check(x, f, sig, poin)
+
+    def at(table, node, zero):
+        return zero if node == EXTERIOR else table.value(f, node)
+
+    lines = []
+    for edge in crossing_graph(x, f).edges:
+        data = _edge_circle(edge_by_scan(x, f, edge.source, edge.dest, edge.facet_rep), sig, poin)
+        name = f"edge {edge.source}->{edge.dest} at {format_point(edge.facet_rep)}"
+        for kind, table, ring, zero in (
+            ("signature", sig, engine.INTEGER, 0),
+            ("poincare", poin, engine.INT_POLYNOMIAL, IntPolynomial.zero()),
+        ):
+            want = at(table, edge.dest, zero) - at(table, edge.source, zero)
+            got = wall_cross_delta(data, 0, ring)
+            lines.append(CheckLine(f"{name} {kind} delta", want == got, f"engine {want}, circle {got}"))
+    return Report("circle oracle", tuple(lines))
+
+
+def outcome(propagator, x, spec):
+    try:
+        return propagator(x, spec)
+    except PropagationError as e:
+        return str(e)
+
+
+def assert_matches_reference(x):
+    """Tables (values and their order), serialized rows and circle-oracle
+    reports of the compiled engine equal the reference's, and the
+    lopsided spec gives the same table or fails with the same message."""
+    tables = {}
+    for spec in (SIGNATURE, POINCARE, EULER, LOPSIDED):
+        got, want = outcome(propagate, x, spec), outcome(reference_propagate, x, spec)
+        assert got == want, spec.name
+        if isinstance(got, str):
+            continue
+        assert list(got.values.items()) == list(want.values.items())
+        assert serialize_table(x, got) == reference_serialize_table(x, want)
+        tables[spec.name] = (got, want)
+    (sig, ref_sig), (poin, ref_poin) = tables["signature"], tables["poincare"]
+    walls = [x.top_id] if x.torus_rank == 1 else [f for f in x.ids if x.dim(f) > 0]
+    for f in walls:
+        assert cross_check(x, f, sig, poin) == reference_cross_check(x, f, ref_sig, ref_poin)
+
+
+@pytest.mark.parametrize("name", ["cp3", "cp4", "ncp4", "toric_triangle", "unit_square", "segment"])
+def test_engine_matches_reference_on_fixtures(request, name):
+    assert_matches_reference(request.getfixturevalue(name))
+
+
+@st.composite
+def cpn_inputs(draw):
+    """(d, n, seed, grid) of a seeded CP^n projection at d in {1, 2, 3},
+    on a small grid or not."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=d + 1, max_value={1: 6, 2: 5, 3: 5}[d]))
+    grid = draw(st.sampled_from([None] + [g for g in (2, 3, 6) if (g + 1) ** d >= n + 1]))
+    return d, n, draw(st.integers(min_value=0, max_value=10**6)), grid
+
+
+@settings(deadline=None, max_examples=25)
+@given(cpn_inputs())
+def test_engine_matches_reference_on_seeded_cpn(args):
+    d, n, seed, grid = args
+    assert_matches_reference(cpn_xray(n, seeded_rows(d, n, seed, grid=grid)))
+
+
+@pytest.mark.parametrize("name", ["cp3", "cp4", "ncp4", "seeded3"])
+def test_propagation_plan_is_built_once_per_xray(monkeypatch, request, name):
+    """The first propagate reads each wall's crossing graph once; later
+    ones, with any spec, read none, and each computes w(f, b) at most
+    once per distinct (f, b)."""
+    x = fresh(cpn_xray(4, seeded_rows(3, 4, 0)) if name == "seeded3" else request.getfixturevalue(name))
+    graphs = []
+
+    def counting_graph(y, f):
+        graphs.append(f)
+        return crossing_graph(y, f)
+
+    monkeypatch.setattr(engine, "crossing_graph", counting_graph)
+    propagate(x, SIGNATURE)
+    assert sorted(graphs) == sorted(f for f in x.ids if x.dim(f) > 0)
+    graphs.clear()
+    crossings = Counter()
+
+    def counting_cross(f, b):
+        crossings[(f, b)] += 1
+        return f - b
+
+    clone = RecursiveInvariantSpec("euler-clone", "INTEGER", counting_cross, lambda vd: vd.seed_euler)
+    for spec in (POINCARE, EULER, clone, clone):
+        crossings.clear()
+        table = propagate(x, spec)
+        if spec is clone:
+            assert table.values == propagate(x, EULER).values
+            assert crossings and set(crossings.values()) == {1}
+    assert graphs == []
