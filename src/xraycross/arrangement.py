@@ -3,23 +3,33 @@
 The regular set of a wall is the wall minus all smaller walls contained
 in it.  Its connected components (subchambers) are found by refining the
 wall along the affine spans of its codimension-1 subwalls, then merging
-cells across any shared facet that no actual subwall covers.  The cells
-are cut by double description (`exactgeom.Refinement`): each vertex
-carries the set of cell inequalities it is tight on, so a cut, a merged
-chamber's facets and vertices, and the face two chambers share are all
-read off those sets, with no convex hull.  A facet of a cell is the
-tuple of its vertices tight on one of the cell's own inequalities.  The
-crossing graph is read off the same refinement: every facet of a cell
-is shared with exactly one other cell or lies on the wall's boundary,
-so the facets left between two subchambers (or a subchamber and the
-exterior) are its edges.  Each edge carries the separating subchambers
-of the codimension-1 strata together with forward/backward weight
-counts.  Each subwall's hyperplane is computed once per wall and shared
-by the cuts and the edges.
+cells across any shared facet that no actual subwall covers.
 
-The refinement also records each cell's sign vector over the cut
-planes, so `locate` places a point by its signs on those planes, taken
-in integers: a point on no plane is looked up by sign vector, and a
+The cells are cut by double description (`exactgeom.Refinement`): each
+vertex carries the set of cell inequalities it is tight on, so a cut, a
+merged chamber's facets and vertices, and the face two chambers share
+are all read off those sets, with no convex hull.  Each subwall's
+hyperplane is computed once per wall, in integers
+(`exactgeom.span_hyperplane`), and shared by the cuts and the edges.
+
+The refinement records each cell's sign vector over the cut planes.  A
+facet two cells share lies on exactly one cut plane, so its sign vector
+is its cell's with that plane's entry set to 0, and no point is
+evaluated to get it.  The merge test then tries only the subwalls that
+plane alone holds, or no plane does, and builds the facet's centroid in
+integers only when there is one to try.
+
+The crossing graph is read off the same refinement: every facet of a
+cell is shared with exactly one other cell or lies on the wall's
+boundary, so the facets left between two subchambers (or a subchamber
+and the exterior) are its edges.  Each edge carries the separating
+subchambers of the codimension-1 strata with forward/backward weight
+counts.  A separator's weights are counted once per (subwall, wall)
+against its unoriented plane; an edge swaps the two counts when its
+destination lies below that plane.
+
+`locate` places a point by its signs on the cut planes, taken in
+integers: a point on no plane is looked up by sign vector, and a
 subwall is tested only for a point on every cut plane that holds it
 (its own plane, for a codimension-1 subwall).  A regular point on a
 plane's extension beyond its subwall lies on the boundary of cells,
@@ -117,18 +127,27 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
     subwalls' hyperplanes and the sign-vector index, cached.
 
     Each codimension-1 subwall's hyperplane is computed once: the cuts
-    use the distinct ones, the merge test, `locate` and `crossing_graph`
-    read a point's signs on them, and `crossing_graph` orients them to
-    count separator weights.  A subwall of higher codimension records
-    the cut planes holding it, found by testing its vertices in
-    integers, so the merge test and `locate` skip it for a point off
-    one of them.  A facet of a cell is the tuple of its vertex ids
-    tight on one of its inequalities.  A merged chamber's facets are
-    its cells' facets less those two of its cells share, and its
-    vertices are the cells' vertices where those facets have full rank;
-    a subchamber is convex, so this is the hull of its cells.  A piece's rep is the vertex centroid of the face the two
-    sides share, whose vertices are found the same way from the two
-    sides' facets.
+    use the distinct ones, `locate` and `crossing_graph` read a point's
+    signs on them, and `crossing_graph` counts separator weights
+    against them.  A subwall of higher codimension records the cut
+    planes holding it, found by testing its vertices in integers.
+
+    A facet of a cell is the tuple of its vertex ids tight on one of
+    its inequalities.  A facet two cells share lies on the cut whose
+    bit it carries (`_facet_cut`), and on no other cut plane: distinct
+    planes meet in codimension 2.  Its sign vector is therefore the
+    cell's recorded one with that entry 0, so the subwalls that can hold
+    it are those held by that plane alone or by no plane, which a
+    per-wall index lists.  Only when that list is not empty is the
+    facet's vertex centroid formed, in integers (`Refinement.mean`),
+    and tested against them; otherwise the two cells merge at once.
+
+    A merged chamber's facets are its cells' facets less those two of
+    its cells share, and its vertices are the cells' vertices where
+    those facets have full rank; a subchamber is convex, so this is the
+    hull of its cells.  A piece's rep is the vertex centroid of the face
+    the two sides share, whose vertices are found the same way from the
+    two sides' facets.
     """
     key = ("decomposition", f)
     if key in x._cache:
@@ -136,11 +155,15 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
     wall = x.stratum(f).wall
     k = wall.dim
     lower = sorted(x.below(f))
-    planes = {g: span_hyperplane(wall.span, x.stratum(g).wall.span) for g in lower if x.dim(g) == k - 1}
-    distinct = list(dict.fromkeys(planes.values()))
+    planes = {}
+    for g in lower:
+        if x.dim(g) == k - 1:
+            normal, offset = span_hyperplane(wall.span, x.stratum(g).wall.span)
+            planes[g] = tuple([int(c) for c in normal]), int(offset)
+    cuts = tuple(dict.fromkeys(planes.values()))
 
     ref = Refinement(wall)
-    for normal, offset in distinct:
+    for normal, offset in cuts:
         ref.cut(normal, offset)
     cells, points = ref.cells, ref.points
 
@@ -152,8 +175,7 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
             i = root[i]
         return i
 
-    cuts = tuple((tuple(int(c) for c in normal), int(offset)) for normal, offset in distinct)
-    cut_index = {plane: i for i, plane in enumerate(distinct)}
+    cut_index = {plane: i for i, plane in enumerate(cuts)}
     subwalls = []
     for g in lower:
         sub = x.stratum(g).wall
@@ -171,13 +193,25 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
         masks.append(mask)
         for bit in range(mask.bit_length()):
             if mask >> bit & 1:
-                facet = tuple(sorted(v for v, t in zip(ids, tight) if t >> bit & 1))
+                facet = tuple([v for v, t in zip(ids, tight) if t >> bit & 1])
                 owners.setdefault(facet, []).append((i, bit))
+    # The subwalls a shared facet can lie on: held by its cut plane
+    # alone, or by no plane.
+    loose = [sub for _, sub, _, holding in subwalls if not holding]
+    alone: dict[int, list[Polytope]] = {}
+    for _, sub, _, holding in subwalls:
+        if len(holding) == 1:
+            alone.setdefault(holding[0], []).append(sub)
+    nfacets = len(wall.facets)
     for facet, own in owners.items():
         if len(own) == 2:
-            mid = centroid([points[v] for v in facet])
-            if _subwall_holding(subwalls, _signs(cuts, mid), mid) is None:
-                root[find(own[0][0])] = find(own[1][0])
+            (i, bit), (j, _) = own
+            tests = alone.get(_facet_cut(bit, nfacets), []) + loose
+            if tests:
+                mid = ref.mean(facet)
+                if any(sub.holds(*mid) for sub in tests):
+                    continue
+            root[find(i)] = find(j)
 
     # Each facet is shared by two cells or lies on one wall facet, whose
     # bit it carries.  A chamber's facets are its cells' facets less
@@ -242,6 +276,13 @@ def subchambers(x: WeightedXray, f: str) -> tuple[Subchamber, ...]:
     cached on the X-ray, keyed by stratum id.
     """
     return _decompose(x, f).chambers
+
+
+def _facet_cut(bit: int, nfacets: int) -> int:
+    """The index in cuts of the plane a cell facet lies on, from its bit
+    in `Refinement.facets`: the wall's nfacets facets come first, then
+    the lower and upper orientation of each cut."""
+    return (bit - nfacets) // 2
 
 
 def _signs(cuts: tuple[tuple[tuple[int, ...], int], ...], q: RatVector) -> tuple[int, ...]:
@@ -319,24 +360,42 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
     One edge per adjacent chamber pair, oriented low index to high; one
     edge per boundary facet piece, oriented EXTERIOR to chamber.  Every
     edge carries all separating subchambers with their (f, b) counts.
-    Cached on the X-ray.
+    A separator's weights are counted once per (subwall, wall) against
+    its unoriented cut plane, and each edge swaps the two counts when
+    its destination lies below that plane.  Cached on the X-ray.
     """
     key = ("crossing_graph", f)
     if key in x._cache:
         return x._cache[key]
     dec = _decompose(x, f)
     chambers = dec.chambers
-    edges = [_build_edge(x, f, dec, chambers[dest].rep, source, dest, rep) for source, dest, rep in dec.pieces]
+    counts: dict[str, tuple[int, int]] = {}
+    edges = [
+        _build_edge(x, f, dec, counts, chambers[dest].rep, source, dest, rep) for source, dest, rep in dec.pieces
+    ]
     edges.sort(key=lambda e: (e.source, e.dest, e.facet_rep))
     graph = CrossingGraph(f, (EXTERIOR,) + tuple(range(len(chambers))), tuple(edges))
     x._cache[key] = graph
     return graph
 
 
+def _weight_counts(x: WeightedXray, g: str, f: str, normal: tuple[int, ...]) -> tuple[int, int]:
+    """How many of g's weights in f's wall lie above and below normal."""
+    above = below = 0
+    for w in stratum_weights_in(x, g, f):
+        v = idot(normal, clear_denominators(w)[0])
+        if v > 0:
+            above += 1
+        elif v < 0:
+            below += 1
+    return above, below
+
+
 def _build_edge(
     x: WeightedXray,
     f: str,
     dec: _Decomposition,
+    counts: dict[str, tuple[int, int]],
     toward: RatVector,
     source: int,
     dest: int,
@@ -356,16 +415,12 @@ def _build_edge(
         side = idot(normal, toward_scaled) - offset * toward_den
         if side == 0:
             raise ValueError("toward point lies on the separator")
+        if g not in counts:
+            counts[g] = _weight_counts(x, g, f, normal)
+        above, below = counts[g]
         if side < 0:
-            normal = tuple(-c for c in normal)
-        forward = backward = 0
-        for w in stratum_weights_in(x, g, f):
-            v = idot(normal, clear_denominators(w)[0])
-            if v > 0:
-                forward += 1
-            elif v < 0:
-                backward += 1
-        separators.append(Separator(g, r.index, forward, backward))
+            above, below = below, above
+        separators.append(Separator(g, r.index, above, below))
     if not separators:
         raise MalformedXray(
             f"wall '{f}': facet at {_fmt_point(facet_rep)} not covered by any subwall"

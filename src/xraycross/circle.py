@@ -65,7 +65,8 @@ class FixedComponent:
 class CircleFixedData:
     """Fixed components of a circle action.  The sorted levels and each
     level's components (in component order) are indexed once at
-    construction."""
+    construction, keyed by (numerator, denominator): a lookup hashes a
+    pair of ints, never a Fraction, whose hash is a modular inverse."""
 
     components: tuple[FixedComponent, ...]
 
@@ -74,13 +75,16 @@ class CircleFixedData:
         for comp in self.components:
             by_level.setdefault(comp.level, []).append(comp)
         object.__setattr__(self, "_levels", tuple(sorted(by_level)))
-        object.__setattr__(self, "_by_level", {c: tuple(comps) for c, comps in by_level.items()})
+        object.__setattr__(
+            self, "_by_level", {(c.numerator, c.denominator): tuple(comps) for c, comps in by_level.items()}
+        )
 
     def levels(self) -> tuple[Fraction, ...]:
         return self._levels
 
     def at_level(self, c: Rational) -> tuple[FixedComponent, ...]:
-        return self._by_level.get(c, ())
+        """The components at level c, an int or a Fraction."""
+        return self._by_level.get((c.numerator, c.denominator), ())
 
 
 def signature_regular(data: CircleFixedData, a: Rational) -> int:

@@ -20,20 +20,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .ratmath import (
     RatVector,
-    ZERO,
     as_vec,
     clear_denominators,
     cross_product,
     idot,
-    primitive_functional,
+    int_rank,
     rank,
     rref,
-    solve_square,
     vdot,
     vneg,
     vsub,
@@ -72,21 +71,54 @@ class AffineSpan:
         return len(self.base)
 
     @cached_property
+    def int_frame(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...], int]:
+        """(R, L, B, D): the basis rows are R / L over one common
+        denominator and the base is B / D, so the rows R span the linear
+        part in integers."""
+        d = self.ambient_dim
+        flat, den_r = clear_denominators([c for row in self.basis for c in row])
+        base, den_b = clear_denominators(self.base)
+        return tuple(flat[i : i + d] for i in range(0, len(flat), d)), den_r, base, den_b
+
+    @cached_property
     def equations(self) -> tuple[IntFunctional, ...]:
         """Primitive integer (a, b) whose solutions a . x = b, taken
-        together, are the span: one per non-pivot column, from the
-        annihilator of the RREF basis (Fractions here, once per span)."""
+        together, are the span: one per non-pivot column fc, from the
+        annihilator of the RREF basis, in integers.  With the basis
+        R / L, L times the annihilator row is L on fc and -R_p[fc] on
+        each pivot p; with the base B / D its value there is a . B / D."""
+        rows, den_r, base, den_b = self.int_frame
         out = []
         for fc in range(self.ambient_dim):
             if fc in self.pivots:
                 continue
-            a = [ZERO] * self.ambient_dim
-            a[fc] = Fraction(1)
-            for row, p in zip(self.basis, self.pivots):
+            a = [0] * self.ambient_dim
+            a[fc] = den_r
+            for row, p in zip(rows, self.pivots):
                 a[p] = -row[fc]
-            normal, offset = primitive_functional(tuple(a), vdot(a, self.base))
-            out.append((tuple(int(x) for x in normal), int(offset)))
+            offset = idot(a, base)
+            a = [x * den_b for x in a]
+            g = gcd(offset, *a)
+            out.append((tuple([x // g for x in a]), offset // g))
         return tuple(out)
+
+    @cached_property
+    def free_coords(self) -> tuple[int, ...]:
+        """The coordinates left free when the basis is completed to a
+        basis of Q^d by standard basis vectors e_i, taken greedily in
+        index order, each one kept when it is independent of the rows so
+        far.  The linear part maps one-to-one onto these coordinates.
+        Decided in integers, once per span."""
+        rows = [list(row) for row in self.int_frame[0]]
+        taken = set()
+        for i in range(self.ambient_dim):
+            if len(rows) == self.ambient_dim:
+                break
+            e = [int(j == i) for j in range(self.ambient_dim)]
+            if int_rank(rows + [e]) > len(rows):
+                rows.append(e)
+                taken.add(i)
+        return tuple(i for i in range(self.ambient_dim) if i not in taken)
 
     def holds(self, scaled: tuple[int, ...], den: int) -> bool:
         """Does the point scaled / den lie in the span?"""
@@ -165,10 +197,11 @@ class Polytope:
     def contains(self, point: RatVector) -> bool:
         if len(point) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        scaled, den = clear_denominators(point)
-        if not self.span.holds(scaled, den):
-            return False
-        return all(idot(n, scaled) <= c * den for n, c in self.int_facets)
+        return self.holds(*clear_denominators(point))
+
+    def holds(self, scaled: Sequence[int], den: int) -> bool:
+        """Does the point scaled / den lie in the polytope?"""
+        return self.span.holds(scaled, den) and all(idot(n, scaled) <= c * den for n, c in self.int_facets)
 
     def relative_interior_contains(self, point: RatVector) -> bool:
         if len(point) != self.ambient_dim:
@@ -301,8 +334,13 @@ def faces(p: Polytope, k: int) -> list[Polytope]:
 
 
 def centroid(points: Sequence[RatVector]) -> RatVector:
-    """Average of a nonempty point list, exact."""
-    return tuple(sum(col, ZERO) / len(points) for col in zip(*points))
+    """Average of a nonempty point list, exact: the coordinates'
+    denominators are cleared once, the columns summed in integers, and
+    one Fraction built per coordinate."""
+    d = len(points[0]) if points else 0
+    flat, den = clear_denominators([c for p in points for c in p])
+    den *= len(points)
+    return tuple([Fraction(sum(flat[j::d]), den) for j in range(d)])
 
 
 def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> Facet:
@@ -311,12 +349,24 @@ def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> Facet:
     The normal is supported on the span's pivot columns, and (normal,
     offset) is primitive integer, so a facet of any full-dimensional
     polytope in the span compares equal to the one `hull` finds.
+
+    It runs in integers, on (a, b), (normal, offset) with denominators
+    cleared.  With the basis rows R / L and the base B / D
+    (`AffineSpan.int_frame`), the pivot entry p of the normal is
+    a . R_p / L, and the offset is b - a . base plus that normal at the
+    base; both are scaled by L * D before the gcd, and one Fraction is
+    built per stored coordinate.
     """
-    n = [ZERO] * span.ambient_dim
-    for row, p in zip(span.basis, span.pivots):
-        n[p] = vdot(normal, row)
-    n = tuple(n)
-    return primitive_functional(n, offset - vdot(normal, span.base) + vdot(n, span.base))
+    ints, _ = clear_denominators(tuple(normal) + (offset,))
+    a, b = ints[:-1], ints[-1]
+    rows, den_r, base, den_b = span.int_frame
+    n = [0] * span.ambient_dim
+    for row, p in zip(rows, span.pivots):
+        n[p] = idot(a, row)
+    c = (b * den_b - idot(a, base)) * den_r + idot(n, base)
+    n = [x * den_b for x in n]
+    g = gcd(c, *n) or 1
+    return tuple([Fraction(x // g) for x in n]), Fraction(c // g)
 
 
 def tight_mask(p: Polytope, point: RatVector) -> int:
@@ -334,7 +384,7 @@ def bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-Cell = tuple[tuple[int, ...], tuple[int, ...]]  # vertex ids, tight mask of each vertex
+Cell = tuple[tuple[int, ...], tuple[int, ...]]  # vertex ids ascending, tight mask of each vertex
 
 
 class Refinement:
@@ -345,9 +395,12 @@ class Refinement:
     scaled: each point's `clear_denominators` form, for the cut signs.
     facets: the inequality table, in `span_facet` form: the polytope's
             own facets, then both orientations of each cut.
-    cells:  (vertex ids, tight masks): bit i of a vertex's mask is set
-            when the vertex lies on facets[i].  The masks only ever name
-            facets of the cell, so their union is the cell's facet set.
+    normals: each facet's integer normal on the span's pivot columns,
+            where it is supported, for the rank tests in `vertices`.
+    cells:  (vertex ids, tight masks), ids ascending: bit i of a
+            vertex's mask is set when the vertex lies on facets[i].  The
+            masks only ever name facets of the cell, so their union is
+            the cell's facet set.
     signs:  each cell's sign vector over the cuts, in cut order: -1 or
             +1 as the cell's interior lies below or above the cut.
 
@@ -361,9 +414,10 @@ class Refinement:
         self.points = list(p.vertices)
         self.scaled = [clear_denominators(v) for v in self.points]
         self.facets = list(p.facets)
+        self.normals = [tuple(n[j] for j in p.span.pivots) for n, _ in p.int_facets]
         self.cells: list[Cell] = [(tuple(range(len(self.points))), p.vertex_masks)]
         self.signs: list[tuple[int, ...]] = [()]
-        self._tight_at: list[int] | None = None
+        self._masks_at: list[list[int]] | None = None
 
     def cut(self, normal: RatVector, offset: Fraction) -> None:
         """Split every cell with vertices strictly on both sides of the
@@ -383,49 +437,59 @@ class Refinement:
         lo = len(self.facets)
         low = span_facet(self.span, normal, offset)
         self.facets += [low, (vneg(low[0]), -low[1])]
+        on_pivots = [int(low[0][j]) for j in self.span.pivots]
+        self.normals += [tuple(on_pivots), tuple([-x for x in on_pivots])]
         ints, _ = clear_denominators(tuple(normal) + (offset,))
         a_int, b_int = ints[:-1], ints[-1]
+        k = self.span.dim
         # A positive multiple of normal . p - offset at each point p.
-        vals = [idot(a_int, scaled) - b_int * den for scaled, den in self.scaled]
+        vals = [sum(map(mul, a_int, scaled)) - b_int * den for scaled, den in self.scaled]
         edge_points: dict[tuple[int, int], int] = {}
         cells: list[Cell] = []
         signs: list[tuple[int, ...]] = []
         for (ids, tight), sv in zip(self.cells, self.signs):
-            neg = [(v, t) for v, t in zip(ids, tight) if vals[v] < 0]
-            pos = [(v, t) for v, t in zip(ids, tight) if vals[v] > 0]
-            if not (neg and pos):
+            at = [vals[v] for v in ids]
+            low, high = min(at), max(at)
+            if low >= 0 or high <= 0:
                 cells.append((ids, tight))
-                signs.append(sv + (-1 if neg else 1,))
+                signs.append(sv + (-1 if low < 0 else 1,))
                 continue
-            on = [(v, t) for v, t in zip(ids, tight) if vals[v] == 0]
+            neg = [(v, t) for v, t, s in zip(ids, tight, at) if s < 0]
+            pos = [(v, t) for v, t, s in zip(ids, tight, at) if s > 0]
+            on = [(v, t) for v, t, s in zip(ids, tight, at) if s == 0]
             cross = []
             for a, ta in neg:
                 for b, tb in pos:
                     common = ta & tb
+                    if common.bit_count() < k - 1:
+                        continue  # an edge of a k-polytope lies on k - 1 facets
                     if any(v != a and v != b and t & common == common for v, t in zip(ids, tight)):
                         continue
                     key = (a, b) if a < b else (b, a)
                     if key not in edge_points:
-                        # (vals[a] * pb - vals[b] * pa) / (vals[a] - vals[b]) on the
-                        # scaled points, whose denominators cancel into den.
+                        # (vals[b] * pa - vals[a] * pb) / (vals[b] - vals[a]) on the
+                        # scaled points, whose denominators cancel into den > 0.
+                        # Over their gcd, nums and den are the point's
+                        # `clear_denominators` form.
                         (pa, da), (pb, db) = self.scaled[a], self.scaled[b]
-                        den = vals[a] * db - vals[b] * da
-                        point = tuple(Fraction(vals[a] * y - vals[b] * x, den) for x, y in zip(pa, pb))
+                        den = vals[b] * da - vals[a] * db
+                        nums = [vals[b] * x - vals[a] * y for x, y in zip(pa, pb)]
+                        g = gcd(den, *nums)
                         edge_points[key] = len(self.points)
-                        self.points.append(point)
-                        self.scaled.append(clear_denominators(point))
+                        self.points.append(tuple([Fraction(x, den) for x in nums]))
+                        self.scaled.append((tuple([x // g for x in nums]), den // g))
                     cross.append((edge_points[key], common))
             for side, bit in ((neg, lo), (pos, lo + 1)):
                 keep = 0
                 for _, t in side:
                     keep |= t
                 plane = 1 << bit
-                half = side + [(v, t & keep | plane) for v, t in on] + [(v, t | plane) for v, t in cross]
-                cells.append((tuple(v for v, _ in half), tuple(t for _, t in half)))
+                half = sorted(side + [(v, t & keep | plane) for v, t in on] + [(v, t | plane) for v, t in cross])
+                cells.append((tuple([v for v, _ in half]), tuple([t for _, t in half])))
             signs += [sv + (-1,), sv + (1,)]
         self.cells = cells
         self.signs = signs
-        self._tight_at = None
+        self._masks_at = None
 
     def vertices(self, candidates: Iterable[int], mask: int) -> list[int]:
         """The candidates that are vertices of the polytope the facets in
@@ -436,19 +500,38 @@ class Refinement:
         those of a union of cells, or of two unions meeting in a face,
         and the candidates are vertices of those cells: the cells form a
         face-to-face complex, so a facet through a candidate is tiled by
-        cell facets that have it as a vertex.
+        cell facets that have it as a vertex.  A candidate on fewer than
+        k of the facets in mask is rejected at once.  A vertex's mask in
+        one cell names all of that cell's facets through it, whose
+        normals have full rank; so when one of them lies inside mask the
+        rank test is passed already, and the integer normals are ranked
+        (`int_rank`) only for the other candidates.
         """
-        if self._tight_at is None:
-            self._tight_at = [0] * len(self.points)
+        if self._masks_at is None:
+            self._masks_at = [[] for _ in self.points]
             for ids, tight in self.cells:
                 for v, t in zip(ids, tight):
-                    self._tight_at[v] |= t
+                    self._masks_at[v].append(t)
         k = self.span.dim
-        return [
-            v
-            for v in candidates
-            if rank([self.facets[i][0] for i in bits(self._tight_at[v] & mask)]) == k
-        ]
+        out = []
+        for v in candidates:
+            masks = self._masks_at[v]
+            tight = 0
+            for t in masks:
+                tight |= t
+            tight &= mask
+            if tight.bit_count() < k:
+                continue
+            if any(t & mask == t for t in masks) or int_rank([self.normals[i] for i in bits(tight)]) == k:
+                out.append(v)
+        return out
+
+    def mean(self, ids: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """The vertex centroid of the points ids as (P, D), the point
+        P / D, summed from their integer forms with no Fraction."""
+        den = lcm(*[self.scaled[v][1] for v in ids])
+        rows = [[x * (den // d) for x in p] for p, d in (self.scaled[v] for v in ids)]
+        return tuple([sum(col) for col in zip(*rows)]), den * len(ids)
 
     def polytope(self, ids: Iterable[int], mask: int) -> Polytope:
         """The polytope with vertex ids ids and the facets in mask."""
@@ -476,56 +559,43 @@ class SideFunctional:
         return vdot(self.normal, v)
 
 
-def _complete_to_ambient(rows: list[RatVector], d: int) -> list[RatVector]:
-    """Extend independent rows to a basis of Q^d with standard basis vectors."""
-    out = list(rows)
-    for i in range(d):
-        if len(out) == d:
-            break
-        e = tuple(Fraction(1) if j == i else ZERO for j in range(d))
-        if rank(out + [e]) > len(out):
-            out.append(e)
-    return out
-
-
 def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> Facet:
     """Unoriented hyperplane (normal, offset) through `sub` within `ambient`.
 
     `sub` must have codimension 1 in `ambient`.  The normal is zero on
     `sub`'s directions and on the standard basis vectors that complete
-    them and one of `ambient`'s to a basis of Q^d.  That completion is
-    fixed by the RREF bases, so the key is canonical: the normal is
-    primitive integer with first nonzero entry positive, and two
-    sub-flats spanning the same hyperplane produce equal keys.  The
+    `ambient`'s to a basis of Q^d (`AffineSpan.free_coords`).  That
+    completion is fixed by the RREF basis, so the key is canonical: the
+    normal is primitive integer with first nonzero entry positive, and
+    two sub-flats spanning the same hyperplane produce equal keys.  The
     normal need not vanish on the orthogonal complement of `ambient`
     (for the line through (1,1) in Q^2 it is (0, 1)), so it classifies
     only vectors in `ambient`'s linear span.  Those are all it is given:
-    `_build_edge` classifies `stratum_weights_in(x, g, f)`, and the
-    cell cuts in `arrangement._decompose` evaluate it at points of the
-    wall.
+    `arrangement.crossing_graph` classifies `stratum_weights_in(x, g,
+    f)`, and the cell cuts in `arrangement._decompose` evaluate it at
+    points of the wall.
+
+    It runs in integers: on the free coordinates, `sub`'s integer
+    basis rows leave one direction, their generalized cross product
+    (`cross_product`), and the offset is that normal at `sub`'s base
+    with its denominators cleared.
     """
-    if not all(ambient.lin_contains(b) for b in sub.basis):
+    rows = sub.int_frame[0]
+    if not all(ambient.lin_holds(row) for row in rows):
         raise ValueError("sub-flat is not contained in the ambient span")
     if sub.dim != ambient.dim - 1:
         raise ValueError("sub-flat is not codimension 1 in the ambient span")
-    d = ambient.ambient_dim
-    rows = list(sub.basis)
-    pick = next(
-        (b for b in ambient.basis if not sub.lin_contains(b)),
-        None,
-    )
-    if pick is None:
-        raise ValueError("degenerate ambient/sub flat pair")
-    rows.append(pick)
-    rows = _complete_to_ambient(rows, d)
-    rhs = tuple(Fraction(1) if i == sub.dim else ZERO for i in range(d))
-    normal = solve_square(rows, rhs)
-    offset = vdot(normal, sub.base)
-    normal, offset = primitive_functional(normal, offset)
-    lead = next(x for x in normal if x != 0)
-    if lead < 0:
-        normal, offset = vneg(normal), -offset
-    return normal, offset
+    free = ambient.free_coords
+    u = cross_product([[row[j] for j in free] for row in rows], len(free))
+    base, den = clear_denominators(sub.base)
+    normal = [0] * ambient.ambient_dim
+    for j, c in zip(free, u):
+        normal[j] = c * den
+    offset = idot(u, [base[j] for j in free])
+    g = gcd(offset, *normal)
+    if next(c for c in normal if c) < 0:
+        g = -g
+    return tuple([Fraction(c // g) for c in normal]), Fraction(offset // g)
 
 
 def side_functional(ambient: AffineSpan, separator: AffineSpan, toward: RatVector) -> SideFunctional:

@@ -177,6 +177,11 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return len(_eliminate(_integer_rows(rows))[0])
 
 
+def int_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of integer rows, which have no denominators to clear."""
+    return len(_eliminate([list(r) for r in rows])[0])
+
+
 def solve_scaled(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Solve M x = rhs exactly for square M given by rows, as (X, d) with
     x == X / d: the augmented rows are eliminated in integers and x is

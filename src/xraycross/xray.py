@@ -45,6 +45,17 @@ from .ratmath import (
 # tests and the benchmark build, has 2517.
 MAX_HULL_SUBSETS = 20_000
 
+# `hull` scales a stratum's points by the lcm of all their denominators,
+# so its cost grows with that lcm's length as well: a stratum whose hull
+# subset count times the decimal digits of the lcm exceeds this is refused
+# before any geometry runs.  On the VM above, 199 points in convex
+# position at d = 2 (19 901 subsets) hull in 0.6 s with integer
+# coordinates, 1.0 s with a 43-digit lcm (855 743, inside the bound) and
+# 3.4 s with distinct 3-digit denominators whose lcm has 185 digits (3.7
+# million, refused).  `delzant --cube 4` is at 2 517, and every input the
+# tests and the benchmark build is at most a few thousand.
+MAX_HULL_WORK = 1_000_000
+
 # More strata than this are refused before any geometry runs.  The
 # ancestor sets grow with the square of the order's depth: at this bound
 # a chain (each stratum the only parent of the next) loads in 0.3 s with
@@ -648,11 +659,20 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
             raise MalformedXray(f"{where}: parents must be a list of ids")
         m = len(set(verts))
-        if sum(math.comb(m, j) for j in range(min(d, m) + 1)) > MAX_HULL_SUBSETS:
+        subsets = sum(math.comb(m, j) for j in range(min(d, m) + 1))
+        if subsets > MAX_HULL_SUBSETS:
             raise MalformedXray(
                 f"{where}: stratum '{sid}' has {m} distinct vertices at torus_rank {d}, "
                 f"more than {MAX_HULL_SUBSETS} vertex subsets to hull"
             )
+        den = 1
+        for v in verts:  # the lcm only grows, so stop once it is too long
+            den = math.lcm(den, *[q.denominator for q in v])
+            if subsets * _digits(den) > MAX_HULL_WORK:
+                raise MalformedXray(
+                    f"{where}: stratum '{sid}' has {subsets} vertex subsets to hull over a common "
+                    f"denominator of {_digits(den)} or more digits, more than {MAX_HULL_WORK} subset digits"
+                )
         vertex_data = None
         if m == 1:  # one distinct point: a 0-dimensional wall
             if sid not in raw_vd:
@@ -679,6 +699,12 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         raise MalformedXray(f"vertex_data supplied for non-vertex strata: {stray}")
     strata = (Stratum(id=sid, wall=hull(verts), parents=parents, vertex_data=vd) for sid, verts, parents, vd in parsed)
     return WeightedXray(d, n, tuple(strata))
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of n > 0, read off its bit length: exact, or
+    one too many just below a power of ten."""
+    return math.floor(n.bit_length() * math.log10(2)) + 1
 
 
 def _is_int(value) -> bool:

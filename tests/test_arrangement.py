@@ -8,7 +8,16 @@ import conftest
 from xraycross import arrangement, exactgeom, generators, xray
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
 from xraycross.errors import SingularLevel, XrayError
-from xraycross.exactgeom import Polytope, clip_to_polytope, facet_polytopes, hull, side_functional, span_hyperplane
+from xraycross.exactgeom import (
+    Polytope,
+    Refinement,
+    centroid,
+    clip_to_polytope,
+    facet_polytopes,
+    hull,
+    side_functional,
+    span_hyperplane,
+)
 from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, save_xray
 from xraycross.ratmath import as_vec, format_rational, sign, vdot, vscale
 from xraycross.xray import stratum_weights_in
@@ -477,3 +486,94 @@ def test_checked_load_and_cells_walk_no_face_hulls(monkeypatch, tmp_path, d, n, 
         crossing_graph(x, sid)
     assert calls == {"facet_polytopes": 0, "faces": 0}
     assert facet_polytopes.cache_info().currsize == 0
+
+
+def shared_facets(x, f):
+    """f's wall cut as `_decompose` cuts it, and each cell facet two cells
+    share: (vertex ids, the two (cell, facet bit) owners)."""
+    ref = Refinement(x.stratum(f).wall)
+    for normal, offset in arrangement._decompose(x, f).cuts:
+        ref.cut(normal, offset)
+    owners = {}
+    for i, (ids, tight) in enumerate(ref.cells):
+        mask = 0
+        for t in tight:
+            mask |= t
+        for bit in exactgeom.bits(mask):
+            owners.setdefault(tuple(sorted(v for v, t in zip(ids, tight) if t >> bit & 1)), []).append((i, bit))
+    return ref, [(facet, own) for facet, own in owners.items() if len(own) == 2]
+
+
+SEEDED_AND_GRID = [
+    lambda: cpn_xray(4, ProjectionMatrix(CP4_ROWS)),
+    lambda: cpn_xray(4, ProjectionMatrix(NCP4_ROWS)),
+    lambda: random_cpn(2, 6, 0),
+    lambda: random_cpn(3, 4, 0),
+    lambda: random_cpn(3, 5, 1),
+    lambda: random_cpn(4, 5, 0),
+    lambda: cpn_xray(6, seeded_rows(2, 6, 1, grid=2)),
+    lambda: cpn_xray(5, seeded_rows(3, 5, 2, grid=2)),
+    lambda: cpn_xray(6, seeded_rows(3, 6, 0, grid=1)),
+]
+
+
+@pytest.mark.parametrize("make", SEEDED_AND_GRID, ids=["cp4", "ncp4", "s26", "s34", "s35", "s45", "g26", "g35", "g36"])
+def test_merge_test_reads_facet_sign_vectors(monkeypatch, make):
+    """A shared facet's sign vector is its cell's recorded one with the
+    entry of the cut its bit names set to 0, the signs of its centroid;
+    and the subwalls the merge test tries there include every subwall
+    holding that centroid.  The tries are recorded on a fresh X-ray
+    whose subwalls all answer no, so every candidate is tried."""
+    tried = {}
+    x = make()
+    ids = {id(x.stratum(g).wall): g for g in x.ids}
+    with monkeypatch.context() as m:
+        for f in x.ids:
+
+            def recording(self, scaled, den, f=f):
+                tried.setdefault((f, tuple(Fraction(p, den) for p in scaled)), set()).add(ids[id(self)])
+                return False
+
+            m.setattr(Polytope, "holds", recording)
+            arrangement._decompose(x, f)
+    x = make()
+    facets = held = 0
+    for f in x.ids:
+        if x.dim(f) == 0:
+            continue
+        ref, shared = shared_facets(x, f)
+        cuts = arrangement._decompose(x, f).cuts
+        nfacets = len(x.stratum(f).wall.facets)
+        for facet, own in shared:
+            mid = centroid([ref.points[v] for v in facet])
+            for cell, bit in own:
+                signs = list(ref.signs[cell])
+                signs[arrangement._facet_cut(bit, nfacets)] = 0
+                assert tuple(signs) == arrangement._signs(cuts, mid)
+            holding = {g for g in x.below(f) if x.stratum(g).wall.contains(mid)}
+            assert holding <= tried.get((f, mid), set()), (f, mid)
+            facets += 1
+            held += bool(holding)
+    assert facets >= held > 0
+
+
+def test_separator_counts_match_per_edge_recount():
+    """Every separator's (f, b) equals its weights counted again on that
+    edge through `stratum_weights_in`, against the subwall's hyperplane
+    oriented toward the edge's destination; some edges need the counts
+    swapped, for a destination below the unoriented plane."""
+    swapped = 0
+    for make in SEEDED_AND_GRID:
+        x = make()
+        for f in x.ids:
+            span = x.stratum(f).wall.span
+            chambers = subchambers(x, f)
+            for edge in crossing_graph(x, f).edges:
+                for sep in edge.separators:
+                    normal, offset = span_hyperplane(span, x.stratum(sep.g).wall.span)
+                    if vdot(normal, chambers[edge.dest].rep) < offset:
+                        normal = vscale(normal, Fraction(-1))
+                        swapped += sep.f != sep.b
+                    weights = [vdot(normal, w) for w in stratum_weights_in(x, sep.g, f)]
+                    assert (sep.f, sep.b) == (sum(v > 0 for v in weights), sum(v < 0 for v in weights))
+    assert swapped > 0

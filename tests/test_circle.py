@@ -100,6 +100,30 @@ def test_at_level_keeps_component_order():
     assert repr(data).startswith("CircleFixedData(components=(FixedComponent(level=Fraction(2, 1)")
 
 
+def test_at_level_hashes_no_fraction(monkeypatch):
+    """A lookup keys the level index by (numerator, denominator), so it
+    hashes no Fraction, and an int finds the same components as the
+    equal Fraction."""
+    one = IntPolynomial.one()
+    comps = (
+        FixedComponent(Fraction(2), (1,), 1, one),
+        FixedComponent(Fraction(-3, 4), (-1,), 2, one),
+        FixedComponent(Fraction(2), (-1, -1), 3, one),
+    )
+    data = CircleFixedData(comps)
+
+    def no_hash(self):
+        raise AssertionError("Fraction hashed in a level lookup")
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__hash__", no_hash)
+        assert data.at_level(Fraction(2)) == data.at_level(2) == (comps[0], comps[2])
+        assert data.at_level(Fraction(-3, 4)) == (comps[1],)
+        assert data.at_level(Fraction(3, 4)) == data.at_level(0) == ()
+    assert data.levels() == (Fraction(-3, 4), Fraction(2))
+    assert data == CircleFixedData(comps)
+
+
 def test_component_rejects_zero_weight():
     with pytest.raises(ValueError):
         FixedComponent(Fraction(0), (0, 1), 1, IntPolynomial.one())

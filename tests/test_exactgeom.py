@@ -20,17 +20,21 @@ from xraycross.exactgeom import (
     faces,
     hull,
     side_functional,
+    span_facet,
     span_hyperplane,
     tight_mask,
 )
+from xraycross.generators import cpn_xray
 from xraycross.ratmath import ZERO, as_vec, solve_square, vdot, vneg, vsub
 
+from conftest import seeded_rows
 from test_ratmath import (
     in_span,
     nullspace_by_fractions,
     primitive_by_fractions,
     rank_by_fractions,
     rref_by_fractions,
+    solve_square_by_fractions,
 )
 
 coords = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -310,6 +314,122 @@ def test_span_hyperplane_vanishes_on_sub():
     normal, offset = span_hyperplane(plane, line)
     for v in pts((4, 0), (0, 4), (2, 2)):
         assert sum(n * c for n, c in zip(normal, v)) == offset
+
+
+# The Fraction forms of span_hyperplane, span_facet and centroid from
+# before they moved to integers, as references.
+
+
+def complete_to_ambient_by_fractions(rows, d):
+    """Extend independent rows to a basis of Q^d with standard basis vectors."""
+    out = list(rows)
+    for i in range(d):
+        if len(out) == d:
+            break
+        e = tuple(Fraction(1) if j == i else ZERO for j in range(d))
+        if rank_by_fractions(out + [e]) > len(out):
+            out.append(e)
+    return out
+
+
+def span_hyperplane_by_fractions(ambient, sub):
+    """Solve for the normal that is 0 on sub's basis and on the
+    completing standard basis vectors, and 1 on one ambient direction
+    off sub; then make it primitive with its first nonzero entry positive."""
+    if not all(in_span(ambient.basis, ambient.pivots, b) for b in sub.basis):
+        raise ValueError("sub-flat is not contained in the ambient span")
+    if sub.dim != ambient.dim - 1:
+        raise ValueError("sub-flat is not codimension 1 in the ambient span")
+    d = ambient.ambient_dim
+    rows = list(sub.basis)
+    pick = next((b for b in ambient.basis if not in_span(sub.basis, sub.pivots, b)), None)
+    if pick is None:
+        raise ValueError("degenerate ambient/sub flat pair")
+    rows.append(pick)
+    rows = complete_to_ambient_by_fractions(rows, d)
+    rhs = tuple(Fraction(1) if i == sub.dim else ZERO for i in range(d))
+    normal = solve_square_by_fractions(rows, rhs)
+    normal, offset = primitive_by_fractions(normal, vdot(normal, sub.base))
+    if next(x for x in normal if x != 0) < 0:
+        normal, offset = vneg(normal), -offset
+    return normal, offset
+
+
+def span_facet_by_fractions(span, normal, offset):
+    n = [ZERO] * span.ambient_dim
+    for row, p in zip(span.basis, span.pivots):
+        n[p] = vdot(normal, row)
+    n = tuple(n)
+    return primitive_by_fractions(n, offset - vdot(normal, span.base) + vdot(n, span.base))
+
+
+def centroid_by_fractions(points):
+    return tuple(sum(col, ZERO) / len(points) for col in zip(*points))
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+@st.composite
+def cpn_walls(draw):
+    """A seeded or grid CP^n at d = 1..4 and one wall of positive
+    dimension in it, with its vertices."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d, d + 2 if d < 4 else 5))
+    grid = draw(st.sampled_from([None, None, 1, 2, 3]))
+    assume(grid is None or (grid + 1) ** d >= n + 1)
+    x = cpn_xray(n, seeded_rows(d, n, draw(st.integers(0, 10**6)), grid=grid))
+    f = draw(st.sampled_from(sorted(sid for sid in x.ids if x.dim(sid) > 0)))
+    return x, f
+
+
+@settings(deadline=None, max_examples=40)
+@given(cpn_walls(), st.integers(0, 2**32))
+def test_span_geometry_matches_fraction_reference(case, seed):
+    """span_hyperplane of the wall against every stratum of the X-ray,
+    below it or not, of any dimension: equal output, or the same
+    ValueError for a sub-flat outside the span or of the wrong
+    codimension.  span_facet on every cut plane and on seeded rational
+    functionals, and centroid on seeded vertex subsets, equal the
+    Fraction forms."""
+    x, f = case
+    rng = random.Random(seed)
+    span = x.stratum(f).wall.span
+    kinds = set()
+    for g in sorted(x.ids):
+        sub = x.stratum(g).wall
+        got = outcome_of(span_hyperplane, span, sub.span)
+        assert got == outcome_of(span_hyperplane_by_fractions, span, sub.span), (f, g)
+        kinds.add(got[1] if got[0] is ValueError else "hyperplane")
+        if got[0] is not ValueError:
+            assert span_facet(span, *got) == span_facet_by_fractions(span, *got)
+    assert "hyperplane" in kinds or all(x.dim(g) != x.dim(f) - 1 for g in x.below(f))
+    for _ in range(5):
+        normal = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(span.ambient_dim))
+        offset = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+        assert span_facet(span, normal, offset) == span_facet_by_fractions(span, normal, offset)
+        verts = rng.sample(x.stratum(f).wall.vertices, rng.randint(1, len(x.stratum(f).wall.vertices)))
+        assert centroid(verts) == centroid_by_fractions(verts)
+
+
+def test_span_hyperplane_on_the_diagonal_line():
+    """In the line through (1,1), the point (2,2) is cut out by y = 2:
+    e_0 completes the line's direction, so the normal is zero there."""
+    line = AffineSpan.from_points(pts((0, 0), (1, 1)))
+    point = AffineSpan.from_points(pts((2, 2)))
+    assert line.free_coords == (1,)
+    assert span_hyperplane(line, point) == span_hyperplane_by_fractions(line, point) == (as_vec((0, 1)), Fraction(2))
+    across = AffineSpan.from_points(pts((0, 1), (1, 1)))
+    errors = [outcome_of(span_hyperplane, line, other) for other in (across, line)]
+    assert errors == [outcome_of(span_hyperplane_by_fractions, line, other) for other in (across, line)]
+    assert [message for _, message in errors] == [
+        "sub-flat is not contained in the ambient span",
+        "sub-flat is not codimension 1 in the ambient span",
+    ]
 
 
 def barycentric_inside(simplex_vertices, q):

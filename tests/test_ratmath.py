@@ -13,6 +13,7 @@ from xraycross.ratmath import (
     as_vec,
     clear_denominators,
     format_rational,
+    int_rank,
     is_zero_vector,
     nullspace,
     parse_rational,
@@ -263,6 +264,7 @@ def test_integer_elimination_matches_fractions(case):
     rows, cols = case
     assert rref(rows) == rref_by_fractions(rows)
     assert rank(rows) == rank_by_fractions(rows)
+    assert int_rank([clear_denominators(row)[0] for row in rows]) == rank_by_fractions(rows)
     assert nullspace(rows, cols) == nullspace_by_fractions(rows, cols)
     reduced, _ = rref(rows)
     assert all(type(x) is Fraction for row in reduced for x in row)

@@ -33,6 +33,10 @@ def test_oracle_sweep_passes():
     run_script("oracle_sweep.py", "--count", "20")
 
 
+def test_arrangement_gate_passes():
+    run_script("arrangement_gate.py", "2,4", "3,4,2")
+
+
 def bench_bindings():
     """(module, attribute) pairs of xraycross that bench/ binds by name.
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from xraycross import xray
 from xraycross.errors import MalformedXray
 from xraycross.exactgeom import centroid, faces, hull, tight_mask
-from xraycross.generators import cpn_xray, standard_cube_xray, standard_simplex_xray
+from xraycross.generators import ProjectionMatrix, cpn_xray, standard_cube_xray, standard_simplex_xray
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import (
     as_vec,
@@ -783,6 +784,31 @@ def test_interchange_rejects_long_rationals_before_hull(monkeypatch, cp3, where)
         path = rf"vertex_data\['{vid}'\]\.weights\[1\]\[0\]"
     with pytest.raises(MalformedXray, match=rf"{path}: numerator or denominator of more than {xray.MAX_RATIONAL_DIGITS} digits"):
         from_interchange(doc)
+
+
+def test_interchange_rejects_long_common_denominator_before_hull(monkeypatch):
+    """199 points in convex position at d = 2 with distinct 3-digit
+    denominators are within the subset and digit bounds, but the lcm of
+    their denominators has 185 digits: hulling them took 3.4 s, and the
+    document is refused in well under a second, before any hull."""
+    monkeypatch.setattr(xray, "hull", no_hull)
+    denominators = random.Random(0).sample(range(100, 1000), 199)
+    vertices = [[str(i), f"{i * i * q + 1}/{q}"] for i, q in enumerate(denominators)]
+    doc = {"torus_rank": 2, "half_dim": 2, "strata": [{"id": "top", "vertices": vertices}], "vertex_data": {}}
+    start = time.perf_counter()
+    with pytest.raises(MalformedXray, match=r"strata\[0\]: stratum 'top' has 19901 vertex subsets to hull over a common denominator"):
+        from_interchange(doc)
+    assert time.perf_counter() - start < 1
+
+
+def test_hull_work_bound_leaves_room_for_long_rationals():
+    """A seeded (3, 5) CP^n X-ray whose top wall has distinct 100-digit
+    denominators is within every bound and loads back unchanged."""
+    rows = tuple(
+        tuple(Fraction(10**99 + 7 * (i + 6 * r), 10**99 + 11 * (i + 6 * r) + 1) for i in range(6)) for r in range(3)
+    )
+    x = cpn_xray(5, ProjectionMatrix(rows))
+    assert from_interchange(to_interchange(x)) == x
 
 
 def test_largest_generated_input_is_within_bounds():
