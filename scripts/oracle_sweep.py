@@ -6,7 +6,12 @@ closed-form localization sums, including the two-sided singular value
 at every critical level.  The restriction sweep walks every crossing
 edge of the rank-2 worked examples and compares the recursion's jump
 with the jump of the residual circle built from the separating wall.
-Both assert that circle.cross_check passes, one wall at a time.
+Both assert that circle.cross_check passes, one wall at a time.  Before
+its PASS line the script prints one digest of every report it checked
+(each line's name, pass flag and detail, in order), so two versions of
+the package can be shown to report identically:
+
+    PYTHONPATH=src python scripts/oracle_sweep.py
 
 Random components come in sign-mirrored pairs with equal seeds so that
 the invariants telescope to zero outside the moment image, as they must
@@ -14,12 +19,13 @@ for any compact example.
 """
 
 import argparse
+import hashlib
 from fractions import Fraction
 from random import Random
 
 from xraycross.arrangement import crossing_graph, subchambers
 from xraycross.circle import cross_check
-from xraycross.engine import POINCARE, SIGNATURE, propagate
+from xraycross.engine import POINCARE, SIGNATURE, Report, propagate
 from xraycross.exactgeom import hull
 from xraycross.generators import ProjectionMatrix, cpn_xray
 from xraycross.intpoly import IntPolynomial
@@ -71,7 +77,7 @@ def mirrored_rank1(rng: Random) -> WeightedXray:
     return WeightedXray(1, n, tuple(strata))
 
 
-def rank1_sweep(count: int, seed: int) -> tuple[int, int]:
+def rank1_sweep(count: int, seed: int, reports: list[Report]) -> tuple[int, int]:
     rng = Random(seed)
     chambers = levels = 0
     for _ in range(count):
@@ -81,6 +87,7 @@ def rank1_sweep(count: int, seed: int) -> tuple[int, int]:
             raise AssertionError(f"generator produced an invalid X-ray: {violations}")
         report = cross_check(x, "top", propagate(x, SIGNATURE), propagate(x, POINCARE))
         assert report.passed, [line for line in report.lines if not line.passed]
+        reports.append(report)
         chambers += len(subchambers(x, "top"))
         levels += len(x.vertex_ids)
     return chambers, levels
@@ -98,7 +105,7 @@ WORKED = {
 }
 
 
-def restriction_sweep() -> int:
+def restriction_sweep(reports: list[Report]) -> int:
     edges = 0
     for name, rows in WORKED.items():
         x = cpn_xray(4, ProjectionMatrix(rows))
@@ -109,8 +116,19 @@ def restriction_sweep() -> int:
                 continue
             report = cross_check(x, sid, sig, poin)
             assert report.passed, (name, sid, [line for line in report.lines if not line.passed])
+            reports.append(report)
             edges += len(crossing_graph(x, sid).edges)
     return edges
+
+
+def report_digest(reports: list[Report]) -> str:
+    """The first 16 hex digits of the sha256 of every line of every
+    report: title, line name, pass flag and detail."""
+    h = hashlib.sha256()
+    for report in reports:
+        for line in report.lines:
+            h.update(f"{report.title}\t{line.name}\t{line.passed}\t{line.detail}\n".encode())
+    return h.hexdigest()[:16]
 
 
 def main(argv=None) -> int:
@@ -119,13 +137,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=20260816)
     args = parser.parse_args(argv)
 
-    chambers, levels = rank1_sweep(args.count, args.seed)
+    reports: list[Report] = []
+    chambers, levels = rank1_sweep(args.count, args.seed, reports)
     print(
         f"rank-1 sweep: {args.count} X-rays, {chambers} chambers matched the "
         f"closed forms, {levels} singular levels two-sided consistent"
     )
-    edges = restriction_sweep()
+    edges = restriction_sweep(reports)
     print(f"restriction sweep: {edges} crossing edges matched the residual circle")
+    print(f"report digest: {report_digest(reports)} over {len(reports)} reports")
     print("oracle sweep: PASS")
     return 0
 

@@ -29,11 +29,12 @@ against its unoriented plane; an edge swaps the two counts when its
 destination lies below that plane.
 
 `locate` places a point by its signs on the cut planes, taken in
-integers: a point on no plane is looked up by sign vector, and a
-subwall is tested only for a point on every cut plane that holds it
-(its own plane, for a codimension-1 subwall).  A regular point on a
-plane's extension beyond its subwall lies on the boundary of cells,
-and for it the closed subchambers are scanned.
+integers: a point on no plane is tested against the subwalls no plane
+holds (listed once per wall) and looked up by sign vector, and a point
+on a plane tests a subwall only when it lies on every cut plane that
+holds it (its own plane, for a codimension-1 subwall).  A regular
+point on a plane's extension beyond its subwall lies on the boundary
+of cells, and for it the closed subchambers are scanned.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from .errors import MalformedXray, SingularLevel, XrayError
 from .exactgeom import Polytope, Refinement, centroid, span_hyperplane
 from .ratmath import RatVector, clear_denominators, format_rational, idot
-from .xray import WeightedXray, stratum_weights_in
+from .xray import WeightedXray, scaled_weights_in
 
 EXTERIOR = -1
 
@@ -111,6 +112,8 @@ class _Decomposition:
               that contains the subwall: (plane,) for codimension 1, and
               for a higher codimension the planes all of its vertices
               lie on, which may be none.
+    loose:    (id, wall) of the subwalls no cut plane holds, sorted by
+              id: the only ones a point on no cut plane can lie on.
     cell_of:  each refinement cell's sign vector over cuts, mapped to
               the index of the subchamber holding the cell.
     """
@@ -119,6 +122,7 @@ class _Decomposition:
     pieces: tuple[tuple[int, int, RatVector], ...]
     cuts: tuple[tuple[tuple[int, ...], int], ...]
     subwalls: tuple[tuple[str, Polytope, int | None, tuple[int, ...]], ...]
+    loose: tuple[tuple[str, Polytope], ...]
     cell_of: dict[tuple[int, ...], int]
 
 
@@ -197,7 +201,8 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
                 owners.setdefault(facet, []).append((i, bit))
     # The subwalls a shared facet can lie on: held by its cut plane
     # alone, or by no plane.
-    loose = [sub for _, sub, _, holding in subwalls if not holding]
+    loose = tuple((g, sub) for g, sub, _, holding in subwalls if not holding)
+    loose_walls = [sub for _, sub in loose]
     alone: dict[int, list[Polytope]] = {}
     for _, sub, _, holding in subwalls:
         if len(holding) == 1:
@@ -206,7 +211,7 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
     for facet, own in owners.items():
         if len(own) == 2:
             (i, bit), (j, _) = own
-            tests = alone.get(_facet_cut(bit, nfacets), []) + loose
+            tests = alone.get(_facet_cut(bit, nfacets), []) + loose_walls
             if tests:
                 mid = ref.mean(facet)
                 if any(sub.holds(*mid) for sub in tests):
@@ -263,6 +268,7 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
         tuple(pieces),
         cuts,
         tuple(subwalls),
+        loose,
         {sv: index[find(i)] for i, sv in enumerate(ref.signs)},
     )
     x._cache[key] = out
@@ -328,25 +334,30 @@ def locate(x: WeightedXray, f: str, q: RatVector) -> Subchamber:
     named.
 
     q's signs on the wall's distinct cut planes, taken in integers by
-    `_signs` after `ratmath.clear_denominators`, decide it: a subwall
-    is tested only when q lies on every cut plane holding it, and when
-    no sign is zero q is in the open cell with that sign vector,
-    found by lookup.  A regular point on a cut plane (the plane of a
-    subwall, outside that subwall) lies on the boundary of its cells,
-    and the closed subchambers are scanned for it instead.
+    `_signs` after `ratmath.clear_denominators`, decide it.  When no sign
+    is zero, only the subwalls no cut plane holds (`_Decomposition.loose`)
+    can contain q, and if none does q is in the open cell with that sign
+    vector, found by lookup.  A point on some cut plane goes through
+    `_subwall_holding`, and if it is regular (on the plane of a subwall,
+    outside that subwall) it lies on the boundary of its cells, and the
+    closed subchambers are scanned for it instead.
     """
     wall = x.stratum(f).wall
     if not wall.contains(q):
         raise XrayError(f"point {_fmt_point(q)} not in wall '{f}'")
     dec = _decompose(x, f)
     signs = _signs(dec.cuts, q)
-    g = _subwall_holding(dec.subwalls, signs, q)
+    generic = 0 not in signs
+    if generic:
+        g = next((g for g, sub in dec.loose if sub.contains(q)), None)
+    else:
+        g = _subwall_holding(dec.subwalls, signs, q)
     if g is not None:
         raise SingularLevel(
             f"point {_fmt_point(q)} lies on subwall '{g}': "
             "singular point of this wall; query a smaller stratum"
         )
-    if 0 not in signs:
+    if generic:
         return dec.chambers[dec.cell_of[signs]]
     for chamber in dec.chambers:
         if chamber.cell.contains(q):
@@ -380,10 +391,11 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
 
 
 def _weight_counts(x: WeightedXray, g: str, f: str, normal: tuple[int, ...]) -> tuple[int, int]:
-    """How many of g's weights in f's wall lie above and below normal."""
+    """How many of g's weights in f's wall lie above and below normal,
+    tested on their integer forms (`xray.scaled_weights_in`)."""
     above = below = 0
-    for w in stratum_weights_in(x, g, f):
-        v = idot(normal, clear_denominators(w)[0])
+    for w in scaled_weights_in(x, g, f):
+        v = idot(normal, w)
         if v > 0:
             above += 1
         elif v < 0:

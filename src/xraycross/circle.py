@@ -7,10 +7,18 @@ the change across a critical level and the signature of the singular
 reduction itself, computable from either side; the two-sided agreement
 is asserted on every call because it pins down the sign convention.
 
+A CircleFixedData indexes its components by level once, keyed by
+(numerator, denominator) so that no Fraction is hashed.  The first
+regular query sums the localization terms level by level into prefix
+sums, and every regular value after that is one `bisect` over the
+sorted levels.
+
 restrict_to_line turns one crossing-graph edge of a higher-rank X-ray
 into rank-1 fixed data for the residual circle, so the closed forms can
-cross-check every recursive wall-crossing step.  cross_check runs the
-whole comparison for one wall and reports it line by line.
+cross-check every recursive wall-crossing step.  Each separator becomes
+one level-0 component built straight from its (f, b) counts, whose
+weights are sorted already.  cross_check runs the whole comparison for
+one wall and reports it line by line.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arrangement import EXTERIOR, CrossingEdge, crossing_graph, subchambers
 from .engine import (
@@ -34,7 +43,7 @@ from .engine import (
 )
 from .errors import PropagationError, SingularLevel, XrayError
 from .intpoly import IntPolynomial
-from .ratmath import Rational, format_point, format_rational, rat
+from .ratmath import ZERO, Rational, format_point, format_rational, rat
 
 
 @dataclass(frozen=True)
@@ -60,24 +69,59 @@ class FixedComponent:
         object.__setattr__(self, "b", len(weights) - f)
         object.__setattr__(self, "q", len(weights))
 
+    @classmethod
+    def _of_counts(
+        cls, level: Fraction, f: int, b: int, seed_signature: int, seed_poincare: IntPolynomial
+    ) -> "FixedComponent":
+        """The component with f weights +1 and b weights -1, equal to
+        FixedComponent(level, (1,) * f + (-1,) * b, ...): its weights
+        (-1,) * b + (1,) * f are sorted already, so nothing is sorted or
+        counted again."""
+        out = object.__new__(cls)
+        vars(out).update(
+            level=level,
+            weights=(-1,) * b + (1,) * f,
+            seed_signature=seed_signature,
+            seed_poincare=seed_poincare,
+            f=f,
+            b=b,
+            q=f + b,
+        )
+        return out
+
 
 @dataclass(frozen=True)
 class CircleFixedData:
     """Fixed components of a circle action.  The sorted levels and each
     level's components (in component order) are indexed once at
-    construction, keyed by (numerator, denominator): a lookup hashes a
-    pair of ints, never a Fraction, whose hash is a modular inverse."""
+    construction, keyed by (numerator, denominator): neither building
+    the index nor a lookup hashes a Fraction, whose hash is a modular
+    inverse.  The regular values below each level are summed the first
+    time a regular level is queried (`_regular_sums`); like the index,
+    they stay out of repr and equality."""
 
     components: tuple[FixedComponent, ...]
 
     def __post_init__(self):
-        by_level: dict[Fraction, list[FixedComponent]] = {}
+        by_level: dict[tuple[int, int], list[FixedComponent]] = {}
         for comp in self.components:
-            by_level.setdefault(comp.level, []).append(comp)
-        object.__setattr__(self, "_levels", tuple(sorted(by_level)))
-        object.__setattr__(
-            self, "_by_level", {(c.numerator, c.denominator): tuple(comps) for c, comps in by_level.items()}
+            level = comp.level
+            by_level.setdefault((level.numerator, level.denominator), []).append(comp)
+        object.__setattr__(self, "_levels", tuple(sorted(comps[0].level for comps in by_level.values())))
+        object.__setattr__(self, "_by_level", {key: tuple(comps) for key, comps in by_level.items()})
+
+    @classmethod
+    def _one_level(cls, components: tuple[FixedComponent, ...]) -> "CircleFixedData":
+        """CircleFixedData(components) for components, at least one, all
+        at one level: indexed without a pass over them."""
+        out = object.__new__(cls)
+        level = components[0].level
+        vars(out).update(
+            components=components,
+            _levels=(level,),
+            _by_level={(level.numerator, level.denominator): components},
         )
+        return out
 
     def levels(self) -> tuple[Fraction, ...]:
         return self._levels
@@ -86,34 +130,47 @@ class CircleFixedData:
         """The components at level c, an int or a Fraction."""
         return self._by_level.get((c.numerator, c.denominator), ())
 
+    @cached_property
+    def _regular_sums(self) -> tuple[tuple[int, ...], tuple[IntPolynomial, ...]]:
+        """Prefix sums over the sorted levels: entry k of each is the
+        signature or Poincare polynomial of the reduction above the k
+        lowest levels and below the rest, the sum of the localization
+        terms of the components at those k levels.  Even-weight
+        components never move the signature."""
+        sig, poin = [0], [IntPolynomial.zero()]
+        for level in self._levels:
+            s, p = sig[-1], poin[-1]
+            for comp in self.at_level(level):
+                if comp.q % 2 == 1:
+                    s += (-1) ** comp.b * comp.seed_signature
+                p = p + comp.seed_poincare * w_poincare(comp.f, comp.b)
+            sig.append(s)
+            poin.append(p)
+        return tuple(sig), tuple(poin)
+
+
+def _levels_below(data: CircleFixedData, a: Rational) -> int:
+    """How many of data's levels lie below the regular level a; a level
+    itself raises SingularLevel."""
+    a = rat(a)
+    if data.at_level(a):
+        raise SingularLevel(f"level {format_rational(a)} is singular; use signature_singular")
+    return bisect_left(data.levels(), a)
+
 
 def signature_regular(data: CircleFixedData, a: Rational) -> int:
     """Signature of the reduction at the regular level a.
 
     Sums (-1)^b times the seed signature over components strictly below
-    a with an odd number of weights; even-weight components never move
-    the signature.
+    a with an odd number of weights, read off data's prefix sums.
     """
-    a = rat(a)
-    if data.at_level(a):
-        raise SingularLevel(f"level {format_rational(a)} is singular; use signature_singular")
-    total = 0
-    for comp in data.components:
-        if comp.level < a and comp.q % 2 == 1:
-            total += (-1) ** comp.b * comp.seed_signature
-    return total
+    return data._regular_sums[0][_levels_below(data, a)]
 
 
 def poincare_regular(data: CircleFixedData, a: Rational) -> IntPolynomial:
-    """Poincare polynomial of the reduction at the regular level a."""
-    a = rat(a)
-    if data.at_level(a):
-        raise SingularLevel(f"level {format_rational(a)} is singular; use signature_singular")
-    total = IntPolynomial.zero()
-    for comp in data.components:
-        if comp.level < a:
-            total = total + comp.seed_poincare * w_poincare(comp.f, comp.b)
-    return total
+    """Poincare polynomial of the reduction at the regular level a, read
+    off data's prefix sums."""
+    return data._regular_sums[1][_levels_below(data, a)]
 
 
 def wall_cross_delta(data: CircleFixedData, c: Rational, ring: str):
@@ -122,7 +179,10 @@ def wall_cross_delta(data: CircleFixedData, c: Rational, ring: str):
     ring selects the invariant: INTEGER for signature, INT_POLYNOMIAL
     for the Poincare polynomial.
     """
-    c = rat(c)
+    if not isinstance(c, int):
+        # at_level takes an int as it is; a Fraction made of it would
+        # cost more than the lookup
+        c = rat(c)
     at = data.at_level(c)
     if not at:
         raise XrayError(f"level {format_rational(c)} is not a wall")
@@ -233,14 +293,12 @@ def _edges_by_pair(x, f: str) -> dict[tuple[int, int], tuple[CrossingEdge, ...]]
 
 
 def _edge_circle(edge: CrossingEdge, sig_table: InvariantTable, poin_table: InvariantTable) -> CircleFixedData:
-    """restrict_to_line for an edge already in hand: one level-0 component per separator."""
-    return CircleFixedData(
+    """restrict_to_line for an edge already in hand: one level-0 component
+    per separator, built from its (f, b) counts."""
+    return CircleFixedData._one_level(
         tuple(
-            FixedComponent(
-                Fraction(0),
-                (1,) * sep.f + (-1,) * sep.b,
-                sig_table.value(sep.g, sep.r),
-                poin_table.value(sep.g, sep.r),
+            FixedComponent._of_counts(
+                ZERO, sep.f, sep.b, sig_table.value(sep.g, sep.r), poin_table.value(sep.g, sep.r)
             )
             for sep in edge.separators
         )

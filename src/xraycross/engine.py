@@ -12,7 +12,11 @@ depends on the X-ray alone, so it is compiled once per X-ray into a
 propagation plan cached on it: the strata in (dim, id) order and, for
 each wall, its steps and re-check edges, each carrying its separators
 already oriented as ((g, r), f, b) terms.  A propagate call only looks
-lower values up and sums, computing each w(f, b) once per call.
+lower values up and sums, computing each w(f, b) once per call.  No
+sum is padded with zeros: a crossing sum starts from its first nonzero
+product, and `IntPolynomial` returns the operand itself for p + 0 and
+p * 1, so the many crossings that leave a value unchanged build no new
+polynomial.
 
 Argument convention used everywhere: the first argument f counts
 weights pointing toward the destination chamber, the second b counts
@@ -120,8 +124,9 @@ def _edge_delta(spec: RecursiveInvariantSpec, values, terms: tuple[_Term, ...], 
     crossings memoizes spec.wall_cross by (f, b) within one propagate
     call.  A term with a zero coefficient adds nothing, but is skipped
     only after its lower value is looked up, so a missing one still
-    raises."""
-    total = spec.zero()
+    raises.  The sum starts from the first nonzero product, and
+    spec.zero() is taken only when every term vanishes."""
+    total = None
     for key, f, b in terms:
         try:
             lower = values[key]
@@ -134,8 +139,8 @@ def _edge_delta(spec: RecursiveInvariantSpec, values, terms: tuple[_Term, ...], 
         if cross is None:
             cross = crossings[fb] = spec.wall_cross(f, b)
         if cross:
-            total = total + cross * lower
-    return total
+            total = cross * lower if total is None else total + cross * lower
+    return spec.zero() if total is None else total
 
 
 @dataclass(frozen=True)

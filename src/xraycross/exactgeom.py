@@ -571,9 +571,9 @@ def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> Facet:
     normal need not vanish on the orthogonal complement of `ambient`
     (for the line through (1,1) in Q^2 it is (0, 1)), so it classifies
     only vectors in `ambient`'s linear span.  Those are all it is given:
-    `arrangement.crossing_graph` classifies `stratum_weights_in(x, g,
-    f)`, and the cell cuts in `arrangement._decompose` evaluate it at
-    points of the wall.
+    `arrangement.crossing_graph` classifies `scaled_weights_in(x, g, f)`
+    (g's weights in f's span, in integers), and the cell cuts in
+    `arrangement._decompose` evaluate it at points of the wall.
 
     It runs in integers: on the free coordinates, `sub`'s integer
     basis rows leave one direction, their generalized cross product

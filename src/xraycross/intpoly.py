@@ -22,11 +22,14 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", _strip(cs))
 
     @classmethod
-    def _of(cls, coeffs: list[int] | tuple[int, ...]) -> "IntPolynomial":
+    def _of(cls, coeffs: list[int]) -> "IntPolynomial":
         """A result built from int coefficients already: skips the type
-        check in __post_init__, only trailing zeros are stripped."""
+        check in __post_init__.  Trailing zeros are popped off the list,
+        which the result takes over, before the one tuple is made."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
         out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", _strip(tuple(coeffs)))
+        object.__setattr__(out, "coeffs", tuple(coeffs))
         return out
 
     @classmethod
@@ -55,10 +58,17 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
+    # Values are immutable, so adding zero or multiplying by one returns
+    # the operand itself, and no new polynomial is built.
+
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         long, short = self.coeffs, other.coeffs
+        if not short:
+            return self
+        if not long:
+            return other
         if len(long) < len(short):
             long, short = short, long
         out = list(long)
@@ -69,26 +79,39 @@ class IntPolynomial:
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
+        if not other.coeffs:
+            return self
         out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
         for k, c in enumerate(other.coeffs):
             out[k] -= c
         return IntPolynomial._of(out)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial._of(tuple(-c for c in self.coeffs))
+        return IntPolynomial._of([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial._of(tuple(c * other for c in self.coeffs))
+            if other == 1:
+                return self
+            if not other:
+                return _ZERO
+            return IntPolynomial._of([c * other for c in self.coeffs])
         if isinstance(other, IntPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return IntPolynomial.zero()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+            a, b = self.coeffs, other.coeffs
+            if b == (1,):
+                return self
+            if a == (1,):
+                return other
+            if not a or not b:
+                return _ZERO
+            # Poincare values and crossing terms have only even powers, so
+            # both operands' zero coefficients are skipped.
+            terms = [(j, c) for j, c in enumerate(b) if c]
+            out = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    for j, d in terms:
+                        out[i + j] += c * d
             return IntPolynomial._of(out)
         return NotImplemented
 
@@ -108,7 +131,14 @@ class IntPolynomial:
         return ar, ai
 
     def at_i(self) -> tuple[int, int]:
-        return self.eval_gaussian(0, 1)
+        """The value at i, read off the coefficients by exponent mod 4:
+        i^k is 1, i, -1, -i for k = 0, 1, 2, 3 (mod 4)."""
+        c = self.coeffs
+        if len(c) < 3:
+            # most values are constants: the coefficients are the answer
+            c += (0, 0)
+            return c[0], c[1]
+        return sum(c[0::4]) - sum(c[2::4]), sum(c[1::4]) - sum(c[3::4])
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -290,14 +290,36 @@ def stratum_weights_in(x: WeightedXray, g: str, f: str) -> tuple[RatVector, ...]
     makes the choice immaterial for anything downstream.  Zero weights
     of a non-isolated vertex count as lying in every span.
     """
+    return tuple(w for w, _ in _weights_in(x, g, f))
+
+
+def scaled_weights_in(x: WeightedXray, g: str, f: str) -> tuple[tuple[int, ...], ...]:
+    """`stratum_weights_in(x, g, f)` with each weight's denominators
+    cleared: integer vectors, each a positive multiple of its weight, in
+    the same order, so any sign test on a weight reads the same."""
+    return tuple(scaled for _, scaled in _weights_in(x, g, f))
+
+
+def _weights_in(x: WeightedXray, g: str, f: str) -> list[tuple[RatVector, tuple[int, ...]]]:
+    """(weight, integer form) of g's weights in f's wall span, tested in
+    integers against the span's equations."""
     if not x.leq(g, f):
         raise ValueError(f"stratum '{g}' is not below '{f}'")
     vs = x.vertices_below(g)
     if not vs:
         raise MalformedXray(f"stratum '{g}' has no vertex stratum below it")
-    vd = x.stratum(vs[0]).vertex_data
     span = x.stratum(f).wall.span
-    return tuple(w for w in vd.weights if span.lin_contains(w))
+    return [pair for pair in _scaled_weights(x, vs[0]) if span.lin_holds(pair[1])]
+
+
+def _scaled_weights(x: WeightedXray, vid: str) -> tuple[tuple[RatVector, tuple[int, ...]], ...]:
+    """Each weight of vertex vid with its denominators cleared
+    (`ratmath.clear_denominators`), once per X-ray: cached on it."""
+    key = ("scaled weights", vid)
+    out = x._cache.get(key)
+    if out is None:
+        out = x._cache[key] = tuple((w, clear_denominators(w)[0]) for w in x.stratum(vid).vertex_data.weights)
+    return out
 
 
 def complex_dim_of_stratum(x: WeightedXray, f: str) -> int:

@@ -577,3 +577,60 @@ def test_separator_counts_match_per_edge_recount():
                     weights = [vdot(normal, w) for w in stratum_weights_in(x, sep.g, f)]
                     assert (sep.f, sep.b) == (sum(v > 0 for v in weights), sum(v < 0 for v in weights))
     assert swapped > 0
+
+
+def locate_through_subwall_scan(x, f, q):
+    """locate as it runs for a point on a cut plane: every subwall tested
+    by `_subwall_holding`, then the closed chambers scanned."""
+    point = "(" + ",".join(format_rational(c) for c in q) + ")"
+    if not x.stratum(f).wall.contains(q):
+        raise XrayError(f"point {point} not in wall '{f}'")
+    dec = arrangement._decompose(x, f)
+    g = arrangement._subwall_holding(dec.subwalls, arrangement._signs(dec.cuts, q), q)
+    if g is not None:
+        raise SingularLevel(f"point {point} lies on subwall '{g}': singular point of this wall; query a smaller stratum")
+    for chamber in dec.chambers:
+        if chamber.cell.contains(q):
+            return chamber
+    raise XrayError(f"point {point} is in no subchamber of '{f}'")
+
+
+def triangle_with_interior_vertex():
+    """The toric triangle with one more vertex stratum inside the top
+    wall and on no edge's line: a subwall no cut plane holds.  It fails
+    validation and is loaded unchecked."""
+    doc = xray.to_interchange(generators.standard_simplex_xray(2))
+    doc["strata"].append({"id": "v9", "vertices": [["1/4", "1/4"]], "parents": ["top"]})
+    doc["vertex_data"]["v9"] = {"weights": [["1", "0"], ["0", "1"]], "signature": 1, "poincare": [1], "euler": 1}
+    return xray.from_interchange(doc)
+
+
+@pytest.mark.parametrize(
+    "make", SEEDED_AND_GRID + [triangle_with_interior_vertex], ids=["cp4", "ncp4", "s26", "s34", "s35", "s45", "g26", "g35", "g36", "tri9"]
+)
+def test_locate_off_every_plane_matches_subwall_scan(make):
+    """For a point on no cut plane, locate tests only the subwalls no
+    plane holds and looks the chamber up by sign vector; that gives the
+    chamber, or the exception and text, that `_subwall_holding` over
+    every subwall and the closed-chamber scan give.  Points: chamber
+    reps and vertices, edge reps, each loose subwall's vertex centroid,
+    and seeded affine combinations of them."""
+    x = make()
+    rng = random.Random(7)
+    kinds = set()
+    generic = 0
+    for f in sorted(x.ids):
+        if x.dim(f) == 0:
+            continue
+        dec = arrangement._decompose(x, f)
+        points = probe_points(x, f, rng) + [centroid(sub.vertices) for _, sub in dec.loose]
+        for q in points:
+            if 0 in arrangement._signs(dec.cuts, q):
+                continue
+            got = outcome(locate, x, f, q)
+            assert got == outcome(locate_through_subwall_scan, x, f, q), (f, q)
+            kinds.add("chamber" if isinstance(got, int) else got[0])
+            generic += 1
+    assert generic > 0 and "chamber" in kinds
+    if make is triangle_with_interior_vertex:
+        assert SingularLevel in kinds

@@ -25,6 +25,7 @@ from xraycross.engine import (
     POINCARE,
     SIGNATURE,
     propagate,
+    w_poincare,
     w_signature,
 )
 from xraycross.errors import SingularLevel, XrayError
@@ -466,3 +467,86 @@ def test_even_rank_component_never_changes_signature(level, half, seed):
     below = signature_regular(data, level - 1)
     above = signature_regular(data, level + 1)
     assert below == above == 0
+
+
+def scan_signature(data, a):
+    """signature_regular by a scan over the components, as first written."""
+    return sum((-1) ** c.b * c.seed_signature for c in data.components if c.level < a and c.q % 2 == 1)
+
+
+def scan_poincare(data, a):
+    total = IntPolynomial.zero()
+    for c in data.components:
+        if c.level < a:
+            total = total + c.seed_poincare * w_poincare(c.f, c.b)
+    return total
+
+
+# Levels from a small set, so that several components share a level.
+small_levels = st.one_of(st.integers(min_value=-3, max_value=3), st.sampled_from([Fraction(-1, 2), Fraction(5, 3)]))
+component_strategy = st.builds(
+    lambda level, weights, seed, coeffs: FixedComponent(Fraction(level), tuple(weights), seed, IntPolynomial(tuple(coeffs))),
+    small_levels,
+    st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=5),
+    st.integers(min_value=-4, max_value=4),
+    st.lists(st.integers(min_value=-4, max_value=4), max_size=4),
+)
+query_points = st.one_of(
+    st.integers(min_value=-5, max_value=5), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+@given(st.lists(component_strategy, max_size=8), st.lists(query_points, min_size=1, max_size=6))
+def test_regular_values_match_scan(components, points):
+    """signature_regular and poincare_regular read off prefix sums equal
+    the scan over the components: repeated levels, even-q components,
+    negative seeds, int and Fraction query points.  Every level still
+    raises SingularLevel, and the sums, built by the first regular
+    query, change neither repr nor equality."""
+    data = CircleFixedData(tuple(components))
+    text, fresh = repr(data), CircleFixedData(tuple(components))
+    for a in points:
+        if data.at_level(a):
+            continue
+        assert signature_regular(data, a) == scan_signature(data, a)
+        assert poincare_regular(data, a) == scan_poincare(data, a)
+    for c in data.levels():
+        for regular in (signature_regular, poincare_regular):
+            with pytest.raises(SingularLevel, match="singular"):
+                regular(data, c)
+    for a in (min(data.levels(), default=0) - 1, max(data.levels(), default=0) + 1):
+        assert signature_regular(data, a) == scan_signature(data, a)
+    assert repr(data) == text
+    assert data == fresh and hash(data) == hash(fresh)
+
+
+@pytest.mark.parametrize(
+    ("d", "n", "seed", "grid"), [(2, 5, 0, None), (2, 6, 1, 2), (3, 4, 1, None), (3, 5, 2, 2), (3, 5, 0, None)]
+)
+def test_edge_circle_equals_public_construction(d, n, seed, grid):
+    """The circle built straight from each separator's counts equals the
+    one built through FixedComponent and CircleFixedData from the
+    weights (1,) * f + (-1,) * b, in value, repr, counts and level
+    index, on every edge of every wall."""
+    x = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
+    sig, poin = engine_tables(x)
+    edges = 0
+    for f in x.ids:
+        if x.dim(f) == 0:
+            continue
+        for edge in crossing_graph(x, f).edges:
+            got = circle._edge_circle(edge, sig, poin)
+            want = CircleFixedData(
+                tuple(
+                    FixedComponent(Fraction(0), (1,) * s.f + (-1,) * s.b, sig.value(s.g, s.r), poin.value(s.g, s.r))
+                    for s in edge.separators
+                )
+            )
+            assert got == want and repr(got) == repr(want)
+            assert [(c.f, c.b, c.q) for c in got.components] == [(c.f, c.b, c.q) for c in want.components]
+            assert got.levels() == want.levels() == (Fraction(0),)
+            assert got.at_level(0) == want.at_level(0) == got.components
+            for ring in (INTEGER, INT_POLYNOMIAL):
+                assert wall_cross_delta(got, 0, ring) == wall_cross_delta(want, Fraction(0), ring)
+            edges += 1
+    assert edges > 0

@@ -118,3 +118,91 @@ def test_arithmetic_matches_coefficientwise_construction(a, b, s):
 def test_public_construction_rejects_non_int_coefficients(bad):
     with pytest.raises(TypeError, match="ints"):
         IntPolynomial(bad)
+
+
+# Coefficients drawn zero half the time, so that zero operands, even-only
+# polynomials and trailing zeros all occur.
+sparse_coeffs = st.lists(st.one_of(st.just(0), st.integers(min_value=-9, max_value=9)), max_size=9)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two coefficient lists of equal length whose top coefficients are
+    negatives of each other, so their sum ends in zeros."""
+    low = st.lists(st.integers(min_value=-9, max_value=9), min_size=draw(st.integers(0, 4)))
+    a, b = draw(low), draw(low)
+    n = min(len(a), len(b))
+    top = draw(st.lists(st.integers(min_value=-9, max_value=9).filter(bool), min_size=1, max_size=4))
+    return a[:n] + top, b[:n] + [-c for c in top]
+
+
+def ref_poly(coeffs):
+    """The plain-list reference: coefficients with trailing zeros removed."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return ref_poly([x + sign * y for x, y in zip(a, b)])
+
+
+def ref_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_poly(out)
+
+
+def check_against_reference(a, b, s):
+    p, q = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
+    assert (p + q).coeffs == ref_add(a, b)
+    assert (p - q).coeffs == ref_add(a, b, -1)
+    assert (p * q).coeffs == ref_mul(a, b)
+    assert (p * s).coeffs == (s * p).coeffs == ref_poly([c * s for c in a])
+    for r in (p + q, p - q, p * q, p * s):
+        assert not r.coeffs or r.coeffs[-1] != 0
+        assert all(type(c) is int for c in r.coeffs)
+
+
+@given(sparse_coeffs, sparse_coeffs, st.one_of(st.sampled_from([0, 1, -1]), st.integers(min_value=-5, max_value=5)))
+def test_ring_ops_match_list_reference(a, b, s):
+    """+, - and * (by a polynomial and by an int) against the plain-list
+    reference, zero operands and zero coefficients at odd and even
+    degrees included."""
+    check_against_reference(a, b, s)
+
+
+@given(cancelling_pairs(), st.sampled_from([0, 1, -1, 2]))
+def test_ring_ops_match_list_reference_under_cancellation(pair, s):
+    """A sum whose top coefficients cancel is stripped down to the first
+    nonzero coefficient below them, or to zero."""
+    a, b = pair
+    check_against_reference(a, b, s)
+    assert len((IntPolynomial(tuple(a)) + IntPolynomial(tuple(b))).coeffs) < len(a)
+
+
+@given(sparse_coeffs.filter(lambda a: ref_poly(a) not in ((), (1,))))
+def test_adding_zero_and_multiplying_by_one_return_the_operand(a):
+    """Values are immutable, so these identities hand back the operand
+    itself (neither 0 nor 1, so there is one to choose) and build
+    nothing."""
+    p, zero, one = IntPolynomial(tuple(a)), IntPolynomial.zero(), IntPolynomial.one()
+    assert p + zero is p
+    assert zero + p is p
+    assert p - zero is p
+    assert p * 1 is p and 1 * p is p
+    assert p * one is p and one * p is p
+    assert p * 0 == zero and p * zero == zero and zero * p == zero
+
+
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=20))
+def test_at_i_matches_gaussian_evaluation(a):
+    """at_i, read off the coefficients by exponent mod 4, equals Horner
+    evaluation at 0 + 1i."""
+    p = IntPolynomial(tuple(a))
+    assert p.at_i() == p.eval_gaussian(0, 1)

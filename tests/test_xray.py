@@ -82,6 +82,36 @@ def test_weights_require_comparable_strata(cp4):
         stratum_weights_in(cp4, "w1-2", "w1-3")
 
 
+@pytest.mark.parametrize(("d", "n", "seed", "grid"), [(2, 5, 0, None), (2, 6, 1, 2), (3, 5, 1, None), (3, 5, 2, 2)])
+def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
+    """stratum_weights_in keeps the weights a per-call Fraction test keeps,
+    in order, and scaled_weights_in gives each one's integer form.  Each
+    vertex's weights are cleared to integers once per X-ray: asking
+    again for every pair clears nothing."""
+    x = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
+    pairs = [(g, f) for f in sorted(x.ids) for g in sorted(x.ids) if x.leq(g, f)]
+    cleared = []
+    real = xray.clear_denominators
+
+    def counting(v):
+        cleared.append(v)
+        return real(v)
+
+    monkeypatch.setattr(xray, "clear_denominators", counting)
+    for g, f in pairs:
+        vd = x.stratum(x.vertices_below(g)[0]).vertex_data
+        span = x.stratum(f).wall.span
+        want = tuple(w for w in vd.weights if span.lin_holds(real(w)[0]))
+        assert stratum_weights_in(x, g, f) == want
+        assert xray.scaled_weights_in(x, g, f) == tuple(real(w)[0] for w in want)
+    assert 0 < len(cleared) <= sum(len(x.stratum(v).vertex_data.weights) for v in x.vertex_ids)
+    cleared.clear()
+    for g, f in pairs:
+        stratum_weights_in(x, g, f)
+        xray.scaled_weights_in(x, g, f)
+    assert cleared == []
+
+
 def test_complex_dims(cp3, cp4, ncp4):
     assert complex_dim_of_stratum(cp3, "v1") == 0
     assert complex_dim_of_stratum(ncp4, DIAG) == 3
