@@ -3,7 +3,13 @@
 Writes the interchange JSON and an SVG for each example into --outdir,
 then prints the signature, Poincare and Euler values of every
 subchamber together with the internal consistency reports.  Everything
-is exact; a FAIL line anywhere means the build is broken.
+is exact; a FAIL line anywhere means the build is broken.  Before its
+PASS line the script prints one digest of every line of the four check
+reports of every example (title, name, pass flag and detail, as
+oracle_sweep.py digests its reports), so two versions of the package
+can be shown to report identically:
+
+    PYTHONPATH=src python scripts/reproduce_examples.py
 """
 
 import argparse
@@ -24,6 +30,8 @@ from xraycross.engine import (
 from xraycross.generators import ProjectionMatrix, cpn_xray, save_xray, standard_simplex_xray
 from xraycross.ratmath import format_rational
 from xraycross.render import render_svg
+
+from oracle_sweep import report_digest
 
 EXAMPLES = {
     "cp3-circle": lambda: cpn_xray(3, ProjectionMatrix(((0, 1, 2, 3),))),
@@ -77,7 +85,7 @@ def show(name, x, outdir):
         for line in report.lines:
             if not line.passed:
                 print(f"      {line.name}: {line.detail}")
-    return all(report.passed for report in reports)
+    return reports
 
 
 def main(argv=None) -> int:
@@ -86,10 +94,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    ok = True
+    reports = []
     for name, build in EXAMPLES.items():
-        ok = show(name, build(), args.outdir) and ok
-    print(f"\nall examples: {'PASS' if ok else 'FAIL'}")
+        reports.extend(show(name, build(), args.outdir))
+    ok = all(report.passed for report in reports)
+    print(f"\nreport digest: {report_digest(reports)} over {len(reports)} reports")
+    print(f"all examples: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

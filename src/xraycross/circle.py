@@ -203,19 +203,19 @@ def signature_singular(data: CircleFixedData, c: Rational) -> int:
     of components with b >= f.  The same quantity computed from above
     (regular value just over c minus the b < f contributions) must
     agree; a mismatch means the sign convention is broken somewhere.
+    With i levels below c, the regular values just under and just over
+    c are entries i and i + 1 of data's prefix sums.
     """
     c = rat(c)
     at = data.at_level(c)
     if not at:
         raise XrayError(f"level {format_rational(c)} is not a wall")
-    levels = data.levels()
-    i = bisect_left(levels, c)
-    just_below = (levels[i - 1] + c) / 2 if i else c - 1
-    just_above = (c + levels[i + 1]) / 2 if i + 1 < len(levels) else c + 1
-    from_below = signature_regular(data, just_below) + sum(
+    i = bisect_left(data.levels(), c)
+    sums = data._regular_sums[0]
+    from_below = sums[i] + sum(
         w_signature(comp.f, comp.b) * comp.seed_signature for comp in at if comp.b >= comp.f
     )
-    from_above = signature_regular(data, just_above) - sum(
+    from_above = sums[i + 1] - sum(
         w_signature(comp.f, comp.b) * comp.seed_signature for comp in at if comp.b < comp.f
     )
     if from_below != from_above:

@@ -107,6 +107,8 @@ def cmd_validate(args) -> int:
 def cmd_chambers(args) -> int:
     x = _load(args)
     sid = args.stratum if args.stratum is not None else x.top_id
+    if sid not in x.ids:
+        raise XrayError(f"no stratum '{sid}'")
     cells = subchambers(x, sid)
     if args.locate is not None:
         cell = locate(x, sid, _parse_point(args.locate))

@@ -276,6 +276,22 @@ def delzant_shortcut(
     return Report("delzant shortcut", tuple(lines))
 
 
+def _unmet(
+    x: WeightedXray,
+    title: str,
+    holds: Callable[[VertexData], bool],
+    why: Callable[[VertexData], str],
+) -> Report | None:
+    """The one-line failing report of the check titled title when some
+    vertex seed does not satisfy its hypothesis (holds), naming the
+    first such vertex and why it fails; None when every seed does."""
+    for vid in x.vertex_ids:
+        vd = x.stratum(vid).vertex_data
+        if not holds(vd):
+            return Report(title, (CheckLine("hypothesis", False, f"hypothesis not met: vertex '{vid}' {why(vd)}"),))
+    return None
+
+
 def check_sig_equals_poincare_at_i(
     x: WeightedXray, sig: InvariantTable, poin: InvariantTable
 ) -> Report:
@@ -284,21 +300,14 @@ def check_sig_equals_poincare_at_i(
     Holds whenever every vertex seed does; seeds violating the
     hypothesis short-circuit to a single explanatory line.
     """
-    for vid in x.vertex_ids:
-        vd = x.stratum(vid).vertex_data
-        re, im = vd.seed_poincare.at_i()
-        if im != 0 or re != vd.seed_signature:
-            return Report(
-                "signature = P(i)",
-                (
-                    CheckLine(
-                        "hypothesis",
-                        False,
-                        f"hypothesis not met: vertex '{vid}' has seed signature "
-                        f"{vd.seed_signature} but seed P(i) = {re}{im:+}i",
-                    ),
-                ),
-            )
+    unmet = _unmet(
+        x,
+        "signature = P(i)",
+        lambda vd: vd.seed_poincare.at_i() == (vd.seed_signature, 0),
+        lambda vd: "has seed signature {} but seed P(i) = {}{:+}i".format(vd.seed_signature, *vd.seed_poincare.at_i()),
+    )
+    if unmet is not None:
+        return unmet
     lines = []
     for (sid, chamber), value in sorted(sig.values.items()):
         re, im = poin.value(sid, chamber).at_i()
@@ -315,20 +324,14 @@ def check_sig_equals_poincare_at_i(
 def check_parity(x: WeightedXray, sig: InvariantTable, euler: InvariantTable) -> Report:
     """Signature and Euler characteristic agree mod 2 on every subchamber,
     provided every vertex seed pair does."""
-    for vid in x.vertex_ids:
-        vd = x.stratum(vid).vertex_data
-        if (vd.seed_signature - vd.seed_euler) % 2 != 0:
-            return Report(
-                "parity",
-                (
-                    CheckLine(
-                        "hypothesis",
-                        False,
-                        f"hypothesis not met: vertex '{vid}' has seeds "
-                        f"{vd.seed_signature} and {vd.seed_euler} of different parity",
-                    ),
-                ),
-            )
+    unmet = _unmet(
+        x,
+        "parity",
+        lambda vd: (vd.seed_signature - vd.seed_euler) % 2 == 0,
+        lambda vd: f"has seeds {vd.seed_signature} and {vd.seed_euler} of different parity",
+    )
+    if unmet is not None:
+        return unmet
     lines = []
     for (sid, chamber), value in sorted(sig.values.items()):
         e = euler.value(sid, chamber)
@@ -351,20 +354,14 @@ def check_dim4_positivity(
     dimension 4, when all vertex seeds are 1 (isolated fixed points):
     exactly one 2-class has positive self-intersection.
     """
-    one = IntPolynomial.one()
-    for vid in x.vertex_ids:
-        vd = x.stratum(vid).vertex_data
-        if (vd.seed_signature, vd.seed_poincare, vd.seed_euler) != (1, one, 1):
-            return Report(
-                "dimension-4 positivity",
-                (
-                    CheckLine(
-                        "hypothesis",
-                        False,
-                        f"hypothesis not met: vertex '{vid}' seeds are not all 1",
-                    ),
-                ),
-            )
+    unmet = _unmet(
+        x,
+        "dimension-4 positivity",
+        lambda vd: (vd.seed_signature, vd.seed_poincare, vd.seed_euler) == (1, IntPolynomial.one(), 1),
+        lambda vd: "seeds are not all 1",
+    )
+    if unmet is not None:
+        return unmet
     lines = []
     for sid in x.ids:
         if complex_dim_of_stratum(x, sid) - x.dim(sid) != 2:

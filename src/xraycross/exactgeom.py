@@ -134,22 +134,6 @@ class AffineSpan:
     def contains(self, point: RatVector) -> bool:
         return self.holds(*clear_denominators(point))
 
-    def coords(self, point: RatVector) -> RatVector:
-        """Coordinates of a point of the span in the canonical basis.
-
-        With an RREF basis the coordinates are the pivot entries of the
-        displacement, so this map extends to a linear functional tuple on
-        the ambient space.  Only meaningful for points in the span.
-        """
-        disp = vsub(point, self.base)
-        return tuple(disp[p] for p in self.pivots)
-
-    def lift(self, coords: RatVector) -> RatVector:
-        out = list(self.base)
-        for c, row in zip(coords, self.basis, strict=True):
-            out = [x + c * y for x, y in zip(out, row)]
-        return tuple(out)
-
     def same_lin(self, other: "AffineSpan") -> bool:
         return self.basis == other.basis
 

@@ -19,7 +19,6 @@ Rational = Fraction
 RatVector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -200,32 +199,6 @@ def solve_square(rows: Sequence[RatVector], rhs: RatVector) -> RatVector:
     """Solve M x = rhs exactly for square M given by rows.  Raises on singular M."""
     scaled, d = solve_scaled(rows, rhs)
     return tuple(Fraction(x, d) for x in scaled)
-
-
-def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[RatVector, ...]:
-    """Basis of {x : M x = 0} for M given by rows over Q^ncols: one
-    vector per free column, 1 there and zero on the other free columns."""
-    mat = _integer_rows(rows)
-    pivots, d = _eliminate(mat)
-    out = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for row, p in zip(mat, pivots):
-            v[p] = Fraction(-row[fc], d)
-        out.append(tuple(v))
-    return tuple(out)
-
-
-def primitive_functional(normal: RatVector, offset: Fraction) -> tuple[RatVector, Fraction]:
-    """Scale (normal, offset) to coprime integers, preserving orientation."""
-    ints, _ = clear_denominators(tuple(normal) + (offset,))
-    g = gcd(*ints)
-    if g == 0:
-        return normal, offset
-    return tuple(Fraction(i // g) for i in ints[:-1]), Fraction(ints[-1] // g)
 
 
 def primitive_ints(v: Sequence[Fraction]) -> tuple[int, ...]:

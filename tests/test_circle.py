@@ -520,6 +520,37 @@ def test_regular_values_match_scan(components, points):
     assert data == fresh and hash(data) == hash(fresh)
 
 
+def singular_by_midpoints(data, c):
+    """signature_singular's two one-sided sums as first written: the
+    regular values are read at the midpoints between c and its
+    neighbouring levels (one unit out past the first and last level),
+    here by the scan over the components."""
+    at = data.at_level(c)
+    levels = data.levels()
+    i = levels.index(c)
+    just_below = (levels[i - 1] + c) / 2 if i else c - 1
+    just_above = (c + levels[i + 1]) / 2 if i + 1 < len(levels) else c + 1
+    from_below = scan_signature(data, just_below) + sum(
+        w_signature(comp.f, comp.b) * comp.seed_signature for comp in at if comp.b >= comp.f
+    )
+    from_above = scan_signature(data, just_above) - sum(
+        w_signature(comp.f, comp.b) * comp.seed_signature for comp in at if comp.b < comp.f
+    )
+    return from_below, from_above
+
+
+@given(st.lists(component_strategy, min_size=1, max_size=8))
+def test_signature_singular_matches_midpoints(components):
+    """signature_singular, reading the regular values next to each level
+    off the prefix sums, equals the midpoint formulation at every level,
+    the first and last included, on random components with repeated
+    levels, even-q components and negative seeds."""
+    data = CircleFixedData(tuple(components))
+    for c in data.levels():
+        from_below, from_above = singular_by_midpoints(data, c)
+        assert from_below == from_above == signature_singular(data, c)
+
+
 @pytest.mark.parametrize(
     ("d", "n", "seed", "grid"), [(2, 5, 0, None), (2, 6, 1, 2), (3, 4, 1, None), (3, 5, 2, 2), (3, 5, 0, None)]
 )

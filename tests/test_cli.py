@@ -113,6 +113,14 @@ def test_chambers_locate_singular_point(files):
     assert "smaller stratum" in out.stderr
 
 
+@pytest.mark.parametrize("extra", [(), ("--format", "json"), ("--locate", "1")])
+def test_chambers_unknown_stratum(files, extra):
+    out = run_cli("chambers", str(files["cp3"]), "--stratum", "nope", *extra)
+    assert out.returncode == 1
+    assert out.stderr == "error: no stratum 'nope'\n"
+    assert out.stdout == ""
+
+
 def test_invariants_table(files):
     out = run_cli("invariants", str(files["cp3"]))
     assert out.returncode == 0

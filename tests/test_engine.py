@@ -230,6 +230,62 @@ def test_parity_hypothesis_short_circuit(cp3):
     assert "different parity" in report.lines[0].detail
 
 
+SEED_BREAKS = {
+    "signature": (2, {
+        "signature = P(i)": "hypothesis not met: vertex 'v2' has seed signature 2 but seed P(i) = 1+0i",
+        "parity": "hypothesis not met: vertex 'v2' has seeds 2 and 1 of different parity",
+        "dimension-4 positivity": "hypothesis not met: vertex 'v2' seeds are not all 1",
+    }),
+    "euler": (2, {
+        "signature = P(i)": None,
+        "parity": "hypothesis not met: vertex 'v2' has seeds 1 and 2 of different parity",
+        "dimension-4 positivity": "hypothesis not met: vertex 'v2' seeds are not all 1",
+    }),
+    "poincare": ([1, 1], {
+        "signature = P(i)": "hypothesis not met: vertex 'v2' has seed signature 1 but seed P(i) = 1+1i",
+        "parity": None,
+        "dimension-4 positivity": "hypothesis not met: vertex 'v2' seeds are not all 1",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", ["cp3", "ncp4"])
+@pytest.mark.parametrize("seed", sorted(SEED_BREAKS))
+def test_hypothesis_lines_in_full(request, name, seed):
+    """With v2's seed broken, each identity check whose hypothesis fails
+    is the one line (title, "hypothesis", False, detail) in full; a check
+    whose hypothesis still holds reports exactly as on the intact X-ray,
+    since the tables it reads are unchanged."""
+    x = request.getfixturevalue(name)
+    value, expected = SEED_BREAKS[seed]
+    doc = to_interchange(x)
+    doc["vertex_data"]["v2"][seed] = value
+    broken = from_interchange(doc)
+
+    def reports(y):
+        def table(spec):
+            try:
+                return propagate(y, spec)
+            except PropagationError:
+                return None
+
+        sig, poin, euler = (table(spec) for spec in (SIGNATURE, POINCARE, EULER))
+        return (
+            check_sig_equals_poincare_at_i(y, sig, poin),
+            check_parity(y, sig, euler),
+            check_dim4_positivity(y, poin, sig),
+        )
+
+    for report, intact in zip(reports(broken), reports(x)):
+        detail = expected[report.title]
+        if detail is None:
+            assert report == intact and report.passed
+        else:
+            assert [(report.title, l.name, l.passed, l.detail) for l in report.lines] == [
+                (report.title, "hypothesis", False, detail)
+            ]
+
+
 def test_dim4_check_cp3(cp3):
     report = check_dim4_positivity(cp3, propagate(cp3, POINCARE), propagate(cp3, SIGNATURE))
     assert report.passed

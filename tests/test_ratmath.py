@@ -15,9 +15,7 @@ from xraycross.ratmath import (
     format_rational,
     int_rank,
     is_zero_vector,
-    nullspace,
     parse_rational,
-    primitive_functional,
     primitive_ints,
     rank,
     rat,
@@ -202,20 +200,6 @@ def test_solve_square():
         solve_square([as_vec([1, 2]), as_vec([2, 4])], as_vec([1, 1]))
 
 
-def test_nullspace():
-    basis = nullspace([as_vec([1, 1, 0])], 3)
-    assert len(basis) == 2
-    for v in basis:
-        assert v[0] + v[1] == 0 or v == (0, 0, 1) or vdot(as_vec([1, 1, 0]), v) == 0
-    assert nullspace([as_vec([1, 0]), as_vec([0, 1])], 2) == ()
-
-
-def test_primitive_functional():
-    n, c = primitive_functional(as_vec(["2/3", "4/3"]), Fraction(2))
-    assert n == (Fraction(1), Fraction(2))
-    assert c == Fraction(3)
-
-
 def test_primitive_vector():
     assert primitive_ints(as_vec(["2/3", "4/3"])) == (1, 2)
     assert primitive_ints(as_vec([0, "-3/2"])) == (0, -1)
@@ -265,7 +249,6 @@ def test_integer_elimination_matches_fractions(case):
     assert rref(rows) == rref_by_fractions(rows)
     assert rank(rows) == rank_by_fractions(rows)
     assert int_rank([clear_denominators(row)[0] for row in rows]) == rank_by_fractions(rows)
-    assert nullspace(rows, cols) == nullspace_by_fractions(rows, cols)
     reduced, _ = rref(rows)
     assert all(type(x) is Fraction for row in reduced for x in row)
 
@@ -297,8 +280,3 @@ def test_clear_denominators():
     assert clear_denominators(as_vec(["1/2", "-2/3", 4])) == ((3, -4, 24), 6)
     assert clear_denominators(as_vec([0, 5])) == ((0, 5), 1)
     assert clear_denominators(()) == ((), 1)
-
-
-@given(st.lists(rationals, min_size=1, max_size=4), rationals)
-def test_primitive_functional_matches_fractions(normal, offset):
-    assert primitive_functional(tuple(normal), offset) == primitive_by_fractions(tuple(normal), offset)
