@@ -4,9 +4,12 @@ Polytopes here are small (a handful of vertices, ambient dimension a few)
 but the predicates must be exact: chamber decompositions hinge on points
 that lie exactly on walls.  There is no epsilon anywhere.  Every predicate
 runs in integers: a point's denominators are cleared once into (P, D)
-(`clear_denominators`), so a . x <= b is decided as a . P <= b * D
-against integer equations and facets that each span and polytope builds
-once.  Fractions remain for stored coordinates and output.
+(`clear_denominators`), and a polytope's vertices once, over one common
+denominator (`Polytope.int_vertices`), so a . x <= b is decided as
+a . P <= b * D against integer equations and facets that each span and
+polytope builds once.  `hull` deduplicates and sorts its points by their
+integer forms, and spans are keyed by an integer form of their basis
+(`AffineSpan.key`).  Fractions remain for stored coordinates and output.
 
 A polytope carries both descriptions: its vertex list and a facet system
 of linear inequalities.  The inequalities use ambient coordinates and are
@@ -31,8 +34,9 @@ from .ratmath import (
     cross_product,
     idot,
     int_rank,
-    rank,
+    int_rref,
     rref,
+    span_key,
     vdot,
     vneg,
     vsub,
@@ -120,6 +124,13 @@ class AffineSpan:
                 taken.add(i)
         return tuple(i for i in range(self.ambient_dim) if i not in taken)
 
+    @cached_property
+    def key(self) -> tuple[tuple[int, ...], ...]:
+        """The linear part's integer key (`span_key`): equal for two
+        spans exactly when their bases are, so it hashes in place of the
+        Fraction basis."""
+        return span_key(self.int_frame[0])
+
     def holds(self, scaled: tuple[int, ...], den: int) -> bool:
         """Does the point scaled / den lie in the span?"""
         return all(idot(a, scaled) == b * den for a, b in self.equations)
@@ -173,10 +184,21 @@ class Polytope:
         return tuple(out)
 
     @cached_property
+    def int_vertices(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, D): the vertices over one common denominator, vertex j
+        being rows[j] / D (`clear_denominators` of all their coordinates
+        at once)."""
+        d = self.ambient_dim
+        flat, den = clear_denominators([c for v in self.vertices for c in v])
+        return tuple([flat[i : i + d] for i in range(0, len(flat), d)]), den
+
+    @cached_property
     def vertex_masks(self) -> tuple[int, ...]:
         """`tight_mask` of each vertex, in vertex order: the vertex-facet
-        incidences."""
-        return tuple(tight_mask(self, v) for v in self.vertices)
+        incidences, tested on `int_vertices`."""
+        rows, den = self.int_vertices
+        facets = [(n, c * den) for n, c in self.int_facets]
+        return tuple([sum(1 << i for i, (n, c) in enumerate(facets) if idot(n, v) == c) for v in rows])
 
     def contains(self, point: RatVector) -> bool:
         if len(point) != self.ambient_dim:
@@ -210,22 +232,45 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     The search runs in integers: the points are scaled by one common
     denominator, a k-subset's normal in the span coordinates is the
     generalized cross product of its k - 1 differences (`cross_product`), and
-    every side and tightness test is an integer dot product.
+    every side and tightness test is an integer dot product.  That
+    denominator is positive, so the points are deduplicated and sorted by
+    their integer forms, in the order of their coordinates.  A segment
+    (k = 1) needs no search: the points differ first on its one pivot
+    column, so the sorted ends are its vertices and facets.  The span's
+    `int_frame` and the polytope's `int_vertices` and `int_facets` are
+    read off the same integer forms, not cleared again.
     """
-    pts = sorted({as_vec(p) for p in points})
-    if not pts:
+    raw = [as_vec(p) for p in points]
+    if not raw:
         raise ValueError("empty point set")
-    if len({len(p) for p in pts}) != 1:
+    if len({len(p) for p in raw}) != 1:
         raise ValueError("points of mixed dimension")
-    d = len(pts[0])
-    flat, den = clear_denominators([c for p in pts for c in p])
-    scaled = [flat[i : i + d] for i in range(0, len(flat), d)]
+    d = len(raw[0])
+    flat, den = clear_denominators([c for p in raw for c in p])
+    by_form: dict[tuple[int, ...], RatVector] = {}
+    for i, p in zip(range(0, len(flat), d), raw):
+        by_form.setdefault(flat[i : i + d], p)
+    scaled = sorted(by_form)
+    pts = [by_form[q] for q in scaled]
     origin = scaled[0]
-    basis, pivots = rref([tuple(x - o for x, o in zip(p, origin)) for p in scaled])
-    span = AffineSpan(pts[0], basis, pivots)
+    rows, den_r, pivots = int_rref([[x - o for x, o in zip(p, origin)] for p in scaled[1:]])
+    span = AffineSpan(pts[0], tuple(tuple(Fraction(x, den_r) for x in row) for row in rows), pivots)
+    g = gcd(den, *origin)
+    _fill(span, int_frame=(rows, den_r, tuple([x // g for x in origin]), den // g))
     k = span.dim
     if k == 0:
-        return Polytope((pts[0],), span, ())
+        return _polytope((pts[0],), [origin], den, span, [])
+    if k == 1:
+        # The ends' facets, -x_p <= -lo / den and x_p <= hi / den made
+        # primitive, in sorted order: the normals differ only at p.
+        p = pivots[0]
+        facets = []
+        for sgn, end in ((-1, scaled[0][p]), (1, scaled[-1][p])):
+            g = gcd(end, den)
+            n = [0] * d
+            n[p] = sgn * den // g
+            facets.append((tuple(n), sgn * end // g))
+        return _polytope((pts[0], pts[-1]), [origin, scaled[-1]], den, span, facets)
 
     # den times the span coordinates of each point.
     ys = [tuple(p[j] - origin[j] for j in pivots) for p in scaled]
@@ -252,7 +297,7 @@ def hull(points: Iterable[RatVector]) -> Polytope:
             g = -g
         found[tuple(a // g for a in u), c // g] = None
 
-    verts = [pts[i] for i, y in enumerate(ys) if rank([u for u, c in found if idot(u, y) == c]) == k]
+    on = [i for i, y in enumerate(ys) if int_rank([u for u, c in found if idot(u, y) == c]) == k]
 
     # u . y <= c on den-scaled span coordinates is den * u . x[pivots]
     # <= c + u . origin[pivots] on the ambient point x.
@@ -263,8 +308,27 @@ def hull(points: Iterable[RatVector]) -> Polytope:
             n[p] = den * coef
         offset = c + idot(u, (origin[p] for p in pivots))
         g = gcd(offset, *n)
-        amb_facets.append((tuple(Fraction(a // g) for a in n), Fraction(offset // g)))
-    return Polytope(tuple(verts), span, tuple(sorted(amb_facets)))
+        amb_facets.append((tuple([a // g for a in n]), offset // g))
+    return _polytope(tuple([pts[i] for i in on]), [scaled[i] for i in on], den, span, sorted(amb_facets))
+
+
+def _polytope(
+    verts: tuple[RatVector, ...], scaled: list[tuple[int, ...]], den: int, span: AffineSpan, facets: list[IntFunctional]
+) -> Polytope:
+    """The polytope `hull` found: vertices verts, scaled / den in integers,
+    and primitive integer facets in sorted order, which sort as their
+    Fractions do.  Its `int_vertices` (over the vertices' own least
+    common denominator) and `int_facets` are filled in from those."""
+    g = gcd(den, *[x for q in scaled for x in q])
+    p = Polytope(verts, span, tuple([(tuple([Fraction(x) for x in n]), Fraction(c)) for n, c in facets]))
+    return _fill(p, int_vertices=(tuple([tuple([x // g for x in q]) for q in scaled]), den // g), int_facets=tuple(facets))
+
+
+def _fill(obj, **values):
+    """obj with the given cached properties set, as `cached_property`
+    stores them, to values at hand that equal what each would compute."""
+    obj.__dict__.update(values)
+    return obj
 
 
 @lru_cache(maxsize=1024)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .errors import MalformedXray, ValidationFailed
 from .exactgeom import AffineSpan, Polytope, bits, face_lattice, hull
 from .intpoly import IntPolynomial
-from .ratmath import RatVector, as_vec, format_rational, rank, vsub
+from .ratmath import RatVector, as_vec, clear_denominators, format_rational, rank, vsub
 from .xray import (
     Stratum,
     VertexData,
@@ -69,7 +69,11 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
 
     A flat of dimension < d is spanned by at most d of its columns, so
     the strata are found as the flats of <= d columns, each collecting
-    every column on it: C(n+1, <=d) spans, not 2^(n+1) subsets.
+    every column on it: C(n+1, <=d) spans, not 2^(n+1) subsets.  The
+    columns are cleared to integers over one common denominator once, and
+    the scan and the weights run on those forms: scaling every column by
+    that denominator keeps which columns lie on which flat.  A stratum's
+    parents are the column bitmasks that contain its own.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -79,6 +83,8 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
     cols = [pi.column(j) for j in range(n + 1)]
     if len(set(cols)) != len(cols):
         raise ValueError("fixed points not isolated: unsupported")
+    flat, den = clear_denominators([c for col in cols for c in col])
+    scaled = [flat[i : i + d] for i in range(0, len(flat), d)]
 
     everyone = tuple(range(n + 1))
     # At most d points span a flat of dimension < d.  When every column
@@ -86,8 +92,8 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
     subsets: dict[tuple[int, ...], None] = {everyone: None}
     for size in range(1, d + 1):
         for B in combinations(everyone, size):
-            span = AffineSpan.from_points([cols[b] for b in B])
-            subsets[tuple(j for j in everyone if span.contains(cols[j]))] = None
+            span = AffineSpan.from_points([scaled[b] for b in B])
+            subsets[tuple(j for j in everyone if span.holds(scaled[j], 1))] = None
 
     def name(K: tuple[int, ...]) -> str:
         if K == everyone:
@@ -96,14 +102,15 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
             return f"v{K[0] + 1}"
         return "w" + "-".join(str(k + 1) for k in K)
 
+    masks = {K: sum(1 << k for k in K) for K in subsets}
     strata = []
-    for K in subsets:
-        parents = tuple(name(P) for P in subsets if set(K) < set(P))
+    for K, mask in masks.items():
+        parents = tuple(name(P) for P, up in masks.items() if up & mask == mask and up != mask)
         vertex_data = None
         if len(K) == 1:
             k = K[0]
-            weights = tuple(sorted(vsub(cols[j], cols[k]) for j in range(n + 1) if j != k))
-            vertex_data = VertexData(weights, 1, IntPolynomial.one(), 1)
+            weights = [tuple([Fraction(a - b, den) for a, b in zip(scaled[j], scaled[k])]) for j in everyone if j != k]
+            vertex_data = VertexData(tuple(weights), 1, IntPolynomial.one(), 1)
         strata.append(
             Stratum(
                 id=name(K),

@@ -4,7 +4,8 @@ Every predicate in this package is decided by an exact sign test, never
 by a tolerance, and runs on Python ints: a vector's denominators are
 cleared once (`clear_denominators`), and elimination is fraction-free
 (Bareiss 1968), dividing by a pivot only at the end.  Fractions remain
-for stored coordinates, the canonical RREF rows and output.  Vectors are
+for stored coordinates, the canonical RREF rows and output; subspaces
+are compared by an integer key (`span_key`).  Vectors are
 plain tuples of fractions so they hash, sort, and compare structurally.
 """
 
@@ -62,7 +63,13 @@ def format_point(p: Iterable[Fraction]) -> str:
 
 
 def as_vec(coords: Iterable[int | str | Fraction]) -> RatVector:
-    return tuple(rat(c) for c in coords)
+    """coords as a tuple of Fractions (`rat`); a tuple of Fractions is
+    returned as it is."""
+    v = tuple(coords)
+    for c in v:
+        if type(c) is not Fraction:
+            return tuple([rat(c) for c in v])
+    return v
 
 
 def vadd(a: RatVector, b: RatVector) -> RatVector:
@@ -159,17 +166,32 @@ def cross_product(rows: list[list[int]], k: int) -> tuple[int, ...] | None:
     return tuple(u)
 
 
+def int_rref(rows: Iterable[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+    """Reduced row echelon form of integer rows over one denominator:
+    (R, L, pivot columns) with the RREF rows R / L, where L > 0 is the
+    lcm of the RREF entries' denominators, so R / L is what
+    `clear_denominators` gives for them.  Elimination leaves the rows d
+    times their RREF, and the lcm is |d| over its gcd with their entries.
+    """
+    mat = [list(r) for r in rows]
+    pivots, d = _eliminate(mat)
+    top = mat[: len(pivots)]
+    g = gcd(d, *[x for row in top for x in row])
+    if d < 0:
+        g = -g
+    return tuple([tuple([x // g for x in row]) for row in top]), d // g, tuple(pivots)
+
+
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[RatVector, ...], tuple[int, ...]]:
     """Reduced row echelon form: (nonzero rows, pivot columns).
 
     The returned rows are a canonical basis of the row space, so two
     inputs spanning the same subspace produce identical output.  The
-    elimination runs in integers; each entry is divided by the last
-    pivot once, at the end.
+    elimination runs in integers (`int_rref`); each entry is divided by
+    the common denominator once, at the end.
     """
-    mat = _integer_rows(rows)
-    pivots, d = _eliminate(mat)
-    return tuple(tuple(Fraction(x, d) for x in mat[i]) for i in range(len(pivots))), tuple(pivots)
+    reduced, den, pivots = int_rref(_integer_rows(rows))
+    return tuple(tuple(Fraction(x, den) for x in row) for row in reduced), pivots
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -179,6 +201,17 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
 def int_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank of integer rows, which have no denominators to clear."""
     return len(_eliminate([list(r) for r in rows])[0])
+
+
+def span_key(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """A canonical integer form of the row space of integer rows: its
+    RREF rows, each made primitive with a positive pivot entry.
+
+    The RREF of a subspace is unique, and so is the primitive multiple of
+    a row that is positive on its pivot, so two row sets span the same
+    subspace exactly when their keys are equal.  `int_rref` gives each
+    RREF row times a positive denominator, which `primitive` divides out."""
+    return tuple([primitive(row) for row in int_rref(rows)[0]])
 
 
 def solve_scaled(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -201,12 +234,17 @@ def solve_square(rows: Sequence[RatVector], rhs: RatVector) -> RatVector:
     return tuple(Fraction(x, d) for x in scaled)
 
 
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of integer v (orientation
+    preserved); the zero vector stays zero."""
+    g = gcd(*v) or 1
+    return tuple([x // g for x in v])
+
+
 def primitive_ints(v: Sequence[Fraction]) -> tuple[int, ...]:
     """The primitive integer vector on v's ray (orientation preserved);
     the zero vector stays zero."""
-    ints, _ = clear_denominators(v)
-    g = gcd(*ints) or 1
-    return tuple([i // g for i in ints])
+    return primitive(clear_denominators(v)[0])
 
 
 def sign(q: Fraction) -> int:

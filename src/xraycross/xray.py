@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedXray
@@ -29,13 +30,14 @@ from .ratmath import (
     format_rational,
     idot,
     is_zero_vector,
+    int_rank,
+    primitive,
     primitive_ints,
     rank,
     rat,
-    rref,
     solve_scaled,
+    span_key,
     vdot,
-    vsub,
 )
 
 # `hull` tries every vertex subset of size <= torus_rank, so a stratum
@@ -91,7 +93,16 @@ class VertexData:
     seed_euler: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(sorted(as_vec(w) for w in self.weights)))
+        # Sorted by their integer forms over one common denominator, which
+        # is positive, so in the order of the weights' coordinates.
+        ws = [as_vec(w) for w in self.weights]
+        flat, _ = clear_denominators([c for w in ws for c in w])
+        keys = []
+        start = 0
+        for w in ws:
+            keys.append(flat[start : start + len(w)])
+            start += len(w)
+        object.__setattr__(self, "weights", tuple([ws[i] for i in sorted(range(len(ws)), key=keys.__getitem__)]))
 
 
 @dataclass(frozen=True)
@@ -212,18 +223,15 @@ class WeightedXray:
             elif s.vertex_data is not None:
                 raise MalformedXray(f"positive-dimensional stratum '{s.id}' must not carry vertex data")
         for sid, cs in covers.items():
+            rows, den = by_id[sid].wall.int_vertices
             for p in cs:
                 pw = by_id[p].wall
-                if not all(pw.contains(v) for v in by_id[sid].wall.vertices):
+                if not all(pw.holds(q, den) for q in rows):
                     raise MalformedXray(f"wall of '{sid}' is not contained in wall of its parent '{p}'")
 
         normalized = tuple(
-            replace(
-                by_id[sid],
-                parents=tuple(sorted(covers[sid])),
-                children=tuple(sorted(children[sid])),
-            )
-            for sid in sorted(ids)
+            Stratum(s.id, s.wall, tuple(sorted(covers[s.id])), tuple(sorted(children[s.id])), s.vertex_data)
+            for s in sorted(strata, key=lambda s: s.id)
         )
         object.__setattr__(self, "strata", normalized)
         self._cache["by_id"] = {s.id: s for s in normalized}
@@ -349,18 +357,25 @@ def is_toric_structure_free(x: WeightedXray, f: str) -> bool:
 
 
 def validate_poset(x: WeightedXray) -> list[Violation]:
-    """Order axioms: dimension decrease, face coverage, span uniqueness.
+    """Order axioms: one maximal stratum, dimension decrease, face
+    coverage, span uniqueness.
 
-    Every face of every wall must be the wall of exactly one stratum at
-    or below it.  A wall is the hull of its vertices, so a face is keyed
+    Exactly one stratum has no parents, the top that every query starts
+    from; one `top` violation names the maximal strata otherwise.  Every
+    face of every wall must be the wall of exactly one stratum at or
+    below it.  A wall is the hull of its vertices, so a face is keyed
     by its vertex tuple, written with one integer id per point: faces
     come off the wall's vertex masks (`face_lattice`) and are looked up
     in a dict from each wall's key to its strata; no face is hulled.
     Two strata share a span when their RREF bases are equal
-    (`AffineSpan.same_lin`), so strata are grouped by basis once, and
-    the groups are checked along the chain above each minimal stratum.
+    (`AffineSpan.same_lin`), so strata are grouped by the bases' integer
+    key (`AffineSpan.key`) once, and the groups are checked along the
+    chain above each minimal stratum.
     """
     vio: set[Violation] = set()
+    tops = [s.id for s in x.strata if not s.parents]
+    if len(tops) != 1:
+        vio.add(Violation(min(tops, default=""), "top", f"expected a unique maximal stratum, found {tops}"))
     dim = {s.id: s.wall.dim for s in x.strata}
     for a in x.ids:
         for b in x.above(a):
@@ -369,10 +384,10 @@ def validate_poset(x: WeightedXray) -> list[Violation]:
     point_id: dict[RatVector, int] = {}
     key = {s.id: tuple(point_id.setdefault(v, len(point_id)) for v in s.wall.vertices) for s in x.strata}
     by_key: dict[tuple[int, ...], list[str]] = {}
-    by_basis: dict[tuple[RatVector, ...], list[str]] = {}
+    by_basis: dict[tuple[tuple[int, ...], ...], list[str]] = {}
     for s in x.strata:
         by_key.setdefault(key[s.id], []).append(s.id)
-        by_basis.setdefault(s.wall.span.basis, []).append(s.id)
+        by_basis.setdefault(s.wall.span.key, []).append(s.id)
     for s in x.strata:
         ids = key[s.id]
         for level in face_lattice(s.wall):
@@ -444,7 +459,8 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     When the point is not a vertex (an inner fixed point of a d = 1
     CP^n, a fixed point inside a polygon), each vertex direction is
     tested for membership in the weight cone (`_cone_contains`).  Each
-    wall's vertex masks are computed once (`Polytope.vertex_masks`), and
+    wall's vertices are cleared to integers once (`Polytope.int_vertices`)
+    and its vertex masks computed once (`Polytope.vertex_masks`), and
     each vertex's weights are cleared to primitive integer rays once.
 
     A span of directions in Q^d is spanned by at most d of them, so
@@ -456,7 +472,8 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     only walls with S's basis can match.  The weights in such a wall's
     span are exactly S, so its comparison with S is the one (a) made,
     and S's matches are the walls with its basis that passed (a), kept
-    in a dict from basis to wall ids.
+    in a dict from the basis's integer key (`span_key`, `AffineSpan.key`)
+    to wall ids.
     """
     d = x.torus_rank
     vio: set[Violation] = set()
@@ -465,23 +482,23 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
         point = p.wall.vertices[0]
         alpha = p.vertex_data.weights
         rays = [primitive_ints(w) for w in alpha]
-        passed: dict[tuple[RatVector, ...], list[str]] = {}
+        passed: dict[tuple[tuple[int, ...], ...], list[str]] = {}
         for fid in [pid] + sorted(x.above(pid)):
             wall = x.stratum(fid).wall
             inspan = rays if wall.dim == d else [r for r in rays if wall.span.lin_holds(r)]
             if _tangent_cone_matches(wall, wall.vertex_masks, point, inspan, d):
-                passed.setdefault(wall.span.basis, []).append(fid)
+                passed.setdefault(wall.span.key, []).append(fid)
             else:
                 vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
         dirs = sorted({r for r in rays if any(r)})
-        spans = {rref(B) for size in range(min(len(dirs), d - 1) + 1) for B in combinations(dirs, size)}
-        whole = rref(dirs)
-        if len(whole[1]) == d:
+        spans = {span_key(B) for size in range(min(len(dirs), d - 1) + 1) for B in combinations(dirs, size)}
+        whole = span_key(dirs)
+        if len(whole) == d:
             spans.add(whole)
-        for basis, _ in spans:
-            matches = passed.get(basis, [])
+        for key in spans:
+            matches = passed.get(key, [])
             if len(matches) != 1:
-                S = tuple(w for w in alpha if rank(basis + (w,)) == len(basis))
+                S = tuple(w for w, r in zip(alpha, rays) if int_rank(key + (r,)) == len(key))
                 vio.add(
                     Violation(
                         pid,
@@ -509,9 +526,11 @@ def _tangent_cone_matches(
     tight on every facet point and q share, the test `Refinement.cut`
     uses), and an extreme ray is a nonnegative combination of members of
     the cone only as a multiple of one of them.  Elsewhere each vertex
-    direction must lie in the cone on gens.
+    direction must lie in the cone on gens.  The directions are integer
+    differences of the wall's `int_vertices`, made primitive.
     """
     verts = wall.vertices
+    rows, den = wall.int_vertices
     i = verts.index(point) if point in verts else None
     here = tight_mask(wall, point) if i is None else tight[i]
     normals = [n for b, (n, _) in enumerate(wall.int_facets) if here >> b & 1]
@@ -519,12 +538,15 @@ def _tangent_cone_matches(
         return False
     dirs = {g for g in gens if any(g)}
     if i is None:
-        return all(_cone_contains(dirs, u, dim) for u in {primitive_ints(vsub(q, point)) for q in verts})
+        # q - point is a positive multiple of q_rows * D - P * den
+        at, at_den = clear_denominators(point)
+        ends = [[a * at_den - b * den for a, b in zip(q, at)] for q in rows]
+        return all(_cone_contains(dirs, u, dim) for u in {primitive(e) for e in ends})
     for j, t in enumerate(tight):
         common = here & t
         if j == i or any(k != i and k != j and s & common == common for k, s in enumerate(tight)):
             continue
-        if primitive_ints(vsub(verts[j], point)) not in dirs:
+        if primitive([a - b for a, b in zip(rows[j], rows[i])]) not in dirs:
             return False
     return True
 
@@ -629,7 +651,12 @@ def to_interchange(x: WeightedXray) -> dict:
 
 
 def from_interchange(doc: Mapping) -> WeightedXray:
-    """Rebuild an X-ray from its interchange dict, with field-level diagnostics."""
+    """Rebuild an X-ray from its interchange dict, with field-level diagnostics.
+
+    A point is written once per wall it lies on, so each distinct list of
+    coordinate strings is parsed and bounded once per document and its
+    vector reused.  A list that fails is not kept, so every failure is
+    reported where it occurs."""
     if not isinstance(doc, Mapping):
         raise MalformedXray("document root must be an object")
     for key in ("torus_rank", "half_dim", "strata", "vertex_data"):
@@ -643,7 +670,13 @@ def from_interchange(doc: Mapping) -> WeightedXray:
     if not isinstance(raw_vd, Mapping):
         raise MalformedXray("vertex_data must be an object")
 
+    parsed_vectors: dict[tuple[str, ...], RatVector] = {}
+
     def parse_vector(v, where: str) -> RatVector:
+        # Only lists of strings are keyed: as keys 1 == 1.0 == True.
+        key = tuple(v) if isinstance(v, (list, tuple)) and all(type(c) is str for c in v) else None
+        if key in parsed_vectors:
+            return parsed_vectors[key]
         if not isinstance(v, (list, tuple)) or any(isinstance(c, bool) for c in v):
             raise MalformedXray(f"{where}: expected a vector, got {v!r}")
         try:
@@ -653,6 +686,8 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         for j, q in enumerate(vec):
             if abs(q.numerator) >= _RATIONAL_BOUND or q.denominator >= _RATIONAL_BOUND:
                 raise MalformedXray(f"{where}[{j}]: numerator or denominator of more than {MAX_RATIONAL_DIGITS} digits")
+        if key is not None:
+            parsed_vectors[key] = vec
         return vec
 
     if not isinstance(doc["strata"], (list, tuple)):
@@ -735,4 +770,62 @@ def _is_int(value) -> bool:
 
 
 def canonical_json(x: WeightedXray) -> str:
-    return json.dumps(to_interchange(x), sort_keys=True, indent=2) + "\n"
+    """`json.dumps(to_interchange(x), sort_keys=True, indent=2) + "\\n"`,
+    written directly for the interchange schema, whose keys are written
+    here in sorted order.  json.dumps runs its C encoder only when indent
+    is None; here the ids go through json's own string encoder, the
+    coordinates are `format_rational` strings, which need no escaping,
+    and the rest is joined in one pass."""
+
+    def vectors(vs, pad: str) -> str:
+        inner = pad + "  "
+        return _json_list([_json_list(['"' + format_rational(c) + '"' for c in v], inner) for v in vs], pad)
+
+    strata = []
+    vertex_data = []
+    for s in x.strata:
+        sid = encode_basestring_ascii(s.id)
+        fields = [
+            ('"id"', sid),
+            ('"parents"', _json_list([encode_basestring_ascii(p) for p in s.parents], "      ")),
+            ('"vertices"', vectors(s.wall.vertices, "      ")),
+        ]
+        strata.append(_json_object(fields, "    "))
+        vd = s.vertex_data
+        if vd is not None:
+            fields = [
+                ('"euler"', _json_int(vd.seed_euler)),
+                ('"poincare"', _json_list([_json_int(c) for c in vd.seed_poincare.coeffs], "      ")),
+                ('"signature"', _json_int(vd.seed_signature)),
+                ('"weights"', vectors(vd.weights, "      ")),
+            ]
+            vertex_data.append((sid, _json_object(fields, "    ")))
+    doc = [
+        ('"half_dim"', _json_int(x.half_dim)),
+        ('"strata"', _json_list(strata, "  ")),
+        ('"torus_rank"', _json_int(x.torus_rank)),
+        ('"vertex_data"', _json_object(vertex_data, "  ")),
+    ]
+    return _json_object(doc, "") + "\n"
+
+
+def _json_int(value) -> str:
+    """An int as json.dumps writes it; anything else (a bool) through it."""
+    return str(value) if type(value) is int else json.dumps(value)
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON array of encoded items at indent 2, its closing bracket at pad."""
+    if not items:
+        return "[]"
+    inner = ",\n" + pad + "  "
+    return "[" + inner[1:] + inner.join(items) + "\n" + pad + "]"
+
+
+def _json_object(fields: list[tuple[str, str]], pad: str) -> str:
+    """A JSON object of (encoded key, encoded value) fields, in the order
+    given, at indent 2, its closing brace at pad."""
+    if not fields:
+        return "{}"
+    inner = ",\n" + pad + "  "
+    return "{" + inner[1:] + inner.join([k + ": " + v for k, v in fields]) + "\n" + pad + "}"

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_xray import NO_STRATA_DOC, two_segments_doc
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 CP3 = ["gen", "cpn", "--n", "3", "--matrix", "0,1,2,3"]
@@ -80,6 +82,27 @@ def test_validate_reports_violations(files):
     assert out.returncode == 1
     assert "invalid" in out.stdout
     assert "darboux" in out.stdout
+
+
+@pytest.mark.parametrize(
+    ("name", "line"),
+    [
+        ("two-tops", "[top] t1: expected a unique maximal stratum, found ['t1', 't2']"),
+        ("no-strata", "[top] : expected a unique maximal stratum, found []"),
+    ],
+)
+def test_validate_rejects_several_or_no_maximal_strata(files, name, line):
+    """Two disjoint unit segments, and a document with no strata, are
+    invalid: every query starts from the one maximal stratum."""
+    docs = {"two-tops": two_segments_doc(), "no-strata": NO_STRATA_DOC}
+    path = files["base"] / f"{name}.json"
+    path.write_text(json.dumps(docs[name]))
+    out = run_cli("validate", str(path))
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == [line, "invalid: 1 violation(s)"]
+    out = run_cli("invariants", str(path))
+    assert out.returncode == 1
+    assert line in out.stderr
 
 
 def test_unchecked_flag_skips_validation(files):

@@ -25,7 +25,7 @@ from xraycross.exactgeom import (
     tight_mask,
 )
 from xraycross.generators import cpn_xray
-from xraycross.ratmath import ZERO, as_vec, solve_square, vdot, vneg, vsub
+from xraycross.ratmath import ZERO, as_vec, clear_denominators, solve_square, vdot, vneg, vsub
 
 from conftest import seeded_rows
 from test_ratmath import (
@@ -114,6 +114,58 @@ def test_hull_matches_fraction_reference(case):
     assert got.span == want.span
     assert got.facets == want.facets
     assert repr(got) == repr(want)
+
+
+@st.composite
+def seeded_collinear_sets(draw):
+    """Seeded rational points on one line in Q^1..Q^4, in seeded order,
+    with repeats: the line runs along an integer direction whose leading
+    coordinates may vanish, so its pivot column varies, through a
+    rational point, and at least two of the points differ."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ambient = rng.randint(1, 4)
+    direction = [rng.choice((0, rng.randint(-3, 3))) for _ in range(ambient)]
+    direction[rng.randrange(ambient)] = rng.choice((-2, -1, 1, 3))
+    origin = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(ambient)]
+    ts = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+    ts.append(ts[0] + Fraction(1, rng.randint(1, 3)))
+    points = [tuple(o + t * u for o, u in zip(origin, direction)) for t in ts]
+    points += [rng.choice(points) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(points)
+    return points
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeded_collinear_sets())
+def test_segment_hull_matches_fraction_reference(points):
+    """A segment's ends, span and facets, read off the sorted integer
+    forms, are those of the supporting-line search in Fractions."""
+    got, want = hull(points), hull_by_fractions(points)
+    assert got.dim == 1
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeded_point_sets())
+def test_int_vertices_and_masks_match_per_vertex_clearing(case):
+    """int_vertices is the vertices over the lcm of all their
+    denominators, and vertex_masks is each vertex's `tight_mask`.  The
+    integer forms `hull` fills in equal those a copy computes afresh."""
+    points, _ = case
+    p = hull(points)
+    span = AffineSpan(p.span.base, p.span.basis, p.span.pivots)
+    fresh = Polytope(p.vertices, span, p.facets)
+    assert p.span.int_frame == span.int_frame
+    assert p.int_facets == fresh.int_facets
+    assert p.int_vertices == fresh.int_vertices
+    assert p.vertex_masks == fresh.vertex_masks
+    rows, den = p.int_vertices
+    flat, want_den = clear_denominators([c for v in p.vertices for c in v])
+    assert den == want_den
+    assert [c for row in rows for c in row] == list(flat)
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == p.vertices
+    assert p.vertex_masks == tuple(tight_mask(p, v) for v in p.vertices)
 
 
 @settings(deadline=None, max_examples=200)

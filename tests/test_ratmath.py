@@ -22,6 +22,7 @@ from xraycross.ratmath import (
     rref,
     sign,
     solve_square,
+    span_key,
     vadd,
     vdot,
     vscale,
@@ -280,3 +281,41 @@ def test_clear_denominators():
     assert clear_denominators(as_vec(["1/2", "-2/3", 4])) == ((3, -4, 24), 6)
     assert clear_denominators(as_vec([0, 5])) == ((0, 5), 1)
     assert clear_denominators(()) == ((), 1)
+
+
+@st.composite
+def seeded_matrix_pairs(draw):
+    """Two seeded integer row sets in Z^1..Z^5, each random integer
+    combinations of a random subset of one set of generators, so their
+    row spaces are often equal and often not; rows repeat, vanish and
+    carry either sign."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cols = rng.randint(1, 5)
+    gens = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rng.randint(0, cols))]
+
+    def rows():
+        use = [g for g in gens if rng.random() < 0.8]
+        out = []
+        for _ in range(rng.randint(0, 4)):
+            coef = [rng.choice((0, rng.randint(-3, 3))) for _ in use]
+            out.append(tuple(sum(c * g[j] for c, g in zip(coef, use)) for j in range(cols)))
+        return out + [tuple(rng.choice((-2, -1, 1, 3)) * x for x in g) for g in use]
+
+    return rows(), rows()
+
+
+@settings(deadline=None, max_examples=300)
+@given(seeded_matrix_pairs())
+def test_span_key_equal_exactly_when_rref_equal(case):
+    """Two row sets get equal keys exactly when their RREF bases are
+    equal, and each key row is primitive with a positive pivot, the
+    RREF row's positive multiple."""
+    a, b = case
+    assert (span_key(a) == span_key(b)) == (rref(a) == rref(b))
+    for rows in (a, b):
+        key = span_key(rows)
+        basis, pivots = rref_by_fractions(rows)
+        assert len(key) == len(basis)
+        for row, reduced, p in zip(key, basis, pivots):
+            assert gcd(*row) == 1 and row[p] > 0
+            assert tuple(Fraction(x, row[p]) for x in row) == reduced

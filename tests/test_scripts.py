@@ -71,3 +71,7 @@ def test_bench_bindings_resolve():
         if not hasattr(importlib.import_module(f"xraycross.{module}"), name)
     )
     assert not missing, f"bench/ binds names the package no longer has: {missing}"
+
+
+def test_load_gate_passes():
+    run_script("load_gate.py", "fixtures", "2,4", "3,4,2", "cube3")

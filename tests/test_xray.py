@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -5,13 +6,13 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xraycross import xray
-from xraycross.errors import MalformedXray
+from xraycross.errors import MalformedXray, ValidationFailed
 from xraycross.exactgeom import centroid, faces, hull, tight_mask
-from xraycross.generators import ProjectionMatrix, cpn_xray, standard_cube_xray, standard_simplex_xray
+from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, standard_cube_xray, standard_simplex_xray
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import (
     as_vec,
@@ -457,9 +458,13 @@ def test_consistency_matches_reduce_mod_classes(cp3, cp4, ncp4, toric_triangle, 
 
 def validate_poset_by_faces(x):
     """Reference: the face check on hulled faces (`faces_by_facet_hulls`)
-    matched against every chain member by full Polytope equality, and
-    the span check over every pair above every stratum."""
+    matched against every chain member by full Polytope equality, the
+    span check over every pair above every stratum, and one `top`
+    violation unless exactly one stratum has nothing above it."""
     vio = set()
+    tops = sorted(t for t in x.ids if not x.above(t))
+    if len(tops) != 1:
+        vio.add(Violation(tops[0] if tops else "", "top", f"expected a unique maximal stratum, found {tops}"))
     for a in x.ids:
         for b in x.above(a):
             if x.dim(a) >= x.dim(b):
@@ -594,17 +599,20 @@ def test_validators_match_references_on_corpus(cp3, cp4, ncp4, toric_triangle, u
 
 
 def test_darboux_rref_count_is_polynomial(monkeypatch):
+    """Every weight-subset span is keyed once per subset of < d directions,
+    plus the whole set, at each vertex: no exponential scan."""
     calls = []
+    real = xray.span_key
 
-    def counting_rref(rows):
+    def counting_span_key(rows):
         calls.append(rows)
-        return rref(rows)
+        return real(rows)
 
     x = cpn_xray(8, seeded_rows(2, 8, 0))
-    monkeypatch.setattr(xray, "rref", counting_rref)
+    monkeypatch.setattr(xray, "span_key", counting_span_key)
     assert validate_darboux(x) == []
     n = x.half_dim
-    assert len(calls) <= len(x.vertex_ids) * sum(comb(n, s) for s in range(3))
+    assert 0 < len(calls) <= len(x.vertex_ids) * sum(comb(n, s) for s in range(3))
 
 
 def test_fingerprint_is_computed_once(monkeypatch, ncp4):
@@ -845,3 +853,168 @@ def test_largest_generated_input_is_within_bounds():
     """delzant --cube 4, 81 strata, loads back unchanged."""
     x = standard_cube_xray(4)
     assert from_interchange(to_interchange(x)) == x
+
+
+def two_segments_doc():
+    """Two disjoint unit segments at d = 1: t1 = [0, 1] over a and b,
+    t2 = [5, 6] over c and e, each a valid X-ray of CP^1 on its own."""
+    seeds = {"signature": 1, "poincare": [1], "euler": 1}
+    return {
+        "torus_rank": 1,
+        "half_dim": 1,
+        "strata": [
+            {"id": "a", "vertices": [["0"]], "parents": ["t1"]},
+            {"id": "b", "vertices": [["1"]], "parents": ["t1"]},
+            {"id": "c", "vertices": [["5"]], "parents": ["t2"]},
+            {"id": "e", "vertices": [["6"]], "parents": ["t2"]},
+            {"id": "t1", "vertices": [["0"], ["1"]], "parents": []},
+            {"id": "t2", "vertices": [["5"], ["6"]], "parents": []},
+        ],
+        "vertex_data": {
+            "a": {"weights": [["1"]], **seeds},
+            "b": {"weights": [["-1"]], **seeds},
+            "c": {"weights": [["1"]], **seeds},
+            "e": {"weights": [["-1"]], **seeds},
+        },
+    }
+
+
+NO_STRATA_DOC = {"torus_rank": 1, "half_dim": 1, "strata": [], "vertex_data": {}}
+
+
+@pytest.mark.parametrize(
+    ("doc", "line"),
+    [
+        (two_segments_doc(), "[top] t1: expected a unique maximal stratum, found ['t1', 't2']"),
+        (NO_STRATA_DOC, "[top] : expected a unique maximal stratum, found []"),
+    ],
+    ids=["two-tops", "no-strata"],
+)
+def test_poset_requires_one_maximal_stratum(tmp_path, doc, line):
+    """Several maximal strata, or none, are one `top` violation, so a
+    checked load refuses what the queries, which start from the top,
+    cannot use; every other validator passes on both documents."""
+    x = from_interchange(doc)
+    assert [str(v) for v in validate_poset(x)] == [line]
+    assert validate_consistency(x) == validate_darboux(x) == []
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationFailed) as caught:
+        load_xray(path)
+    assert [str(v) for v in caught.value.violations] == [line]
+    assert load_xray(path, checked=False).ids == x.ids
+
+
+REPEATED_BAD_VECTORS = {
+    # each edit of cp3's document, whose strata are top, v1, v2, v3, v4 in
+    # that order: a bad list met twice, or a good list of strings met
+    # again with other types
+    "bad-twice": (
+        lambda doc: [doc["strata"][i].__setitem__("vertices", [["1", "2/0"]]) for i in (1, 2)],
+        "strata[1].vertices[0]: invalid rational '2/0'",
+    ),
+    "bad-weight-twice": (
+        lambda doc: doc["vertex_data"]["v2"].__setitem__("weights", [["x"], ["1"], ["x"]]),
+        "vertex_data['v2'].weights[0]: invalid rational 'x'",
+    ),
+    "long-twice": (
+        lambda doc: [doc["vertex_data"][v]["weights"].__setitem__(1, ["1/" + "7" * 501]) for v in ("v3", "v4")],
+        "vertex_data['v3'].weights[1][0]: numerator or denominator of more than 500 digits",
+    ),
+    "float-after-string": (
+        lambda doc: doc["vertex_data"]["v2"].__setitem__("weights", [["1"], [1.0], ["2"]]),
+        "vertex_data['v2'].weights[1]: cannot make a rational from 1.0",
+    ),
+    "bool-after-string": (
+        lambda doc: doc["vertex_data"]["v2"].__setitem__("weights", [["1"], [True], ["2"]]),
+        "vertex_data['v2'].weights[1]: expected a vector, got [True]",
+    ),
+    "float-after-int": (
+        lambda doc: doc["vertex_data"]["v2"].__setitem__("weights", [[1], [1.0], ["2"]]),
+        "vertex_data['v2'].weights[1]: cannot make a rational from 1.0",
+    ),
+    "bool-after-int": (
+        lambda doc: doc["vertex_data"]["v2"].__setitem__("weights", [[1], [True], ["2"]]),
+        "vertex_data['v2'].weights[1]: expected a vector, got [True]",
+    ),
+    "string-after-bad": (
+        lambda doc: doc["vertex_data"]["v2"].__setitem__("weights", [[1.5], ["1"], ["2"]]),
+        "vertex_data['v2'].weights[0]: cannot make a rational from 1.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_BAD_VECTORS))
+def test_interchange_errors_unchanged_for_repeated_vectors(cp3, name):
+    """Each coordinate list is parsed once per document, and the texts
+    stay those of a parse at every occurrence: the first bad occurrence
+    is named, and a list of strings met before does not let the same
+    values through as floats or booleans."""
+    edit, text = REPEATED_BAD_VECTORS[name]
+    doc = to_interchange(cp3)
+    edit(doc)
+    with pytest.raises(MalformedXray) as caught:
+        from_interchange(doc)
+    assert str(caught.value) == text
+
+
+def canonical_json_by_dumps(x):
+    """Reference: the canonical form as json.dumps writes it."""
+    return json.dumps(to_interchange(x), sort_keys=True, indent=2) + "\n"
+
+
+CANONICAL_BASES = {
+    "cp3": lambda: cpn_xray(3, ProjectionMatrix(((0, 1, 2, 3),))),
+    "ncp4": lambda: cpn_xray(4, ProjectionMatrix(((0, 4, 0, Fraction(3, 2), Fraction(5, 2)), (0, 0, 4, Fraction(5, 2), Fraction(3, 2))))),
+    "simplex2": lambda: standard_simplex_xray(2),
+    "cube3": lambda: standard_cube_xray(3),
+}
+ID_CHARS = st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t é ☃\U0001f600'), st.characters())
+SEEDS = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def relabelled_xrays(draw):
+    """A fixture, Delzant or seeded CP^n X-ray with its ids wrapped in
+    drawn text (quotes, backslashes, control and non-ASCII characters)
+    and its seeds redrawn: negative and many-digit signatures and Euler
+    characteristics, and Poincare seeds that may be zero, written []."""
+    base = draw(st.sampled_from(sorted(CANONICAL_BASES) + ["seeded"]))
+    if base == "seeded":
+        d = draw(st.integers(1, 3))
+        n = draw(st.integers(d + 1, 5))
+        x = cpn_xray(n, seeded_rows(d, n, draw(st.integers(0, 50))))
+    else:
+        x = CANONICAL_BASES[base]()
+    doc = to_interchange(x)
+    prefix = draw(st.text(ID_CHARS, max_size=3))
+    names = {s["id"]: prefix + s["id"] + draw(st.text(ID_CHARS, max_size=2)) for s in doc["strata"]}
+    assume(len(set(names.values())) == len(names))
+    for s in doc["strata"]:
+        s["id"] = names[s["id"]]
+        s["parents"] = [names[p] for p in s["parents"]]
+    vertex_data = {}
+    for sid, vd in doc["vertex_data"].items():
+        vd["signature"], vd["euler"] = draw(SEEDS), draw(SEEDS)
+        vd["poincare"] = draw(st.lists(SEEDS, max_size=3))
+        vertex_data[names[sid]] = vd
+    doc["vertex_data"] = vertex_data
+    return from_interchange(doc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(relabelled_xrays())
+def test_canonical_json_matches_json_dumps(x):
+    assert canonical_json(x) == canonical_json_by_dumps(x)
+
+
+def test_canonical_json_writes_other_seed_types_as_json_dumps():
+    """Seeds given as booleans by a caller of the constructors are
+    written as json.dumps writes them."""
+    strata = [
+        Stratum(s.id, s.wall, s.parents, (), None if s.vertex_data is None else VertexData(s.vertex_data.weights, True, s.vertex_data.seed_poincare, False))
+        for s in cpn_xray(3, ProjectionMatrix(((0, 1, 2, 3),))).strata
+    ]
+    x = WeightedXray(1, 3, tuple(strata))
+    assert '"signature": true' in canonical_json(x)
+    assert canonical_json(x) == canonical_json_by_dumps(x)
