@@ -37,6 +37,7 @@ from .engine import (
     Report,
     check_dim4_positivity,
     check_parity,
+    check_seeds,
     check_sig_equals_poincare_at_i,
     delzant_shortcut,
     propagate,
@@ -104,6 +105,7 @@ __all__ = [
     "XrayError",
     "check_dim4_positivity",
     "check_parity",
+    "check_seeds",
     "check_sig_equals_poincare_at_i",
     "cpn_xray",
     "cross_check",

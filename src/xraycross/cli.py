@@ -21,6 +21,7 @@ from .engine import (
     SIGNATURE,
     CheckLine,
     check_parity,
+    check_seeds,
     check_sig_equals_poincare_at_i,
     propagate,
 )
@@ -144,7 +145,13 @@ def cmd_invariants(args) -> int:
             raise XrayError(f"unknown invariant '{name}' (choose from sig, poincare, euler)")
         if name not in which:
             which.append(name)
-    tables = {name: propagate(x, spec) for name, spec in _WHICH.items()}
+    try:
+        tables = {name: propagate(x, spec) for name, spec in _WHICH.items()}
+    except PropagationError as e:
+        broken = next((line for line in check_seeds(x).lines if not line.passed), None)
+        if broken is None:
+            raise
+        raise PropagationError(f"{broken.name} fails ({broken.detail}); {e}") from None
     parity = check_parity(x, tables["sig"], tables["euler"])
     gauss = check_sig_equals_poincare_at_i(x, tables["sig"], tables["poincare"])
     checks = [
@@ -180,27 +187,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_oracle(args) -> int:
     x = _load(args)
-    lines = []
-    for vid in x.vertex_ids:
-        vd = x.stratum(vid).vertex_data
-        re, im = vd.seed_poincare.at_i()
-        lines += [
-            CheckLine(
-                f"seed {vid}: signature = P(i)",
-                im == 0 and re == vd.seed_signature,
-                f"signature {vd.seed_signature}, P(i) = {re}{im:+}i",
-            ),
-            CheckLine(
-                f"seed {vid}: euler = P(-1)",
-                vd.seed_poincare(-1) == vd.seed_euler,
-                f"euler {vd.seed_euler}, P(-1) = {vd.seed_poincare(-1)}",
-            ),
-            CheckLine(
-                f"seed {vid}: signature = euler (mod 2)",
-                (vd.seed_signature - vd.seed_euler) % 2 == 0,
-                f"signature {vd.seed_signature}, euler {vd.seed_euler}",
-            ),
-        ]
+    lines = list(check_seeds(x).lines)
     try:
         sig = propagate(x, SIGNATURE)
         poin = propagate(x, POINCARE)

@@ -245,51 +245,99 @@ def propagate(x: WeightedXray, spec: RecursiveInvariantSpec) -> InvariantTable:
 def delzant_shortcut(
     x: WeightedXray,
     table: InvariantTable,
-    poincare_table: InvariantTable | None = None,
-    euler_table: InvariantTable | None = None,
+    poincare_table: InvariantTable,
+    euler_table: InvariantTable,
 ) -> Report:
     """Structure-free toric walls must carry the constant value 1.
 
-    Checks the signature table and, when supplied, the Poincare and
-    Euler tables; every subreduction over such a wall is a point.
+    Checks the signature, Poincare and Euler tables; every subreduction
+    over such a wall is a point.
     """
     lines = []
-    one = IntPolynomial.one()
+    checks = (("signature", table, 1), ("poincare", poincare_table, IntPolynomial.one()), ("euler", euler_table, 1))
     for sid in x.ids:
         if not is_toric_structure_free(x, sid):
             continue
-        cells = subchambers(x, sid)
-        for cell in cells:
-            checks = [("signature", table.value(sid, cell.index), 1)]
-            if poincare_table is not None:
-                checks.append(("poincare", poincare_table.value(sid, cell.index), one))
-            if euler_table is not None:
-                checks.append(("euler", euler_table.value(sid, cell.index), 1))
-            for label, got, want in checks:
-                lines.append(
-                    CheckLine(
-                        f"delzant {sid}/{cell.index} {label}",
-                        got == want,
-                        f"value {got}, expected {want}",
-                    )
-                )
+        for cell in subchambers(x, sid):
+            for label, t, want in checks:
+                got = t.value(sid, cell.index)
+                lines.append(CheckLine(f"delzant {sid}/{cell.index} {label}", got == want, f"value {got}, expected {want}"))
     return Report("delzant shortcut", tuple(lines))
 
 
-def _unmet(
-    x: WeightedXray,
-    title: str,
-    holds: Callable[[VertexData], bool],
-    why: Callable[[VertexData], str],
-) -> Report | None:
-    """The one-line failing report of the check titled title when some
-    vertex seed does not satisfy its hypothesis (holds), naming the
-    first such vertex and why it fails; None when every seed does."""
+@dataclass(frozen=True)
+class _Identity:
+    """A relation among the (signature, Poincare, Euler) values of one
+    reduction: numbers picks out what it compares and holds compares
+    it; detail (a check line's) and why (how a vertex seed breaks it)
+    are format strings over those numbers."""
+
+    name: str
+    numbers: Callable[..., tuple]
+    holds: Callable[..., bool]
+    detail: str
+    why: str
+
+    def verdict(self, s, p, e) -> tuple[bool, str]:
+        n = self.numbers(s, p, e)
+        return self.holds(*n), self.detail.format(*n)
+
+
+# The seed identities, each stated once, in the order check_seeds reports them.
+_AT_I, _AT_MINUS_1, _PARITY = _IDENTITIES = (
+    _Identity("signature = P(i)", lambda s, p, e: (s, *p.at_i()), lambda s, re, im: im == 0 and re == s,
+              "signature {}, P(i) = {}{:+}i", "has seed signature {} but seed P(i) = {}{:+}i"),
+    _Identity("euler = P(-1)", lambda s, p, e: (e, p(-1)), lambda e, v: e == v,
+              "euler {}, P(-1) = {}", "has seed euler {} but seed P(-1) = {}"),
+    _Identity("signature = euler (mod 2)", lambda s, p, e: (s, e), lambda s, e: (s - e) % 2 == 0,
+              "signature {}, euler {}", "has seeds {} and {} of different parity"),
+)
+# Not an identity: check_dim4_positivity's hypothesis of isolated fixed points.
+_ALL_ONE = _Identity("seeds all 1", lambda *n: n, lambda *n: n == (1, IntPolynomial.one(), 1), "", "seeds are not all 1")
+
+
+def _seeds(x: WeightedXray):
+    """(vid, its (signature, Poincare, Euler) seeds) for each vertex, in order."""
     for vid in x.vertex_ids:
         vd = x.stratum(vid).vertex_data
-        if not holds(vd):
-            return Report(title, (CheckLine("hypothesis", False, f"hypothesis not met: vertex '{vid}' {why(vd)}"),))
+        yield vid, (vd.seed_signature, vd.seed_poincare, vd.seed_euler)
+
+
+def check_seeds(x: WeightedXray) -> Report:
+    """Every vertex seed against each identity: three lines per vertex,
+    `seed <vid>: <identity>`, in vertex order."""
+    lines = (CheckLine(f"seed {vid}: {i.name}", *i.verdict(*seeds)) for vid, seeds in _seeds(x) for i in _IDENTITIES)
+    return Report("seeds", tuple(lines))
+
+
+def _gate(x: WeightedXray, title: str, ident: _Identity) -> Report | None:
+    """The one-line failing report of the check titled title when some
+    vertex seed breaks ident, naming the first such vertex and how; None
+    when every seed satisfies it."""
+    numbers, holds = ident.numbers, ident.holds
+    for vid, seeds in _seeds(x):
+        n = numbers(*seeds)
+        if not holds(*n):
+            detail = f"hypothesis not met: vertex '{vid}' {ident.why.format(*n)}"
+            return Report(title, (CheckLine("hypothesis", False, detail),))
     return None
+
+
+def _table_lines(label: str, ident: _Identity, sig: InvariantTable, poin=None, euler=None) -> tuple[CheckLine, ...]:
+    """ident's line `<label> <sid>/<c>` for every entry of sig, in key
+    order, reading the Poincare and Euler tables given (only the one
+    ident reads is).  Entries with equal values, as most are, share one
+    verdict."""
+    poins, eulers = poin and poin.values, euler and euler.values
+    shown: dict[tuple, tuple[bool, str]] = {}
+    lines = []
+    for (sid, c), s in sorted(sig.values.items()):
+        value = (s, poins and poins[(sid, c)], eulers and eulers[(sid, c)])
+        verdict = shown.get(value)
+        if verdict is None:
+            verdict = shown[value] = ident.verdict(*value)
+        lines.append(CheckLine(f"{label} {sid}/{c}", *verdict))
+    return tuple(lines)
 
 
 def check_sig_equals_poincare_at_i(
@@ -300,49 +348,14 @@ def check_sig_equals_poincare_at_i(
     Holds whenever every vertex seed does; seeds violating the
     hypothesis short-circuit to a single explanatory line.
     """
-    unmet = _unmet(
-        x,
-        "signature = P(i)",
-        lambda vd: vd.seed_poincare.at_i() == (vd.seed_signature, 0),
-        lambda vd: "has seed signature {} but seed P(i) = {}{:+}i".format(vd.seed_signature, *vd.seed_poincare.at_i()),
-    )
-    if unmet is not None:
-        return unmet
-    lines = []
-    for (sid, chamber), value in sorted(sig.values.items()):
-        re, im = poin.value(sid, chamber).at_i()
-        lines.append(
-            CheckLine(
-                f"P(i) {sid}/{chamber}",
-                im == 0 and re == value,
-                f"signature {value}, P(i) = {re}{im:+}i",
-            )
-        )
-    return Report("signature = P(i)", tuple(lines))
+    title = "signature = P(i)"
+    return _gate(x, title, _AT_I) or Report(title, _table_lines("P(i)", _AT_I, sig, poin=poin))
 
 
 def check_parity(x: WeightedXray, sig: InvariantTable, euler: InvariantTable) -> Report:
     """Signature and Euler characteristic agree mod 2 on every subchamber,
     provided every vertex seed pair does."""
-    unmet = _unmet(
-        x,
-        "parity",
-        lambda vd: (vd.seed_signature - vd.seed_euler) % 2 == 0,
-        lambda vd: f"has seeds {vd.seed_signature} and {vd.seed_euler} of different parity",
-    )
-    if unmet is not None:
-        return unmet
-    lines = []
-    for (sid, chamber), value in sorted(sig.values.items()):
-        e = euler.value(sid, chamber)
-        lines.append(
-            CheckLine(
-                f"parity {sid}/{chamber}",
-                (value - e) % 2 == 0,
-                f"signature {value}, euler {e}",
-            )
-        )
-    return Report("parity", tuple(lines))
+    return _gate(x, "parity", _PARITY) or Report("parity", _table_lines("parity", _PARITY, sig, euler=euler))
 
 
 def check_dim4_positivity(
@@ -354,12 +367,7 @@ def check_dim4_positivity(
     dimension 4, when all vertex seeds are 1 (isolated fixed points):
     exactly one 2-class has positive self-intersection.
     """
-    unmet = _unmet(
-        x,
-        "dimension-4 positivity",
-        lambda vd: (vd.seed_signature, vd.seed_poincare, vd.seed_euler) == (1, IntPolynomial.one(), 1),
-        lambda vd: "seeds are not all 1",
-    )
+    unmet = _gate(x, "dimension-4 positivity", _ALL_ONE)
     if unmet is not None:
         return unmet
     lines = []

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface in subprocesses."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from test_engine import SEED_BREAKS
 from test_xray import NO_STRATA_DOC, two_segments_doc
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -167,6 +169,49 @@ def test_invariants_json(files):
     assert beta["poincare"] == [1, 0, 2, 0, 1]
 
 
+def stdout_digest(out):
+    return hashlib.sha256(out.stdout.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(("name", "digest"), [
+    ("cp3", {"table": "9d15b29c76f33ecb", "json": "2821dd75c67f5b9b"}),
+    ("ncp4", {"table": "39aeedd04c274075", "json": "402a2cfab0857c4e"}),
+])
+def test_invariants_stdout_pinned(files, name, digest, fmt):
+    """invariants' stdout, byte for byte, on the intact examples."""
+    out = run_cli("invariants", str(files[name]), "--format", fmt)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert stdout_digest(out) == digest[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_invariants_names_the_broken_seed(files, fmt):
+    """When propagation fails, the first seed line that fails comes
+    before the propagation message."""
+    out = run_cli("invariants", str(files["corrupt"]), "--format", fmt)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == (
+        "error: seed v1: signature = P(i) fails (signature 2, P(i) = 1+0i); "
+        "wall 'top': signature is path-dependent between chambers 1 and 2: difference 0, crossing sum 1\n"
+    )
+
+
+def test_invariants_error_unchanged_when_seeds_hold(files):
+    """Seeds that satisfy every identity yet disagree with the X-ray give
+    the propagation message alone."""
+    doc = json.loads(files["cp3"].read_text())
+    doc["vertex_data"]["v1"].update(poincare=[1, 0, 1, 0, 1], euler=3)
+    path = files["base"] / "consistent-seeds.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("invariants", str(path))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == (
+        "error: wall 'top': poincare is path-dependent between chambers 1 and 2: "
+        "difference -2t^2-2t^4-2t^6-t^8, crossing sum -t^2\n"
+    )
+
+
 def test_invariants_rejects_unknown_name(files):
     out = run_cli("invariants", str(files["cp3"]), "--which", "sig,betti")
     assert out.returncode == 1
@@ -192,6 +237,63 @@ def test_oracle_corrupted_seed_reports_cycle_failure(files):
     out = run_cli("oracle", str(files["corrupt"]))
     assert "cycle consistency: FAIL" in out.stdout
     assert out.stdout.splitlines()[-1] == "oracle: FAIL"
+
+
+# oracle's exit code, stdout digest and FAIL lines on cp3 and ncp4, intact
+# and with v2's seed broken as SEED_BREAKS breaks it.
+ORACLE_STDOUT = {
+    ("cp3", "intact"): (0, "d2d9c762d8765208", []),
+    ("cp3", "signature"): (1, "39235b4deac334b3", [
+        "seed v2: signature = P(i): FAIL  signature 2, P(i) = 1+0i",
+        "seed v2: signature = euler (mod 2): FAIL  signature 2, euler 1",
+        "cycle consistency: FAIL  wall 'top': signature is path-dependent between chambers 1 and 2: "
+        "difference 2, crossing sum 1",
+    ]),
+    ("cp3", "euler"): (1, "11f26881e0627b79", [
+        "seed v2: euler = P(-1): FAIL  euler 2, P(-1) = 1",
+        "seed v2: signature = euler (mod 2): FAIL  signature 1, euler 2",
+    ]),
+    ("cp3", "poincare"): (1, "3bba6047f1ec8745", [
+        "seed v2: signature = P(i): FAIL  signature 1, P(i) = 1+1i",
+        "seed v2: euler = P(-1): FAIL  euler 1, P(-1) = 0",
+        "cycle consistency: FAIL  wall 'top': poincare is path-dependent between chambers 1 and 2: "
+        "difference -t^2-t^3, crossing sum -t^2",
+    ]),
+    ("ncp4", "intact"): (0, "7db5e26343bda5aa", []),
+    ("ncp4", "signature"): (1, "b41f566a6dc18824", [
+        "seed v2: signature = P(i): FAIL  signature 2, P(i) = 1+0i",
+        "seed v2: signature = euler (mod 2): FAIL  signature 2, euler 1",
+        "cycle consistency: FAIL  wall 'w1-2': signature is path-dependent between chambers -1 and 0: "
+        "difference 1, crossing sum 2",
+    ]),
+    ("ncp4", "euler"): (1, "9f064e6c2017cc86", [
+        "seed v2: euler = P(-1): FAIL  euler 2, P(-1) = 1",
+        "seed v2: signature = euler (mod 2): FAIL  signature 1, euler 2",
+    ]),
+    ("ncp4", "poincare"): (1, "6d38c6fb65917c8a", [
+        "seed v2: signature = P(i): FAIL  signature 1, P(i) = 1+1i",
+        "seed v2: euler = P(-1): FAIL  euler 1, P(-1) = 0",
+        "cycle consistency: FAIL  wall 'w1-2': poincare is path-dependent between chambers -1 and 0: "
+        "difference 1, crossing sum 1+t",
+    ]),
+}
+
+
+@pytest.mark.parametrize(("name", "seed"), sorted(ORACLE_STDOUT))
+def test_oracle_stdout_pinned(files, name, seed):
+    path = files[name]
+    if seed != "intact":
+        doc = json.loads(path.read_text())
+        doc["vertex_data"]["v2"][seed] = SEED_BREAKS[seed][0]
+        path = files["base"] / f"{name}-v2-{seed}.json"
+        path.write_text(json.dumps(doc))
+    out = run_cli("oracle", str(path))
+    code, digest, fails = ORACLE_STDOUT[(name, seed)]
+    assert (out.returncode, out.stderr) == (code, "")
+    lines = out.stdout.splitlines()
+    assert [line for line in lines[:-1] if "FAIL" in line] == fails
+    assert lines[-1] == ("oracle: PASS" if code == 0 else "oracle: FAIL")
+    assert stdout_digest(out) == digest
 
 
 def test_color_disabled_means_no_escape_codes(files):

@@ -16,6 +16,7 @@ from xraycross.engine import (
     Report,
     check_dim4_positivity,
     check_parity,
+    check_seeds,
     check_sig_equals_poincare_at_i,
     delzant_shortcut,
     propagate,
@@ -179,7 +180,7 @@ def test_delzant_shortcut_generic(cp4):
 
 def test_delzant_shortcut_skips_diagonal(ncp4):
     sig = propagate(ncp4, SIGNATURE)
-    report = delzant_shortcut(ncp4, sig)
+    report = delzant_shortcut(ncp4, sig, propagate(ncp4, POINCARE), propagate(ncp4, EULER))
     assert report.passed
     assert any(l.name.startswith("delzant w1-") for l in report.lines)
     assert not any(DIAG in l.name for l in report.lines)
@@ -284,6 +285,77 @@ def test_hypothesis_lines_in_full(request, name, seed):
             assert [(report.title, l.name, l.passed, l.detail) for l in report.lines] == [
                 (report.title, "hypothesis", False, detail)
             ]
+
+
+FIXTURES = ["cp3", "cp4", "ncp4", "toric_triangle", "unit_square"]
+IDENTITY_NAMES = ["signature = P(i)", "euler = P(-1)", "signature = euler (mod 2)"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_check_seeds_lines(request, name):
+    """Three lines per vertex, in vertex order, all passing on the fixtures."""
+    x = request.getfixturevalue(name)
+    report = check_seeds(x)
+    assert len(report.lines) == 3 * len(x.vertex_ids)
+    assert [l.name for l in report.lines] == [f"seed {v}: {i}" for v in x.vertex_ids for i in IDENTITY_NAMES]
+    assert report.passed
+
+
+@pytest.mark.parametrize("seed", sorted(SEED_BREAKS))
+def test_check_seeds_names_what_breaks(cp3, seed):
+    """With v2's seed broken, exactly the identities it breaks fail, with
+    the values shown; a gated check fails just when its identity does."""
+    doc = to_interchange(cp3)
+    doc["vertex_data"]["v2"][seed] = SEED_BREAKS[seed][0]
+    broken = from_interchange(doc)
+    failed = {l.name: l.detail for l in check_seeds(broken).lines if not l.passed}
+    assert failed == {
+        "signature": {
+            "seed v2: signature = P(i)": "signature 2, P(i) = 1+0i",
+            "seed v2: signature = euler (mod 2)": "signature 2, euler 1",
+        },
+        "euler": {
+            "seed v2: euler = P(-1)": "euler 2, P(-1) = 1",
+            "seed v2: signature = euler (mod 2)": "signature 1, euler 2",
+        },
+        "poincare": {
+            "seed v2: signature = P(i)": "signature 1, P(i) = 1+1i",
+            "seed v2: euler = P(-1)": "euler 1, P(-1) = 0",
+        },
+    }[seed]
+    gates = SEED_BREAKS[seed][1]
+    assert ("seed v2: signature = P(i)" in failed) == (gates["signature = P(i)"] is not None)
+    assert ("seed v2: signature = euler (mod 2)" in failed) == (gates["parity"] is not None)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_table_check_lines_in_full(request, name):
+    """Every per-entry line of both table checks, against the identities
+    written out here, including entries that fail: the tables are
+    shifted so that some values break each identity."""
+    x = request.getfixturevalue(name)
+    sig, poin, euler = (propagate(x, spec) for spec in (SIGNATURE, POINCARE, EULER))
+    keys = sorted(sig.values)
+    shifted = engine.InvariantTable("signature", sig.fingerprint, {k: sig.values[k] + i % 3 for i, k in enumerate(keys)})
+    for s in (sig, shifted):
+        expected = []
+        for sid, c in keys:
+            p = poin.value(sid, c)
+            re = sum(p.coefficient(k) * (1, 0, -1, 0)[k % 4] for k in range(p.degree + 1))
+            im = sum(p.coefficient(k) * (0, 1, 0, -1)[k % 4] for k in range(p.degree + 1))
+            value = s.value(sid, c)
+            expected.append((f"P(i) {sid}/{c}", re == value and im == 0, f"signature {value}, P(i) = {re}{im:+}i"))
+        report = check_sig_equals_poincare_at_i(x, s, poin)
+        assert [(l.name, l.passed, l.detail) for l in report.lines] == expected
+        expected = [
+            (f"parity {sid}/{c}", (s.value(sid, c) + euler.value(sid, c)) % 2 == 0,
+             f"signature {s.value(sid, c)}, euler {euler.value(sid, c)}")
+            for sid, c in keys
+        ]
+        report = check_parity(x, s, euler)
+        assert [(l.name, l.passed, l.detail) for l in report.lines] == expected
+    assert not check_parity(x, shifted, euler).passed
+    assert not check_sig_equals_poincare_at_i(x, shifted, poin).passed
 
 
 def test_dim4_check_cp3(cp3):

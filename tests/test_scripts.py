@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    """Run scripts/<name>, assert exit 0 and a final PASS line."""
+    """Run scripts/<name>, assert exit 0 and a final PASS line; return its
+    output lines."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
@@ -23,14 +24,20 @@ def run_script(name, *args):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1].endswith("PASS")
+    return result.stdout.splitlines()
 
 
+# Each script's digest of every line of the check reports it prints:
+# title, line name, pass flag and detail.  A change to any of them, in
+# any report, changes the digest.
 def test_reproduce_examples_passes(tmp_path):
-    run_script("reproduce_examples.py", "--outdir", str(tmp_path))
+    lines = run_script("reproduce_examples.py", "--outdir", str(tmp_path))
+    assert "report digest: 1ac60f4c4aac1763 over 16 reports" in lines
 
 
 def test_oracle_sweep_passes():
-    run_script("oracle_sweep.py", "--count", "20")
+    lines = run_script("oracle_sweep.py", "--count", "20")
+    assert "report digest: 98240794bcfdf0a4 over 37 reports" in lines
 
 
 def test_arrangement_gate_passes():
