@@ -1,9 +1,14 @@
 """Subchamber decomposition of walls and crossing graphs.
 
 The regular set of a wall is the wall minus all smaller walls contained
-in it.  Its connected components (subchambers) are found by refining the
-wall along the affine spans of its codimension-1 subwalls, then merging
-cells across any shared facet that no actual subwall covers.
+in it.  When every smaller wall is a face of the wall (every wall of a
+Delzant polytope, every wall but the top of a generic CP^n projection),
+that is the open wall: one subchamber, whose crossing edges run from the
+exterior across the wall's facets, and whose cut planes are those
+facets, read off the wall with no refinement (`_faces_only`).
+Otherwise its connected components (subchambers) are found by refining
+the wall along the affine spans of its codimension-1 subwalls, then
+merging cells across any shared facet that no actual subwall covers.
 
 The cells are cut by double description (`exactgeom.Refinement`): each
 vertex carries the set of cell inequalities it is tight on, so a cut, a
@@ -43,9 +48,9 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import MalformedXray, SingularLevel, XrayError
-from .exactgeom import Polytope, Refinement, centroid, span_hyperplane
+from .exactgeom import Polytope, Refinement, bits, centroid, span_hyperplane
 from .ratmath import RatVector, clear_denominators, format_rational, idot
-from .xray import WeightedXray, scaled_weights_in
+from .xray import WeightedXray, scaled_weights_in, subwall_facets
 
 EXTERIOR = -1
 
@@ -104,7 +109,8 @@ class _Decomposition:
     pieces:   (source, dest, rep) per face between two subchambers,
               source < dest, or between EXTERIOR and a subchamber.
     cuts:     the distinct hyperplanes of the codimension-1 subwalls in
-              cut order, as primitive integer (normal, offset) pairs.
+              cut order, as primitive integer (normal, offset) pairs;
+              for a wall whose subwalls are all faces, its own facets.
     subwalls: (id, wall, plane, holding) for every smaller stratum,
               sorted by id.  plane is the index in cuts of a
               codimension-1 subwall's own hyperplane, None for a subwall
@@ -115,7 +121,8 @@ class _Decomposition:
     loose:    (id, wall) of the subwalls no cut plane holds, sorted by
               id: the only ones a point on no cut plane can lie on.
     cell_of:  each refinement cell's sign vector over cuts, mapped to
-              the index of the subchamber holding the cell.
+              the index of the subchamber holding the cell; for a wall
+              whose subwalls are all faces, all -1 to its one chamber.
     """
 
     chambers: tuple[Subchamber, ...]
@@ -128,7 +135,54 @@ class _Decomposition:
 
 def _decompose(x: WeightedXray, f: str) -> _Decomposition:
     """Subchambers of f's wall, the face pieces between them, the
-    subwalls' hyperplanes and the sign-vector index, cached.
+    subwalls' hyperplanes and the sign-vector index, cached on the X-ray.
+
+    When every smaller wall is a face of f's wall (`xray.subwall_facets`)
+    the regular set is the open wall, and the decomposition is read off
+    the wall itself (`_faces_only`); otherwise the wall is refined along
+    its subwalls' hyperplanes (`_refine`).
+    """
+    key = ("decomposition", f)
+    if key in x._cache:
+        return x._cache[key]
+    through = subwall_facets(x, f)
+    out = _refine(x, f) if through is None else _faces_only(x, f, through)
+    x._cache[key] = out
+    return out
+
+
+def _faces_only(x: WeightedXray, f: str, through: dict[str, int]) -> _Decomposition:
+    """The decomposition of a wall whose smaller walls are all faces,
+    with through[g] the wall facets through g (`xray.subwall_facets`).
+
+    The open wall is the one subchamber, and each crossing edge runs
+    from the exterior across one wall facet, at its vertex centroid.
+    The cut planes are the wall's facets: a codimension-1 subwall lies
+    on the one facet through it, no subwall is loose, and a point inside
+    the wall on no facet has the sign vector of all -1.
+    """
+    wall = x.stratum(f).wall
+    subwalls = []
+    for g, mask in through.items():
+        holding = tuple(bits(mask))
+        subwalls.append((g, x.stratum(g).wall, holding[0] if x.dim(g) == wall.dim - 1 else None, holding))
+    masks = wall.vertex_masks
+    pieces = tuple(
+        (EXTERIOR, 0, centroid([v for v, t in zip(wall.vertices, masks) if t >> i & 1])) for i in range(len(wall.facets))
+    )
+    return _Decomposition(
+        (Subchamber(f, 0, wall, centroid(wall.vertices)),),
+        pieces,
+        wall.int_facets,
+        tuple(subwalls),
+        (),
+        {(-1,) * len(wall.facets): 0},
+    )
+
+
+def _refine(x: WeightedXray, f: str) -> _Decomposition:
+    """The decomposition of f's wall by refinement along its subwalls'
+    hyperplanes, the path for a wall that some smaller wall cuts into.
 
     Each codimension-1 subwall's hyperplane is computed once: the cuts
     use the distinct ones, `locate` and `crossing_graph` read a point's
@@ -153,9 +207,6 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
     the two sides share, whose vertices are found the same way from the
     two sides' facets.
     """
-    key = ("decomposition", f)
-    if key in x._cache:
-        return x._cache[key]
     wall = x.stratum(f).wall
     k = wall.dim
     lower = sorted(x.below(f))
@@ -263,7 +314,7 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
             ids = ref.vertices(dict.fromkeys(v for facet in facets for v in facet), mask)
         source, dest = sorted((index[a], index[b]))
         pieces.append((source, dest, centroid([points[v] for v in ids])))
-    out = _Decomposition(
+    return _Decomposition(
         chambers,
         tuple(pieces),
         cuts,
@@ -271,8 +322,6 @@ def _decompose(x: WeightedXray, f: str) -> _Decomposition:
         loose,
         {sv: index[find(i)] for i, sv in enumerate(ref.signs)},
     )
-    x._cache[key] = out
-    return out
 
 
 def subchambers(x: WeightedXray, f: str) -> tuple[Subchamber, ...]:

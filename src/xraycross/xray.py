@@ -335,22 +335,53 @@ def complex_dim_of_stratum(x: WeightedXray, f: str) -> int:
     return len(stratum_weights_in(x, f, f))
 
 
+def subwall_facets(x: WeightedXray, f: str) -> dict[str, int] | None:
+    """The facets of f's wall through each smaller wall, as bitmasks keyed
+    by stratum id in id order, when every smaller wall is a proper face
+    of f's wall; None when one is not.  Cached on the X-ray.
+
+    A smaller wall is a face when its vertices are wall vertices and the
+    wall vertices tight on every facet through them are exactly those
+    (`Polytope.vertex_masks`), and proper when some facet goes through
+    it.  Vertices are matched by their integer forms
+    (`Polytope.int_vertices`); a face's denominator divides the wall's.
+    """
+    key = ("subwall facets", f)
+    if key in x._cache:
+        return x._cache[key]
+    wall = x.stratum(f).wall
+    rows, den = wall.int_vertices
+    index = {row: j for j, row in enumerate(rows)}
+    masks = wall.vertex_masks
+    out: dict[str, int] | None = {}
+    for g in sorted(x.below(f)):
+        sub_rows, sub_den = x.stratum(g).wall.int_vertices
+        scale, rest = divmod(den, sub_den)
+        ids = [index.get(tuple([c * scale for c in row])) for row in sub_rows]
+        if rest or None in ids:
+            out = None
+            break
+        through = masks[ids[0]]
+        for j in ids[1:]:
+            through &= masks[j]
+        if not through or sum(1 for t in masks if t & through == through) != len(ids):
+            out = None
+            break
+        out[g] = through
+    x._cache[key] = out
+    return out
+
+
 def is_toric_structure_free(x: WeightedXray, f: str) -> bool:
     """True when f's wall has no internal structure and full toric dimension.
 
-    Two conditions: every stratum below f images onto an actual face of
-    f's wall (nothing cuts through the interior), and the stratum's
-    complex dimension equals the wall dimension.  On such walls every
-    reduced space is a toric variety and the invariants are forced.
-    A wall is the hull of its vertices, so walls are compared with the
-    faces of `face_lattice` by vertex tuple.
+    Two conditions: every stratum below f images onto a proper face of
+    f's wall (nothing cuts through the interior: `subwall_facets`), and
+    the stratum's complex dimension equals the wall dimension.  On such
+    walls every reduced space is a toric variety and the invariants are
+    forced.
     """
-    s = x.stratum(f)
-    verts = s.wall.vertices
-    keys = {tuple(verts[j] for j in bits(m)) for level in face_lattice(s.wall) for m in level}
-    if any(x.stratum(g).wall.vertices not in keys for g in x.below(f)):
-        return False
-    return complex_dim_of_stratum(x, f) == s.wall.dim
+    return subwall_facets(x, f) is not None and complex_dim_of_stratum(x, f) == x.stratum(f).wall.dim
 
 
 # -- validators -----------------------------------------------------------
@@ -541,7 +572,8 @@ def _tangent_cone_matches(
         # q - point is a positive multiple of q_rows * D - P * den
         at, at_den = clear_denominators(point)
         ends = [[a * at_den - b * den for a, b in zip(q, at)] for q in rows]
-        return all(_cone_contains(dirs, u, dim) for u in {primitive(e) for e in ends})
+        gs = _cone_generators(dirs)
+        return all(_in_cone(gs, u, dim) for u in {primitive(e) for e in ends})
     for j, t in enumerate(tight):
         common = here & t
         if j == i or any(k != i and k != j and s & common == common for k, s in enumerate(tight)):
@@ -556,13 +588,24 @@ def _cone_contains(gens: Iterable[RatVector], w: RatVector, dim: int) -> bool:
     any member is a nonnegative combination of a linearly independent subset.
 
     Runs in integers: scaling w and each generator by a positive number
-    leaves the answer unchanged, so their denominators are cleared, and
-    each subset's coefficients come back as numerators over one
-    denominator d (`solve_scaled`)."""
-    if is_zero_vector(w):
+    leaves the answer unchanged, so their denominators are cleared
+    (`_cone_generators`, `_in_cone`)."""
+    return _in_cone(_cone_generators(gens), clear_denominators(w)[0], dim)
+
+
+def _cone_generators(gens: Iterable[RatVector]) -> list[tuple[int, ...]]:
+    """The distinct nonzero gens in sorted order, denominators cleared:
+    what `_in_cone` tests against, prepared once per generator set."""
+    return [clear_denominators(g)[0] for g in sorted({g for g in gens if not is_zero_vector(g)})]
+
+
+def _in_cone(gs: Sequence[tuple[int, ...]], target: Sequence[int], dim: int) -> bool:
+    """Is the integer vector target a nonnegative combination of the
+    prepared generators gs (`_cone_generators`)?  Each independent
+    subset's coefficients come back as numerators over one denominator d
+    (`solve_scaled`)."""
+    if not any(target):
         return True
-    target, _ = clear_denominators(w)
-    gs = [clear_denominators(g)[0] for g in sorted({g for g in gens if not is_zero_vector(g)})]
     for size in range(1, min(len(gs), dim) + 1):
         for sub in combinations(gs, size):
             gram = [tuple(idot(a, b) for b in sub) for a in sub]

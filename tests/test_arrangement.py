@@ -7,7 +7,7 @@ import pytest
 import conftest
 from xraycross import arrangement, exactgeom, generators, xray
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
-from xraycross.errors import SingularLevel, XrayError
+from xraycross.errors import MalformedXray, SingularLevel, XrayError
 from xraycross.exactgeom import (
     Polytope,
     Refinement,
@@ -443,17 +443,103 @@ FRESH = pytest.mark.parametrize(
 )
 
 
+def faces_only(x, f):
+    """Is every smaller wall a proper face of f's wall?  Decided on the
+    face lattice, by vertex tuple."""
+    wall = x.stratum(f).wall
+    lattice = exactgeom.face_lattice(wall)[:-1]
+    keys = {tuple(wall.vertices[j] for j in exactgeom.bits(m)) for level in lattice for m in level}
+    return all(x.stratum(g).wall.vertices in keys for g in x.below(f))
+
+
 @FRESH
 def test_one_hyperplane_per_subwall(monkeypatch, make):
-    """The cuts and the separator counts share one span_hyperplane call
-    per codimension-1 subwall; no side functional is built."""
+    """A wall that some smaller wall cuts into is refined, and its cuts
+    and separator counts share one span_hyperplane call per
+    codimension-1 subwall; a wall whose smaller walls are all faces cuts
+    along its own facets and calls none.  No side functional is built."""
     x = make()  # fresh: the decomposition is cached on the X-ray
     calls = count_calls(monkeypatch, ["span_hyperplane", "side_functional"])
     for sid in x.ids:
         subchambers(x, sid)
         crossing_graph(x, sid)
-    subwalls = sum(1 for f in x.ids for g in x.below(f) if x.dim(g) == x.dim(f) - 1)
+    refined = [f for f in x.ids if not faces_only(x, f)]
+    subwalls = sum(1 for f in refined for g in x.below(f) if x.dim(g) == x.dim(f) - 1)
     assert calls == {"span_hyperplane": subwalls, "side_functional": 0}
+
+
+def chamber_outcome(x, f, q):
+    try:
+        return repr(locate(x, f, q))
+    except XrayError as e:
+        return type(e), str(e)
+
+
+def refined(make):
+    """A fresh X-ray whose every wall is decomposed by the refinement,
+    called directly and cached where `_decompose` caches."""
+    x = make()
+    for f in x.ids:
+        x._cache[("decomposition", f)] = arrangement._refine(x, f)
+    return x
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cpn_xray(3, ProjectionMatrix(conftest.CP3_ROWS)),
+        lambda: cpn_xray(4, ProjectionMatrix(CP4_ROWS)),
+        lambda: cpn_xray(4, ProjectionMatrix(NCP4_ROWS)),
+        lambda: generators.standard_simplex_xray(2),
+        lambda: generators.standard_cube_xray(2),
+        lambda: generators.standard_simplex_xray(1),
+        lambda: generators.standard_cube_xray(3),
+        lambda: random_cpn(2, 5, 1),
+        lambda: random_cpn(3, 4, 1),
+        lambda: cpn_xray(5, seeded_rows(2, 5, 1, grid=3)),
+        lambda: cpn_xray(5, seeded_rows(3, 5, 1, grid=2)),
+    ],
+    ids=["cp3", "cp4", "ncp4", "triangle", "square", "segment", "cube3", "s25", "s34", "g253", "g352"],
+)
+def test_faces_only_matches_refinement(make):
+    """A wall whose smaller walls are all faces skips the refinement and
+    gives the subchambers, crossing graph and locate outcomes (chamber,
+    or exception type and text) the refinement gives, at chamber reps,
+    facet reps and vertices."""
+    x, ref = make(), refined(make)
+    walls = [f for f in x.ids if xray.subwall_facets(x, f) is not None]
+    assert walls == [f for f in x.ids if faces_only(x, f)]
+    assert walls
+    for f in walls:
+        assert repr(subchambers(x, f)) == repr(subchambers(ref, f))
+        graph = crossing_graph(x, f)
+        assert repr(graph) == repr(crossing_graph(ref, f))
+        points = [c.rep for c in subchambers(x, f)] + [e.facet_rep for e in graph.edges] + list(x.stratum(f).wall.vertices)
+        for q in points:
+            assert chamber_outcome(x, f, q) == chamber_outcome(ref, f, q), (f, q)
+
+
+@pytest.mark.parametrize("make,drop", [(generators.standard_cube_xray, "e1-2"), (generators.standard_simplex_xray, "e1-3")])
+def test_faces_only_uncovered_facet_matches_refinement(make, drop):
+    """With one facet stratum dropped (an unchecked load), the top wall's
+    smaller walls are still faces, and its crossing graph raises the
+    MalformedXray text the refinement raises."""
+    doc = xray.to_interchange(make(2))
+    doc["strata"] = [s for s in doc["strata"] if s["id"] != drop]
+    for s in doc["strata"]:
+        s["parents"] = [p for p in s["parents"] if p != drop]
+
+    def load():
+        return xray.from_interchange(doc)
+
+    x, ref = load(), refined(load)
+    assert xray.subwall_facets(x, "top") is not None
+    with pytest.raises(MalformedXray) as fast:
+        crossing_graph(x, "top")
+    with pytest.raises(MalformedXray) as slow:
+        crossing_graph(ref, "top")
+    assert str(fast.value) == str(slow.value)
+    assert "not covered by any subwall" in str(fast.value)
 
 
 @FRESH

@@ -41,7 +41,17 @@ def test_oracle_sweep_passes():
 
 
 def test_arrangement_gate_passes():
-    run_script("arrangement_gate.py", "2,4", "3,4,2")
+    lines = run_script("arrangement_gate.py", "fixtures", "2,4", "3,4,2")
+    digests = [line for line in lines if line.startswith("digest ")]
+    assert digests == [
+        "digest cp3: 5a5c3398280552f3ce7bc70546eb6f0d",
+        "digest cp4: d6e68ae66080f5981970f916b733a8fe",
+        "digest ncp4: 0faac5285cc62997ca9070f8da94deaa",
+        "digest simplex2: 34ef9738ee37b8600a2c5907b2b1b01a",
+        "digest cube2: 6533549a9dcd6cb39c3685e5c226b68c",
+        "digest (2,4): 10a48a8b29f613ce0b6db84a14271b0c",
+        "digest (3,4) grid 2: 850bc5fb186c9e33da8372c843935c69",
+    ]
 
 
 def bench_bindings():
