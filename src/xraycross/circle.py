@@ -11,14 +11,23 @@ A CircleFixedData indexes its components by level once, keyed by
 (numerator, denominator) so that no Fraction is hashed.  The first
 regular query sums the localization terms level by level into prefix
 sums, and every regular value after that is one `bisect` over the
-sorted levels.
+levels scaled to integers over their common denominator, so no
+Fraction is compared either.  Each component computes its Poincare
+crossing coefficient w_poincare(f, b) the first time it is asked for.
+
+from_rank1_xray is cached on the X-ray, with the prefix sums and
+crossing coefficients its components gather, and reads each weight's
+sign off the weight's integer form.
 
 restrict_to_line turns one crossing-graph edge of a higher-rank X-ray
 into rank-1 fixed data for the residual circle, so the closed forms can
 cross-check every recursive wall-crossing step.  Each separator becomes
 one level-0 component built straight from its (f, b) counts, whose
-weights are sorted already.  cross_check runs the whole comparison for
-one wall and reports it line by line.
+weights are sorted already.  Each wall's edges are indexed once per
+X-ray in both orientations, each separator as its lower key and the
+component of its counts, with w_poincare(f, b) set, so a call only
+reseeds each component with its two table values.  cross_check runs the whole comparison for one
+wall and reports it line by line.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .arrangement import EXTERIOR, CrossingEdge, crossing_graph, subchambers
 from .engine import (
@@ -44,6 +54,7 @@ from .engine import (
 from .errors import PropagationError, SingularLevel, XrayError
 from .intpoly import IntPolynomial
 from .ratmath import ZERO, Rational, format_point, format_rational, rat
+from .xray import _scaled_weights
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,12 @@ class FixedComponent:
     seed_signature: int
     seed_poincare: IntPolynomial
 
+    @cached_property
+    def poincare_cross(self) -> IntPolynomial:
+        """w_poincare(f, b): the component's term in the Poincare change
+        across its level, per unit of seed."""
+        return w_poincare(self.f, self.b)
+
     def __post_init__(self):
         if any(w == 0 for w in self.weights):
             raise ValueError("fixed-component weights must be nonzero")
@@ -71,12 +88,19 @@ class FixedComponent:
 
     @classmethod
     def _of_counts(
-        cls, level: Fraction, f: int, b: int, seed_signature: int, seed_poincare: IntPolynomial
+        cls,
+        level: Fraction,
+        f: int,
+        b: int,
+        seed_signature: int,
+        seed_poincare: IntPolynomial,
+        poincare_cross: IntPolynomial | None = None,
     ) -> "FixedComponent":
         """The component with f weights +1 and b weights -1, equal to
         FixedComponent(level, (1,) * f + (-1,) * b, ...): its weights
         (-1,) * b + (1,) * f are sorted already, so nothing is sorted or
-        counted again."""
+        counted again.  poincare_cross, when given, must be
+        w_poincare(f, b); it is then not computed again."""
         out = object.__new__(cls)
         vars(out).update(
             level=level,
@@ -87,6 +111,18 @@ class FixedComponent:
             b=b,
             q=f + b,
         )
+        if poincare_cross is not None:
+            vars(out)["poincare_cross"] = poincare_cross
+        return out
+
+    def _reseeded(self, seed_signature: int, seed_poincare: IntPolynomial) -> "FixedComponent":
+        """This component with other seeds: its level, weights, counts and
+        poincare_cross, once computed, carry over unchanged."""
+        out = object.__new__(FixedComponent)
+        state = vars(out)
+        state.update(vars(self))
+        state["seed_signature"] = seed_signature
+        state["seed_poincare"] = seed_poincare
         return out
 
 
@@ -97,8 +133,10 @@ class CircleFixedData:
     construction, keyed by (numerator, denominator): neither building
     the index nor a lookup hashes a Fraction, whose hash is a modular
     inverse.  The regular values below each level are summed the first
-    time a regular level is queried (`_regular_sums`); like the index,
-    they stay out of repr and equality."""
+    time a regular level is queried (`_regular_sums`), and the levels
+    are scaled to integers (`_int_levels`) for the bisect that counts
+    the levels below a point; like the index, both stay out of repr and
+    equality."""
 
     components: tuple[FixedComponent, ...]
 
@@ -143,10 +181,23 @@ class CircleFixedData:
             for comp in self.at_level(level):
                 if comp.q % 2 == 1:
                     s += (-1) ** comp.b * comp.seed_signature
-                p = p + comp.seed_poincare * w_poincare(comp.f, comp.b)
+                p = p + comp.seed_poincare * comp.poincare_cross
             sig.append(s)
             poin.append(p)
         return tuple(sig), tuple(poin)
+
+    @cached_property
+    def _int_levels(self) -> tuple[int, tuple[int, ...]]:
+        """(D, the sorted levels times D), D the lcm of their denominators."""
+        den = lcm(*(level.denominator for level in self._levels))
+        return den, tuple(level.numerator * (den // level.denominator) for level in self._levels)
+
+
+def _count_below(data: CircleFixedData, a: Fraction) -> int:
+    """How many of data's levels lie strictly below a, in integers: a
+    level k / D lies below a = p / q exactly when k < ceil(p D / q)."""
+    den, scaled = data._int_levels
+    return bisect_left(scaled, -(-a.numerator * den // a.denominator))
 
 
 def _levels_below(data: CircleFixedData, a: Rational) -> int:
@@ -155,7 +206,7 @@ def _levels_below(data: CircleFixedData, a: Rational) -> int:
     a = rat(a)
     if data.at_level(a):
         raise SingularLevel(f"level {format_rational(a)} is singular; use signature_singular")
-    return bisect_left(data.levels(), a)
+    return _count_below(data, a)
 
 
 def signature_regular(data: CircleFixedData, a: Rational) -> int:
@@ -187,11 +238,14 @@ def wall_cross_delta(data: CircleFixedData, c: Rational, ring: str):
     if not at:
         raise XrayError(f"level {format_rational(c)} is not a wall")
     if ring == INTEGER:
-        return sum(w_signature(comp.f, comp.b) * comp.seed_signature for comp in at)
+        total = 0
+        for comp in at:
+            total += w_signature(comp.f, comp.b) * comp.seed_signature
+        return total
     if ring == INT_POLYNOMIAL:
         total = IntPolynomial.zero()
         for comp in at:
-            total = total + comp.seed_poincare * w_poincare(comp.f, comp.b)
+            total = total + comp.seed_poincare * comp.poincare_cross
         return total
     raise ValueError(f"unknown ring {ring!r}")
 
@@ -210,7 +264,7 @@ def signature_singular(data: CircleFixedData, c: Rational) -> int:
     at = data.at_level(c)
     if not at:
         raise XrayError(f"level {format_rational(c)} is not a wall")
-    i = bisect_left(data.levels(), c)
+    i = _count_below(data, c)
     sums = data._regular_sums[0]
     from_below = sums[i] + sum(
         w_signature(comp.f, comp.b) * comp.seed_signature for comp in at if comp.b >= comp.f
@@ -230,21 +284,33 @@ def from_rank1_xray(x) -> CircleFixedData:
     """Fixed data of a torus_rank-1 X-ray: one component per vertex stratum.
 
     Weight vectors reduce to their signs (the closed forms only count
-    them); zero weights are tangent directions and drop out, shrinking
-    q for non-isolated components.
+    them), read off each weight's integer form; zero weights are
+    tangent directions and drop out, shrinking q for non-isolated
+    components.  Built once per X-ray and cached on it, so its prefix
+    sums and crossing coefficients are gathered once too.
     """
     if x.torus_rank != 1:
         raise ValueError("rank-1 fixed data requires a d = 1 X-ray")
-    components = []
-    for vid in x.vertex_ids:
-        s = x.stratum(vid)
-        vd = s.vertex_data
-        weights = tuple(1 if w[0] > 0 else -1 for w in vd.weights if w[0] != 0)
-        components.append(
-            FixedComponent(s.wall.vertices[0][0], weights, vd.seed_signature, vd.seed_poincare)
-        )
-    components.sort(key=lambda comp: comp.level)
-    return CircleFixedData(tuple(components))
+    data = x._cache.get("rank-1 circle")
+    if data is None:
+        components = []
+        for vid in x.vertex_ids:
+            s = x.stratum(vid)
+            vd = s.vertex_data
+            weights = tuple(1 if w[0] > 0 else -1 for _, w in _scaled_weights(x, vid) if w[0])
+            components.append(
+                FixedComponent(s.wall.vertices[0][0], weights, vd.seed_signature, vd.seed_poincare)
+            )
+        components.sort(key=lambda comp: comp.level)
+        data = x._cache["rank-1 circle"] = CircleFixedData(tuple(components))
+    return data
+
+
+# A separator as restrict_to_line reads it: the key (g, r) of its lower
+# values, and the level-0 component of its counts with zero seeds and
+# w_poincare(f, b) set, shared by every separator with those counts,
+# which each call reseeds with those values.
+_Leg = tuple[tuple[str, int], FixedComponent]
 
 
 def restrict_to_line(
@@ -266,43 +332,64 @@ def restrict_to_line(
     the engine's crossing delta.  facet_rep picks one edge when the pair
     is joined through more than one facet.
     """
-    rep = None if facet_rep is None else tuple(facet_rep)
-    pair = (p1, p2) if p1 <= p2 else (p2, p1)
-    edge = next((e for e in _edges_by_pair(x, f).get(pair, ()) if rep is None or e.facet_rep == rep), None)
-    if edge is None:
-        raise XrayError(f"subchambers {p1} and {p2} of '{f}' are not adjacent")
-    if (edge.source, edge.dest) != (p1, p2):
-        edge = edge.reversed()
+    legs = _legs(x, f, p1, p2, None if facet_rep is None else tuple(facet_rep))
     if sig_table is None:
         sig_table = propagate(x, SIGNATURE)
     if poin_table is None:
         poin_table = propagate(x, POINCARE)
-    return _edge_circle(edge, sig_table, poin_table)
+    return _circle(legs, sig_table, poin_table)
 
 
-def _edges_by_pair(x, f: str) -> dict[tuple[int, int], tuple[CrossingEdge, ...]]:
-    """f's crossing-graph edges keyed by their endpoints in ascending
-    order, each key's edges in graph order; cached on the X-ray."""
-    key = ("edges by pair", f)
-    if key not in x._cache:
-        index: dict[tuple[int, int], list[CrossingEdge]] = {}
+def _legs(x, f: str, p1: int, p2: int, rep) -> tuple[_Leg, ...]:
+    """The separators of the first edge of f's crossing graph, in graph
+    order, that joins p1 and p2 (through the facet at rep, unless rep is
+    None), oriented from p1 to p2."""
+    for facet_rep, legs in _oriented_edges(x, f).get((p1, p2), ()):
+        if rep is None or facet_rep == rep:
+            return legs
+    raise XrayError(f"subchambers {p1} and {p2} of '{f}' are not adjacent")
+
+
+def _oriented_edges(x, f: str) -> dict[tuple[int, int], tuple[tuple[tuple, tuple[_Leg, ...]], ...]]:
+    """f's crossing-graph edges in both orientations, keyed by (source,
+    dest), each key's edges in graph order as (facet rep, legs); cached
+    on the X-ray."""
+    key = ("oriented edges", f)
+    index = x._cache.get(key)
+    if index is None:
+        shapes: dict[tuple[int, int], FixedComponent] = {}
+        grouped: dict[tuple[int, int], list] = {}
         for edge in crossing_graph(x, f).edges:
-            index.setdefault(tuple(sorted((edge.source, edge.dest))), []).append(edge)
-        x._cache[key] = {pair: tuple(edges) for pair, edges in index.items()}
-    return x._cache[key]
+            for e in (edge, edge.reversed()):
+                grouped.setdefault((e.source, e.dest), []).append((e.facet_rep, _edge_legs(e, shapes)))
+        index = x._cache[key] = {pair: tuple(edges) for pair, edges in grouped.items()}
+    return index
+
+
+def _edge_legs(edge: CrossingEdge, shapes: dict) -> tuple[_Leg, ...]:
+    """edge's separators as legs, each component read from shapes, a
+    dict by (f, b) filled as needed."""
+    legs = []
+    for sep in edge.separators:
+        fb = (sep.f, sep.b)
+        shape = shapes.get(fb)
+        if shape is None:
+            shape = shapes[fb] = FixedComponent._of_counts(
+                ZERO, sep.f, sep.b, 0, IntPolynomial.zero(), w_poincare(sep.f, sep.b)
+            )
+        legs.append(((sep.g, sep.r), shape))
+    return tuple(legs)
+
+
+def _circle(legs: tuple[_Leg, ...], sig_table: InvariantTable, poin_table: InvariantTable) -> CircleFixedData:
+    """One level-0 component per leg, seeded with the leg's lower values."""
+    sigs, poins = sig_table.values, poin_table.values
+    return CircleFixedData._one_level(tuple(comp._reseeded(sigs[key], poins[key]) for key, comp in legs))
 
 
 def _edge_circle(edge: CrossingEdge, sig_table: InvariantTable, poin_table: InvariantTable) -> CircleFixedData:
-    """restrict_to_line for an edge already in hand: one level-0 component
-    per separator, built from its (f, b) counts."""
-    return CircleFixedData._one_level(
-        tuple(
-            FixedComponent._of_counts(
-                ZERO, sep.f, sep.b, sig_table.value(sep.g, sep.r), poin_table.value(sep.g, sep.r)
-            )
-            for sep in edge.separators
-        )
-    )
+    """restrict_to_line for an edge already in hand."""
+    return _circle(_edge_legs(edge, {}), sig_table, poin_table)
 
 
 def cross_check(x, f: str, sig: InvariantTable, poin: InvariantTable) -> Report:
@@ -339,7 +426,7 @@ def cross_check(x, f: str, sig: InvariantTable, poin: InvariantTable) -> Report:
         return zero if node == EXTERIOR else table.value(f, node)
 
     for edge in crossing_graph(x, f).edges:
-        data = _edge_circle(edge, sig, poin)
+        data = _circle(_legs(x, f, edge.source, edge.dest, edge.facet_rep), sig, poin)
         name = f"edge {edge.source}->{edge.dest} at {format_point(edge.facet_rep)}"
         for kind, table, ring, zero in (
             ("signature", sig, INTEGER, 0),

@@ -24,6 +24,7 @@ from .engine import (
     check_seeds,
     check_sig_equals_poincare_at_i,
     propagate,
+    rechecked_edges,
 )
 from .errors import PropagationError, XrayError
 from .generators import (
@@ -152,13 +153,7 @@ def cmd_invariants(args) -> int:
         if broken is None:
             raise
         raise PropagationError(f"{broken.name} fails ({broken.detail}); {e}") from None
-    parity = check_parity(x, tables["sig"], tables["euler"])
-    gauss = check_sig_equals_poincare_at_i(x, tables["sig"], tables["poincare"])
-    checks = [
-        CheckLine("cycle consistency", True),
-        CheckLine("parity sig = euler (mod 2)", parity.passed, "; ".join(l.detail for l in parity.lines if not l.passed)),
-        CheckLine("signature = P(i)", gauss.passed, "; ".join(l.detail for l in gauss.lines if not l.passed)),
-    ]
+    checks = _invariant_checks(x, tables)
 
     keys = sorted(tables["sig"].values)
     if args.format == "json":
@@ -183,6 +178,21 @@ def cmd_invariants(args) -> int:
         cols = " ".join(str(tables[name].value(sid, chamber)) for name in which)
         print(f"{sid} {chamber} {format_point(rep)} {cols}")
     return 0 if _print_lines(checks) else 1
+
+
+def _invariant_checks(x, tables: dict) -> list[CheckLine]:
+    """The check lines `invariants` prints under its table, given the
+    three tables propagated on x.  The cycle check is the one inside
+    propagate: reaching here means every re-checked edge agreed in every
+    table, and its detail counts them."""
+    parity = check_parity(x, tables["sig"], tables["euler"])
+    gauss = check_sig_equals_poincare_at_i(x, tables["sig"], tables["poincare"])
+    rechecked = rechecked_edges(x)
+    return [
+        CheckLine("cycle consistency", True, f"{rechecked} re-checked edge(s) agree in each of {len(tables)} tables"),
+        CheckLine("parity sig = euler (mod 2)", parity.passed, "; ".join(l.detail for l in parity.lines if not l.passed)),
+        CheckLine("signature = P(i)", gauss.passed, "; ".join(l.detail for l in gauss.lines if not l.passed)),
+    ]
 
 
 def cmd_oracle(args) -> int:

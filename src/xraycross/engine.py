@@ -11,12 +11,22 @@ a path-dependent input cannot produce a silently wrong table.  The walk
 depends on the X-ray alone, so it is compiled once per X-ray into a
 propagation plan cached on it: the strata in (dim, id) order and, for
 each wall, its steps and re-check edges, each carrying its separators
-already oriented as ((g, r), f, b) terms.  A propagate call only looks
-lower values up and sums, computing each w(f, b) once per call.  No
-sum is padded with zeros: a crossing sum starts from its first nonzero
+already oriented as ((g, r), f, b) terms.  Each spec propagated on the
+X-ray then weighs that plan once, into a spec plan cached beside it:
+every term becomes ((g, r), w(f, b)), each w computed once per X-ray
+and spec, and terms with a zero coefficient are dropped unless their
+lower key, checked wall by wall in walk order, is missing.  A
+propagate call only looks lower values up, multiplies and sums; every
+re-check edge still recomputes its sum and compares it on every call.
+No sum is padded with zeros: a crossing sum starts from its first
 product, and `IntPolynomial` returns the operand itself for p + 0 and
 p * 1, so the many crossings that leave a value unchanged build no new
 polynomial.
+
+The checks and `serialize_table` read the tables in sorted key order.
+That order, the check-line names and the serialized row heads (stratum,
+subchamber, formatted rep) depend on the X-ray alone and are cached on
+it too; a table with any other key set is sorted as it stands.
 
 Argument convention used everywhere: the first argument f counts
 weights pointing toward the destination chamber, the second b counts
@@ -103,6 +113,14 @@ class CheckLine:
     passed: bool
     detail: str = ""
 
+    @classmethod
+    def _of(cls, name: str, passed: bool, detail: str) -> "CheckLine":
+        """CheckLine(name, passed, detail), its fields set without the
+        frozen __init__'s three object.__setattr__ calls."""
+        out = object.__new__(cls)
+        vars(out).update(name=name, passed=passed, detail=detail)
+        return out
+
 
 @dataclass(frozen=True)
 class Report:
@@ -114,33 +132,23 @@ class Report:
         return all(line.passed for line in self.lines)
 
 
-_Term = tuple[tuple[str, int], int, int]
-
-
-def _edge_delta(spec: RecursiveInvariantSpec, values, terms: tuple[_Term, ...], crossings: dict):
-    """The change in spec's value across one oriented crossing: the sum
-    of w(f, b) times the lower value of (g, r) over its terms.
-
-    crossings memoizes spec.wall_cross by (f, b) within one propagate
-    call.  A term with a zero coefficient adds nothing, but is skipped
-    only after its lower value is looked up, so a missing one still
-    raises.  The sum starts from the first nonzero product, and
-    spec.zero() is taken only when every term vanishes."""
+def _edge_delta(values, terms: tuple[tuple[tuple[str, int], object], ...], zero):
+    """The change in a spec's value across one oriented crossing: the
+    sum of w times the lower value of (g, r) over its ((g, r), w) terms,
+    read off a spec plan.  The sum starts from the first product, and
+    zero is returned only when the crossing has no terms.  A missing
+    lower value raises; the spec plan keeps every term whose key it
+    found missing, whatever its w."""
     total = None
-    for key, f, b in terms:
+    for key, w in terms:
         try:
             lower = values[key]
         except KeyError:
             raise PropagationError(
                 f"missing lower value for subchamber {key[1]} of '{key[0]}'"
             ) from None
-        fb = (f, b)
-        cross = crossings.get(fb)
-        if cross is None:
-            cross = crossings[fb] = spec.wall_cross(f, b)
-        if cross:
-            total = cross * lower if total is None else total + cross * lower
-    return spec.zero() if total is None else total
+        total = w * lower if total is None else total + w * lower
+    return zero if total is None else total
 
 
 @dataclass(frozen=True)
@@ -156,11 +164,14 @@ class _WallPlan:
                walk crosses forward, whose difference is the crossing
                sum by construction.
     chambers:  the wall's subchamber indices, ascending.
+
+    In the propagation plan a term is ((g, r), f, b); in a spec plan it
+    is ((g, r), w(f, b)), kept when w is nonzero or (g, r) is missing.
     """
 
-    steps: tuple[tuple[int, int, tuple[_Term, ...]], ...]
+    steps: tuple[tuple[int, int, tuple], ...]
     unreached: tuple[int, ...]
-    recheck: tuple[tuple[int, int, tuple[_Term, ...]], ...]
+    recheck: tuple[tuple[int, int, tuple], ...]
     chambers: tuple[int, ...]
 
 
@@ -209,32 +220,81 @@ def _plan(x: WeightedXray) -> tuple[tuple[str, _WallPlan | None], ...]:
     return plan
 
 
+def _spec_plan(x: WeightedXray, spec: RecursiveInvariantSpec) -> tuple[tuple[str, _WallPlan | None], ...]:
+    """x's propagation plan weighed for spec, cached on x under
+    ("spec plan", spec): each term's (f, b) becomes w(f, b), computed
+    once per distinct (f, b), and terms with w = 0 are dropped.
+
+    Whether each term's lower key will be present is decided here, wall
+    by wall in walk order; a term whose key is missing is kept whatever
+    its w, so that a propagate call raises for it at the crossing where
+    a walk that looked every key up would."""
+    key = ("spec plan", spec)
+    plan = x._cache.get(key)
+    if plan is not None:
+        return plan
+    crossings: dict[tuple[int, int], object] = {}
+    known: set[tuple[str, int]] = set()
+
+    def weigh(edges):
+        weighed = []
+        for source, dest, terms in edges:
+            kept = []
+            for lower, f, b in terms:
+                w = crossings.get((f, b))
+                if w is None:
+                    w = crossings[(f, b)] = spec.wall_cross(f, b)
+                if w or lower not in known:
+                    kept.append((lower, w))
+            weighed.append((source, dest, tuple(kept)))
+        return tuple(weighed)
+
+    plan = []
+    for sid, wall in _plan(x):
+        if wall is None:
+            known.add((sid, 0))
+            plan.append((sid, None))
+            continue
+        plan.append((sid, _WallPlan(weigh(wall.steps), wall.unreached, weigh(wall.recheck), wall.chambers)))
+        known.update((sid, c) for c in wall.chambers)
+    plan = x._cache[key] = tuple(plan)
+    return plan
+
+
+def rechecked_edges(x: WeightedXray) -> int:
+    """How many crossing-graph edges the cycle check recomputes on each
+    propagate call over x: every edge the walk does not cross forward."""
+    return sum(len(wall.recheck) for _, wall in _plan(x) if wall is not None)
+
+
 def propagate(x: WeightedXray, spec: RecursiveInvariantSpec) -> InvariantTable:
     """Invariant values of every subchamber of every wall.
 
     Requires an X-ray that passes the validators; on inconsistent input
     the cycle check aborts rather than return a path-dependent table.
     """
-    crossings: dict[tuple[int, int], object] = {}
+    zero = spec.zero()
     values: dict[tuple[str, int], object] = {}
-    for sid, wall in _plan(x):
+    for sid, wall in _spec_plan(x, spec):
         if wall is None:
             values[(sid, 0)] = spec.seed(x.stratum(sid).vertex_data)
             continue
-        level: dict[int, object] = {EXTERIOR: spec.zero()}
+        level: dict[int, object] = {EXTERIOR: zero}
         for node, dest, terms in wall.steps:
-            level[dest] = level[node] + _edge_delta(spec, values, terms, crossings)
+            level[dest] = level[node] + _edge_delta(values, terms, zero)
         if wall.unreached:
             raise PropagationError(
                 f"wall '{sid}': subchambers {list(wall.unreached)} unreachable from the exterior"
             )
         for source, dest, terms in wall.recheck:
-            observed = level[dest] - level[source]
-            expected = _edge_delta(spec, values, terms, crossings)
-            if observed != expected:
+            expected = _edge_delta(values, terms, zero)
+            # dest - source == expected, tested without forming the
+            # difference: most crossings leave the value unchanged, and
+            # then the sum is level[source] itself
+            if level[source] + expected != level[dest]:
                 raise PropagationError(
                     f"wall '{sid}': {spec.name} is path-dependent between chambers "
-                    f"{source} and {dest}: difference {observed}, "
+                    f"{source} and {dest}: difference {level[dest] - level[source]}, "
                     f"crossing sum {expected}"
                 )
         for node in wall.chambers:
@@ -323,20 +383,61 @@ def _gate(x: WeightedXray, title: str, ident: _Identity) -> Report | None:
     return None
 
 
-def _table_lines(label: str, ident: _Identity, sig: InvariantTable, poin=None, euler=None) -> tuple[CheckLine, ...]:
+def _table_keys(x: WeightedXray) -> tuple[frozenset, tuple[tuple[str, int], ...]] | None:
+    """(the keys of every table propagate gives on x, those keys sorted),
+    read off the propagation plan and cached on x; None while x has no
+    plan, so that reading a table builds no geometry."""
+    out = x._cache.get("table keys")
+    if out is None:
+        plan = x._cache.get("propagation plan")
+        if plan is None:
+            return None
+        keys = [(sid, c) for sid, wall in plan for c in (wall.chambers if wall else (0,))]
+        out = x._cache["table keys"] = (frozenset(keys), tuple(sorted(keys)))
+    return out
+
+
+def _heads(x: WeightedXray, values: Mapping, kind, head: Callable) -> tuple[tuple, tuple]:
+    """(values' keys in sorted order, head(x, key) for each of them).
+
+    When values has exactly the keys of a table propagated on x, as
+    every table from propagate does, the order is x's and the heads are
+    cached on x under ("table heads", kind); otherwise the keys are
+    sorted and the heads built anew."""
+    layout = _table_keys(x)
+    if layout is None or values.keys() != layout[0]:
+        order = tuple(sorted(values))
+        return order, tuple(head(x, key) for key in order)
+    order = layout[1]
+    cache_key = ("table heads", kind)
+    heads = x._cache.get(cache_key)
+    if heads is None:
+        heads = x._cache[cache_key] = tuple(head(x, key) for key in order)
+    return order, heads
+
+
+def _table_lines(x: WeightedXray, label: str, ident: _Identity, sig: InvariantTable, poin=None, euler=None) -> tuple[CheckLine, ...]:
     """ident's line `<label> <sid>/<c>` for every entry of sig, in key
     order, reading the Poincare and Euler tables given (only the one
-    ident reads is).  Entries with equal values, as most are, share one
-    verdict."""
-    poins, eulers = poin and poin.values, euler and euler.values
+    ident reads is).  Every entry is judged on every call, but entries
+    with equal values, as most are, share one verdict: verdicts are
+    keyed by (signature, Poincare coefficients, Euler)."""
+    order, names = _heads(x, sig.values, ("check names", label), lambda x, key: f"{label} {key[0]}/{key[1]}")
+    sigs = sig.values
+    poins = None if poin is None else poin.values
+    eulers = None if euler is None else euler.values
     shown: dict[tuple, tuple[bool, str]] = {}
+    line = CheckLine._of
     lines = []
-    for (sid, c), s in sorted(sig.values.items()):
-        value = (s, poins and poins[(sid, c)], eulers and eulers[(sid, c)])
-        verdict = shown.get(value)
+    for key, name in zip(order, names):
+        s = sigs[key]
+        p = None if poins is None else poins[key]
+        e = None if eulers is None else eulers[key]
+        seen = (s, None if p is None else p.coeffs, e)
+        verdict = shown.get(seen)
         if verdict is None:
-            verdict = shown[value] = ident.verdict(*value)
-        lines.append(CheckLine(f"{label} {sid}/{c}", *verdict))
+            verdict = shown[seen] = ident.verdict(s, p, e)
+        lines.append(line(name, *verdict))
     return tuple(lines)
 
 
@@ -349,13 +450,13 @@ def check_sig_equals_poincare_at_i(
     hypothesis short-circuit to a single explanatory line.
     """
     title = "signature = P(i)"
-    return _gate(x, title, _AT_I) or Report(title, _table_lines("P(i)", _AT_I, sig, poin=poin))
+    return _gate(x, title, _AT_I) or Report(title, _table_lines(x, "P(i)", _AT_I, sig, poin=poin))
 
 
 def check_parity(x: WeightedXray, sig: InvariantTable, euler: InvariantTable) -> Report:
     """Signature and Euler characteristic agree mod 2 on every subchamber,
     provided every vertex seed pair does."""
-    return _gate(x, "parity", _PARITY) or Report("parity", _table_lines("parity", _PARITY, sig, euler=euler))
+    return _gate(x, "parity", _PARITY) or Report("parity", _table_lines(x, "parity", _PARITY, sig, euler=euler))
 
 
 def check_dim4_positivity(
@@ -396,22 +497,24 @@ def _rep_strings(x: WeightedXray, sid: str) -> tuple[tuple[str, ...], ...]:
     return x._cache[key]
 
 
+def _row_head(x: WeightedXray, key: tuple[str, int]) -> tuple[str, int, tuple[str, ...]]:
+    """(stratum, subchamber, formatted rep) of one serialized row."""
+    sid, chamber = key
+    return sid, chamber, _rep_strings(x, sid)[chamber]
+
+
 def serialize_table(x: WeightedXray, table: InvariantTable) -> list[dict]:
     """Rows of (stratum, subchamber, rep, value), values JSON-ready.
 
-    The reps are formatted once per X-ray; each row gets its own list."""
-    reps: dict[str, tuple[tuple[str, ...], ...]] = {}
-    rows = []
-    for sid, chamber in sorted(table.values):
-        if sid not in reps:
-            reps[sid] = _rep_strings(x, sid)
-        value = table.values[(sid, chamber)]
-        rows.append(
-            {
-                "stratum": sid,
-                "subchamber": chamber,
-                "rep": list(reps[sid][chamber]),
-                "value": list(value.coeffs) if isinstance(value, IntPolynomial) else value,
-            }
-        )
-    return rows
+    The row heads are built once per X-ray (see _heads); each row gets
+    its own dict and its own rep list."""
+    order, heads = _heads(x, table.values, "rows", _row_head)
+    return [
+        {
+            "stratum": sid,
+            "subchamber": chamber,
+            "rep": list(rep),
+            "value": list(value.coeffs) if isinstance(value, IntPolynomial) else value,
+        }
+        for (sid, chamber, rep), value in zip(heads, map(table.values.__getitem__, order))
+    ]

@@ -59,7 +59,8 @@ class IntPolynomial:
         return bool(self.coeffs)
 
     # Values are immutable, so adding zero or multiplying by one returns
-    # the operand itself, and no new polynomial is built.
+    # the operand itself, and p - p the shared zero: no new polynomial
+    # is built.
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
@@ -81,6 +82,8 @@ class IntPolynomial:
             return NotImplemented
         if not other.coeffs:
             return self
+        if self.coeffs == other.coeffs:
+            return _ZERO
         out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
         for k, c in enumerate(other.coeffs):
             out[k] -= c

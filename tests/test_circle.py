@@ -1,5 +1,6 @@
 from dataclasses import fields, replace
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,9 @@ from xraycross.errors import SingularLevel, XrayError
 from xraycross.intpoly import IntPolynomial
 from xraycross.generators import cpn_xray
 from xraycross.ratmath import format_point
+from xraycross.xray import from_interchange, to_interchange
 from conftest import edge_by_scan, seeded_rows
+from test_acceptance import mirrored_rank1
 
 DIAG = "w2-3-4-5"
 
@@ -581,3 +584,109 @@ def test_edge_circle_equals_public_construction(d, n, seed, grid):
                 assert wall_cross_delta(got, 0, ring) == wall_cross_delta(want, Fraction(0), ring)
             edges += 1
     assert edges > 0
+
+
+def fresh(x):
+    """A copy of x with nothing cached on it."""
+    return from_interchange(to_interchange(x))
+
+
+def rank1_inputs():
+    """Seeded d = 1 CP^n X-rays and mirrored circle X-rays, whose fixed
+    points carry zero (tangent) weights."""
+    yield from (cpn_xray(6, seeded_rows(1, 6, seed)) for seed in range(3))
+    rng = Random(7)
+    yield from (mirrored_rank1(rng) for _ in range(8))
+
+
+def test_from_rank1_xray_is_built_once_and_reads_integer_signs():
+    """The rank-1 circle is cached on the X-ray, and its weight signs,
+    read off the integer forms, are those of the Fraction weights, zero
+    weights dropped."""
+    tangent = 0
+    for x in rank1_inputs():
+        x = fresh(x)
+        data = from_rank1_xray(x)
+        assert from_rank1_xray(x) is data
+        want = []
+        for vid in x.vertex_ids:
+            vd = x.stratum(vid).vertex_data
+            signs = tuple(1 if w[0] > 0 else -1 for w in vd.weights if w[0] != 0)
+            tangent += len(vd.weights) - len(signs)
+            want.append(FixedComponent(x.stratum(vid).wall.vertices[0][0], signs, vd.seed_signature, vd.seed_poincare))
+        assert data == CircleFixedData(tuple(sorted(want, key=lambda comp: comp.level)))
+    assert tangent > 0
+
+
+def counting_w_poincare(monkeypatch):
+    calls = []
+
+    def counting(f, b):
+        calls.append((f, b))
+        return w_poincare(f, b)
+
+    monkeypatch.setattr(circle, "w_poincare", counting)
+    return calls
+
+
+@pytest.mark.parametrize(("d", "n", "seed"), [(2, 5, 0), (3, 4, 1)])
+def test_restrict_to_line_builds_crossings_once_per_xray(monkeypatch, d, n, seed):
+    """restrict_to_line and wall_cross_delta take each separator's
+    w_poincare(f, b) from the X-ray's edge index: the first pass over a
+    wall's edges computes each distinct (f, b) once, and a second pass,
+    or cross_check, computes none and gives the same circles."""
+    x = fresh(cpn_xray(n, seeded_rows(d, n, seed)))
+    sig, poin = engine_tables(x)
+    calls = counting_w_poincare(monkeypatch)
+
+    def one_pass():
+        out = []
+        for edge in crossing_graph(x, "top").edges:
+            for p1, p2 in ((edge.source, edge.dest), (edge.dest, edge.source)):
+                data = restrict_to_line(x, "top", p1, p2, sig_table=sig, poin_table=poin, facet_rep=edge.facet_rep)
+                out.append((data, wall_cross_delta(data, 0, INTEGER), wall_cross_delta(data, 0, INT_POLYNOMIAL)))
+        return out
+
+    first = one_pass()
+    assert calls and len(calls) == len(set(calls))
+    calls.clear()
+    assert one_pass() == first
+    assert cross_check(x, "top", sig, poin).passed
+    assert calls == []
+
+
+def test_rank1_circle_builds_crossings_once_per_xray(monkeypatch):
+    """At d = 1 the cached circle's components keep their w_poincare(f, b):
+    the prefix sums and wall_cross_delta compute each once per component,
+    and later queries compute none."""
+    x = fresh(cpn_xray(6, seeded_rows(1, 6, 3)))
+    calls = counting_w_poincare(monkeypatch)
+
+    def one_pass():
+        data = from_rank1_xray(x)
+        cells = subchambers(x, "top")
+        return (
+            [poincare_regular(data, cell.rep[0]) for cell in cells],
+            [wall_cross_delta(data, c, INT_POLYNOMIAL) for c in data.levels()],
+        )
+
+    first = one_pass()
+    assert 0 < len(calls) <= len(from_rank1_xray(x).components)
+    calls.clear()
+    assert one_pass() == first
+    assert calls == []
+
+
+def test_regular_values_count_levels_in_integers():
+    """Regular values count the levels below a point in integers: on
+    levels with different denominators and a grid of points beside and
+    between them, the signature (whose seeds are distinct powers of two,
+    so that it names the levels below) equals the scan's."""
+    levels = (Fraction(-1, 2), Fraction(0), Fraction(5, 3), Fraction(7, 4), Fraction(3))
+    data = CircleFixedData(
+        tuple(FixedComponent(level, (1,), 2**k, IntPolynomial((1,))) for k, level in enumerate(levels))
+    )
+    points = {Fraction(num, den) for den in (5, 7, 12, 13) for num in range(-60, 60)}
+    points |= {level + d for level in levels for d in (Fraction(1, 1000), Fraction(-1, 1000))}
+    for a in sorted(points - set(levels)):
+        assert signature_regular(data, a) == scan_signature(data, a)

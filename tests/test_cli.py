@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from xraycross import cli
+from xraycross.engine import EULER, POINCARE, SIGNATURE, CheckLine, propagate, rechecked_edges
 from test_engine import SEED_BREAKS
 from test_xray import NO_STRATA_DOC, two_segments_doc
 
@@ -353,3 +355,17 @@ def test_parse_error_diagnostics(files):
     assert out.returncode == 1
     assert "parse error" in out.stderr
     assert "line" in out.stderr
+
+
+def test_invariants_cycle_line_counts_rechecked_edges(cp3, ncp4, files):
+    """The cycle consistency line carries the number of edges propagate
+    re-checked; its detail is printed on failure only, so the default
+    output still reads `cycle consistency: PASS`."""
+    for x in (cp3, ncp4):
+        tables = {name: propagate(x, spec) for name, spec in (("sig", SIGNATURE), ("poincare", POINCARE), ("euler", EULER))}
+        line = cli._invariant_checks(x, tables)[0]
+        n = rechecked_edges(x)
+        assert n > 0
+        assert line == CheckLine("cycle consistency", True, f"{n} re-checked edge(s) agree in each of 3 tables")
+    out = run_cli("invariants", str(files["ncp4"]))
+    assert "cycle consistency: PASS" in out.stdout.splitlines()

@@ -1,4 +1,5 @@
 from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -647,8 +648,10 @@ def test_engine_matches_reference_on_seeded_cpn(args):
 @pytest.mark.parametrize("name", ["cp3", "cp4", "ncp4", "seeded3"])
 def test_propagation_plan_is_built_once_per_xray(monkeypatch, request, name):
     """The first propagate reads each wall's crossing graph once; later
-    ones, with any spec, read none, and each computes w(f, b) at most
-    once per distinct (f, b)."""
+    ones, with any spec, read none.  A spec computes w(f, b) exactly
+    once per distinct (f, b) the walk crosses, on its first call on the
+    X-ray, and never again: a second call computes none and gives the
+    same values."""
     x = fresh(cpn_xray(4, seeded_rows(3, 4, 0)) if name == "seeded3" else request.getfixturevalue(name))
     graphs = []
 
@@ -667,10 +670,148 @@ def test_propagation_plan_is_built_once_per_xray(monkeypatch, request, name):
         return f - b
 
     clone = RecursiveInvariantSpec("euler-clone", "INTEGER", counting_cross, lambda vd: vd.seed_euler)
-    for spec in (POINCARE, EULER, clone, clone):
-        crossings.clear()
-        table = propagate(x, spec)
-        if spec is clone:
-            assert table.values == propagate(x, EULER).values
-            assert crossings and set(crossings.values()) == {1}
+    walked = {
+        (f, b)
+        for _, wall in engine._plan(x)
+        if wall is not None
+        for edges in (wall.steps, wall.recheck)
+        for _, _, terms in edges
+        for _, f, b in terms
+    }
+    for spec in (POINCARE, EULER):
+        propagate(x, spec)
+    first = propagate(x, clone)
+    assert walked and set(crossings) == walked and set(crossings.values()) == {1}
+    weighed = [
+        w
+        for _, wall in engine._spec_plan(x, clone)
+        if wall is not None
+        for edges in (wall.steps, wall.recheck)
+        for _, _, terms in edges
+        for _, w in terms
+    ]
+    assert all(weighed), "a term with w(f, b) = 0 is kept"
+    again = propagate(x, clone)
+    assert set(crossings) == walked and set(crossings.values()) == {1}
+    assert first.values == again.values == propagate(x, EULER).values
     assert graphs == []
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_tables_with_other_keys_are_read_as_they_stand(request, name):
+    """A table whose key set differs from the X-ray's, here a copy with
+    one entry dropped, is sorted as it stands: its check lines and rows
+    are those of the full table without the dropped entry's.  A copy
+    with every key, inserted in reverse order, reads the X-ray's cached
+    order and gives the full table's lines and rows."""
+    x = fresh(request.getfixturevalue(name))
+    sig, poin, euler = (propagate(x, spec) for spec in (SIGNATURE, POINCARE, EULER))
+    keys = sorted(sig.values)
+    full = (
+        check_parity(x, sig, euler).lines,
+        check_sig_equals_poincare_at_i(x, sig, poin).lines,
+        serialize_table(x, sig),
+    )
+    for gone in (keys[0], keys[len(keys) // 2], keys[-1]):
+        dropped = replace(sig, values={k: v for k, v in sig.values.items() if k != gone})
+        sid, c = gone
+        assert check_parity(x, dropped, euler).lines == tuple(l for l in full[0] if l.name != f"parity {sid}/{c}")
+        assert check_sig_equals_poincare_at_i(x, dropped, poin).lines == tuple(
+            l for l in full[1] if l.name != f"P(i) {sid}/{c}"
+        )
+        rows = serialize_table(x, dropped)
+        assert rows == [r for r in full[2] if (r["stratum"], r["subchamber"]) != gone]
+        assert rows == reference_serialize_table(x, dropped)
+    backward = replace(sig, values={k: sig.values[k] for k in reversed(keys)})
+    assert check_parity(x, backward, euler).lines == full[0]
+    assert check_sig_equals_poincare_at_i(x, backward, poin).lines == full[1]
+    assert serialize_table(x, backward) == full[2] == reference_serialize_table(x, sig)
+
+
+@pytest.mark.parametrize(
+    ("name", "message"),
+    [
+        ("cp4", "wall 'top': lopsided is path-dependent between chambers 0 and 1: difference -2, crossing sum 1"),
+        ("ncp4", f"wall '{DIAG}': lopsided is path-dependent between chambers 1 and 2: difference -2, crossing sum 1"),
+    ],
+)
+def test_lopsided_after_other_specs_keeps_its_message(request, name, message):
+    """Each spec weighs the plan for itself: a spec run after SIGNATURE
+    (and again after that) fails with the same message as on its own."""
+    x = fresh(request.getfixturevalue(name))
+    propagate(x, SIGNATURE)
+    for _ in range(2):
+        with pytest.raises(PropagationError) as err:
+            propagate(x, LOPSIDED)
+        assert str(err.value) == message
+    assert propagate(x, SIGNATURE).values == propagate(fresh(x), SIGNATURE).values
+
+
+def test_fast_check_line_equals_constructed(cp4):
+    """CheckLine._of builds the same value as CheckLine(...): equal, with
+    the same hash and repr, and still frozen."""
+    for args in (("P(i) top/0", True, "signature 1, P(i) = 1+0i"), ("parity v1/0", False, ""), ("x", True, "")):
+        fast, built = CheckLine._of(*args), CheckLine(*args)
+        assert fast == built and hash(fast) == hash(built) and repr(fast) == repr(built)
+        with pytest.raises(AttributeError):
+            fast.passed = not fast.passed
+    x = fresh(cp4)
+    sig, euler = propagate(x, SIGNATURE), propagate(x, EULER)
+    for line in check_parity(x, sig, euler).lines:
+        built = CheckLine(line.name, line.passed, line.detail)
+        assert line == built and hash(line) == hash(built) and repr(line) == repr(built)
+
+
+@pytest.mark.parametrize("name", ["cp3", "cp4", "ncp4", "seeded3"])
+def test_rechecked_edges_counts_the_cycle_check(request, name):
+    """rechecked_edges is the number of edges the walk does not cross
+    forward: every edge but the tree edges crossed from source to dest."""
+    x = cpn_xray(4, seeded_rows(3, 4, 0)) if name == "seeded3" else request.getfixturevalue(name)
+    graphs = [crossing_graph(x, sid) for sid in x.ids if x.dim(sid) > 0]
+    assert engine.rechecked_edges(x) == sum(len(g.edges) - (len(g.nodes) - 1) + backward_tree_edges(g) for g in graphs)
+
+
+@pytest.mark.parametrize("name", ["cp4", "ncp4"])
+def test_missing_lower_value_raises_where_the_walk_meets_it(monkeypatch, request, name):
+    """A separator naming a subchamber that does not exist, one
+    separator of the top wall at a time, fails propagate with the
+    reference walk's error: the missing value where the walk first
+    looks it up, even where its w(f, b) is 0 (as for every term of
+    `flat`), or the path-dependence the cycle check finds before that."""
+    x = request.getfixturevalue(name)
+    real = crossing_graph
+    graph = real(x, x.top_id)
+    flat = RecursiveInvariantSpec("flat", "INTEGER", lambda f, b: 0, lambda vd: vd.seed_signature)
+    messages = set()
+    for i, j in ((i, j) for i, edge in enumerate(graph.edges) for j in range(len(edge.separators))):
+        edge = graph.edges[i]
+        seps = edge.separators
+        bad = replace(edge, separators=seps[:j] + (replace(seps[j], r=99),) + seps[j + 1 :])
+        broken = replace(graph, edges=graph.edges[:i] + (bad,) + graph.edges[i + 1 :])
+
+        def patched(y, f, broken=broken):
+            return broken if f == x.top_id else real(y, f)
+
+        y = fresh(x)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "crossing_graph", patched)
+            m.setitem(globals(), "crossing_graph", patched)
+            for spec in (SIGNATURE, POINCARE, EULER, LOPSIDED, flat):
+                got, want = outcome(propagate, y, spec), outcome(reference_propagate, y, spec)
+                assert isinstance(got, str) and got == want, (i, j, spec.name)
+                messages.add(got)
+    assert any(m.startswith("missing lower value for subchamber 99 of") for m in messages)
+    assert any("path-dependent" in m for m in messages)
+
+
+def test_checks_on_an_unpropagated_xray_build_no_geometry(monkeypatch, cp4):
+    """Tables propagated on one copy of an X-ray, checked on a fresh copy
+    that was never propagated, give the same lines and build no crossing
+    graph or plan on it."""
+    sig, poin, euler = (propagate(cp4, spec) for spec in (SIGNATURE, POINCARE, EULER))
+    want = (check_parity(cp4, sig, euler), check_sig_equals_poincare_at_i(cp4, sig, poin))
+    x = fresh(cp4)
+    calls = []
+    monkeypatch.setattr(engine, "crossing_graph", lambda y, f: calls.append(f))
+    assert (check_parity(x, sig, euler), check_sig_equals_poincare_at_i(x, sig, poin)) == want
+    assert calls == [] and "propagation plan" not in x._cache

@@ -92,3 +92,20 @@ def test_bench_bindings_resolve():
 
 def test_load_gate_passes():
     run_script("load_gate.py", "fixtures", "2,4", "3,4,2", "cube3")
+
+
+def test_query_gate_passes():
+    """The re-query path's digests, pinned: tables, every check line, the
+    circle oracle, restrict_to_line and locate, cold and warm."""
+    lines = run_script("query_gate.py", "fixtures", "1,5", "2,4", "3,4,2")
+    digests = [line for line in lines if line.startswith("digest ")]
+    assert digests == [
+        "digest cp3: fe493478f8b1944ada48dbf01b84a36e",
+        "digest cp4: 0aa4acb7c5ee781ad35f37d27df6a418",
+        "digest ncp4: 0ff2f758c425e1d59e71cfd69e93f6ec",
+        "digest simplex2: 6c6e490630361e4ef41876219c0f4f20",
+        "digest cube2: e7c90bda9e79cfc5bac4ca39aaa23f9e",
+        "digest (1,5): 316939e3a9052ed3ad8acf81f145b034",
+        "digest (2,4): f45fed548359b088384d13c3426c49b8",
+        "digest (3,4) grid 2: a8b422f2204e94a1b5b569e3a4b93fe4",
+    ]
