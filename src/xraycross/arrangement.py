@@ -33,6 +33,15 @@ counts.  A separator's weights are counted once per (subwall, wall)
 against its unoriented plane; an edge swaps the two counts when its
 destination lies below that plane.
 
+Each edge is read off the decomposition too.  A piece that is one wall
+facet, or one cell facet between two subchambers, records the cut
+plane it lies on and the side of it where its destination lies (the
+facet's cell's sign there), so only the subwalls on that plane are
+tested, and no point is signed.  Only a piece of several cell facets,
+or a refined wall's exterior piece, takes its rep's signs.  A separator
+whose smaller walls are all faces has one subchamber, so a rep strictly
+inside its facets is placed there with no `locate`.
+
 `locate` places a point by its signs on the cut planes, taken in
 integers: a point on no plane is tested against the subwalls no plane
 holds (listed once per wall) and looked up by sign vector, and a point
@@ -46,9 +55,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import MalformedXray, SingularLevel, XrayError
-from .exactgeom import Polytope, Refinement, bits, centroid, span_hyperplane
+from .exactgeom import Polytope, Refinement, bits, span_hyperplane
 from .ratmath import RatVector, clear_denominators, format_rational, idot
 from .xray import WeightedXray, scaled_weights_in, subwall_facets
 
@@ -106,8 +116,13 @@ def _fmt_point(p: RatVector) -> str:
 class _Decomposition:
     """One wall's subchambers and what is read off them, cached.
 
-    pieces:   (source, dest, rep) per face between two subchambers,
-              source < dest, or between EXTERIOR and a subchamber.
+    pieces:   (source, dest, rep, plane, side) per face between two
+              subchambers, source < dest, or between EXTERIOR and a
+              subchamber.  When the face is one wall facet, or one cell
+              facet between two subchambers, it lies on the cut with
+              index plane and on no other, and dest's chamber lies on
+              side (-1 or +1) of that cut.  Otherwise plane and side are
+              None, and the rep's signs on the cuts decide (`_signs`).
     cuts:     the distinct hyperplanes of the codimension-1 subwalls in
               cut order, as primitive integer (normal, offset) pairs;
               for a wall whose subwalls are all faces, its own facets.
@@ -126,7 +141,7 @@ class _Decomposition:
     """
 
     chambers: tuple[Subchamber, ...]
-    pieces: tuple[tuple[int, int, RatVector], ...]
+    pieces: tuple[tuple[int, int, RatVector, int | None, int | None], ...]
     cuts: tuple[tuple[tuple[int, ...], int], ...]
     subwalls: tuple[tuple[str, Polytope, int | None, tuple[int, ...]], ...]
     loose: tuple[tuple[str, Polytope], ...]
@@ -159,19 +174,22 @@ def _faces_only(x: WeightedXray, f: str, through: dict[str, int]) -> _Decomposit
     from the exterior across one wall facet, at its vertex centroid.
     The cut planes are the wall's facets: a codimension-1 subwall lies
     on the one facet through it, no subwall is loose, and a point inside
-    the wall on no facet has the sign vector of all -1.
+    the wall on no facet has the sign vector of all -1.  So the piece on
+    facet i lies on cut plane i alone, and the chamber below it.  The
+    centroids are summed from the wall's `int_vertices`.
     """
     wall = x.stratum(f).wall
     subwalls = []
     for g, mask in through.items():
         holding = tuple(bits(mask))
         subwalls.append((g, x.stratum(g).wall, holding[0] if x.dim(g) == wall.dim - 1 else None, holding))
+    rows, den = wall.int_vertices
     masks = wall.vertex_masks
     pieces = tuple(
-        (EXTERIOR, 0, centroid([v for v, t in zip(wall.vertices, masks) if t >> i & 1])) for i in range(len(wall.facets))
+        (EXTERIOR, 0, _mean([v for v, t in zip(rows, masks) if t >> i & 1], den), i, -1) for i in range(len(wall.facets))
     )
     return _Decomposition(
-        (Subchamber(f, 0, wall, centroid(wall.vertices)),),
+        (Subchamber(f, 0, wall, _mean(rows, den)),),
         pieces,
         wall.int_facets,
         tuple(subwalls),
@@ -205,7 +223,11 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
     those facets have full rank; a subchamber is convex, so this is the
     hull of its cells.  A piece's rep is the vertex centroid of the face
     the two sides share, whose vertices are found the same way from the
-    two sides' facets.
+    two sides' facets.  A piece that is one cell facet between two
+    subchambers lies on that facet's cut alone, and dest's chamber lies
+    on the side of it where the facet's cell in that chamber does, as a
+    convex chamber lies on one side of the plane of any of its facets.
+    Chamber and piece reps are summed from the points' integer forms.
     """
     wall = x.stratum(f).wall
     k = wall.dim
@@ -220,7 +242,7 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
     ref = Refinement(wall)
     for normal, offset in cuts:
         ref.cut(normal, offset)
-    cells, points = ref.cells, ref.points
+    cells = ref.cells
 
     root = list(range(len(cells)))
 
@@ -238,7 +260,7 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
             i = cut_index[planes[g]]
             subwalls.append((g, sub, i, (i,)))
         else:
-            subwalls.append((g, sub, None, _planes_holding(cuts, sub.vertices)))
+            subwalls.append((g, sub, None, _planes_holding(cuts, sub)))
     masks = []
     owners: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i, (ids, tight) in enumerate(cells):
@@ -276,7 +298,7 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
     for i in range(len(cells)):
         groups.setdefault(find(i), []).append(i)
     inner = dict.fromkeys(groups, 0)
-    shared: dict[tuple, list[tuple[int, ...]]] = {}
+    shared: dict[tuple, list[tuple[tuple[int, ...], list[tuple[int, int]]]]] = {}
     for facet, own in owners.items():
         if len(own) == 2:
             (i, bi), (j, bj) = own
@@ -284,10 +306,10 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
             if a == b:
                 inner[a] |= 1 << bi | 1 << bj
             else:
-                shared.setdefault((a, b), []).append(facet)
+                shared.setdefault((a, b), []).append((facet, own))
         else:
             (i, bit), = own
-            shared.setdefault((EXTERIOR, find(i), bit), []).append(facet)
+            shared.setdefault((EXTERIOR, find(i), bit), []).append((facet, own))
 
     bounds = {}
     merged = []
@@ -300,20 +322,26 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
             ids = cells[r][0]
         else:
             ids = ref.vertices(dict.fromkeys(v for i in members for v in cells[i][0]), bounds[r])
-        chamber = ref.polytope(ids, bounds[r])
-        merged.append((centroid(chamber.vertices), chamber, r))
+        merged.append((_point(*ref.mean(ids)), ref.polytope(ids, bounds[r]), r))
     merged.sort(key=lambda item: item[0])
     chambers = tuple(Subchamber(f, i, cell, rep) for i, (rep, cell, _) in enumerate(merged))
     index = {r: i for i, (_, _, r) in enumerate(merged)}
     index[EXTERIOR] = EXTERIOR
     pieces = []
     for (a, b, *_), facets in shared.items():
-        ids = facets[0]
+        source, dest = sorted((index[a], index[b]))
+        (ids, own), plane, side = facets[0], None, None
         if len(facets) > 1:
             mask = bounds[b] if a == EXTERIOR else bounds[a] | bounds[b]
-            ids = ref.vertices(dict.fromkeys(v for facet in facets for v in facet), mask)
-        source, dest = sorted((index[a], index[b]))
-        pieces.append((source, dest, centroid([points[v] for v in ids])))
+            ids = ref.vertices(dict.fromkeys(v for facet, _ in facets for v in facet), mask)
+        elif a != EXTERIOR:
+            # One cell facet between two subchambers: on the cut its bit
+            # names, and dest's chamber on its cell's side of that cut.
+            (i, bit), (j, _) = own
+            plane = _facet_cut(bit, nfacets)
+            cell = i if index[find(i)] == dest else j
+            side = ref.signs[cell][plane]
+        pieces.append((source, dest, _point(*ref.mean(ids)), plane, side))
     return _Decomposition(
         chambers,
         tuple(pieces),
@@ -352,13 +380,21 @@ def _signs(cuts: tuple[tuple[tuple[int, ...], int], ...], q: RatVector) -> tuple
     return tuple(out)
 
 
-def _planes_holding(cuts: tuple[tuple[tuple[int, ...], int], ...], vertices) -> tuple[int, ...]:
-    """The indices of the cuts that every vertex lies on, decided in
-    integers."""
-    scaled = [clear_denominators(v) for v in vertices]
-    return tuple(
-        i for i, (normal, offset) in enumerate(cuts) if all(idot(normal, v) == offset * den for v, den in scaled)
-    )
+def _planes_holding(cuts: tuple[tuple[tuple[int, ...], int], ...], wall: Polytope) -> tuple[int, ...]:
+    """The indices of the cuts that every vertex of wall lies on, decided
+    on its `int_vertices`."""
+    rows, den = wall.int_vertices
+    return tuple(i for i, (normal, offset) in enumerate(cuts) if all(idot(normal, v) == offset * den for v in rows))
+
+
+def _point(scaled: tuple[int, ...], den: int) -> RatVector:
+    """The point scaled / den, one Fraction per coordinate."""
+    return tuple([Fraction(p, den) for p in scaled])
+
+
+def _mean(rows: list[tuple[int, ...]], den: int) -> RatVector:
+    """The vertex centroid of the points rows / den, summed in integers."""
+    return _point([sum(col) for col in zip(*rows)], den * len(rows))
 
 
 def _subwall_holding(
@@ -423,15 +459,29 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
     A separator's weights are counted once per (subwall, wall) against
     its unoriented cut plane, and each edge swaps the two counts when
     its destination lies below that plane.  Cached on the X-ray.
+
+    The codimension-1 subwalls are indexed by cut plane once per wall,
+    so a piece known to lie on one plane (`_Decomposition.pieces`) tests
+    only the subwalls on it, on the rep's integer form taken once.  A
+    separator whose smaller walls are all faces (`xray.subwall_facets`)
+    has one subchamber, its open wall: a rep strictly inside all of its
+    facets is in subchamber 0 with no `locate`.  That covers every edge
+    of a wall whose smaller walls are all faces, whose pieces are whole
+    facets and whose reps are the separators' own chamber reps.
     """
     key = ("crossing_graph", f)
     if key in x._cache:
         return x._cache[key]
     dec = _decompose(x, f)
     chambers = dec.chambers
+    on_plane: dict[int, list[tuple[str, Polytope, int]]] = {}
+    for g, wall, i, _ in dec.subwalls:
+        if i is not None:
+            on_plane.setdefault(i, []).append((g, wall, i))
     counts: dict[str, tuple[int, int]] = {}
     edges = [
-        _build_edge(x, f, dec, counts, chambers[dest].rep, source, dest, rep) for source, dest, rep in dec.pieces
+        _build_edge(x, f, dec, on_plane, counts, chambers[dest].rep, source, dest, rep, plane, side)
+        for source, dest, rep, plane, side in dec.pieces
     ]
     edges.sort(key=lambda e: (e.source, e.dest, e.facet_rep))
     graph = CrossingGraph(f, (EXTERIOR,) + tuple(range(len(chambers))), tuple(edges))
@@ -456,32 +506,50 @@ def _build_edge(
     x: WeightedXray,
     f: str,
     dec: _Decomposition,
+    on_plane: dict[int, list[tuple[str, Polytope, int]]],
     counts: dict[str, tuple[int, int]],
     toward: RatVector,
     source: int,
     dest: int,
     facet_rep: RatVector,
+    plane: int | None,
+    side: int | None,
 ) -> CrossingEdge:
+    """The edge across one piece: every codimension-1 subwall on a cut
+    plane through facet_rep that holds it, and is not singular there,
+    separates.  A piece known to lie on one plane (`_Decomposition`)
+    tests the subwalls on it and takes dest's side as given; any other
+    tests those on the planes where its rep's sign is zero (`_signs`),
+    each with the side of toward, dest's rep."""
+    scaled, den = clear_denominators(facet_rep)
+    if plane is None:
+        signs = _signs(dec.cuts, facet_rep)
+        candidates = [(g, wall, i) for g, wall, i, _ in dec.subwalls if i is not None and signs[i] == 0]
+        toward_scaled, toward_den = clear_denominators(toward)
+    else:
+        candidates = on_plane.get(plane, ())
     separators = []
-    signs = _signs(dec.cuts, facet_rep)
-    toward_scaled, toward_den = clear_denominators(toward)
-    for g, wall, i, _ in dec.subwalls:
-        if i is None or signs[i] != 0 or not wall.contains(facet_rep):
+    for g, wall, i in candidates:
+        if not wall.holds(scaled, den):
             continue
+        if subwall_facets(x, g) is not None and all(idot(n, scaled) < c * den for n, c in wall.int_facets):
+            r = 0
+        else:
+            try:
+                r = locate(x, g, facet_rep).index
+            except SingularLevel:
+                continue  # on a subwall of g, not in an open subchamber
         normal, offset = dec.cuts[i]
-        try:
-            r = locate(x, g, facet_rep)
-        except SingularLevel:
-            continue  # on a subwall of g, not in an open subchamber
-        side = idot(normal, toward_scaled) - offset * toward_den
-        if side == 0:
-            raise ValueError("toward point lies on the separator")
+        if plane is None:
+            side = idot(normal, toward_scaled) - offset * toward_den
+            if side == 0:
+                raise ValueError("toward point lies on the separator")
         if g not in counts:
             counts[g] = _weight_counts(x, g, f, normal)
         above, below = counts[g]
         if side < 0:
             above, below = below, above
-        separators.append(Separator(g, r.index, above, below))
+        separators.append(Separator(g, r, above, below))
     if not separators:
         raise MalformedXray(
             f"wall '{f}': facet at {_fmt_point(facet_rep)} not covered by any subwall"

@@ -92,19 +92,7 @@ class AffineSpan:
         R / L, L times the annihilator row is L on fc and -R_p[fc] on
         each pivot p; with the base B / D its value there is a . B / D."""
         rows, den_r, base, den_b = self.int_frame
-        out = []
-        for fc in range(self.ambient_dim):
-            if fc in self.pivots:
-                continue
-            a = [0] * self.ambient_dim
-            a[fc] = den_r
-            for row, p in zip(rows, self.pivots):
-                a[p] = -row[fc]
-            offset = idot(a, base)
-            a = [x * den_b for x in a]
-            g = gcd(offset, *a)
-            out.append((tuple([x // g for x in a]), offset // g))
-        return tuple(out)
+        return int_equations(rows, den_r, self.pivots, base, den_b)
 
     @cached_property
     def free_coords(self) -> tuple[int, ...]:
@@ -147,6 +135,28 @@ class AffineSpan:
 
     def same_lin(self, other: "AffineSpan") -> bool:
         return self.basis == other.basis
+
+
+def int_equations(
+    rows: Sequence[Sequence[int]], den_r: int, pivots: Sequence[int], base: Sequence[int], den_b: int
+) -> tuple[IntFunctional, ...]:
+    """`AffineSpan.equations` of the flat through base / den_b whose
+    linear part has the RREF rows rows / den_r with the given pivots
+    (`ratmath.int_rref`), for a flat that needs no `AffineSpan`."""
+    d = len(base)
+    out = []
+    for fc in range(d):
+        if fc in pivots:
+            continue
+        a = [0] * d
+        a[fc] = den_r
+        for row, p in zip(rows, pivots):
+            a[p] = -row[fc]
+        offset = idot(a, base)
+        a = [x * den_b for x in a]
+        g = gcd(offset, *a)
+        out.append((tuple([x // g for x in a]), offset // g))
+    return tuple(out)
 
 
 Facet = tuple[RatVector, Fraction]  # (normal, offset): normal . x <= offset
@@ -391,19 +401,19 @@ def centroid(points: Sequence[RatVector]) -> RatVector:
     return tuple([Fraction(sum(flat[j::d]), den) for j in range(d)])
 
 
-def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> Facet:
-    """{x in span : normal . x <= offset} in `hull`'s canonical form.
+def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> IntFunctional:
+    """{x in span : normal . x <= offset} in `hull`'s canonical form, as
+    the integer (normal, offset) pair.
 
     The normal is supported on the span's pivot columns, and (normal,
     offset) is primitive integer, so a facet of any full-dimensional
-    polytope in the span compares equal to the one `hull` finds.
+    polytope in the span equals the one `hull` finds (`int_facets`).
 
     It runs in integers, on (a, b), (normal, offset) with denominators
     cleared.  With the basis rows R / L and the base B / D
     (`AffineSpan.int_frame`), the pivot entry p of the normal is
     a . R_p / L, and the offset is b - a . base plus that normal at the
-    base; both are scaled by L * D before the gcd, and one Fraction is
-    built per stored coordinate.
+    base; both are scaled by L * D before the gcd.
     """
     ints, _ = clear_denominators(tuple(normal) + (offset,))
     a, b = ints[:-1], ints[-1]
@@ -414,7 +424,7 @@ def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> Facet:
     c = (b * den_b - idot(a, base)) * den_r + idot(n, base)
     n = [x * den_b for x in n]
     g = gcd(c, *n) or 1
-    return tuple([Fraction(x // g) for x in n]), Fraction(c // g)
+    return tuple([x // g for x in n]), c // g
 
 
 def tight_mask(p: Polytope, point: RatVector) -> int:
@@ -443,6 +453,7 @@ class Refinement:
     scaled: each point's `clear_denominators` form, for the cut signs.
     facets: the inequality table, in `span_facet` form: the polytope's
             own facets, then both orientations of each cut.
+    int_facets: the same table as integer (normal, offset) pairs.
     normals: each facet's integer normal on the span's pivot columns,
             where it is supported, for the rank tests in `vertices`.
     cells:  (vertex ids, tight masks), ids ascending: bit i of a
@@ -462,6 +473,7 @@ class Refinement:
         self.points = list(p.vertices)
         self.scaled = [clear_denominators(v) for v in self.points]
         self.facets = list(p.facets)
+        self.int_facets = list(p.int_facets)
         self.normals = [tuple(n[j] for j in p.span.pivots) for n, _ in p.int_facets]
         self.cells: list[Cell] = [(tuple(range(len(self.points))), p.vertex_masks)]
         self.signs: list[tuple[int, ...]] = [()]
@@ -483,10 +495,12 @@ class Refinement:
         that half; the plane is the half's one new facet.
         """
         lo = len(self.facets)
-        low = span_facet(self.span, normal, offset)
-        self.facets += [low, (vneg(low[0]), -low[1])]
-        on_pivots = [int(low[0][j]) for j in self.span.pivots]
-        self.normals += [tuple(on_pivots), tuple([-x for x in on_pivots])]
+        n, c = span_facet(self.span, normal, offset)
+        neg = tuple([-x for x in n])
+        self.int_facets += [(n, c), (neg, -c)]
+        self.facets += [(tuple(map(Fraction, n)), Fraction(c)), (tuple(map(Fraction, neg)), Fraction(-c))]
+        on_pivots = tuple([n[j] for j in self.span.pivots])
+        self.normals += [on_pivots, tuple([-x for x in on_pivots])]
         ints, _ = clear_denominators(tuple(normal) + (offset,))
         a_int, b_int = ints[:-1], ints[-1]
         k = self.span.dim
@@ -582,10 +596,19 @@ class Refinement:
         return tuple([sum(col) for col in zip(*rows)]), den * len(ids)
 
     def polytope(self, ids: Iterable[int], mask: int) -> Polytope:
-        """The polytope with vertex ids ids and the facets in mask."""
-        verts = tuple(sorted(self.points[v] for v in ids))
+        """The polytope with vertex ids ids and the facets in mask.
+
+        The vertices are sorted by their integer forms over one common
+        denominator, which is positive, so in the order of their
+        coordinates, and the facets by their integer forms, which sort as
+        their Fractions do."""
+        ids = list(ids)
+        den = lcm(*[self.scaled[v][1] for v in ids])
+        ids.sort(key=lambda v: [x * (den // self.scaled[v][1]) for x in self.scaled[v][0]])
+        verts = tuple([self.points[v] for v in ids])
         span = AffineSpan(verts[0], self.span.basis, self.span.pivots)
-        return Polytope(verts, span, tuple(sorted(self.facets[i] for i in bits(mask))))
+        facets = sorted(bits(mask), key=self.int_facets.__getitem__)
+        return Polytope(verts, span, tuple([self.facets[i] for i in facets]))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import MalformedXray, ValidationFailed
-from .exactgeom import AffineSpan, Polytope, bits, face_lattice, hull
+from .exactgeom import Polytope, bits, face_lattice, hull, int_equations
 from .intpoly import IntPolynomial
-from .ratmath import RatVector, as_vec, clear_denominators, format_rational, rank, vsub
+from .ratmath import RatVector, as_vec, clear_denominators, format_rational, idot, int_rref, rank, vsub
 from .xray import (
     Stratum,
     VertexData,
@@ -72,7 +72,9 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
     every column on it: C(n+1, <=d) spans, not 2^(n+1) subsets.  The
     columns are cleared to integers over one common denominator once, and
     the scan and the weights run on those forms: scaling every column by
-    that denominator keeps which columns lie on which flat.  A stratum's
+    that denominator keeps which columns lie on which flat.  Each flat's
+    integer equations come from the RREF of its column differences
+    (`ratmath.int_rref`, `exactgeom.int_equations`).  A stratum's
     parents are the column bitmasks that contain its own.
     """
     if n < 1:
@@ -92,8 +94,10 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
     subsets: dict[tuple[int, ...], None] = {everyone: None}
     for size in range(1, d + 1):
         for B in combinations(everyone, size):
-            span = AffineSpan.from_points([scaled[b] for b in B])
-            subsets[tuple(j for j in everyone if span.holds(scaled[j], 1))] = None
+            base = scaled[B[0]]
+            rows, den_r, pivots = int_rref([[a - o for a, o in zip(scaled[b], base)] for b in B[1:]])
+            eqs = int_equations(rows, den_r, pivots, base, 1)
+            subsets[tuple(j for j in everyone if all(idot(a, scaled[j]) == c for a, c in eqs))] = None
 
     def name(K: tuple[int, ...]) -> str:
         if K == everyone:

@@ -310,14 +310,19 @@ def scaled_weights_in(x: WeightedXray, g: str, f: str) -> tuple[tuple[int, ...],
 
 def _weights_in(x: WeightedXray, g: str, f: str) -> list[tuple[RatVector, tuple[int, ...]]]:
     """(weight, integer form) of g's weights in f's wall span, tested in
-    integers against the span's equations."""
+    integers against the span's equations.  g's first vertex is found
+    once per X-ray: cached on it, in one dict by stratum id."""
     if not x.leq(g, f):
         raise ValueError(f"stratum '{g}' is not below '{f}'")
-    vs = x.vertices_below(g)
-    if not vs:
-        raise MalformedXray(f"stratum '{g}' has no vertex stratum below it")
+    first = x._cache.setdefault("first vertex", {})
+    vid = first.get(g)
+    if vid is None:
+        vid = next((v for v in x.vertex_ids if x.leq(v, g)), None)
+        if vid is None:
+            raise MalformedXray(f"stratum '{g}' has no vertex stratum below it")
+        first[g] = vid
     span = x.stratum(f).wall.span
-    return [pair for pair in _scaled_weights(x, vs[0]) if span.lin_holds(pair[1])]
+    return [pair for pair in _scaled_weights(x, vid) if span.lin_holds(pair[1])]
 
 
 def _scaled_weights(x: WeightedXray, vid: str) -> tuple[tuple[RatVector, tuple[int, ...]], ...]:
@@ -398,6 +403,8 @@ def validate_poset(x: WeightedXray) -> list[Violation]:
     by its vertex tuple, written with one integer id per point: faces
     come off the wall's vertex masks (`face_lattice`) and are looked up
     in a dict from each wall's key to its strata; no face is hulled.
+    Points are told apart by their coordinates' (numerator, denominator)
+    pairs (`_point_key`).
     Two strata share a span when their RREF bases are equal
     (`AffineSpan.same_lin`), so strata are grouped by the bases' integer
     key (`AffineSpan.key`) once, and the groups are checked along the
@@ -412,8 +419,8 @@ def validate_poset(x: WeightedXray) -> list[Violation]:
         for b in x.above(a):
             if dim[a] >= dim[b]:
                 vio.add(Violation(a, "dimension", f"dim {dim[a]} wall below dim {dim[b]} wall '{b}'"))
-    point_id: dict[RatVector, int] = {}
-    key = {s.id: tuple(point_id.setdefault(v, len(point_id)) for v in s.wall.vertices) for s in x.strata}
+    point_id: dict[tuple[tuple[int, int], ...], int] = {}
+    key = {s.id: tuple(point_id.setdefault(_point_key(v), len(point_id)) for v in s.wall.vertices) for s in x.strata}
     by_key: dict[tuple[int, ...], list[str]] = {}
     by_basis: dict[tuple[tuple[int, ...], ...], list[str]] = {}
     for s in x.strata:
@@ -621,6 +628,13 @@ def _in_cone(gs: Sequence[tuple[int, ...]], target: Sequence[int], dim: int) -> 
     return False
 
 
+def _point_key(v: RatVector) -> tuple[tuple[int, int], ...]:
+    """v as the (numerator, denominator) pair of each coordinate: equal
+    for equal points, and hashed as ints, where `Fraction.__hash__`
+    takes a modular inverse on every call."""
+    return tuple([q.as_integer_ratio() for q in v])
+
+
 def _fmt_points(points: Iterable[RatVector]) -> str:
     return "{" + ", ".join("(" + ",".join(format_rational(c) for c in p) + ")" for p in points) + "}"
 
@@ -758,7 +772,7 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         parents = raw.get("parents", [])
         if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
             raise MalformedXray(f"{where}: parents must be a list of ids")
-        m = len(set(verts))
+        m = len({_point_key(v) for v in verts})
         subsets = sum(math.comb(m, j) for j in range(min(d, m) + 1))
         if subsets > MAX_HULL_SUBSETS:
             raise MalformedXray(

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -663,6 +664,172 @@ def test_separator_counts_match_per_edge_recount():
                     weights = [vdot(normal, w) for w in stratum_weights_in(x, sep.g, f)]
                     assert (sep.f, sep.b) == (sum(v > 0 for v in weights), sum(v < 0 for v in weights))
     assert swapped > 0
+
+
+def crossing_graph_by_scan(x, f):
+    """f's crossing graph by the full scan, the reference: the signs of
+    each piece rep on every cut (`_signs`), every codimension-1 subwall
+    on a zero-sign plane that contains the rep, `locate` for every such
+    separator, and the side of its plane taken at the destination
+    chamber's rep, counting the separator's weights in Fractions."""
+    dec = arrangement._decompose(x, f)
+    edges = []
+    for source, dest, rep, _, _ in dec.pieces:
+        signs = arrangement._signs(dec.cuts, rep)
+        separators = []
+        for g, wall, i, _ in dec.subwalls:
+            if i is None or signs[i] != 0 or not wall.contains(rep):
+                continue
+            try:
+                r = locate(x, g, rep)
+            except SingularLevel:
+                continue
+            normal, offset = dec.cuts[i]
+            side = vdot(normal, dec.chambers[dest].rep) - offset
+            assert side != 0
+            values = [vdot(normal, w) * side for w in stratum_weights_in(x, g, f)]
+            separators.append(arrangement.Separator(g, r.index, sum(v > 0 for v in values), sum(v < 0 for v in values)))
+        if not separators:
+            point = "(" + ",".join(format_rational(c) for c in rep) + ")"
+            raise MalformedXray(f"wall '{f}': facet at {point} not covered by any subwall")
+        edges.append(arrangement.CrossingEdge(source, dest, rep, tuple(separators)))
+    edges.sort(key=lambda e: (e.source, e.dest, e.facet_rep))
+    return arrangement.CrossingGraph(f, (EXTERIOR,) + tuple(range(len(dec.chambers))), tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cpn_xray(3, ProjectionMatrix(conftest.CP3_ROWS)),
+        lambda: cpn_xray(4, ProjectionMatrix(CP4_ROWS)),
+        lambda: cpn_xray(4, ProjectionMatrix(NCP4_ROWS)),
+        lambda: generators.standard_simplex_xray(2),
+        lambda: generators.standard_cube_xray(2),
+        lambda: generators.standard_cube_xray(3),
+        lambda: random_cpn(2, 5, 1),
+        lambda: random_cpn(3, 4, 1),
+        lambda: random_cpn(4, 5, 1),
+        lambda: cpn_xray(7, seeded_rows(2, 7, 1, grid=3)),
+        lambda: cpn_xray(5, seeded_rows(3, 5, 1, grid=2)),
+        lambda: cpn_xray(5, seeded_rows(4, 5, 1, grid=1)),
+        lambda: triangle_with_interior_vertex(),
+        lambda: square_with_twin_edge(),
+        lambda: square_with_inner_segment(),
+    ],
+    ids=["cp3", "cp4", "ncp4", "triangle", "square", "cube3", "s25", "s34", "s45", "g273", "g352", "g451", "tri9", "twin", "seg"],
+)
+def test_crossing_graph_matches_edge_by_edge_scan(make):
+    """Reading each piece's plane and side off the decomposition, testing
+    only the subwalls on that plane, and placing a rep strictly inside a
+    separator read off its faces in its chamber 0 with no `locate`, give
+    the graph the full scan gives.  A piece that carries a plane has its
+    only zero sign there, and dest's chamber rep lies on the side the
+    piece carries."""
+    x = make()
+    for f in x.ids:
+        dec = arrangement._decompose(x, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert graph_outcome(crossing_graph, x, f) == graph_outcome(crossing_graph_by_scan, x, f), f
+        for _, dest, rep, plane, side in dec.pieces:
+            if plane is not None:
+                assert [i for i, s in enumerate(arrangement._signs(dec.cuts, rep)) if s == 0] == [plane]
+                assert arrangement._signs(dec.cuts, dec.chambers[dest].rep)[plane] == side
+
+
+def test_crossing_graph_reads_every_kind_of_piece():
+    """The grids the scan is compared on have pieces of every kind: a
+    wall facet, one cell facet between two subchambers, and pieces whose
+    signs are taken (several cell facets, or a refined wall's exterior)."""
+    kinds = set()
+    for x in [cpn_xray(7, seeded_rows(2, 7, 1, grid=3)), cpn_xray(5, seeded_rows(3, 5, 1, grid=2))]:
+        for f in x.ids:
+            for source, _, _, plane, _ in arrangement._decompose(x, f).pieces:
+                kinds.add("signs" if plane is None else "exterior" if source == EXTERIOR else "interior")
+    assert kinds == {"signs", "exterior", "interior"}
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: generators.standard_cube_xray(3), lambda: random_cpn(2, 6, 0), lambda: random_cpn(3, 4, 1)], ids=["cube3", "s26", "s34"]
+)
+def test_faces_only_graph_signs_and_locates_nothing(monkeypatch, make):
+    """The crossing graph of a wall whose smaller walls are all faces, on
+    a fresh X-ray with its decompositions built, calls neither `_signs`
+    nor `locate`: each piece is a wall facet, and each separator's wall
+    is that facet, read off its own faces."""
+    x = make()
+    walls = [f for f in x.ids if xray.subwall_facets(x, f) is not None and x.dim(f) > 0]
+    assert walls
+    for f in x.ids:
+        arrangement._decompose(x, f)
+    calls = dict.fromkeys(["_signs", "locate"], 0)
+    for name in calls:
+
+        def counting(*args, name=name, fn=getattr(arrangement, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(arrangement, name, counting)
+    edges = sum(len(crossing_graph(x, f).edges) for f in walls)
+    assert edges > 0
+    assert calls == {"_signs": 0, "locate": 0}
+
+
+def graph_outcome(build, x, f):
+    try:
+        return repr(build(x, f))
+    except MalformedXray as e:
+        return str(e)
+
+
+def square_with_inner_segment():
+    """The square [0,2]^2 with a segment stratum from (1,0) on its edge to
+    a vertex (1,1) inside it.  The two cells of the cut x = 1 share a
+    facet whose centroid is that vertex, an end of the segment, where
+    the segment does not separate.  Loaded unchecked."""
+    pts = {"a": ["0", "0"], "b": ["2", "0"], "c": ["0", "2"], "d": ["2", "2"], "p": ["1", "0"], "q": ["1", "1"]}
+    walls = {"top": "abcd", "eab": "ab", "eac": "ac", "ebd": "bd", "ecd": "cd", "seg": "pq"}
+    parents = {"top": [], "eab": ["top"], "eac": ["top"], "ebd": ["top"], "ecd": ["top"], "seg": ["top"]}
+    parents.update(va=["eab", "eac"], vb=["eab", "ebd"], vc=["eac", "ecd"], vd=["ebd", "ecd"], vp=["eab", "seg"], vq=["seg"])
+    walls.update({f"v{k}": k for k in pts})
+    doc = {
+        "torus_rank": 2,
+        "half_dim": 2,
+        "strata": [{"id": sid, "vertices": [pts[k] for k in ks], "parents": parents[sid]} for sid, ks in walls.items()],
+        "vertex_data": {
+            f"v{k}": {"weights": [["1", "0"], ["0", "1"]], "signature": 1, "poincare": [1], "euler": 1} for k in pts
+        },
+    }
+    return xray.from_interchange(doc)
+
+
+def square_with_twin_edge():
+    """The unit square with its edge x = 0 copied under the id e9, above
+    the same two vertices: a wall facet with two strata on it.  It fails
+    validation and is loaded unchecked."""
+    doc = xray.to_interchange(generators.standard_cube_xray(2))
+    doc["strata"].append(next(dict(s, id="e9") for s in doc["strata"] if s["id"] == "e1-2"))
+    for s in doc["strata"]:
+        if s["id"] in ("v1", "v2"):
+            s["parents"] = s["parents"] + ["e9"]
+    return xray.from_interchange(doc)
+
+
+def test_overlapping_exterior_separators_warn_once():
+    """The exterior edge across a wall facet with two strata on it keeps
+    both separators and warns once."""
+    x = square_with_twin_edge()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        graph = crossing_graph(x, "top")
+    assert [str(w.message) for w in caught] == [
+        "wall 'top': exterior facet at (0,1/2) has 2 overlapping separators; summing all contributions"
+    ]
+    (edge,) = [e for e in graph.edges if e.facet_rep == as_vec((0, "1/2"))]
+    assert (edge.source, edge.dest) == (EXTERIOR, 0)
+    assert [s.g for s in edge.separators] == ["e1-2", "e9"]
+    assert len({(s.r, s.f, s.b) for s in edge.separators}) == 1
+    assert all(len(e.separators) == 1 for e in graph.edges if e is not edge)
 
 
 def locate_through_subwall_scan(x, f, q):

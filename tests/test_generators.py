@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 
@@ -272,13 +271,17 @@ def test_cpn_all_columns_on_one_line():
 
 
 def test_cpn_span_count_is_polynomial(monkeypatch):
+    """cpn_xray reduces one flat per column subset of size <= d (one
+    `int_rref` of its column differences), not one per subset of all
+    n + 1 columns."""
     calls = []
+    int_rref = generators.int_rref
 
-    def from_points(points):
-        calls.append(points)
-        return AffineSpan.from_points(points)
+    def counting(rows):
+        calls.append(rows)
+        return int_rref(rows)
 
-    monkeypatch.setattr(generators, "AffineSpan", SimpleNamespace(from_points=from_points))
+    monkeypatch.setattr(generators, "int_rref", counting)
     n = 12
     x = cpn_xray(n, ProjectionMatrix((tuple(range(n + 1)),)))
     assert len(x.strata) == n + 2
