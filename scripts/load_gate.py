@@ -15,7 +15,11 @@ For each input it prints:
 - one `digest` line: a hash of the canonical JSON, the fingerprint, and
   every wall's vertices, facets and vertex masks, both of the generated
   X-ray and of the X-ray loaded back from that JSON;
-- a `time` line: the seconds a checked load of that JSON took;
+- a `time` line: the seconds each stage of the path took, one after
+  another on fresh objects: generating the X-ray, `canonical_json`,
+  `from_interchange` of that JSON, and each validator on the loaded
+  X-ray, in the order the checked load runs them (the first validator
+  to read a vertex's weights builds its integer weight table);
 - one `violations` block for each of three seeded corruptions that keep
   one maximal stratum (a moved vertex, a mutated weight, a twin
   stratum): every line of each validator's list, or the `MalformedXray`
@@ -167,6 +171,24 @@ def malformed_documents(cp3_text: str) -> list[tuple[str, object]]:
     ]
 
 
+def timed_load(build) -> tuple[dict[str, float], object, list]:
+    """(seconds per stage, the loaded X-ray, its violations): the
+    generate, save and checked-load path run once more, each stage timed
+    on its own."""
+    seconds: dict[str, float] = {}
+
+    def run(name, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        seconds[name] = time.perf_counter() - start
+        return out
+
+    text = run("canonical_json", canonical_json, run("generate", build))
+    x = run("from_interchange", from_interchange, json.loads(text))
+    violations = [v for name, validate in VALIDATORS for v in run(name, validate, x)]
+    return seconds, x, violations
+
+
 def all_inputs(sizes: list[str]):
     for size in sizes:
         if size == "cube3":
@@ -185,13 +207,10 @@ def main(argv=None) -> int:
     passed = True
     for label, build in all_inputs(sizes):
         h, text = digest(build())
-        start = time.perf_counter()
-        x = from_interchange(json.loads(text))
-        clean = not any(validate(x) for _, validate in VALIDATORS)
-        seconds = time.perf_counter() - start
-        passed &= clean and canonical_json(x) == text
+        seconds, x, violations = timed_load(build)
+        passed &= not violations and canonical_json(x) == text
         print(f"digest {label}: {h}")
-        print(f"time {label}: {seconds:.3f} s")
+        print(f"time {label}: " + ", ".join(f"{name} {s:.4f} s" for name, s in seconds.items()))
         print("\n".join(corruption_lines(label, text)))
         sys.stdout.flush()
     cp3 = next(build for label, build in inputs(["fixtures"]) if label == "cp3")()

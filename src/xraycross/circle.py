@@ -284,7 +284,8 @@ def from_rank1_xray(x) -> CircleFixedData:
     """Fixed data of a torus_rank-1 X-ray: one component per vertex stratum.
 
     Weight vectors reduce to their signs (the closed forms only count
-    them), read off each weight's integer form; zero weights are
+    them), read off each weight's primitive ray in the vertex's integer
+    weight table (`xray._scaled_weights`); zero weights are
     tangent directions and drop out, shrinking q for non-isolated
     components.  Built once per X-ray and cached on it, so its prefix
     sums and crossing coefficients are gathered once too.
@@ -297,7 +298,7 @@ def from_rank1_xray(x) -> CircleFixedData:
         for vid in x.vertex_ids:
             s = x.stratum(vid)
             vd = s.vertex_data
-            weights = tuple(1 if w[0] > 0 else -1 for _, w in _scaled_weights(x, vid) if w[0])
+            weights = tuple(1 if w.ray[0] > 0 else -1 for w in _scaled_weights(x, vid) if w.ray[0])
             components.append(
                 FixedComponent(s.wall.vertices[0][0], weights, vd.seed_signature, vd.seed_poincare)
             )

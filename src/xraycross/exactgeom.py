@@ -35,11 +35,9 @@ from .ratmath import (
     idot,
     int_rank,
     int_rref,
-    rref,
-    span_key,
+    primitive,
     vdot,
     vneg,
-    vsub,
 )
 
 IntFunctional = tuple[tuple[int, ...], int]  # (a, b): the form a . x against b
@@ -57,14 +55,6 @@ class AffineSpan:
     base: RatVector
     basis: tuple[RatVector, ...]
     pivots: tuple[int, ...]
-
-    @staticmethod
-    def from_points(points: Sequence[RatVector]) -> "AffineSpan":
-        if not points:
-            raise ValueError("empty point set")
-        base = min(points)
-        basis, pivots = rref([vsub(p, base) for p in points])
-        return AffineSpan(base, basis, pivots)
 
     @property
     def dim(self) -> int:
@@ -116,8 +106,10 @@ class AffineSpan:
     def key(self) -> tuple[tuple[int, ...], ...]:
         """The linear part's integer key (`span_key`): equal for two
         spans exactly when their bases are, so it hashes in place of the
-        Fraction basis."""
-        return span_key(self.int_frame[0])
+        Fraction basis.  The `int_frame` rows are the RREF rows over a
+        positive denominator already, so each is made primitive and
+        nothing is eliminated."""
+        return tuple([primitive(row) for row in self.int_frame[0]])
 
     def holds(self, scaled: tuple[int, ...], den: int) -> bool:
         """Does the point scaled / den lie in the span?"""
@@ -126,9 +118,6 @@ class AffineSpan:
     def lin_holds(self, scaled: Sequence[int]) -> bool:
         """Does the integer vector scaled lie in the span's linear part?"""
         return all(idot(a, scaled) == 0 for a, _ in self.equations)
-
-    def lin_contains(self, v: RatVector) -> bool:
-        return self.lin_holds(clear_denominators(v)[0])
 
     def contains(self, point: RatVector) -> bool:
         return self.holds(*clear_denominators(point))
@@ -218,16 +207,6 @@ class Polytope:
     def holds(self, scaled: Sequence[int], den: int) -> bool:
         """Does the point scaled / den lie in the polytope?"""
         return self.span.holds(scaled, den) and all(idot(n, scaled) <= c * den for n, c in self.int_facets)
-
-    def relative_interior_contains(self, point: RatVector) -> bool:
-        if len(point) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        if self.dim == 0:
-            return point == self.vertices[0]
-        scaled, den = clear_denominators(point)
-        if not self.span.holds(scaled, den):
-            return False
-        return all(idot(n, scaled) < c * den for n, c in self.int_facets)
 
 
 def hull(points: Iterable[RatVector]) -> Polytope:
@@ -389,16 +368,6 @@ def faces(p: Polytope, k: int) -> list[Polytope]:
         return [p]
     keys = sorted(tuple(p.vertices[j] for j in bits(m)) for m in face_lattice(p)[k])
     return [hull(key) for key in keys]
-
-
-def centroid(points: Sequence[RatVector]) -> RatVector:
-    """Average of a nonempty point list, exact: the coordinates'
-    denominators are cleared once, the columns summed in integers, and
-    one Fraction built per coordinate."""
-    d = len(points[0]) if points else 0
-    flat, den = clear_denominators([c for p in points for c in p])
-    den *= len(points)
-    return tuple([Fraction(sum(flat[j::d]), den) for j in range(d)])
 
 
 def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> IntFunctional:

@@ -91,8 +91,10 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
     everyone = tuple(range(n + 1))
     # At most d points span a flat of dimension < d.  When every column
     # lies on one such flat it collects all of them, which is the top.
+    # The columns are distinct, so a point collects its own column alone.
     subsets: dict[tuple[int, ...], None] = {everyone: None}
-    for size in range(1, d + 1):
+    subsets.update({(j,): None for j in everyone})
+    for size in range(2, d + 1):
         for B in combinations(everyone, size):
             base = scaled[B[0]]
             rows, den_r, pivots = int_rref([[a - o for a, o in zip(scaled[b], base)] for b in B[1:]])
@@ -107,9 +109,10 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
         return "w" + "-".join(str(k + 1) for k in K)
 
     masks = {K: sum(1 << k for k in K) for K in subsets}
+    names = {K: name(K) for K in subsets}
     strata = []
     for K, mask in masks.items():
-        parents = tuple(name(P) for P, up in masks.items() if up & mask == mask and up != mask)
+        parents = tuple(names[P] for P, up in masks.items() if up & mask == mask and up != mask)
         vertex_data = None
         if len(K) == 1:
             k = K[0]
@@ -117,7 +120,7 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
             vertex_data = VertexData(tuple(weights), 1, IntPolynomial.one(), 1)
         strata.append(
             Stratum(
-                id=name(K),
+                id=names[K],
                 wall=hull([cols[k] for k in K]),
                 parents=parents,
                 vertex_data=vertex_data,

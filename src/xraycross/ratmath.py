@@ -72,20 +72,12 @@ def as_vec(coords: Iterable[int | str | Fraction]) -> RatVector:
     return v
 
 
-def vadd(a: RatVector, b: RatVector) -> RatVector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vsub(a: RatVector, b: RatVector) -> RatVector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vneg(a: RatVector) -> RatVector:
     return tuple(-x for x in a)
-
-
-def vscale(a: RatVector, s: Fraction) -> RatVector:
-    return tuple(x * s for x in a)
 
 
 def vdot(a: RatVector, b: RatVector) -> Fraction:
@@ -239,12 +231,6 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     preserved); the zero vector stays zero."""
     g = gcd(*v) or 1
     return tuple([x // g for x in v])
-
-
-def primitive_ints(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """The primitive integer vector on v's ray (orientation preserved);
-    the zero vector stays zero."""
-    return primitive(clear_denominators(v)[0])
 
 
 def sign(q: Fraction) -> int:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedXray
 from .exactgeom import Polytope, bits, face_lattice, hull, tight_mask
@@ -29,15 +29,11 @@ from .ratmath import (
     clear_denominators,
     format_rational,
     idot,
-    is_zero_vector,
     int_rank,
     primitive,
-    primitive_ints,
-    rank,
     rat,
     solve_scaled,
     span_key,
-    vdot,
 )
 
 # `hull` tries every vertex subset of size <= torus_rank, so a stratum
@@ -200,8 +196,9 @@ class WeightedXray:
         below = {sid: frozenset(below_sets.pop(sid)) for sid in ids}
 
         # A covering parent is declared: any other ancestor lies above a
-        # declared parent.  It covers unless it lies above another one.
-        covers = {sid: {p for p in ps if not any(p in above[q] for q in ps)} for sid, ps in declared.items()}
+        # declared parent.  It covers unless it lies above another one,
+        # that is, in the union of their ancestor sets.
+        covers = {sid: ps.difference(*[above[q] for q in ps]) for sid, ps in declared.items()}
         children: dict[str, list[str]] = {sid: [] for sid in ids}
         for sid in ids:
             for p in covers[sid]:
@@ -222,11 +219,25 @@ class WeightedXray:
                         raise MalformedXray(f"vertex '{s.id}': weight of dimension {len(w)}, expected {self.torus_rank}")
             elif s.vertex_data is not None:
                 raise MalformedXray(f"positive-dimensional stratum '{s.id}' must not carry vertex data")
+        # A child vertex that is a vertex of the parent is contained: when
+        # the child's denominator divides the parent's, the two are matched
+        # by integer form, as in `subwall_facets`.  Only the others are
+        # tested against the parent's equations and facets.
+        parent_rows: dict[str, frozenset[tuple[int, ...]]] = {}
         for sid, cs in covers.items():
             rows, den = by_id[sid].wall.int_vertices
             for p in cs:
                 pw = by_id[p].wall
-                if not all(pw.holds(q, den) for q in rows):
+                p_rows, p_den = pw.int_vertices
+                scale, rest = divmod(p_den, den)
+                if rest:
+                    outside = rows
+                else:
+                    known = parent_rows.get(p)
+                    if known is None:
+                        known = parent_rows[p] = frozenset(p_rows)
+                    outside = [q for q in rows if tuple([c * scale for c in q]) not in known]
+                if not all(pw.holds(q, den) for q in outside):
                     raise MalformedXray(f"wall of '{sid}' is not contained in wall of its parent '{p}'")
 
         normalized = tuple(
@@ -322,16 +333,44 @@ def _weights_in(x: WeightedXray, g: str, f: str) -> list[tuple[RatVector, tuple[
             raise MalformedXray(f"stratum '{g}' has no vertex stratum below it")
         first[g] = vid
     span = x.stratum(f).wall.span
-    return [pair for pair in _scaled_weights(x, vid) if span.lin_holds(pair[1])]
+    return [(w.weight, w.scaled) for w in _scaled_weights(x, vid) if span.lin_holds(w.ray)]
 
 
-def _scaled_weights(x: WeightedXray, vid: str) -> tuple[tuple[RatVector, tuple[int, ...]], ...]:
-    """Each weight of vertex vid with its denominators cleared
-    (`ratmath.clear_denominators`), once per X-ray: cached on it."""
-    key = ("scaled weights", vid)
-    out = x._cache.get(key)
+class _Weight(NamedTuple):
+    """One weight with the integer forms the validators, the arrangement
+    and the circle read: weight == scaled / den (`clear_denominators`),
+    and ray is its primitive integer multiple, zero for the zero weight."""
+
+    weight: RatVector
+    scaled: tuple[int, ...]
+    den: int
+    ray: tuple[int, ...]
+
+
+def _scaled_weights(x: WeightedXray, vid: str) -> tuple[_Weight, ...]:
+    """The integer weight table of vertex vid, once per X-ray: cached on
+    it, in one dict by vertex id.
+
+    The weights are cleared over one common denominator D at once.  A
+    weight's row R over D then has the `clear_denominators` form R / g
+    over D / g with g = gcd(D, R), the one form in lowest terms with a
+    positive denominator, and its ray is R over k = gcd(R).  When k = g
+    (the zero weight included, taking k = D) the ray is that form, and
+    the one tuple serves as both."""
+    table = x._cache.setdefault("weight table", {})
+    out = table.get(vid)
     if out is None:
-        out = x._cache[key] = tuple((w, clear_denominators(w)[0]) for w in x.stratum(vid).vertex_data.weights)
+        ws = x.stratum(vid).vertex_data.weights
+        d = x.torus_rank
+        flat, den = clear_denominators([c for w in ws for c in w])
+        forms = []
+        for w, i in zip(ws, range(0, len(flat), d)):
+            row = flat[i : i + d]
+            k = math.gcd(*row) or den
+            g = math.gcd(den, k)
+            scaled = tuple([c // g for c in row])
+            forms.append(_Weight(w, scaled, den // g, scaled if k == g else tuple([c // k for c in row])))
+        out = table[vid] = tuple(forms)
     return out
 
 
@@ -453,23 +492,32 @@ def validate_consistency(x: WeightedXray) -> list[Violation]:
     functionals vanishing on its linear part, so two weights are
     congruent modulo the span exactly when their values on those normals
     agree.  A weight's class is that value vector, kept as integer
-    numerators over a denominator in lowest terms.  Each vertex's
-    weights are cleared to integers once.
+    numerators over a denominator in lowest terms, read off the vertex's
+    integer weight table (`_scaled_weights`).  A span with no equations
+    is the whole space: every class there is the empty vector, and the
+    constructor gives every vertex half_dim weights, so such strata are
+    skipped.  The vertices at or below a stratum come off its cached
+    `below` set, in id order.
     """
     vio: set[Violation] = set()
-    cleared = {vid: [clear_denominators(w) for w in x.stratum(vid).vertex_data.weights] for vid in x.vertex_ids}
+    vertices = set(x.vertex_ids)
     for g in x.strata:
-        vs = x.vertices_below(g.id)
+        normals = [a for a, _ in g.wall.span.equations]
+        if not normals:
+            continue
+        vs = vertices & x.below(g.id)
+        if g.wall.dim == 0:
+            vs.add(g.id)
+        vs = sorted(vs)
         if len(vs) < 2:
             continue
-        normals = [a for a, _ in g.wall.span.equations]
 
         def classes(vid: str) -> tuple[tuple[tuple[int, ...], int], ...]:
             out = []
-            for scaled, den in cleared[vid]:
+            for _, scaled, den, _ in _scaled_weights(x, vid):
                 values = [idot(a, scaled) for a in normals]
                 common = math.gcd(den, *values)
-                out.append((tuple(v // common for v in values), den // common))
+                out.append((tuple([v // common for v in values]), den // common))
             return tuple(sorted(out))
 
         ref = classes(vs[0])
@@ -496,10 +544,11 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     weight cone exactly when each ray is the direction of some weight.
     When the point is not a vertex (an inner fixed point of a d = 1
     CP^n, a fixed point inside a polygon), each vertex direction is
-    tested for membership in the weight cone (`_cone_contains`).  Each
-    wall's vertices are cleared to integers once (`Polytope.int_vertices`)
-    and its vertex masks computed once (`Polytope.vertex_masks`), and
-    each vertex's weights are cleared to primitive integer rays once.
+    tested for membership in the weight cone (`_in_cone`).  Each wall's
+    vertices are cleared to integers once (`Polytope.int_vertices`) and
+    its vertex masks computed once (`Polytope.vertex_masks`), and each
+    vertex's primitive integer rays are read off its weight table
+    (`_scaled_weights`).
 
     A span of directions in Q^d is spanned by at most d of them, so
     subsets of <= d directions reach every linear subset; an independent
@@ -511,32 +560,42 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     span are exactly S, so its comparison with S is the one (a) made,
     and S's matches are the walls with its basis that passed (a), kept
     in a dict from the basis's integer key (`span_key`, `AffineSpan.key`)
-    to wall ids.
+    to wall ids.  The key of no direction is empty, and that of one
+    direction is its primitive ray, made positive on its first nonzero
+    entry (`_line_key`), so only subsets of two or more are eliminated.
     """
     d = x.torus_rank
     vio: set[Violation] = set()
     for pid in x.vertex_ids:
         p = x.stratum(pid)
         point = p.wall.vertices[0]
-        alpha = p.vertex_data.weights
-        rays = [primitive_ints(w) for w in alpha]
+        table = _scaled_weights(x, pid)
+        rays = [w.ray for w in table]
         passed: dict[tuple[tuple[int, ...], ...], list[str]] = {}
         for fid in [pid] + sorted(x.above(pid)):
             wall = x.stratum(fid).wall
-            inspan = rays if wall.dim == d else [r for r in rays if wall.span.lin_holds(r)]
+            if wall.dim == d:
+                inspan = rays
+            elif wall.dim == 0:  # the vertex itself: only zero weights
+                inspan = [r for r in rays if not any(r)]
+            else:
+                inspan = [r for r in rays if wall.span.lin_holds(r)]
             if _tangent_cone_matches(wall, wall.vertex_masks, point, inspan, d):
                 passed.setdefault(wall.span.key, []).append(fid)
             else:
                 vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
         dirs = sorted({r for r in rays if any(r)})
-        spans = {span_key(B) for size in range(min(len(dirs), d - 1) + 1) for B in combinations(dirs, size)}
+        spans = {()}
+        if d > 1:
+            spans.update(_line_key(r) for r in dirs)
+        spans.update(span_key(B) for size in range(2, min(len(dirs), d - 1) + 1) for B in combinations(dirs, size))
         whole = span_key(dirs)
         if len(whole) == d:
             spans.add(whole)
         for key in spans:
             matches = passed.get(key, [])
             if len(matches) != 1:
-                S = tuple(w for w, r in zip(alpha, rays) if int_rank(key + (r,)) == len(key))
+                S = tuple(w.weight for w in table if int_rank(key + (w.ray,)) == len(key))
                 vio.add(
                     Violation(
                         pid,
@@ -545,6 +604,15 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
                     )
                 )
     return sorted(vio)
+
+
+def _line_key(ray: tuple[int, ...]) -> tuple[tuple[int, ...]]:
+    """`span_key((ray,))` of a nonzero primitive integer ray in closed
+    form: its one RREF row made primitive is the ray itself, positive on
+    its first nonzero entry, the pivot."""
+    if next(c for c in ray if c) < 0:
+        ray = tuple([-c for c in ray])
+    return (ray,)
 
 
 def validate_all(x: WeightedXray) -> list[Violation]:
@@ -557,7 +625,7 @@ def _tangent_cone_matches(
     """Is the tangent cone of wall at point the cone on gens?
 
     tight[j] is `tight_mask(wall, wall.vertices[j])`; point lies in the
-    wall, and gens are primitive integer rays (`primitive_ints`) in its
+    wall, and gens are primitive integer rays (`_scaled_weights`) in its
     linear span, the zero vector allowed.  gens lie in the tangent cone when
     they satisfy every facet through point.  At a vertex, the cone's
     extreme rays run to the adjacent vertices q (no third vertex is
@@ -576,11 +644,12 @@ def _tangent_cone_matches(
         return False
     dirs = {g for g in gens if any(g)}
     if i is None:
-        # q - point is a positive multiple of q_rows * D - P * den
+        # q - point is a positive multiple of q_rows * D - P * den; a
+        # direction that is a weight's ray lies in the cone at once.
         at, at_den = clear_denominators(point)
         ends = [[a * at_den - b * den for a, b in zip(q, at)] for q in rows]
-        gs = _cone_generators(dirs)
-        return all(_in_cone(gs, u, dim) for u in {primitive(e) for e in ends})
+        gs = sorted(dirs)
+        return all(u in dirs or _in_cone(gs, u, dim) for u in {primitive(e) for e in ends})
     for j, t in enumerate(tight):
         common = here & t
         if j == i or any(k != i and k != j and s & common == common for k, s in enumerate(tight)):
@@ -590,27 +659,12 @@ def _tangent_cone_matches(
     return True
 
 
-def _cone_contains(gens: Iterable[RatVector], w: RatVector, dim: int) -> bool:
-    """Is w a nonnegative combination of gens?  Exact, by conic Caratheodory:
-    any member is a nonnegative combination of a linearly independent subset.
-
-    Runs in integers: scaling w and each generator by a positive number
-    leaves the answer unchanged, so their denominators are cleared
-    (`_cone_generators`, `_in_cone`)."""
-    return _in_cone(_cone_generators(gens), clear_denominators(w)[0], dim)
-
-
-def _cone_generators(gens: Iterable[RatVector]) -> list[tuple[int, ...]]:
-    """The distinct nonzero gens in sorted order, denominators cleared:
-    what `_in_cone` tests against, prepared once per generator set."""
-    return [clear_denominators(g)[0] for g in sorted({g for g in gens if not is_zero_vector(g)})]
-
-
 def _in_cone(gs: Sequence[tuple[int, ...]], target: Sequence[int], dim: int) -> bool:
     """Is the integer vector target a nonnegative combination of the
-    prepared generators gs (`_cone_generators`)?  Each independent
-    subset's coefficients come back as numerators over one denominator d
-    (`solve_scaled`)."""
+    distinct nonzero integer generators gs?  Exact, by conic
+    Caratheodory: any member is a nonnegative combination of a linearly
+    independent subset.  Each independent subset's coefficients come
+    back as numerators over one denominator d (`solve_scaled`)."""
     if not any(target):
         return True
     for size in range(1, min(len(gs), dim) + 1):
@@ -637,44 +691,6 @@ def _point_key(v: RatVector) -> tuple[tuple[int, int], ...]:
 
 def _fmt_points(points: Iterable[RatVector]) -> str:
     return "{" + ", ".join("(" + ",".join(format_rational(c) for c in p) + ")" for p in points) + "}"
-
-
-# -- affine maps ----------------------------------------------------------
-
-
-def transform(x: WeightedXray, matrix: Sequence[Sequence[Fraction | int | str]], shift: Sequence[Fraction | int | str]) -> WeightedXray:
-    """Apply an invertible affine map v -> A v + t to the whole X-ray.
-
-    Walls map through the affine map, weights through the linear part.
-    """
-    rows = tuple(as_vec(r) for r in matrix)
-    t = as_vec(shift)
-    d = x.torus_rank
-    if len(rows) != d or any(len(r) != d for r in rows) or len(t) != d:
-        raise ValueError("affine map has wrong shape")
-    if rank(rows) != d:
-        raise ValueError("affine map is singular")
-
-    def apply_pt(v: RatVector) -> RatVector:
-        return tuple(vdot(r, v) + ti for r, ti in zip(rows, t))
-
-    def apply_vec(v: RatVector) -> RatVector:
-        return tuple(vdot(r, v) for r in rows)
-
-    strata = []
-    for s in x.strata:
-        vd = s.vertex_data
-        if vd is not None:
-            vd = replace(vd, weights=tuple(sorted(apply_vec(w) for w in vd.weights)))
-        strata.append(
-            Stratum(
-                id=s.id,
-                wall=hull([apply_pt(v) for v in s.wall.vertices]),
-                parents=s.parents,
-                vertex_data=vd,
-            )
-        )
-    return WeightedXray(x.torus_rank, x.half_dim, tuple(strata))
 
 
 # -- interchange representation -------------------------------------------
@@ -710,10 +726,12 @@ def to_interchange(x: WeightedXray) -> dict:
 def from_interchange(doc: Mapping) -> WeightedXray:
     """Rebuild an X-ray from its interchange dict, with field-level diagnostics.
 
-    A point is written once per wall it lies on, so each distinct list of
-    coordinate strings is parsed and bounded once per document and its
-    vector reused.  A list that fails is not kept, so every failure is
-    reported where it occurs."""
+    A point is written once per wall it lies on, and vectors share
+    coordinates, so each distinct coordinate string is parsed and
+    bounded once per document and its Fraction reused.  A vector's new
+    coordinates are all parsed before any is bounded, and a string is
+    kept only once it has passed both, so every failure is reported
+    where it occurs, with the text a parse of each vector would give."""
     if not isinstance(doc, Mapping):
         raise MalformedXray("document root must be an object")
     for key in ("torus_rank", "half_dim", "strata", "vertex_data"):
@@ -727,25 +745,29 @@ def from_interchange(doc: Mapping) -> WeightedXray:
     if not isinstance(raw_vd, Mapping):
         raise MalformedXray("vertex_data must be an object")
 
-    parsed_vectors: dict[tuple[str, ...], RatVector] = {}
+    # Only strings are keyed: no other JSON value equals one.
+    parsed_coords: dict[str, Fraction] = {}
 
     def parse_vector(v, where: str) -> RatVector:
-        # Only lists of strings are keyed: as keys 1 == 1.0 == True.
-        key = tuple(v) if isinstance(v, (list, tuple)) and all(type(c) is str for c in v) else None
-        if key in parsed_vectors:
-            return parsed_vectors[key]
         if not isinstance(v, (list, tuple)) or any(isinstance(c, bool) for c in v):
             raise MalformedXray(f"{where}: expected a vector, got {v!r}")
-        try:
-            vec = tuple(rat(c) for c in v)
-        except (ValueError, TypeError) as e:
-            raise MalformedXray(f"{where}: {e}") from None
-        for j, q in enumerate(vec):
+        vec = []
+        fresh = []
+        for j, c in enumerate(v):
+            q = parsed_coords.get(c) if type(c) is str else None
+            if q is None:
+                try:
+                    q = rat(c)
+                except (ValueError, TypeError) as e:
+                    raise MalformedXray(f"{where}: {e}") from None
+                fresh.append((j, c, q))
+            vec.append(q)
+        for j, c, q in fresh:
             if abs(q.numerator) >= _RATIONAL_BOUND or q.denominator >= _RATIONAL_BOUND:
                 raise MalformedXray(f"{where}[{j}]: numerator or denominator of more than {MAX_RATIONAL_DIGITS} digits")
-        if key is not None:
-            parsed_vectors[key] = vec
-        return vec
+            if type(c) is str:
+                parsed_coords[c] = q
+        return tuple(vec)
 
     if not isinstance(doc["strata"], (list, tuple)):
         raise MalformedXray("strata must be a list")

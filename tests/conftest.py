@@ -10,19 +10,22 @@ ncp4  : CP^4 under a non-generic projection; vertices t, q, r, s lie
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from xraycross.arrangement import crossing_graph
 from xraycross.errors import XrayError
+from xraycross.exactgeom import hull
 from xraycross.generators import (
     ProjectionMatrix,
     cpn_xray,
     standard_cube_xray,
     standard_simplex_xray,
 )
-from xraycross.ratmath import rank
+from xraycross.ratmath import as_vec, rank, vdot
+from xraycross.xray import Stratum, WeightedXray
 
 CP3_ROWS = ((0, 1, 2, 3),)
 CP4_ROWS = (
@@ -69,6 +72,32 @@ def edge_by_scan(x, f, p1, p2, facet_rep=None):
             continue
         return candidate if pair == (p1, p2) else candidate.reversed()
     raise XrayError(f"subchambers {p1} and {p2} of '{f}' are not adjacent")
+
+
+def transform(x, matrix, shift):
+    """x under an invertible affine map v -> A v + t: walls map through
+    the affine map, weights through its linear part."""
+    rows = tuple(as_vec(r) for r in matrix)
+    t = as_vec(shift)
+    d = x.torus_rank
+    if len(rows) != d or any(len(r) != d for r in rows) or len(t) != d:
+        raise ValueError("affine map has wrong shape")
+    if rank(rows) != d:
+        raise ValueError("affine map is singular")
+
+    def apply_pt(v):
+        return tuple(vdot(r, v) + ti for r, ti in zip(rows, t))
+
+    def apply_vec(v):
+        return tuple(vdot(r, v) for r in rows)
+
+    strata = []
+    for s in x.strata:
+        vd = s.vertex_data
+        if vd is not None:
+            vd = replace(vd, weights=tuple(sorted(apply_vec(w) for w in vd.weights)))
+        strata.append(Stratum(id=s.id, wall=hull([apply_pt(v) for v in s.wall.vertices]), parents=s.parents, vertex_data=vd))
+    return WeightedXray(x.torus_rank, x.half_dim, tuple(strata))
 
 
 @pytest.fixture(scope="session")

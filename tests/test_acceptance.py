@@ -34,7 +34,9 @@ from xraycross.engine import (
 from xraycross.exactgeom import hull, side_functional
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import as_vec, sign
-from xraycross.xray import Stratum, VertexData, WeightedXray, transform, validate_all
+from xraycross.xray import Stratum, VertexData, WeightedXray, validate_all
+from conftest import transform
+from test_ratmath import lin_contains
 
 DIAG = "w2-3-4-5"
 P_CPN = IntPolynomial((1, 0, 1, 0, 1))
@@ -221,7 +223,7 @@ def _counts_from_vertex(x, f, edge, separator, vertex):
     ell = side_functional(fspan, x.stratum(separator.g).wall.span, toward)
     fwd = bwd = 0
     for w in x.stratum(vertex).vertex_data.weights:
-        if not fspan.lin_contains(w):
+        if not lin_contains(fspan, w):
             continue
         s = sign(ell.on_vector(w))
         fwd, bwd = fwd + (s > 0), bwd + (s < 0)

@@ -12,7 +12,6 @@ from xraycross.errors import MalformedXray, SingularLevel, XrayError
 from xraycross.exactgeom import (
     Polytope,
     Refinement,
-    centroid,
     clip_to_polytope,
     facet_polytopes,
     hull,
@@ -20,9 +19,11 @@ from xraycross.exactgeom import (
     span_hyperplane,
 )
 from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, save_xray
-from xraycross.ratmath import as_vec, format_rational, sign, vdot, vscale
+from xraycross.ratmath import as_vec, format_rational, sign, vdot
 from xraycross.xray import stratum_weights_in
 from conftest import CP4_ROWS, NCP4_ROWS, seeded_rows
+from test_exactgeom import centroid, relative_interior_contains
+from test_ratmath import lin_contains, vscale
 
 DIAG = "w2-3-4-5"
 
@@ -160,7 +161,7 @@ def counts_from_vertex(x, f, edge, separator, vertex):
     ell = side_functional(fspan, gwall.span, toward)
     fwd = bwd = 0
     for w in x.stratum(vertex).vertex_data.weights:
-        if not fspan.lin_contains(w):
+        if not lin_contains(fspan, w):
             continue
         s = sign(ell.on_vector(w))
         if s > 0:
@@ -230,7 +231,7 @@ def test_subchamber_reps_off_subwalls(cp4, ncp4):
     for x in (cp4, ncp4):
         for sid in x.ids:
             for cell in subchambers(x, sid):
-                assert cell.cell.relative_interior_contains(cell.rep)
+                assert relative_interior_contains(cell.cell, cell.rep)
                 if x.dim(sid) == 0:
                     continue
                 for below in x.below(sid):

@@ -13,7 +13,6 @@ from xraycross.exactgeom import (
     Polytope,
     Refinement,
     bits,
-    centroid,
     clip_halfspace,
     clip_to_polytope,
     face_lattice,
@@ -25,11 +24,12 @@ from xraycross.exactgeom import (
     tight_mask,
 )
 from xraycross.generators import cpn_xray
-from xraycross.ratmath import ZERO, as_vec, clear_denominators, solve_square, vdot, vneg, vsub
+from xraycross.ratmath import ZERO, as_vec, clear_denominators, idot, rref, solve_square, span_key, vdot, vneg, vsub
 
 from conftest import seeded_rows
 from test_ratmath import (
     in_span,
+    lin_contains,
     nullspace_by_fractions,
     primitive_by_fractions,
     rank_by_fractions,
@@ -42,6 +42,35 @@ coords = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 def pts(*rows):
     return [as_vec(r) for r in rows]
+
+
+# -- Geometry helpers the package no longer calls, for building test data
+# and references.
+
+
+def span_from_points(points):
+    """The affine span of a nonempty point list, based at its least point."""
+    base = min(points)
+    basis, pivots = rref([vsub(p, base) for p in points])
+    return AffineSpan(base, basis, pivots)
+
+
+def centroid(points):
+    """Average of a nonempty point list, exact: the coordinates'
+    denominators are cleared once, the columns summed in integers, and
+    one Fraction built per coordinate."""
+    d = len(points[0])
+    flat, den = clear_denominators([c for p in points for c in p])
+    den *= len(points)
+    return tuple([Fraction(sum(flat[j::d]), den) for j in range(d)])
+
+
+def relative_interior_contains(p, point):
+    """Does point lie in the relative interior of the polytope p?"""
+    if p.dim == 0:
+        return point == p.vertices[0]
+    scaled, den = clear_denominators(point)
+    return p.span.holds(scaled, den) and all(idot(n, scaled) < c * den for n, c in p.int_facets)
 
 
 def hull_by_fractions(points):
@@ -179,10 +208,10 @@ def test_integer_predicates_match_fraction_evaluation(case):
     for q in probes:
         in_aff = in_span(span.basis, span.pivots, vsub(q, span.base))
         assert span.contains(q) == in_aff
-        assert span.lin_contains(q) == in_span(span.basis, span.pivots, q)
+        assert lin_contains(span, q) == in_span(span.basis, span.pivots, q)
         assert p.contains(q) == (in_aff and all(vdot(n, q) <= c for n, c in p.facets))
         inside = q == p.vertices[0] if p.dim == 0 else in_aff and all(vdot(n, q) < c for n, c in p.facets)
-        assert p.relative_interior_contains(q) == inside
+        assert relative_interior_contains(p, q) == inside
         assert tight_mask(p, q) == sum(1 << i for i, (n, c) in enumerate(p.facets) if vdot(n, q) == c)
     assert all(p.contains(q) for q in points)
 
@@ -200,6 +229,17 @@ def test_hull_and_contains_call_no_nullspace(cp4, monkeypatch):
         assert wall == s.wall
         assert all(wall.contains(v) for v in wall.vertices)
         assert wall.contains(centroid(wall.vertices))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(st.tuples(*[coords] * d), min_size=1, max_size=6)))
+def test_span_key_read_off_int_frame(raw):
+    """The key of a hull's span, and of the same span built from its
+    Fraction basis, is `span_key` of the `int_frame` rows: those rows are
+    RREF over a positive denominator already."""
+    p = hull([as_vec(q) for q in raw])
+    rebuilt = AffineSpan(p.span.base, p.span.basis, p.span.pivots)
+    assert p.span.key == rebuilt.key == span_key(p.span.int_frame[0]) == span_key(rebuilt.int_frame[0])
 
 
 def test_hull_single_point():
@@ -325,12 +365,12 @@ def test_relative_interior_point_examples():
     assert centroid(hull(pts((0, 0), (4, 0))).vertices) == as_vec((2, 0))
     tri = hull(pts((0, 0), (4, 0), (0, 4)))
     assert centroid(tri.vertices) == as_vec(("4/3", "4/3"))
-    assert tri.relative_interior_contains(as_vec(("4/3", "4/3")))
+    assert relative_interior_contains(tri, as_vec(("4/3", "4/3")))
 
 
 def test_side_functional_diagonal_line():
-    plane = AffineSpan.from_points(pts((0, 0), (1, 0), (0, 1)))
-    line = AffineSpan.from_points(pts((4, 0), (0, 4)))
+    plane = span_from_points(pts((0, 0), (1, 0), (0, 1)))
+    line = span_from_points(pts((4, 0), (0, 4)))
     ell = side_functional(plane, line, as_vec((0, 0)))
     assert ell.value(as_vec((0, 0))) > 0
     assert ell.value(as_vec((4, 0))) == 0
@@ -338,8 +378,8 @@ def test_side_functional_diagonal_line():
 
 
 def test_side_functional_point_on_axis():
-    axis = AffineSpan.from_points(pts((0,), (1,)))
-    point = AffineSpan.from_points(pts((1,)))
+    axis = span_from_points(pts((0,), (1,)))
+    point = span_from_points(pts((1,)))
     ell = side_functional(axis, point, as_vec((3,)))
     assert ell.value(as_vec((3,))) > 0
     assert ell.value(as_vec((1,))) == 0
@@ -347,22 +387,22 @@ def test_side_functional_point_on_axis():
 
 
 def test_side_functional_rejects_toward_on_separator():
-    plane = AffineSpan.from_points(pts((0, 0), (1, 0), (0, 1)))
-    line = AffineSpan.from_points(pts((4, 0), (0, 4)))
+    plane = span_from_points(pts((0, 0), (1, 0), (0, 1)))
+    line = span_from_points(pts((4, 0), (0, 4)))
     with pytest.raises(ValueError, match="on the separator"):
         side_functional(plane, line, as_vec((2, 2)))
 
 
 def test_side_functional_rejects_wrong_codimension():
-    space = AffineSpan.from_points(pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    line = AffineSpan.from_points(pts((0, 0, 0), (1, 0, 0)))
+    space = span_from_points(pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    line = span_from_points(pts((0, 0, 0), (1, 0, 0)))
     with pytest.raises(ValueError, match="codimension"):
         side_functional(space, line, as_vec((0, 0, 1)))
 
 
 def test_span_hyperplane_vanishes_on_sub():
-    plane = AffineSpan.from_points(pts((0, 0), (1, 0), (0, 1)))
-    line = AffineSpan.from_points(pts((4, 0), (0, 4)))
+    plane = span_from_points(pts((0, 0), (1, 0), (0, 1)))
+    line = span_from_points(pts((4, 0), (0, 4)))
     normal, offset = span_hyperplane(plane, line)
     for v in pts((4, 0), (0, 4), (2, 2)):
         assert sum(n * c for n, c in zip(normal, v)) == offset
@@ -471,11 +511,11 @@ def test_span_geometry_matches_fraction_reference(case, seed):
 def test_span_hyperplane_on_the_diagonal_line():
     """In the line through (1,1), the point (2,2) is cut out by y = 2:
     e_0 completes the line's direction, so the normal is zero there."""
-    line = AffineSpan.from_points(pts((0, 0), (1, 1)))
-    point = AffineSpan.from_points(pts((2, 2)))
+    line = span_from_points(pts((0, 0), (1, 1)))
+    point = span_from_points(pts((2, 2)))
     assert line.free_coords == (1,)
     assert span_hyperplane(line, point) == span_hyperplane_by_fractions(line, point) == (as_vec((0, 1)), Fraction(2))
-    across = AffineSpan.from_points(pts((0, 1), (1, 1)))
+    across = span_from_points(pts((0, 1), (1, 1)))
     errors = [outcome_of(span_hyperplane, line, other) for other in (across, line)]
     assert errors == [outcome_of(span_hyperplane_by_fractions, line, other) for other in (across, line)]
     assert [message for _, message in errors] == [
@@ -596,7 +636,7 @@ def test_refinement_sign_vectors():
 
 
 def test_affine_span_coords_roundtrip():
-    span = AffineSpan.from_points(pts((1, 1, 0), (2, 2, 0), (1, 1, 3)))
+    span = span_from_points(pts((1, 1, 0), (2, 2, 0), (1, 1, 3)))
     assert span.dim == 2
     p = as_vec(("3/2", "3/2", 1))
     assert span.contains(p)

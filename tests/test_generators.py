@@ -5,7 +5,7 @@ import pytest
 
 from xraycross import generators
 from xraycross.errors import MalformedXray, ValidationFailed
-from xraycross.exactgeom import AffineSpan, hull
+from xraycross.exactgeom import hull
 from xraycross.generators import (
     ProjectionMatrix,
     cpn_xray,
@@ -17,8 +17,9 @@ from xraycross.generators import (
 )
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import as_vec, vsub
-from xraycross.xray import Stratum, VertexData, WeightedXray, canonical_json, to_interchange, transform
-from conftest import CP3_ROWS, CP4_ROWS, DIAG, NCP4_ROWS, seeded_rows
+from xraycross.xray import Stratum, VertexData, WeightedXray, canonical_json, to_interchange
+from conftest import CP3_ROWS, CP4_ROWS, DIAG, NCP4_ROWS, seeded_rows, transform
+from test_exactgeom import span_from_points
 
 
 def test_cp3_structure(cp3):
@@ -225,7 +226,7 @@ def cpn_xray_all_subsets(n, pi):
     subsets = [everyone]
     for size in range(1, n + 1):
         for K in combinations(range(n + 1), size):
-            span = AffineSpan.from_points([cols[k] for k in K])
+            span = span_from_points([cols[k] for k in K])
             if span.dim >= d:
                 continue
             if any(span.contains(cols[j]) for j in range(n + 1) if j not in K):

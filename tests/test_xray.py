@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xraycross import xray
+from xraycross.circle import from_rank1_xray
 from xraycross.errors import MalformedXray, ValidationFailed
-from xraycross.exactgeom import centroid, faces, hull, tight_mask
+from xraycross.exactgeom import faces, hull, tight_mask
 from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, standard_cube_xray, standard_simplex_xray
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import (
@@ -20,12 +21,11 @@ from xraycross.ratmath import (
     format_rational,
     idot,
     is_zero_vector,
-    primitive_ints,
+    primitive,
     rank,
     rref,
-    vadd,
+    span_key,
     vdot,
-    vscale,
     vsub,
 )
 from xraycross.xray import (
@@ -33,7 +33,6 @@ from xraycross.xray import (
     VertexData,
     Violation,
     WeightedXray,
-    _cone_contains,
     _fmt_points,
     complex_dim_of_stratum,
     from_interchange,
@@ -41,15 +40,24 @@ from xraycross.xray import (
     stratum_weights_in,
     to_interchange,
     canonical_json,
-    transform,
     validate_all,
     validate_consistency,
     validate_darboux,
     validate_poset,
 )
-from conftest import seeded_rows
-from test_exactgeom import faces_by_facet_hulls
-from test_ratmath import in_span, primitive_vector, reduce_mod, rref_by_fractions, solve_square_by_fractions
+from conftest import seeded_rows, transform
+from test_exactgeom import centroid, faces_by_facet_hulls
+from test_ratmath import (
+    in_span,
+    lin_contains,
+    primitive_ints,
+    primitive_vector,
+    reduce_mod,
+    rref_by_fractions,
+    solve_square_by_fractions,
+    vadd,
+    vscale,
+)
 
 DIAG = "w2-3-4-5"
 
@@ -83,13 +91,20 @@ def test_weights_require_comparable_strata(cp4):
         stratum_weights_in(cp4, "w1-2", "w1-3")
 
 
-@pytest.mark.parametrize(("d", "n", "seed", "grid"), [(2, 5, 0, None), (2, 6, 1, 2), (3, 5, 1, None), (3, 5, 2, 2)])
+@pytest.mark.parametrize(
+    ("d", "n", "seed", "grid"), [(1, 6, 0, None), (2, 5, 0, None), (2, 6, 1, 2), (3, 5, 1, None), (3, 5, 2, 2)]
+)
 def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
     """stratum_weights_in keeps the weights a per-call Fraction test keeps,
     in order, and scaled_weights_in gives each one's integer form.  Each
     vertex's weights are cleared to integers once per X-ray: asking
-    again for every pair clears nothing."""
+    again for every pair clears nothing.  The validators, both weight
+    queries and the rank-1 circle read one table, so after validate_all
+    none of them clears anything.  That table holds one entry per vertex,
+    and no cache entry grows past one per stratum: nothing is kept per
+    (vertex, wall) pair."""
     x = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
+    fresh_keys = len(x._cache)
     pairs = [(g, f) for f in sorted(x.ids) for g in sorted(x.ids) if x.leq(g, f)]
     cleared = []
     real = xray.clear_denominators
@@ -111,6 +126,29 @@ def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
         stratum_weights_in(x, g, f)
         xray.scaled_weights_in(x, g, f)
     assert cleared == []
+
+    y = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
+    assert validate_all(y) == []
+    cleared.clear()
+    for g, f in pairs:
+        stratum_weights_in(y, g, f)
+        xray.scaled_weights_in(y, g, f)
+    if d == 1:
+        from_rank1_xray(y)
+    assert cleared == []
+    table = y._cache["weight table"]
+    assert sorted(table) == sorted(y.vertex_ids)
+    assert all(len(forms) == y.half_dim for forms in table.values())
+    assert len(y._cache) <= fresh_keys + 3
+    assert all(len(entry) <= len(y.strata) for entry in y._cache.values() if isinstance(entry, dict))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=4).filter(any))
+def test_line_key_is_span_key_of_the_ray(v):
+    """The closed-form key of one direction is the key elimination gives."""
+    ray = primitive(v)
+    assert xray._line_key(ray) == span_key((ray,)) == span_key((v,))
 
 
 def test_complex_dims(cp3, cp4, ncp4):
@@ -282,6 +320,30 @@ def test_rejects_child_wall_outside_parent():
         WeightedXray(1, 1, (v, s))
 
 
+def test_child_vertex_on_parent_vertex_over_another_denominator_is_contained():
+    """A child's vertex 0 is the parent's vertex 0, but the child's
+    denominator 3 does not divide the parent's 1, so no vertex is matched
+    by integer form and both are tested against the parent's facets."""
+    seg = hull([as_vec((0,)), as_vec((1,))])
+    child = Stratum("c", hull([as_vec((0,)), as_vec(("1/3",))]), ("s",), (), None)
+    x = WeightedXray(1, 1, (child, Stratum("s", seg, (), (), None)))
+    assert seg.int_vertices[1] % child.wall.int_vertices[1] != 0
+    assert x.stratum("c").parents == ("s",)
+    outside = Stratum("c", hull([as_vec((0,)), as_vec(("4/3",))]), ("s",), (), None)
+    with pytest.raises(MalformedXray, match="not contained"):
+        WeightedXray(1, 1, (outside, Stratum("s", seg, (), (), None)))
+
+
+def test_rejects_child_wall_outside_parent_at_a_shared_vertex():
+    """The child's denominator divides the parent's and one child vertex
+    is a parent vertex, matched by integer form; the other lies outside."""
+    seg = hull([as_vec((0,)), as_vec(("1/2",))])
+    child = Stratum("c", hull([as_vec((0,)), as_vec((1,))]), ("s",), (), None)
+    assert seg.int_vertices[1] % child.wall.int_vertices[1] == 0
+    with pytest.raises(MalformedXray, match="wall of 'c' is not contained in wall of its parent 's'"):
+        WeightedXray(1, 1, (child, Stratum("s", seg, (), (), None)))
+
+
 def test_rejects_order_cycle():
     seg = hull([as_vec((0,)), as_vec((1,))])
     a = Stratum("a", seg, ("b",), (), None)
@@ -317,6 +379,15 @@ def test_interchange_rejects_weights_not_a_list(cp3):
         from_interchange(doc)
 
 
+def _cone_contains(gens, w, dim):
+    """Is the rational vector w a nonnegative combination of the rational
+    gens?  Scaling w and each generator by a positive number leaves the
+    answer unchanged, so `xray._in_cone` decides it on their distinct
+    nonzero integer forms."""
+    gs = sorted({clear_denominators(g)[0] for g in gens if not is_zero_vector(g)})
+    return xray._in_cone(gs, clear_denominators(w)[0], dim)
+
+
 def _cones_equal(a, b, dim):
     return all(_cone_contains(b, v, dim) for v in a) and all(_cone_contains(a, v, dim) for v in b)
 
@@ -334,7 +405,7 @@ def validate_darboux_all_subsets(x):
         tangent = {fid: [vsub(u, point) for u in x.stratum(fid).wall.vertices] for fid in ups}
         for fid in ups:
             span = x.stratum(fid).wall.span
-            inspan = [w for w in alpha if span.lin_contains(w)]
+            inspan = [w for w in alpha if lin_contains(span, w)]
             if not _cones_equal(tangent[fid], inspan, d):
                 vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
         dirs = sorted({primitive_vector(w) for w in alpha if not is_zero_vector(w)})
@@ -518,7 +589,7 @@ def validate_darboux_by_scan(x):
         for fid in [pid] + sorted(x.above(pid)):
             wall = x.stratum(fid).wall
             tight = tuple(tight_mask(wall, v) for v in wall.vertices)
-            inspan = alpha if wall.dim == d else [w for w in alpha if wall.span.lin_contains(w)]
+            inspan = alpha if wall.dim == d else [w for w in alpha if lin_contains(wall.span, w)]
             if tangent_cone_matches_by_fractions(wall, tight, point, inspan, d):
                 passed.append((wall.span.basis, fid))
             else:
