@@ -388,11 +388,6 @@ def _circle(legs: tuple[_Leg, ...], sig_table: InvariantTable, poin_table: Invar
     return CircleFixedData._one_level(tuple(comp._reseeded(sigs[key], poins[key]) for key, comp in legs))
 
 
-def _edge_circle(edge: CrossingEdge, sig_table: InvariantTable, poin_table: InvariantTable) -> CircleFixedData:
-    """restrict_to_line for an edge already in hand."""
-    return _circle(_edge_legs(edge, {}), sig_table, poin_table)
-
-
 def cross_check(x, f: str, sig: InvariantTable, poin: InvariantTable) -> Report:
     """The engine's signature and Poincare tables on wall f against the circle.
 

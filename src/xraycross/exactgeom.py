@@ -28,6 +28,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .ratmath import (
+    ZERO,
     RatVector,
     as_vec,
     clear_denominators,
@@ -223,11 +224,25 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     generalized cross product of its k - 1 differences (`cross_product`), and
     every side and tightness test is an integer dot product.  That
     denominator is positive, so the points are deduplicated and sorted by
-    their integer forms, in the order of their coordinates.  A segment
-    (k = 1) needs no search: the points differ first on its one pivot
-    column, so the sorted ends are its vertices and facets.  The span's
+    their integer forms, in the order of their coordinates.  The span's
     `int_frame` and the polytope's `int_vertices` and `int_facets` are
     read off the same integer forms, not cleared again.
+
+    Small inputs are read off in closed form.  One distinct point is a
+    0-polytope with no basis.  Two distinct points differ first on the
+    pivot column p, positively, since they are sorted: the span's one RREF
+    row is their difference over its gcd, over its entry at p.  A segment
+    (k = 1) needs no search: the points differ first on its one pivot
+    column, so the sorted ends are its vertices and facets.
+
+    A point is a vertex when the normals of the facets through it have
+    rank k.  At k <= 3 that is the same as lying on k or more facets, so
+    the facets are counted and nothing is eliminated: every hyperplane
+    found holds k affinely independent points, so it is a facet, and in
+    a polytope of dimension 1, 2 or 3 a boundary point that is not a
+    vertex lies in a face of dimension >= 1, on at most k - 1 facets (an
+    edge of a 3-polytope lies on exactly two).  From k = 4 on, an edge
+    can lie on more facets than k, so the rank is taken (`int_rank`).
     """
     raw = [as_vec(p) for p in points]
     if not raw:
@@ -242,8 +257,16 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     scaled = sorted(by_form)
     pts = [by_form[q] for q in scaled]
     origin = scaled[0]
-    rows, den_r, pivots = int_rref([[x - o for x, o in zip(p, origin)] for p in scaled[1:]])
-    span = AffineSpan(pts[0], tuple(tuple(Fraction(x, den_r) for x in row) for row in rows), pivots)
+    if len(scaled) == 1:
+        rows, den_r, pivots = (), 1, ()
+    elif len(scaled) == 2:
+        diff = [x - o for x, o in zip(scaled[1], origin)]
+        p = next(c for c, x in enumerate(diff) if x)
+        g = gcd(*diff)
+        rows, den_r, pivots = (tuple([x // g for x in diff]),), diff[p] // g, (p,)
+    else:
+        rows, den_r, pivots = int_rref([[x - o for x, o in zip(p, origin)] for p in scaled[1:]])
+    span = AffineSpan(pts[0], tuple([tuple([Fraction(x, den_r) if x else ZERO for x in row]) for row in rows]), pivots)
     g = gcd(den, *origin)
     _fill(span, int_frame=(rows, den_r, tuple([x // g for x in origin]), den // g))
     k = span.dim
@@ -261,8 +284,10 @@ def hull(points: Iterable[RatVector]) -> Polytope:
             facets.append((tuple(n), sgn * end // g))
         return _polytope((pts[0], pts[-1]), [origin, scaled[-1]], den, span, facets)
 
-    # den times the span coordinates of each point.
+    # den times the span coordinates of each point, and the normals of
+    # the facets found through each.
     ys = [tuple(p[j] - origin[j] for j in pivots) for p in scaled]
+    through: list[list[tuple[int, ...]]] = [[] for _ in ys]
     found: dict[IntFunctional, None] = {}
     for comb in combinations(ys, k):
         base_y = comb[0]
@@ -271,12 +296,15 @@ def hull(points: Iterable[RatVector]) -> Polytope:
             continue  # affinely dependent subset: spans no unique hyperplane
         c = idot(u, base_y)
         has_pos = has_neg = False
-        for y in ys:
+        tight = []
+        for i, y in enumerate(ys):
             s = idot(u, y) - c
             if s > 0:
                 has_pos = True
             elif s < 0:
                 has_neg = True
+            else:
+                tight.append(i)
             if has_pos and has_neg:
                 break
         if has_pos and has_neg:
@@ -284,9 +312,16 @@ def hull(points: Iterable[RatVector]) -> Polytope:
         g = gcd(c, *u)
         if has_pos:
             g = -g
-        found[tuple(a // g for a in u), c // g] = None
+        facet = tuple([a // g for a in u]), c // g
+        if facet not in found:
+            found[facet] = None
+            for i in tight:
+                through[i].append(facet[0])
 
-    on = [i for i, y in enumerate(ys) if int_rank([u for u, c in found if idot(u, y) == c]) == k]
+    if k <= 3:
+        on = [i for i, t in enumerate(through) if len(t) >= k]
+    else:
+        on = [i for i, t in enumerate(through) if int_rank(t) == k]
 
     # u . y <= c on den-scaled span coordinates is den * u . x[pivots]
     # <= c + u . origin[pivots] on the ambient point x.
@@ -307,9 +342,10 @@ def _polytope(
     """The polytope `hull` found: vertices verts, scaled / den in integers,
     and primitive integer facets in sorted order, which sort as their
     Fractions do.  Its `int_vertices` (over the vertices' own least
-    common denominator) and `int_facets` are filled in from those."""
+    common denominator) and `int_facets` are filled in from those.  Zero
+    entries share one Fraction."""
     g = gcd(den, *[x for q in scaled for x in q])
-    p = Polytope(verts, span, tuple([(tuple([Fraction(x) for x in n]), Fraction(c)) for n, c in facets]))
+    p = Polytope(verts, span, tuple([(tuple([Fraction(x) if x else ZERO for x in n]), Fraction(c)) for n, c in facets]))
     return _fill(p, int_vertices=(tuple([tuple([x // g for x in q]) for q in scaled]), den // g), int_facets=tuple(facets))
 
 

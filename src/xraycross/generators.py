@@ -98,8 +98,10 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
         for B in combinations(everyone, size):
             base = scaled[B[0]]
             rows, den_r, pivots = int_rref([[a - o for a, o in zip(scaled[b], base)] for b in B[1:]])
-            eqs = int_equations(rows, den_r, pivots, base, 1)
-            subsets[tuple(j for j in everyone if all(idot(a, scaled[j]) == c for a, c in eqs))] = None
+            on = everyone
+            for a, c in int_equations(rows, den_r, pivots, base, 1):
+                on = [j for j in on if idot(a, scaled[j]) == c]
+            subsets[tuple(on)] = None
 
     def name(K: tuple[int, ...]) -> str:
         if K == everyone:

@@ -41,12 +41,6 @@ class IntPolynomial:
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPolynomial":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
-
     @property
     def degree(self) -> int:
         # zero polynomial reports degree -1
@@ -125,13 +119,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def eval_gaussian(self, re: int, im: int) -> tuple[int, int]:
-        """Evaluate at the Gaussian integer re + im*i; returns (real, imag)."""
-        ar, ai = 0, 0
-        for c in reversed(self.coeffs):
-            ar, ai = ar * re - ai * im + c, ar * im + ai * re
-        return ar, ai
 
     def at_i(self) -> tuple[int, int]:
         """The value at i, read off the coefficients by exponent mod 4:

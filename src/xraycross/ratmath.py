@@ -146,7 +146,17 @@ def cross_product(rows: list[list[int]], k: int) -> tuple[int, ...] | None:
     dependent.  Elimination (in place) leaves the rows d times their
     RREF, so the vector is d on the one free column and minus each row's
     entry there on that row's pivot: the (k-1) x (k-1) minors, up to sign.
+
+    At k = 2 the one row (a, b) is its own RREF times its pivot entry,
+    so the vector is read off in closed form, as elimination gives it:
+    (-b, a) when a != 0, (b, 0) when only b != 0, None for the zero row.
+    The row is then left as it was.
     """
+    if k == 2:
+        (a, b), = rows
+        if a:
+            return -b, a
+        return (b, 0) if b else None
     pivots, d = _eliminate(rows)
     if len(pivots) != k - 1:
         return None
@@ -164,8 +174,22 @@ def int_rref(rows: Iterable[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...]
     lcm of the RREF entries' denominators, so R / L is what
     `clear_denominators` gives for them.  Elimination leaves the rows d
     times their RREF, and the lcm is |d| over its gcd with their entries.
+
+    One row needs no elimination: its RREF row is the row over its pivot
+    entry, the first nonzero one, so it is the row over its gcd taken
+    with the pivot's sign, over the pivot divided by the same.  A zero
+    row, like no rows, gives no RREF rows over L = 1.
     """
     mat = [list(r) for r in rows]
+    if len(mat) == 1:
+        row = mat[0]
+        p = next((c for c, x in enumerate(row) if x), None)
+        if p is None:
+            return (), 1, ()
+        g = gcd(*row)
+        if row[p] < 0:
+            g = -g
+        return (tuple([x // g for x in row]),), row[p] // g, (p,)
     pivots, d = _eliminate(mat)
     top = mat[: len(pivots)]
     g = gcd(d, *[x for row in top for x in row])

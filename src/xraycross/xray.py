@@ -169,14 +169,17 @@ class WeightedXray:
                 declared_below[p].append(sid)
         waiting = {sid: len(declared[sid]) for sid in ids}
         ready = [sid for sid in ids if not declared[sid]]
+        # A covering parent is declared: any other ancestor lies above a
+        # declared parent.  It covers unless it lies above another one,
+        # that is, in the union of their ancestor sets.
         above: dict[str, frozenset[str]] = {}
+        covers: dict[str, set[str]] = {}
         while ready:
             sid = ready.pop()
-            acc: set[str] = set()
-            for p in declared[sid]:
-                acc.add(p)
-                acc |= above[p]
-            above[sid] = frozenset(acc)
+            ps = declared[sid]
+            ups = [above[p] for p in ps]
+            above[sid] = frozenset(ps).union(*ups)
+            covers[sid] = ps.difference(*ups)
             for c in declared_below[sid]:
                 waiting[c] -= 1
                 if not waiting[c]:
@@ -195,10 +198,6 @@ class WeightedXray:
                 below_sets[u].add(sid)
         below = {sid: frozenset(below_sets.pop(sid)) for sid in ids}
 
-        # A covering parent is declared: any other ancestor lies above a
-        # declared parent.  It covers unless it lies above another one,
-        # that is, in the union of their ancestor sets.
-        covers = {sid: ps.difference(*[above[q] for q in ps]) for sid, ps in declared.items()}
         children: dict[str, list[str]] = {sid: [] for sid in ids}
         for sid in ids:
             for p in covers[sid]:
@@ -219,31 +218,40 @@ class WeightedXray:
                         raise MalformedXray(f"vertex '{s.id}': weight of dimension {len(w)}, expected {self.torus_rank}")
             elif s.vertex_data is not None:
                 raise MalformedXray(f"positive-dimensional stratum '{s.id}' must not carry vertex data")
-        # A child vertex that is a vertex of the parent is contained: when
-        # the child's denominator divides the parent's, the two are matched
-        # by integer form, as in `subwall_facets`.  Only the others are
-        # tested against the parent's equations and facets.
-        parent_rows: dict[str, frozenset[tuple[int, ...]]] = {}
-        for sid, cs in covers.items():
-            rows, den = by_id[sid].wall.int_vertices
-            for p in cs:
-                pw = by_id[p].wall
-                p_rows, p_den = pw.int_vertices
-                scale, rest = divmod(p_den, den)
-                if rest:
-                    outside = rows
-                else:
-                    known = parent_rows.get(p)
-                    if known is None:
-                        known = parent_rows[p] = frozenset(p_rows)
-                    outside = [q for q in rows if tuple([c * scale for c in q]) not in known]
-                if not all(pw.holds(q, den) for q in outside):
-                    raise MalformedXray(f"wall of '{sid}' is not contained in wall of its parent '{p}'")
+        # A child's vertex is in its parent's wall when it is one of the
+        # parent's vertices or passes the parent's equations and facets.
+        # The generators and `from_interchange` hand each point to every
+        # wall on it as one tuple, which `hull` keeps, so points are known
+        # by identity: each parent keeps the `id`s of its vertices and of
+        # the points that passed (the walls keep them all alive), and a
+        # point is tested once per parent.
+        inside: dict[str, set[int]] = {}
+        for sid in ids:
+            wall = by_id[sid].wall
+            points = [id(v) for v in wall.vertices]
+            for p in covers[sid]:
+                known = inside.get(p)
+                if known is None:
+                    known = inside[p] = {id(v) for v in by_id[p].wall.vertices}
+                if known.issuperset(points):
+                    continue
+                rows, den = wall.int_vertices
+                for q, i in zip(rows, points):
+                    if i not in known:
+                        if not by_id[p].wall.holds(q, den):
+                            raise MalformedXray(f"wall of '{sid}' is not contained in wall of its parent '{p}'")
+                        known.add(i)
 
-        normalized = tuple(
-            Stratum(s.id, s.wall, tuple(sorted(covers[s.id])), tuple(sorted(children[s.id])), s.vertex_data)
-            for s in sorted(strata, key=lambda s: s.id)
-        )
+        # A stratum given in normal form already (a vertex of a loaded
+        # document: covering parents in id order, no children) is kept.
+        normalized = []
+        for s in sorted(strata, key=lambda s: s.id):
+            ps = tuple(sorted(covers[s.id]))
+            cs = tuple(sorted(children[s.id]))
+            if s.parents != ps or s.children != cs:
+                s = Stratum(s.id, s.wall, ps, cs, s.vertex_data)
+            normalized.append(s)
+        normalized = tuple(normalized)
         object.__setattr__(self, "strata", normalized)
         self._cache["by_id"] = {s.id: s for s in normalized}
         self._cache["above"] = above
@@ -281,9 +289,6 @@ class WeightedXray:
     @property
     def vertex_ids(self) -> tuple[str, ...]:
         return self._cache["vertex_ids"]
-
-    def vertices_below(self, sid: str) -> tuple[str, ...]:
-        return tuple(v for v in self.vertex_ids if self.leq(v, sid))
 
     @property
     def top_id(self) -> str:
@@ -728,10 +733,13 @@ def from_interchange(doc: Mapping) -> WeightedXray:
 
     A point is written once per wall it lies on, and vectors share
     coordinates, so each distinct coordinate string is parsed and
-    bounded once per document and its Fraction reused.  A vector's new
-    coordinates are all parsed before any is bounded, and a string is
-    kept only once it has passed both, so every failure is reported
-    where it occurs, with the text a parse of each vector would give."""
+    bounded once per document and its Fraction reused, and so is each
+    distinct vector of strings: a point is one tuple on every wall it
+    lies on, which the constructor's containment check matches by
+    identity.  A vector's new coordinates are all parsed before any is
+    bounded, and a string or vector is kept only once it has passed
+    both, so every failure is reported where it occurs, with the text a
+    parse of each vector would give."""
     if not isinstance(doc, Mapping):
         raise MalformedXray("document root must be an object")
     for key in ("torus_rank", "half_dim", "strata", "vertex_data"):
@@ -747,9 +755,21 @@ def from_interchange(doc: Mapping) -> WeightedXray:
 
     # Only strings are keyed: no other JSON value equals one.
     parsed_coords: dict[str, Fraction] = {}
+    # Vectors of strings only, by their strings, so a point written on
+    # several walls is one tuple.
+    parsed_vectors: dict[tuple[str, ...], RatVector] = {}
 
     def parse_vector(v, where: str) -> RatVector:
-        if not isinstance(v, (list, tuple)) or any(isinstance(c, bool) for c in v):
+        if not isinstance(v, (list, tuple)):
+            raise MalformedXray(f"{where}: expected a vector, got {v!r}")
+        try:
+            key = tuple(v)
+            vec = parsed_vectors.get(key)
+        except TypeError:  # an unhashable entry, which no parse accepts
+            key = vec = None
+        if vec is not None:
+            return vec
+        if any(isinstance(c, bool) for c in v):
             raise MalformedXray(f"{where}: expected a vector, got {v!r}")
         vec = []
         fresh = []
@@ -767,7 +787,10 @@ def from_interchange(doc: Mapping) -> WeightedXray:
                 raise MalformedXray(f"{where}[{j}]: numerator or denominator of more than {MAX_RATIONAL_DIGITS} digits")
             if type(c) is str:
                 parsed_coords[c] = q
-        return tuple(vec)
+        vec = tuple(vec)
+        if key is not None and all(type(c) is str for c in key):
+            parsed_vectors[key] = vec
+        return vec
 
     if not isinstance(doc["strata"], (list, tuple)):
         raise MalformedXray("strata must be a list")

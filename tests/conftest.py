@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from xraycross import circle
 from xraycross.arrangement import crossing_graph
 from xraycross.errors import XrayError
 from xraycross.exactgeom import hull
@@ -72,6 +73,17 @@ def edge_by_scan(x, f, p1, p2, facet_rep=None):
             continue
         return candidate if pair == (p1, p2) else candidate.reversed()
     raise XrayError(f"subchambers {p1} and {p2} of '{f}' are not adjacent")
+
+
+def vertices_below(x, sid):
+    """The vertex strata at or below sid, in id order."""
+    return tuple(v for v in x.vertex_ids if x.leq(v, sid))
+
+
+def edge_circle(edge, sig_table, poin_table):
+    """restrict_to_line for an edge already in hand: the circle of the
+    edge's separators, seeded from the tables."""
+    return circle._circle(circle._edge_legs(edge, {}), sig_table, poin_table)
 
 
 def transform(x, matrix, shift):

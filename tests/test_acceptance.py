@@ -35,7 +35,7 @@ from xraycross.exactgeom import hull, side_functional
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import as_vec, sign
 from xraycross.xray import Stratum, VertexData, WeightedXray, validate_all
-from conftest import transform
+from conftest import transform, vertices_below
 from test_ratmath import lin_contains
 
 DIAG = "w2-3-4-5"
@@ -277,7 +277,7 @@ def test_criterion_7_property_suite(cp3, cp4, ncp4, toric_triangle, unit_square)
                 continue
             for e in crossing_graph(x, sid).edges:
                 for s in e.separators:
-                    for v in x.vertices_below(s.g):
+                    for v in vertices_below(x, s.g):
                         if _counts_from_vertex(x, sid, e, s, v) != (s.f, s.b):
                             bad.append(f"vertex-dependent counts at {sid}/{s.g}")
 

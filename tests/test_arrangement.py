@@ -21,7 +21,7 @@ from xraycross.exactgeom import (
 from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, save_xray
 from xraycross.ratmath import as_vec, format_rational, sign, vdot
 from xraycross.xray import stratum_weights_in
-from conftest import CP4_ROWS, NCP4_ROWS, seeded_rows
+from conftest import CP4_ROWS, NCP4_ROWS, seeded_rows, vertices_below
 from test_exactgeom import centroid, relative_interior_contains
 from test_ratmath import lin_contains, vscale
 
@@ -178,7 +178,7 @@ def test_counts_vertex_independent(cp4, ncp4):
         graph = crossing_graph(x, "top")
         for edge in graph.edges:
             for sep in edge.separators:
-                for v in x.vertices_below(sep.g):
+                for v in vertices_below(x, sep.g):
                     assert counts_from_vertex(x, "top", edge, sep, v) == (sep.f, sep.b)
 
 

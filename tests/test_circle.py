@@ -34,7 +34,7 @@ from xraycross.intpoly import IntPolynomial
 from xraycross.generators import cpn_xray
 from xraycross.ratmath import format_point
 from xraycross.xray import from_interchange, to_interchange
-from conftest import edge_by_scan, seeded_rows
+from conftest import edge_by_scan, edge_circle, seeded_rows
 from test_acceptance import mirrored_rank1
 
 DIAG = "w2-3-4-5"
@@ -325,7 +325,7 @@ def test_restrict_to_line_picks_the_scanned_edge(d, n, seed, grid):
             for p1, p2 in ((edge.source, edge.dest), (edge.dest, edge.source)):
                 for rep in (None, edge.facet_rep):
                     got = restrict_to_line(x, f, p1, p2, sig_table=sig, poin_table=poin, facet_rep=rep)
-                    assert got == circle._edge_circle(edge_by_scan(x, f, p1, p2, rep), sig, poin)
+                    assert got == edge_circle(edge_by_scan(x, f, p1, p2, rep), sig, poin)
                     checked += 1
     assert checked > 0
 
@@ -569,7 +569,7 @@ def test_edge_circle_equals_public_construction(d, n, seed, grid):
         if x.dim(f) == 0:
             continue
         for edge in crossing_graph(x, f).edges:
-            got = circle._edge_circle(edge, sig, poin)
+            got = edge_circle(edge, sig, poin)
             want = CircleFixedData(
                 tuple(
                     FixedComponent(Fraction(0), (1,) * s.f + (-1,) * s.b, sig.value(s.g, s.r), poin.value(s.g, s.r))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from xraycross import engine
 from xraycross.arrangement import EXTERIOR, crossing_graph, locate, subchambers
-from xraycross.circle import _edge_circle, cross_check, wall_cross_delta
+from xraycross.circle import cross_check, wall_cross_delta
 from xraycross.engine import (
     EULER,
     POINCARE,
@@ -31,7 +31,7 @@ from xraycross.generators import cpn_xray
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import as_vec, format_point, format_rational
 from xraycross.xray import from_interchange, to_interchange
-from conftest import edge_by_scan, seeded_rows
+from conftest import edge_by_scan, edge_circle, seeded_rows
 
 DIAG = "w2-3-4-5"
 
@@ -585,7 +585,7 @@ def reference_cross_check(x, f, sig, poin):
 
     lines = []
     for edge in crossing_graph(x, f).edges:
-        data = _edge_circle(edge_by_scan(x, f, edge.source, edge.dest, edge.facet_rep), sig, poin)
+        data = edge_circle(edge_by_scan(x, f, edge.source, edge.dest, edge.facet_rep), sig, poin)
         name = f"edge {edge.source}->{edge.dest} at {format_point(edge.facet_rep)}"
         for kind, table, ring, zero in (
             ("signature", sig, engine.INTEGER, 0),

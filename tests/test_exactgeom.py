@@ -175,6 +175,53 @@ def test_segment_hull_matches_fraction_reference(points):
     assert repr(got) == repr(want)
 
 
+@st.composite
+def seeded_solids_with_boundary_points(draw):
+    """Seeded sets of at most 9 points whose hull is 3-dimensional, in
+    Q^3 or on a 3-dimensional frame in Q^4, with up to three points added
+    on its boundary that are not vertices: the midpoint of an edge (two
+    facets through it) and the centroid of a facet's vertices (one facet
+    through it).  Edges and facets are read off the Fraction reference."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ambient = rng.choice((3, 3, 4))
+    frame = [[Fraction(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(3)]
+    origin = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ambient)]
+
+    def at(coef):
+        return tuple(o + sum((c * row[j] for c, row in zip(coef, frame)), ZERO) for j, o in enumerate(origin))
+
+    corners = [[Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(3)] for _ in range(rng.randint(4, 6))]
+    points = [at(c) for c in corners]
+    want = hull_by_fractions(points)
+    assume(want.dim == 3)
+    tight = [[v for v in want.vertices if vdot(n, v) == c] for n, c in want.facets]
+    extra = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            a, b = rng.sample(range(len(tight)), 2)
+            common = [v for v in tight[a] if v in tight[b]]
+            if len(common) == 2:
+                extra.append(tuple((x + y) / 2 for x, y in zip(*common)))
+        else:
+            face = rng.choice(tight)
+            extra.append(tuple(sum(col, ZERO) / len(face) for col in zip(*face)))
+    points += extra[: 9 - len(points)]
+    rng.shuffle(points)
+    return points
+
+
+@settings(deadline=None, max_examples=150)
+@given(seeded_solids_with_boundary_points())
+def test_solid_hull_with_boundary_points_matches_fraction_reference(points):
+    """At k = 3 a point is a vertex when it lies on three or more of the
+    facets found; points inside an edge (two facets) or a facet (one)
+    are not, and the vertices, span and facets are the reference's."""
+    got, want = hull(points), hull_by_fractions(points)
+    assert got.dim == 3
+    assert got == want
+    assert repr(got) == repr(want)
+
+
 @settings(deadline=None, max_examples=200)
 @given(seeded_point_sets())
 def test_int_vertices_and_masks_match_per_vertex_clearing(case):

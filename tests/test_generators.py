@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from xraycross import generators
+from xraycross import generators, xray
 from xraycross.errors import MalformedXray, ValidationFailed
 from xraycross.exactgeom import hull
 from xraycross.generators import (
@@ -17,7 +18,7 @@ from xraycross.generators import (
 )
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import as_vec, vsub
-from xraycross.xray import Stratum, VertexData, WeightedXray, canonical_json, to_interchange
+from xraycross.xray import Stratum, VertexData, WeightedXray, canonical_json, from_interchange, to_interchange
 from conftest import CP3_ROWS, CP4_ROWS, DIAG, NCP4_ROWS, seeded_rows, transform
 from test_exactgeom import span_from_points
 
@@ -287,3 +288,27 @@ def test_cpn_span_count_is_polynomial(monkeypatch):
     x = cpn_xray(n, ProjectionMatrix((tuple(range(n + 1)),)))
     assert len(x.strata) == n + 2
     assert len(calls) <= n + 1
+
+
+@pytest.mark.parametrize(
+    ("d", "n", "seed", "grid"),
+    [(1, 6, 0, None), (1, 5, 1, 6), (2, 6, 1, None), (2, 7, 3, 3), (3, 5, 0, None), (3, 6, 2, 2)],
+)
+def test_one_hull_per_stratum(monkeypatch, d, n, seed, grid):
+    """`cpn_xray` and `from_interchange` each take one `hull` per stratum,
+    points and segments included, however cheaply those are read off."""
+    calls = []
+    real = generators.hull
+
+    def counting(points):
+        calls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(generators, "hull", counting)
+    monkeypatch.setattr(xray, "hull", counting)
+    x = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
+    assert len(calls) == len(x.strata)
+    calls.clear()
+    y = from_interchange(json.loads(canonical_json(x)))
+    assert len(calls) == len(y.strata)
+    assert canonical_json(y) == canonical_json(x)

@@ -4,16 +4,20 @@ from functools import reduce
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xraycross.exactgeom import AffineSpan
 from xraycross.ratmath import (
     ZERO,
+    _eliminate,
     as_vec,
     clear_denominators,
+    cross_product,
     format_rational,
+    idot,
     int_rank,
+    int_rref,
     is_zero_vector,
     parse_rational,
     primitive,
@@ -340,3 +344,61 @@ def test_span_key_equal_exactly_when_rref_equal(case):
         for row, reduced, p in zip(key, basis, pivots):
             assert gcd(*row) == 1 and row[p] > 0
             assert tuple(Fraction(x, row[p]) for x in row) == reduced
+
+
+# -- The closed forms of the one-row cases against Bareiss elimination
+# (`_eliminate`), which every case of two or more rows still runs.
+
+
+def int_rref_by_elimination(rows):
+    """`int_rref` as elimination gives it: the rows left d times their
+    RREF, divided by the gcd of d and their entries, signed as d."""
+    mat = [list(r) for r in rows]
+    pivots, d = _eliminate(mat)
+    top = mat[: len(pivots)]
+    g = gcd(d, *[x for row in top for x in row])
+    if d < 0:
+        g = -g
+    return tuple(tuple(x // g for x in row) for row in top), d // g, tuple(pivots)
+
+
+def cross_product_by_elimination(rows, k):
+    """`cross_product` as elimination gives it: d on the free column and
+    minus each row's entry there on that row's pivot."""
+    pivots, d = _eliminate([list(r) for r in rows])
+    if len(pivots) != k - 1:
+        return None
+    free = next(c for c in range(k) if c not in pivots)
+    u = [0] * k
+    u[free] = d
+    for row, p in zip(rows, pivots):
+        u[p] = -row[free]
+    return tuple(u)
+
+
+small_ints = st.integers(-12, 12)
+
+
+@given(st.lists(small_ints, min_size=1, max_size=4))
+@example([0])
+@example([0, 0, 0, 0])
+@example([0, -4, 6])
+@example([-3, 0, 0, 9])
+def test_one_row_int_rref_matches_elimination(row):
+    """One row of length 1-4, zero rows and negative leading entries
+    included, gives what elimination gives, and the RREF row in Fractions."""
+    assert int_rref([row]) == int_rref_by_elimination([row])
+    reduced, den, pivots = int_rref([row])
+    assert (tuple(tuple(Fraction(x, den) for x in r) for r in reduced), pivots) == rref_by_fractions([row])
+
+
+@given(st.tuples(small_ints, small_ints))
+@example((0, 0))
+@example((0, -5))
+@example((-2, 7))
+def test_planar_cross_product_matches_elimination(row):
+    """At k = 2: (-b, a), (b, 0) or None, exactly as elimination gives."""
+    want = cross_product_by_elimination([row], 2)
+    assert cross_product([list(row)], 2) == want
+    if want is not None:
+        assert idot(want, row) == 0 and any(want)

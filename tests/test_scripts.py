@@ -112,3 +112,20 @@ def test_query_gate_passes():
         "digest (2,4): f45fed548359b088384d13c3426c49b8",
         "digest (3,4) grid 2: a8b422f2204e94a1b5b569e3a4b93fe4",
     ]
+
+
+def test_ab_inproc_passes():
+    """Two imports of this tree on a two-op mix: every stage gets a ratio
+    line, and the two copies agree on every output."""
+    src = str(ROOT / "src")
+    lines = run_script("ab_inproc.py", src, src, "--ops", "2", "--rounds", "2")
+    stages = [line.split()[0] for line in lines[1:-1]]
+    assert stages == [
+        "generate",
+        "canonical_json",
+        "from_interchange",
+        "validate_poset",
+        "validate_consistency",
+        "validate_darboux",
+        "op",
+    ]

@@ -45,7 +45,7 @@ from xraycross.xray import (
     validate_darboux,
     validate_poset,
 )
-from conftest import seeded_rows, transform
+from conftest import seeded_rows, transform, vertices_below
 from test_exactgeom import centroid, faces_by_facet_hulls
 from test_ratmath import (
     in_span,
@@ -115,7 +115,7 @@ def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
 
     monkeypatch.setattr(xray, "clear_denominators", counting)
     for g, f in pairs:
-        vd = x.stratum(x.vertices_below(g)[0]).vertex_data
+        vd = x.stratum(vertices_below(x, g)[0]).vertex_data
         span = x.stratum(f).wall.span
         want = tuple(w for w in vd.weights if span.lin_holds(real(w)[0]))
         assert stratum_weights_in(x, g, f) == want
@@ -301,7 +301,7 @@ def test_poset_shape(ncp4):
     assert ncp4.dim(DIAG) == 1
     assert ncp4.leq("v2", DIAG)
     assert not ncp4.leq(DIAG, "v2")
-    assert set(ncp4.vertices_below(DIAG)) == {"v2", "v3", "v4", "v5"}
+    assert set(vertices_below(ncp4, DIAG)) == {"v2", "v3", "v4", "v5"}
     assert ncp4.above("v1") == frozenset({"w1-2", "w1-3", "w1-4", "w1-5", "top"})
 
 
@@ -499,7 +499,7 @@ def validate_consistency_by_reduce_mod(x):
     the wall span (`reduce_mod` on its RREF basis)."""
     vio = set()
     for g in x.strata:
-        vs = x.vertices_below(g.id)
+        vs = vertices_below(x, g.id)
         if len(vs) < 2:
             continue
         span = g.wall.span
