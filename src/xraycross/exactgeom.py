@@ -228,21 +228,13 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     `int_frame` and the polytope's `int_vertices` and `int_facets` are
     read off the same integer forms, not cleared again.
 
-    Small inputs are read off in closed form.  One distinct point is a
-    0-polytope with no basis.  Two distinct points differ first on the
-    pivot column p, positively, since they are sorted: the span's one RREF
-    row is their difference over its gcd, over its entry at p.  A segment
-    (k = 1) needs no search: the points differ first on its one pivot
-    column, so the sorted ends are its vertices and facets.
+    A segment (k = 1) needs no search: the points differ first on its
+    one pivot column, so the sorted ends are its vertices and facets.
+    Its span is one difference, which `int_rref` reduces in closed form.
 
     A point is a vertex when the normals of the facets through it have
-    rank k.  At k <= 3 that is the same as lying on k or more facets, so
-    the facets are counted and nothing is eliminated: every hyperplane
-    found holds k affinely independent points, so it is a facet, and in
-    a polytope of dimension 1, 2 or 3 a boundary point that is not a
-    vertex lies in a face of dimension >= 1, on at most k - 1 facets (an
-    edge of a 3-polytope lies on exactly two).  From k = 4 on, an edge
-    can lie on more facets than k, so the rank is taken (`int_rank`).
+    rank k (`int_rank`).  The search records which points are tight on
+    each new facet, so no facet is tested against every point again.
     """
     raw = [as_vec(p) for p in points]
     if not raw:
@@ -257,15 +249,7 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     scaled = sorted(by_form)
     pts = [by_form[q] for q in scaled]
     origin = scaled[0]
-    if len(scaled) == 1:
-        rows, den_r, pivots = (), 1, ()
-    elif len(scaled) == 2:
-        diff = [x - o for x, o in zip(scaled[1], origin)]
-        p = next(c for c, x in enumerate(diff) if x)
-        g = gcd(*diff)
-        rows, den_r, pivots = (tuple([x // g for x in diff]),), diff[p] // g, (p,)
-    else:
-        rows, den_r, pivots = int_rref([[x - o for x, o in zip(p, origin)] for p in scaled[1:]])
+    rows, den_r, pivots = int_rref([[x - o for x, o in zip(p, origin)] for p in scaled[1:]])
     span = AffineSpan(pts[0], tuple([tuple([Fraction(x, den_r) if x else ZERO for x in row]) for row in rows]), pivots)
     g = gcd(den, *origin)
     _fill(span, int_frame=(rows, den_r, tuple([x // g for x in origin]), den // g))
@@ -318,10 +302,7 @@ def hull(points: Iterable[RatVector]) -> Polytope:
             for i in tight:
                 through[i].append(facet[0])
 
-    if k <= 3:
-        on = [i for i, t in enumerate(through) if len(t) >= k]
-    else:
-        on = [i for i, t in enumerate(through) if int_rank(t) == k]
+    on = [i for i, t in enumerate(through) if int_rank(t) == k]
 
     # u . y <= c on den-scaled span coordinates is den * u . x[pivots]
     # <= c + u . origin[pivots] on the ambient point x.

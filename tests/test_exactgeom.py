@@ -213,9 +213,9 @@ def seeded_solids_with_boundary_points(draw):
 @settings(deadline=None, max_examples=150)
 @given(seeded_solids_with_boundary_points())
 def test_solid_hull_with_boundary_points_matches_fraction_reference(points):
-    """At k = 3 a point is a vertex when it lies on three or more of the
-    facets found; points inside an edge (two facets) or a facet (one)
-    are not, and the vertices, span and facets are the reference's."""
+    """At k = 3 points inside an edge (on two facets) or a facet (on one)
+    are not vertices, and the vertices, span and facets are the
+    reference's."""
     got, want = hull(points), hull_by_fractions(points)
     assert got.dim == 3
     assert got == want

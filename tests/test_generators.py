@@ -6,7 +6,7 @@ import pytest
 
 from xraycross import generators, xray
 from xraycross.errors import MalformedXray, ValidationFailed
-from xraycross.exactgeom import hull
+from xraycross.exactgeom import Polytope, hull
 from xraycross.generators import (
     ProjectionMatrix,
     cpn_xray,
@@ -290,10 +290,12 @@ def test_cpn_span_count_is_polynomial(monkeypatch):
     assert len(calls) <= n + 1
 
 
-@pytest.mark.parametrize(
-    ("d", "n", "seed", "grid"),
-    [(1, 6, 0, None), (1, 5, 1, 6), (2, 6, 1, None), (2, 7, 3, 3), (3, 5, 0, None), (3, 6, 2, 2)],
-)
+# Seeded and grid CP^n inputs at d = 1-3, grids giving collinear and
+# coplanar columns.
+BUILD_CASES = [(1, 6, 0, None), (1, 5, 1, 6), (2, 6, 1, None), (2, 7, 3, 3), (3, 5, 0, None), (3, 6, 2, 2)]
+
+
+@pytest.mark.parametrize(("d", "n", "seed", "grid"), BUILD_CASES)
 def test_one_hull_per_stratum(monkeypatch, d, n, seed, grid):
     """`cpn_xray` and `from_interchange` each take one `hull` per stratum,
     points and segments included, however cheaply those are read off."""
@@ -312,3 +314,33 @@ def test_one_hull_per_stratum(monkeypatch, d, n, seed, grid):
     y = from_interchange(json.loads(canonical_json(x)))
     assert len(calls) == len(y.strata)
     assert canonical_json(y) == canonical_json(x)
+
+
+@pytest.mark.parametrize(("d", "n", "seed", "grid"), BUILD_CASES)
+def test_wall_containment_knows_shared_points_by_identity(monkeypatch, d, n, seed, grid):
+    """`cpn_xray` and `from_interchange` hand each point to every wall on
+    it as one tuple, which `hull` keeps, so `WeightedXray` tests a point
+    against a parent's wall only when it is not one of the parent's
+    vertices, and once per parent: `Polytope.holds` runs once per parent
+    and distinct point of its children that is not its vertex.  A copied
+    tuple would be tested again."""
+    calls = []
+    real = Polytope.holds
+
+    def counting(self, scaled, den):
+        calls.append(self)
+        return real(self, scaled, den)
+
+    def expected(x):
+        total = 0
+        for s in x.strata:
+            points = {v for c in s.children for v in x.stratum(c).wall.vertices}
+            total += len(points - set(s.wall.vertices))
+        return total
+
+    monkeypatch.setattr(Polytope, "holds", counting)
+    x = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
+    assert len(calls) == expected(x)
+    calls.clear()
+    y = from_interchange(json.loads(canonical_json(x)))
+    assert len(calls) == expected(y)

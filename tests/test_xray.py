@@ -321,9 +321,10 @@ def test_rejects_child_wall_outside_parent():
 
 
 def test_child_vertex_on_parent_vertex_over_another_denominator_is_contained():
-    """A child's vertex 0 is the parent's vertex 0, but the child's
-    denominator 3 does not divide the parent's 1, so no vertex is matched
-    by integer form and both are tested against the parent's facets."""
+    """A child's vertex 0 equals the parent's vertex 0 over another
+    common denominator (3 against 1).  Built from separate tuples, no
+    vertex is known by identity, so both are tested against the parent's
+    equations and facets."""
     seg = hull([as_vec((0,)), as_vec((1,))])
     child = Stratum("c", hull([as_vec((0,)), as_vec(("1/3",))]), ("s",), (), None)
     x = WeightedXray(1, 1, (child, Stratum("s", seg, (), (), None)))
@@ -335,13 +336,40 @@ def test_child_vertex_on_parent_vertex_over_another_denominator_is_contained():
 
 
 def test_rejects_child_wall_outside_parent_at_a_shared_vertex():
-    """The child's denominator divides the parent's and one child vertex
-    is a parent vertex, matched by integer form; the other lies outside."""
+    """One child vertex equals a parent vertex, the other lies outside.
+    Built from separate tuples, both are tested against the parent."""
     seg = hull([as_vec((0,)), as_vec(("1/2",))])
     child = Stratum("c", hull([as_vec((0,)), as_vec((1,))]), ("s",), (), None)
     assert seg.int_vertices[1] % child.wall.int_vertices[1] == 0
     with pytest.raises(MalformedXray, match="wall of 'c' is not contained in wall of its parent 's'"):
         WeightedXray(1, 1, (child, Stratum("s", seg, (), (), None)))
+
+
+def test_rejects_child_outside_parent_past_a_vertex_shared_by_identity():
+    """The child's vertex 0 is the parent's vertex 0, the same tuple, so
+    it is known without a test; the child's other vertex is still tested
+    and lies outside."""
+    zero = as_vec((0,))
+    seg = hull([zero, as_vec((1,))])
+    child = hull([zero, as_vec((2,))])
+    assert child.vertices[0] is seg.vertices[0]
+    with pytest.raises(MalformedXray, match="wall of 'c' is not contained in wall of its parent 's'"):
+        WeightedXray(1, 1, (Stratum("c", child, ("s",), (), None), Stratum("s", seg, (), (), None)))
+
+
+def test_rejects_second_child_outside_parent_past_a_point_that_passed():
+    """Child 'a' is the point 1/2, inside the parent, so that tuple passes
+    once; child 'b' shares it and has another vertex outside, which is
+    still tested."""
+    seg = hull([as_vec((0,)), as_vec((1,))])
+    half = as_vec(("1/2",))
+    a = Stratum("a", hull([half]), ("s",), (), VertexData((as_vec((1,)),), **seeds_one()))
+    b = Stratum("b", hull([half, as_vec((2,))]), ("s",), (), None)
+    assert b.wall.vertices[0] is a.wall.vertices[0]
+    s = Stratum("s", seg, (), (), None)
+    WeightedXray(1, 1, (a, s))
+    with pytest.raises(MalformedXray, match="wall of 'b' is not contained in wall of its parent 's'"):
+        WeightedXray(1, 1, (a, b, s))
 
 
 def test_rejects_order_cycle():
