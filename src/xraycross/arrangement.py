@@ -42,13 +42,14 @@ or a refined wall's exterior piece, takes its rep's signs.  A separator
 whose smaller walls are all faces has one subchamber, so a rep strictly
 inside its facets is placed there with no `locate`.
 
-`locate` places a point by its signs on the cut planes, taken in
-integers: a point on no plane is tested against the subwalls no plane
-holds (listed once per wall) and looked up by sign vector, and a point
-on a plane tests a subwall only when it lies on every cut plane that
-holds it (its own plane, for a codimension-1 subwall).  A regular
-point on a plane's extension beyond its subwall lies on the boundary
-of cells, and for it the closed subchambers are scanned.
+`locate` places a point by its signs on the cut planes, taken on the
+point's integer form, which it clears once for all its tests: a point
+on no plane is tested against the subwalls no plane holds (listed once
+per wall) and looked up by sign vector, and a point on a plane tests a
+subwall only when it lies on every cut plane that holds it (its own
+plane, for a codimension-1 subwall).  A regular point on a plane's
+extension beyond its subwall lies on the boundary of cells, and for it
+the closed subchambers are scanned.
 """
 
 from __future__ import annotations
@@ -368,11 +369,10 @@ def _facet_cut(bit: int, nfacets: int) -> int:
     return (bit - nfacets) // 2
 
 
-def _signs(cuts: tuple[tuple[tuple[int, ...], int], ...], q: RatVector) -> tuple[int, ...]:
-    """Sign of normal . q - offset on each cut, in integers: q's
-    denominators are cleared once (`ratmath.clear_denominators`), and the
-    cuts are integer already."""
-    scaled, den = clear_denominators(q)
+def _signs(cuts: tuple[tuple[tuple[int, ...], int], ...], scaled: tuple[int, ...], den: int) -> tuple[int, ...]:
+    """Sign of normal . q - offset on each cut, for the point q = scaled
+    / den in its integer form (`ratmath.clear_denominators`), den > 0:
+    the cuts are integer already, so each sign is one integer test."""
     out = []
     for normal, offset in cuts:
         s = idot(normal, scaled) - offset * den
@@ -398,14 +398,18 @@ def _mean(rows: list[tuple[int, ...]], den: int) -> RatVector:
 
 
 def _subwall_holding(
-    subwalls: tuple[tuple[str, Polytope, int | None, tuple[int, ...]], ...], signs: tuple[int, ...], q: RatVector
+    subwalls: tuple[tuple[str, Polytope, int | None, tuple[int, ...]], ...],
+    signs: tuple[int, ...],
+    scaled: tuple[int, ...],
+    den: int,
 ) -> str | None:
-    """The first subwall in id order that contains q, or None.  A point
-    off a plane holding a subwall (a nonzero sign) is not on that
-    subwall, so a subwall is tested only when q lies on every plane that
-    holds it; one on no plane is always tested."""
+    """The first subwall in id order that contains the point scaled /
+    den, or None.  A point off a plane holding a subwall (a nonzero
+    sign) is not on that subwall, so a subwall is tested only when the
+    point lies on every plane that holds it; one on no plane is always
+    tested."""
     return next(
-        (g for g, w, _, holding in subwalls if all(signs[i] == 0 for i in holding) and w.contains(q)), None
+        (g for g, w, _, holding in subwalls if all(signs[i] == 0 for i in holding) and w.holds(scaled, den)), None
     )
 
 
@@ -416,27 +420,33 @@ def locate(x: WeightedXray, f: str, q: RatVector) -> Subchamber:
     wall.  Singular points are rejected with a pointer to the smaller
     stratum, since the reduction there belongs to a different stratum's
     table; the first smaller stratum in id order that contains q is
-    named.
+    named.  A point of another dimension than the wall's ambient space
+    raises ValueError.
 
-    q's signs on the wall's distinct cut planes, taken in integers by
-    `_signs` after `ratmath.clear_denominators`, decide it.  When no sign
-    is zero, only the subwalls no cut plane holds (`_Decomposition.loose`)
-    can contain q, and if none does q is in the open cell with that sign
-    vector, found by lookup.  A point on some cut plane goes through
-    `_subwall_holding`, and if it is regular (on the plane of a subwall,
-    outside that subwall) it lies on the boundary of its cells, and the
-    closed subchambers are scanned for it instead.
+    q's denominators are cleared once (`ratmath.clear_denominators`),
+    and every test after that is in integers, by `Polytope.holds`: the
+    wall, q's signs on the wall's distinct cut planes (`_signs`), and
+    the subwalls.  When no sign is zero, only the subwalls no cut plane
+    holds (`_Decomposition.loose`) can contain q, and if none does q is
+    in the open cell with that sign vector, found by lookup.  A point on
+    some cut plane goes through `_subwall_holding`, and if it is regular
+    (on the plane of a subwall, outside that subwall) it lies on the
+    boundary of its cells, and the closed subchambers are scanned for it
+    instead.
     """
     wall = x.stratum(f).wall
-    if not wall.contains(q):
+    if len(q) != wall.ambient_dim:
+        raise ValueError("dimension mismatch")
+    scaled, den = clear_denominators(q)
+    if not wall.holds(scaled, den):
         raise XrayError(f"point {_fmt_point(q)} not in wall '{f}'")
     dec = _decompose(x, f)
-    signs = _signs(dec.cuts, q)
+    signs = _signs(dec.cuts, scaled, den)
     generic = 0 not in signs
     if generic:
-        g = next((g for g, sub in dec.loose if sub.contains(q)), None)
+        g = next((g for g, sub in dec.loose if sub.holds(scaled, den)), None)
     else:
-        g = _subwall_holding(dec.subwalls, signs, q)
+        g = _subwall_holding(dec.subwalls, signs, scaled, den)
     if g is not None:
         raise SingularLevel(
             f"point {_fmt_point(q)} lies on subwall '{g}': "
@@ -445,7 +455,7 @@ def locate(x: WeightedXray, f: str, q: RatVector) -> Subchamber:
     if generic:
         return dec.chambers[dec.cell_of[signs]]
     for chamber in dec.chambers:
-        if chamber.cell.contains(q):
+        if chamber.cell.holds(scaled, den):
             return chamber
     raise XrayError(f"point {_fmt_point(q)} is in no subchamber of '{f}'")
 
@@ -520,10 +530,12 @@ def _build_edge(
     separates.  A piece known to lie on one plane (`_Decomposition`)
     tests the subwalls on it and takes dest's side as given; any other
     tests those on the planes where its rep's sign is zero (`_signs`),
-    each with the side of toward, dest's rep."""
+    each with the side of toward, dest's rep.  facet_rep's denominators
+    are cleared once here, for its signs and the subwall tests; a
+    `locate` call clears its own."""
     scaled, den = clear_denominators(facet_rep)
     if plane is None:
-        signs = _signs(dec.cuts, facet_rep)
+        signs = _signs(dec.cuts, scaled, den)
         candidates = [(g, wall, i) for g, wall, i, _ in dec.subwalls if i is not None and signs[i] == 0]
         toward_scaled, toward_den = clear_denominators(toward)
     else:

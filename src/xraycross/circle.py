@@ -12,8 +12,9 @@ A CircleFixedData indexes its components by level once, keyed by
 regular query sums the localization terms level by level into prefix
 sums, and every regular value after that is one `bisect` over the
 levels scaled to integers over their common denominator, so no
-Fraction is compared either.  Each component computes its Poincare
-crossing coefficient w_poincare(f, b) the first time it is asked for.
+Fraction is compared either.  Each component computes its crossing
+coefficients w_signature(f, b) and w_poincare(f, b) the first time
+each is asked for.
 
 from_rank1_xray is cached on the X-ray, with the prefix sums and
 crossing coefficients its components gather, and reads each weight's
@@ -25,9 +26,11 @@ cross-check every recursive wall-crossing step.  Each separator becomes
 one level-0 component built straight from its (f, b) counts, whose
 weights are sorted already.  Each wall's edges are indexed once per
 X-ray in both orientations, each separator as its lower key and the
-component of its counts, with w_poincare(f, b) set, so a call only
-reseeds each component with its two table values.  cross_check runs the whole comparison for one
-wall and reports it line by line.
+state of the component of its counts, with w_signature(f, b) and
+w_poincare(f, b) set, so a call copies each state once with its two
+table values as seeds, and wall_cross_delta computes no coefficient.
+cross_check runs the whole comparison for one wall and reports it line
+by line.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ class FixedComponent:
         across its level, per unit of seed."""
         return w_poincare(self.f, self.b)
 
+    @cached_property
+    def signature_cross(self) -> int:
+        """w_signature(f, b): the component's term in the signature
+        change across its level, per unit of seed."""
+        return w_signature(self.f, self.b)
+
     def __post_init__(self):
         if any(w == 0 for w in self.weights):
             raise ValueError("fixed-component weights must be nonzero")
@@ -88,19 +97,13 @@ class FixedComponent:
 
     @classmethod
     def _of_counts(
-        cls,
-        level: Fraction,
-        f: int,
-        b: int,
-        seed_signature: int,
-        seed_poincare: IntPolynomial,
-        poincare_cross: IntPolynomial | None = None,
+        cls, level: Fraction, f: int, b: int, seed_signature: int, seed_poincare: IntPolynomial
     ) -> "FixedComponent":
         """The component with f weights +1 and b weights -1, equal to
         FixedComponent(level, (1,) * f + (-1,) * b, ...): its weights
         (-1,) * b + (1,) * f are sorted already, so nothing is sorted or
-        counted again.  poincare_cross, when given, must be
-        w_poincare(f, b); it is then not computed again."""
+        counted again.  Its signature_cross and poincare_cross are set
+        at once."""
         out = object.__new__(cls)
         vars(out).update(
             level=level,
@@ -110,19 +113,9 @@ class FixedComponent:
             f=f,
             b=b,
             q=f + b,
+            signature_cross=w_signature(f, b),
+            poincare_cross=w_poincare(f, b),
         )
-        if poincare_cross is not None:
-            vars(out)["poincare_cross"] = poincare_cross
-        return out
-
-    def _reseeded(self, seed_signature: int, seed_poincare: IntPolynomial) -> "FixedComponent":
-        """This component with other seeds: its level, weights, counts and
-        poincare_cross, once computed, carry over unchanged."""
-        out = object.__new__(FixedComponent)
-        state = vars(out)
-        state.update(vars(self))
-        state["seed_signature"] = seed_signature
-        state["seed_poincare"] = seed_poincare
         return out
 
 
@@ -147,19 +140,6 @@ class CircleFixedData:
             by_level.setdefault((level.numerator, level.denominator), []).append(comp)
         object.__setattr__(self, "_levels", tuple(sorted(comps[0].level for comps in by_level.values())))
         object.__setattr__(self, "_by_level", {key: tuple(comps) for key, comps in by_level.items()})
-
-    @classmethod
-    def _one_level(cls, components: tuple[FixedComponent, ...]) -> "CircleFixedData":
-        """CircleFixedData(components) for components, at least one, all
-        at one level: indexed without a pass over them."""
-        out = object.__new__(cls)
-        level = components[0].level
-        vars(out).update(
-            components=components,
-            _levels=(level,),
-            _by_level={(level.numerator, level.denominator): components},
-        )
-        return out
 
     def levels(self) -> tuple[Fraction, ...]:
         return self._levels
@@ -240,7 +220,7 @@ def wall_cross_delta(data: CircleFixedData, c: Rational, ring: str):
     if ring == INTEGER:
         total = 0
         for comp in at:
-            total += w_signature(comp.f, comp.b) * comp.seed_signature
+            total += comp.signature_cross * comp.seed_signature
         return total
     if ring == INT_POLYNOMIAL:
         total = IntPolynomial.zero()
@@ -266,12 +246,8 @@ def signature_singular(data: CircleFixedData, c: Rational) -> int:
         raise XrayError(f"level {format_rational(c)} is not a wall")
     i = _count_below(data, c)
     sums = data._regular_sums[0]
-    from_below = sums[i] + sum(
-        w_signature(comp.f, comp.b) * comp.seed_signature for comp in at if comp.b >= comp.f
-    )
-    from_above = sums[i + 1] - sum(
-        w_signature(comp.f, comp.b) * comp.seed_signature for comp in at if comp.b < comp.f
-    )
+    from_below = sums[i] + sum(comp.signature_cross * comp.seed_signature for comp in at if comp.b >= comp.f)
+    from_above = sums[i + 1] - sum(comp.signature_cross * comp.seed_signature for comp in at if comp.b < comp.f)
     if from_below != from_above:
         raise PropagationError(
             f"singular signature at level {format_rational(c)} is two-faced: "
@@ -308,10 +284,15 @@ def from_rank1_xray(x) -> CircleFixedData:
 
 
 # A separator as restrict_to_line reads it: the key (g, r) of its lower
-# values, and the level-0 component of its counts with zero seeds and
-# w_poincare(f, b) set, shared by every separator with those counts,
-# which each call reseeds with those values.
-_Leg = tuple[tuple[str, int], FixedComponent]
+# values, and the state (`vars`) of the level-0 component of its counts
+# with zero seeds and both crossing coefficients set, shared by every
+# separator with those counts, which each call copies with those values
+# as seeds.
+_Leg = tuple[tuple[str, int], dict]
+
+# The levels of a restricted circle, and the key of level 0 in its index.
+_ZERO_LEVELS = (ZERO,)
+_ZERO_KEY = (ZERO.numerator, ZERO.denominator)
 
 
 def restrict_to_line(
@@ -358,7 +339,7 @@ def _oriented_edges(x, f: str) -> dict[tuple[int, int], tuple[tuple[tuple, tuple
     key = ("oriented edges", f)
     index = x._cache.get(key)
     if index is None:
-        shapes: dict[tuple[int, int], FixedComponent] = {}
+        shapes: dict[tuple[int, int], dict] = {}
         grouped: dict[tuple[int, int], list] = {}
         for edge in crossing_graph(x, f).edges:
             for e in (edge, edge.reversed()):
@@ -368,24 +349,33 @@ def _oriented_edges(x, f: str) -> dict[tuple[int, int], tuple[tuple[tuple, tuple
 
 
 def _edge_legs(edge: CrossingEdge, shapes: dict) -> tuple[_Leg, ...]:
-    """edge's separators as legs, each component read from shapes, a
-    dict by (f, b) filled as needed."""
+    """edge's separators as legs, each component's state read from
+    shapes, a dict by (f, b) filled as needed."""
     legs = []
     for sep in edge.separators:
         fb = (sep.f, sep.b)
         shape = shapes.get(fb)
         if shape is None:
-            shape = shapes[fb] = FixedComponent._of_counts(
-                ZERO, sep.f, sep.b, 0, IntPolynomial.zero(), w_poincare(sep.f, sep.b)
-            )
+            shape = shapes[fb] = vars(FixedComponent._of_counts(ZERO, sep.f, sep.b, 0, IntPolynomial.zero()))
         legs.append(((sep.g, sep.r), shape))
     return tuple(legs)
 
 
 def _circle(legs: tuple[_Leg, ...], sig_table: InvariantTable, poin_table: InvariantTable) -> CircleFixedData:
-    """One level-0 component per leg, seeded with the leg's lower values."""
+    """One level-0 component per leg, seeded with the leg's lower values:
+    each is one copy of its shape's state with the two seeds replaced,
+    and the one-level CircleFixedData is built with its index."""
     sigs, poins = sig_table.values, poin_table.values
-    return CircleFixedData._one_level(tuple(comp._reseeded(sigs[key], poins[key]) for key, comp in legs))
+    new = object.__new__
+    components = []
+    for key, shape in legs:
+        comp = new(FixedComponent)
+        vars(comp).update(shape, seed_signature=sigs[key], seed_poincare=poins[key])
+        components.append(comp)
+    components = tuple(components)
+    data = new(CircleFixedData)
+    vars(data).update(components=components, _levels=_ZERO_LEVELS, _by_level={_ZERO_KEY: components})
+    return data
 
 
 def cross_check(x, f: str, sig: InvariantTable, poin: InvariantTable) -> Report:

@@ -26,7 +26,10 @@ polynomial.
 The checks and `serialize_table` read the tables in sorted key order.
 That order, the check-line names and the serialized row heads (stratum,
 subchamber, formatted rep) depend on the X-ray alone and are cached on
-it too; a table with any other key set is sorted as it stands.
+it too; a table with any other key set is sorted as it stands.  So is
+each table check's seed-hypothesis verdict, which reads the vertex
+seeds alone; the reports themselves are built on every call, each
+check line one tuple.
 
 Argument convention used everywhere: the first argument f counts
 weights pointing toward the destination chamber, the second b counts
@@ -39,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .arrangement import EXTERIOR, CrossingGraph, crossing_graph, subchambers
 from .errors import PropagationError
@@ -107,19 +110,14 @@ class InvariantTable:
         return self.values[(stratum, chamber)]
 
 
-@dataclass(frozen=True)
-class CheckLine:
+class CheckLine(NamedTuple):
+    """One line of a report.  A line is one tuple, with no instance dict,
+    so the thousands a re-query's table checks build are cheap to make
+    and to collect; like a frozen record, its fields cannot be set."""
+
     name: str
     passed: bool
     detail: str = ""
-
-    @classmethod
-    def _of(cls, name: str, passed: bool, detail: str) -> "CheckLine":
-        """CheckLine(name, passed, detail), its fields set without the
-        frozen __init__'s three object.__setattr__ calls."""
-        out = object.__new__(cls)
-        vars(out).update(name=name, passed=passed, detail=detail)
-        return out
 
 
 @dataclass(frozen=True)
@@ -373,13 +371,24 @@ def check_seeds(x: WeightedXray) -> Report:
 def _gate(x: WeightedXray, title: str, ident: _Identity) -> Report | None:
     """The one-line failing report of the check titled title when some
     vertex seed breaks ident, naming the first such vertex and how; None
-    when every seed satisfies it."""
+    when every seed satisfies it.  The scan reads the seeds alone, so
+    its verdict (the line's detail, or None) is cached on x under
+    ("seed gate", ident's name); the report is built anew on each call."""
+    key = ("seed gate", ident.name)
+    try:
+        detail = x._cache[key]
+    except KeyError:
+        detail = x._cache[key] = _unmet(x, ident)
+    return None if detail is None else Report(title, (CheckLine("hypothesis", False, detail),))
+
+
+def _unmet(x: WeightedXray, ident: _Identity) -> str | None:
+    """How the first vertex seed that breaks ident breaks it, or None."""
     numbers, holds = ident.numbers, ident.holds
     for vid, seeds in _seeds(x):
         n = numbers(*seeds)
         if not holds(*n):
-            detail = f"hypothesis not met: vertex '{vid}' {ident.why.format(*n)}"
-            return Report(title, (CheckLine("hypothesis", False, detail),))
+            return f"hypothesis not met: vertex '{vid}' {ident.why.format(*n)}"
     return None
 
 
@@ -416,28 +425,37 @@ def _heads(x: WeightedXray, values: Mapping, kind, head: Callable) -> tuple[tupl
     return order, heads
 
 
-def _table_lines(x: WeightedXray, label: str, ident: _Identity, sig: InvariantTable, poin=None, euler=None) -> tuple[CheckLine, ...]:
+def _table_lines(x: WeightedXray, label: str, ident: _Identity, sig: InvariantTable, other: InvariantTable) -> tuple[CheckLine, ...]:
     """ident's line `<label> <sid>/<c>` for every entry of sig, in key
-    order, reading the Poincare and Euler tables given (only the one
-    ident reads is).  Every entry is judged on every call, but entries
-    with equal values, as most are, share one verdict: verdicts are
-    keyed by (signature, Poincare coefficients, Euler)."""
+    order, reading other, the Poincare table for `signature = P(i)` and
+    the Euler table for parity.  Every entry is judged on every call,
+    but entries with equal values, as most are, share one verdict:
+    verdicts are keyed by (signature, Poincare coefficients) or by
+    (signature, Euler), one loop for each kind."""
     order, names = _heads(x, sig.values, ("check names", label), lambda x, key: f"{label} {key[0]}/{key[1]}")
-    sigs = sig.values
-    poins = None if poin is None else poin.values
-    eulers = None if euler is None else euler.values
+    sigs, others = sig.values, other.values
+    judge = ident.verdict
     shown: dict[tuple, tuple[bool, str]] = {}
-    line = CheckLine._of
+    # each line is made as the tuple it is, without the Python-level
+    # __new__ that NamedTuple generates
+    new = tuple.__new__
     lines = []
-    for key, name in zip(order, names):
-        s = sigs[key]
-        p = None if poins is None else poins[key]
-        e = None if eulers is None else eulers[key]
-        seen = (s, None if p is None else p.coeffs, e)
-        verdict = shown.get(seen)
-        if verdict is None:
-            verdict = shown[seen] = ident.verdict(s, p, e)
-        lines.append(line(name, *verdict))
+    if ident is _AT_I:
+        for key, name in zip(order, names):
+            s, p = sigs[key], others[key]
+            seen = (s, p.coeffs)
+            verdict = shown.get(seen)
+            if verdict is None:
+                verdict = shown[seen] = judge(s, p, None)
+            lines.append(new(CheckLine, (name,) + verdict))
+    else:
+        for key, name in zip(order, names):
+            s, e = sigs[key], others[key]
+            seen = (s, e)
+            verdict = shown.get(seen)
+            if verdict is None:
+                verdict = shown[seen] = judge(s, None, e)
+            lines.append(new(CheckLine, (name,) + verdict))
     return tuple(lines)
 
 
@@ -450,13 +468,13 @@ def check_sig_equals_poincare_at_i(
     hypothesis short-circuit to a single explanatory line.
     """
     title = "signature = P(i)"
-    return _gate(x, title, _AT_I) or Report(title, _table_lines(x, "P(i)", _AT_I, sig, poin=poin))
+    return _gate(x, title, _AT_I) or Report(title, _table_lines(x, "P(i)", _AT_I, sig, poin))
 
 
 def check_parity(x: WeightedXray, sig: InvariantTable, euler: InvariantTable) -> Report:
     """Signature and Euler characteristic agree mod 2 on every subchamber,
     provided every vertex seed pair does."""
-    return _gate(x, "parity", _PARITY) or Report("parity", _table_lines(x, "parity", _PARITY, sig, euler=euler))
+    return _gate(x, "parity", _PARITY) or Report("parity", _table_lines(x, "parity", _PARITY, sig, euler))
 
 
 def check_dim4_positivity(

@@ -19,7 +19,7 @@ from xraycross.exactgeom import (
     span_hyperplane,
 )
 from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, save_xray
-from xraycross.ratmath import as_vec, format_rational, sign, vdot
+from xraycross.ratmath import as_vec, clear_denominators, format_rational, sign, vdot
 from xraycross.xray import stratum_weights_in
 from conftest import CP4_ROWS, NCP4_ROWS, seeded_rows, vertices_below
 from test_exactgeom import centroid, relative_interior_contains
@@ -337,6 +337,20 @@ def test_locate_matches_scan(cp3, cp4, ncp4, toric_triangle, unit_square, segmen
     assert kinds == {"regular", "on a cut plane", SingularLevel, XrayError}
 
 
+@pytest.mark.parametrize("name", ["cp3", "cp4", "ncp4"])
+def test_locate_rejects_a_point_of_another_dimension(request, name):
+    """locate clears q's denominators itself, but a point with more or
+    fewer coordinates than the wall's ambient space still raises the
+    ValueError `Polytope.contains` raises for it."""
+    x = request.getfixturevalue(name)
+    rep = subchambers(x, x.top_id)[0].rep
+    for q in (rep + (Fraction(1, 3),), rep[:-1]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            x.stratum(x.top_id).wall.contains(q)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            locate(x, x.top_id, q)
+
+
 @pytest.mark.parametrize("name", ["cp4", "ncp4", "seeded3"])
 def test_locate_by_sign_vector_tests_no_chamber(monkeypatch, request, name):
     """A point on no cut plane is placed by its sign vector: locate tests
@@ -345,11 +359,11 @@ def test_locate_by_sign_vector_tests_no_chamber(monkeypatch, request, name):
     is off, nor a chamber."""
     x = random_cpn(3, 4, 0) if name == "seeded3" else request.getfixturevalue(name)
     tested = []
-    contains = Polytope.contains
+    holds = Polytope.holds
 
-    def recording(self, point):
+    def recording(self, scaled, den):
         tested.append(self)
-        return contains(self, point)
+        return holds(self, scaled, den)
 
     hits = 0
     for f in x.ids:
@@ -370,7 +384,7 @@ def test_locate_by_sign_vector_tests_no_chamber(monkeypatch, request, name):
                 continue
             tested.clear()
             with monkeypatch.context() as m:
-                m.setattr(Polytope, "contains", recording)
+                m.setattr(Polytope, "holds", recording)
                 assert locate(x, f, chamber.rep) is chamber
             assert tested == expected
             hits += 1
@@ -637,7 +651,7 @@ def test_merge_test_reads_facet_sign_vectors(monkeypatch, make):
             for cell, bit in own:
                 signs = list(ref.signs[cell])
                 signs[arrangement._facet_cut(bit, nfacets)] = 0
-                assert tuple(signs) == arrangement._signs(cuts, mid)
+                assert tuple(signs) == arrangement._signs(cuts, *clear_denominators(mid))
             holding = {g for g in x.below(f) if x.stratum(g).wall.contains(mid)}
             assert holding <= tried.get((f, mid), set()), (f, mid)
             facets += 1
@@ -676,7 +690,7 @@ def crossing_graph_by_scan(x, f):
     dec = arrangement._decompose(x, f)
     edges = []
     for source, dest, rep, _, _ in dec.pieces:
-        signs = arrangement._signs(dec.cuts, rep)
+        signs = arrangement._signs(dec.cuts, *clear_denominators(rep))
         separators = []
         for g, wall, i, _ in dec.subwalls:
             if i is None or signs[i] != 0 or not wall.contains(rep):
@@ -734,8 +748,8 @@ def test_crossing_graph_matches_edge_by_edge_scan(make):
             assert graph_outcome(crossing_graph, x, f) == graph_outcome(crossing_graph_by_scan, x, f), f
         for _, dest, rep, plane, side in dec.pieces:
             if plane is not None:
-                assert [i for i, s in enumerate(arrangement._signs(dec.cuts, rep)) if s == 0] == [plane]
-                assert arrangement._signs(dec.cuts, dec.chambers[dest].rep)[plane] == side
+                assert [i for i, s in enumerate(arrangement._signs(dec.cuts, *clear_denominators(rep))) if s == 0] == [plane]
+                assert arrangement._signs(dec.cuts, *clear_denominators(dec.chambers[dest].rep))[plane] == side
 
 
 def test_crossing_graph_reads_every_kind_of_piece():
@@ -840,7 +854,8 @@ def locate_through_subwall_scan(x, f, q):
     if not x.stratum(f).wall.contains(q):
         raise XrayError(f"point {point} not in wall '{f}'")
     dec = arrangement._decompose(x, f)
-    g = arrangement._subwall_holding(dec.subwalls, arrangement._signs(dec.cuts, q), q)
+    scaled, den = clear_denominators(q)
+    g = arrangement._subwall_holding(dec.subwalls, arrangement._signs(dec.cuts, scaled, den), scaled, den)
     if g is not None:
         raise SingularLevel(f"point {point} lies on subwall '{g}': singular point of this wall; query a smaller stratum")
     for chamber in dec.chambers:
@@ -879,7 +894,7 @@ def test_locate_off_every_plane_matches_subwall_scan(make):
         dec = arrangement._decompose(x, f)
         points = probe_points(x, f, rng) + [centroid(sub.vertices) for _, sub in dec.loose]
         for q in points:
-            if 0 in arrangement._signs(dec.cuts, q):
+            if 0 in arrangement._signs(dec.cuts, *clear_denominators(q)):
                 continue
             got = outcome(locate, x, f, q)
             assert got == outcome(locate_through_subwall_scan, x, f, q), (f, q)

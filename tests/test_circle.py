@@ -3,7 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xraycross import circle
@@ -584,6 +584,59 @@ def test_edge_circle_equals_public_construction(d, n, seed, grid):
                 assert wall_cross_delta(got, 0, ring) == wall_cross_delta(want, Fraction(0), ring)
             edges += 1
     assert edges > 0
+
+
+@st.composite
+def restriction_inputs(draw):
+    """(d, n, seed, grid) of a seeded CP^n projection at d in {2, 3}, on
+    a small grid or not."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=d + 1, max_value={2: 5, 3: 4}[d]))
+    grid = draw(st.sampled_from([None] + [g for g in (1, 2, 3) if (g + 1) ** d >= n + 1]))
+    return d, n, draw(st.integers(min_value=0, max_value=10**6)), grid
+
+
+@settings(deadline=None, max_examples=20)
+@given(restriction_inputs())
+def test_restrict_to_line_matches_counts_reference(args):
+    """On every edge of every wall, in both orientations, the circle
+    restrict_to_line builds from the X-ray's cached edge index has the
+    components of a reference: FixedComponent._of_counts of each
+    separator's (f, b), reseeded through `dataclasses.replace` with its
+    lower values, compared field by field with the counts and both
+    crossing coefficients.  Both wall_cross_deltas at 0 equal the sum
+    of w(f, b) times the seed over the separators."""
+    d, n, seed, grid = args
+    x = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
+    sig, poin = engine_tables(x)
+    for f in x.ids:
+        if x.dim(f) == 0:
+            continue
+        for edge in crossing_graph(x, f).edges:
+            for e in (edge, edge.reversed()):
+                data = restrict_to_line(x, f, e.source, e.dest, sig_table=sig, poin_table=poin, facet_rep=e.facet_rep)
+                seeds = [(sig.value(s.g, s.r), poin.value(s.g, s.r)) for s in e.separators]
+                want = [
+                    replace(FixedComponent._of_counts(Fraction(0), s.f, s.b, 0, IntPolynomial.zero()), seed_signature=a, seed_poincare=p)
+                    for s, (a, p) in zip(e.separators, seeds)
+                ]
+                assert len(data.components) == len(want)
+                for got, ref in zip(data.components, want):
+                    assert type(got) is FixedComponent
+                    assert (got.level, got.weights, got.seed_signature, got.seed_poincare) == (
+                        ref.level,
+                        ref.weights,
+                        ref.seed_signature,
+                        ref.seed_poincare,
+                    )
+                    assert (got.f, got.b, got.q) == (ref.f, ref.b, ref.q)
+                    assert got.poincare_cross == ref.poincare_cross == w_poincare(ref.f, ref.b)
+                    assert got.signature_cross == ref.signature_cross == w_signature(ref.f, ref.b)
+                assert data.levels() == (Fraction(0),) and data.at_level(0) == data.components
+                assert wall_cross_delta(data, 0, INTEGER) == sum(w_signature(s.f, s.b) * a for s, (a, _) in zip(e.separators, seeds))
+                assert wall_cross_delta(data, 0, INT_POLYNOMIAL) == sum(
+                    (w_poincare(s.f, s.b) * p for s, (_, p) in zip(e.separators, seeds)), IntPolynomial.zero()
+                )
 
 
 def fresh(x):

@@ -288,6 +288,34 @@ def test_hypothesis_lines_in_full(request, name, seed):
             ]
 
 
+@pytest.mark.parametrize("seed", sorted(SEED_BREAKS))
+def test_failing_seed_gate_reports_afresh_on_every_call(cp3, seed):
+    """The seed-hypothesis scan is made once per X-ray, but a failing
+    gate still returns a new one-line report on each call: two calls
+    give equal reports that are distinct objects, as are their lines
+    and line tuples."""
+    value, expected = SEED_BREAKS[seed]
+    doc = to_interchange(cp3)
+    doc["vertex_data"]["v2"][seed] = value
+    broken = from_interchange(doc)
+    checks = {
+        "signature = P(i)": lambda: check_sig_equals_poincare_at_i(broken, None, None),
+        "parity": lambda: check_parity(broken, None, None),
+        "dimension-4 positivity": lambda: check_dim4_positivity(broken, None, None),
+    }
+    failing = 0
+    for title, check in checks.items():
+        if expected[title] is None:
+            continue
+        first, second = check(), check()
+        want = Report(title, (CheckLine("hypothesis", False, expected[title]),))
+        assert first == second == want
+        assert first is not second and first.lines is not second.lines
+        assert first.lines[0] is not second.lines[0]
+        failing += 1
+    assert failing >= 2
+
+
 FIXTURES = ["cp3", "cp4", "ncp4", "toric_triangle", "unit_square"]
 IDENTITY_NAMES = ["signature = P(i)", "euler = P(-1)", "signature = euler (mod 2)"]
 
@@ -747,17 +775,27 @@ def test_lopsided_after_other_specs_keeps_its_message(request, name, message):
     assert propagate(x, SIGNATURE).values == propagate(fresh(x), SIGNATURE).values
 
 
-def test_fast_check_line_equals_constructed(cp4):
-    """CheckLine._of builds the same value as CheckLine(...): equal, with
-    the same hash and repr, and still frozen."""
-    for args in (("P(i) top/0", True, "signature 1, P(i) = 1+0i"), ("parity v1/0", False, ""), ("x", True, "")):
-        fast, built = CheckLine._of(*args), CheckLine(*args)
-        assert fast == built and hash(fast) == hash(built) and repr(fast) == repr(built)
+def test_check_line_contract(cp4):
+    """A check line keeps its record contract: the same three attribute
+    names, `detail` defaulting to "", a dataclass-style repr, no
+    assignment, and the lines a check builds equal, with the same hash,
+    to lines built by the constructor."""
+    line = CheckLine("P(i) top/0", True, "signature 1, P(i) = 1+0i")
+    assert repr(line) == "CheckLine(name='P(i) top/0', passed=True, detail='signature 1, P(i) = 1+0i')"
+    assert (line.name, line.passed, line.detail) == ("P(i) top/0", True, "signature 1, P(i) = 1+0i")
+    assert CheckLine._fields == ("name", "passed", "detail")
+    assert CheckLine("x", False).detail == ""
+    assert CheckLine("x", False) == CheckLine("x", False, "")
+    assert not hasattr(line, "__dict__")
+    for field in CheckLine._fields:
         with pytest.raises(AttributeError):
-            fast.passed = not fast.passed
+            setattr(line, field, None)
     x = fresh(cp4)
-    sig, euler = propagate(x, SIGNATURE), propagate(x, EULER)
-    for line in check_parity(x, sig, euler).lines:
+    sig, poin, euler = (propagate(x, spec) for spec in (SIGNATURE, POINCARE, EULER))
+    lines = check_parity(x, sig, euler).lines + check_sig_equals_poincare_at_i(x, sig, poin).lines
+    assert lines
+    for line in lines:
+        assert type(line) is CheckLine
         built = CheckLine(line.name, line.passed, line.detail)
         assert line == built and hash(line) == hash(built) and repr(line) == repr(built)
 

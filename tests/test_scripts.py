@@ -115,10 +115,12 @@ def test_query_gate_passes():
 
 
 def test_ab_inproc_passes():
-    """Two imports of this tree on a two-op mix: every stage gets a ratio
-    line, and the two copies agree on every output."""
+    """Two imports of this tree on two ops of the checked-load mix and of
+    the query pass: every stage gets a ratio line, and the two copies
+    agree on every output."""
     src = str(ROOT / "src")
     lines = run_script("ab_inproc.py", src, src, "--ops", "2", "--rounds", "2")
+    assert lines[0].startswith("checked-load: 2 ops x 2 rounds")
     stages = [line.split()[0] for line in lines[1:-1]]
     assert stages == [
         "generate",
@@ -129,3 +131,7 @@ def test_ab_inproc_passes():
         "validate_darboux",
         "op",
     ]
+    lines = run_script("ab_inproc.py", src, src, "--workload", "query", "--ops", "2", "--rounds", "2")
+    assert lines[0].startswith("query: 2 ops x 2 rounds")
+    stages = [line.split()[0] for line in lines[1:-1]]
+    assert stages == ["tables", "checks", "serialize", "circle", "locate", "op"]
