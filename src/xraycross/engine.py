@@ -8,16 +8,19 @@ Propagation therefore runs bottom-up in wall dimension, seeding vertex
 strata and breadth-first-filling each crossing graph from its exterior
 node; every edge the walk did not cross forward is then re-checked, so
 a path-dependent input cannot produce a silently wrong table.  The walk
-depends on the X-ray alone, so it is compiled once per X-ray into a
-propagation plan cached on it: the strata in (dim, id) order and, for
-each wall, its steps and re-check edges, each carrying its separators
-already oriented as ((g, r), f, b) terms.  Each spec propagated on the
-X-ray then weighs that plan once, into a spec plan cached beside it:
-every term becomes ((g, r), w(f, b)), each w computed once per X-ray
-and spec, and terms with a zero coefficient are dropped unless their
-lower key, checked wall by wall in walk order, is missing.  A
-propagate call only looks lower values up, multiplies and sums; every
-re-check edge still recomputes its sum and compares it on every call.
+depends on the X-ray alone, so it is compiled once per X-ray into one
+propagation plan cached on it, which every spec walks: the distinct
+oriented count pairs (f, b) its crossings meet, each stored once, and
+the strata in (dim, id) order with, for each wall, its steps and
+re-check edges, each carrying its separators already oriented as
+((g, r), i) terms, i indexing the pairs.  Beside the plan, each spec
+propagated on the X-ray caches one tuple of its crossing
+coefficients, w(f, b) for each pair in order, so each w is computed
+once per X-ray and spec.  A propagate call only looks lower values up,
+multiplies and sums: it looks every term's lower value up, so a
+missing one raises where the walk meets it, and multiplies only by a
+nonzero w.  Every re-check edge still recomputes its sum and compares
+it on every call.
 No sum is padded with zeros: a crossing sum starts from its first
 product, and `IntPolynomial` returns the operand itself for p + 0 and
 p * 1, so the many crossings that leave a value unchanged build no new
@@ -130,22 +133,25 @@ class Report:
         return all(line.passed for line in self.lines)
 
 
-def _edge_delta(values, terms: tuple[tuple[tuple[str, int], object], ...], zero):
+def _edge_delta(values, terms: tuple[tuple[tuple[str, int], int], ...], crossings: tuple, zero):
     """The change in a spec's value across one oriented crossing: the
-    sum of w times the lower value of (g, r) over its ((g, r), w) terms,
-    read off a spec plan.  The sum starts from the first product, and
-    zero is returned only when the crossing has no terms.  A missing
-    lower value raises; the spec plan keeps every term whose key it
-    found missing, whatever its w."""
+    sum of w times the lower value of (g, r) over its ((g, r), i) terms,
+    w being crossings[i], the spec's coefficient for the plan's i-th
+    (f, b) pair.  Every term's lower value is looked up, so a missing
+    one raises wherever the walk meets it, even where w is 0; only
+    nonzero w are multiplied and summed.  The sum starts from the first
+    product, and zero is returned when every w is 0."""
     total = None
-    for key, w in terms:
+    for key, i in terms:
         try:
             lower = values[key]
         except KeyError:
             raise PropagationError(
                 f"missing lower value for subchamber {key[1]} of '{key[0]}'"
             ) from None
-        total = w * lower if total is None else total + w * lower
+        w = crossings[i]
+        if w:
+            total = w * lower if total is None else total + w * lower
     return zero if total is None else total
 
 
@@ -163,8 +169,8 @@ class _WallPlan:
                sum by construction.
     chambers:  the wall's subchamber indices, ascending.
 
-    In the propagation plan a term is ((g, r), f, b); in a spec plan it
-    is ((g, r), w(f, b)), kept when w is nonzero or (g, r) is missing.
+    A term is ((g, r), i): the separator's lower key and the index, in
+    the plan's pairs, of its (f, b) counts oriented as the term is.
     """
 
     steps: tuple[tuple[int, int, tuple], ...]
@@ -173,10 +179,30 @@ class _WallPlan:
     chambers: tuple[int, ...]
 
 
-def _wall_plan(graph: CrossingGraph) -> _WallPlan:
+class _Plan(NamedTuple):
+    """The propagation plan of an X-ray.
+
+    pairs:  every distinct oriented (f, b) its terms cross, each once,
+            in the order the walk first meets it.
+    strata: every stratum in (dim, id) order with its wall's walk (None
+            for a vertex).
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    strata: tuple[tuple[str, _WallPlan | None], ...]
+
+
+def _wall_plan(graph: CrossingGraph, pairs: dict[tuple[int, int], int]) -> _WallPlan:
     """The walk of one crossing graph, each node's neighbours taken in
-    node order."""
-    forward = [tuple(((sep.g, sep.r), sep.f, sep.b) for sep in edge.separators) for edge in graph.edges]
+    node order; each (f, b) a term crosses is indexed in pairs, a new
+    one at the end."""
+
+    def terms(i: int, backward: bool) -> tuple:
+        return tuple(
+            ((sep.g, sep.r), pairs.setdefault((sep.b, sep.f) if backward else (sep.f, sep.b), len(pairs)))
+            for sep in graph.edges[i].separators
+        )
+
     oriented: dict[int, list[tuple[int, int, bool]]] = {node: [] for node in graph.nodes}
     for i, edge in enumerate(graph.edges):
         oriented[edge.source].append((edge.dest, i, False))
@@ -190,79 +216,47 @@ def _wall_plan(graph: CrossingGraph) -> _WallPlan:
         for dest, i, backward in sorted(oriented[node], key=lambda step: step[0]):
             if dest not in seen:
                 seen.add(dest)
-                if backward:
-                    steps.append((node, dest, tuple((key, b, f) for key, f, b in forward[i])))
-                else:
-                    steps.append((node, dest, forward[i]))
+                steps.append((node, dest, terms(i, backward)))
+                if not backward:
                     crossed.add(i)
                 queue.append(dest)
     return _WallPlan(
         tuple(steps),
         tuple(node for node in graph.nodes if node not in seen),
-        tuple((edge.source, edge.dest, forward[i]) for i, edge in enumerate(graph.edges) if i not in crossed),
+        tuple((edge.source, edge.dest, terms(i, False)) for i, edge in enumerate(graph.edges) if i not in crossed),
         tuple(sorted(node for node in graph.nodes if node != EXTERIOR)),
     )
 
 
-def _plan(x: WeightedXray) -> tuple[tuple[str, _WallPlan | None], ...]:
-    """Every stratum in (dim, id) order with its wall's walk (None for a
-    vertex), cached on the X-ray: it depends on the crossing graphs
-    alone, so every spec propagated on x shares it."""
+def _plan(x: WeightedXray) -> _Plan:
+    """x's propagation plan, cached on the X-ray: it depends on the
+    crossing graphs alone, so every spec propagated on x shares it."""
     plan = x._cache.get("propagation plan")
     if plan is None:
-        plan = tuple(
-            (sid, _wall_plan(crossing_graph(x, sid)) if x.dim(sid) else None)
+        pairs: dict[tuple[int, int], int] = {}
+        strata = tuple(
+            (sid, _wall_plan(crossing_graph(x, sid), pairs) if x.dim(sid) else None)
             for sid in sorted(x.ids, key=lambda s: (x.dim(s), s))
         )
-        x._cache["propagation plan"] = plan
+        plan = x._cache["propagation plan"] = _Plan(tuple(pairs), strata)
     return plan
 
 
-def _spec_plan(x: WeightedXray, spec: RecursiveInvariantSpec) -> tuple[tuple[str, _WallPlan | None], ...]:
-    """x's propagation plan weighed for spec, cached on x under
-    ("spec plan", spec): each term's (f, b) becomes w(f, b), computed
-    once per distinct (f, b), and terms with w = 0 are dropped.
-
-    Whether each term's lower key will be present is decided here, wall
-    by wall in walk order; a term whose key is missing is kept whatever
-    its w, so that a propagate call raises for it at the crossing where
-    a walk that looked every key up would."""
-    key = ("spec plan", spec)
-    plan = x._cache.get(key)
-    if plan is not None:
-        return plan
-    crossings: dict[tuple[int, int], object] = {}
-    known: set[tuple[str, int]] = set()
-
-    def weigh(edges):
-        weighed = []
-        for source, dest, terms in edges:
-            kept = []
-            for lower, f, b in terms:
-                w = crossings.get((f, b))
-                if w is None:
-                    w = crossings[(f, b)] = spec.wall_cross(f, b)
-                if w or lower not in known:
-                    kept.append((lower, w))
-            weighed.append((source, dest, tuple(kept)))
-        return tuple(weighed)
-
-    plan = []
-    for sid, wall in _plan(x):
-        if wall is None:
-            known.add((sid, 0))
-            plan.append((sid, None))
-            continue
-        plan.append((sid, _WallPlan(weigh(wall.steps), wall.unreached, weigh(wall.recheck), wall.chambers)))
-        known.update((sid, c) for c in wall.chambers)
-    plan = x._cache[key] = tuple(plan)
-    return plan
+def _crossings(x: WeightedXray, spec: RecursiveInvariantSpec, plan: _Plan) -> tuple:
+    """spec.wall_cross(f, b) for each of the plan's pairs, in order,
+    cached on x under ("crossings", spec): each w is computed once per
+    X-ray and spec."""
+    key = ("crossings", spec)
+    crossings = x._cache.get(key)
+    if crossings is None:
+        crossings = x._cache[key] = tuple(spec.wall_cross(f, b) for f, b in plan.pairs)
+    return crossings
 
 
 def rechecked_edges(x: WeightedXray) -> int:
     """How many crossing-graph edges the cycle check recomputes on each
     propagate call over x: every edge the walk does not cross forward."""
-    return sum(len(wall.recheck) for _, wall in _plan(x) if wall is not None)
+    return sum(len(wall.recheck) for _, wall in _plan(x).strata if wall is not None)
 
 
 def propagate(x: WeightedXray, spec: RecursiveInvariantSpec) -> InvariantTable:
@@ -271,21 +265,23 @@ def propagate(x: WeightedXray, spec: RecursiveInvariantSpec) -> InvariantTable:
     Requires an X-ray that passes the validators; on inconsistent input
     the cycle check aborts rather than return a path-dependent table.
     """
+    plan = _plan(x)
+    crossings = _crossings(x, spec, plan)
     zero = spec.zero()
     values: dict[tuple[str, int], object] = {}
-    for sid, wall in _spec_plan(x, spec):
+    for sid, wall in plan.strata:
         if wall is None:
             values[(sid, 0)] = spec.seed(x.stratum(sid).vertex_data)
             continue
         level: dict[int, object] = {EXTERIOR: zero}
         for node, dest, terms in wall.steps:
-            level[dest] = level[node] + _edge_delta(values, terms, zero)
+            level[dest] = level[node] + _edge_delta(values, terms, crossings, zero)
         if wall.unreached:
             raise PropagationError(
                 f"wall '{sid}': subchambers {list(wall.unreached)} unreachable from the exterior"
             )
         for source, dest, terms in wall.recheck:
-            expected = _edge_delta(values, terms, zero)
+            expected = _edge_delta(values, terms, crossings, zero)
             # dest - source == expected, tested without forming the
             # difference: most crossings leave the value unchanged, and
             # then the sum is level[source] itself
@@ -401,7 +397,7 @@ def _table_keys(x: WeightedXray) -> tuple[frozenset, tuple[tuple[str, int], ...]
         plan = x._cache.get("propagation plan")
         if plan is None:
             return None
-        keys = [(sid, c) for sid, wall in plan for c in (wall.chambers if wall else (0,))]
+        keys = [(sid, c) for sid, wall in plan.strata for c in (wall.chambers if wall else (0,))]
         out = x._cache["table keys"] = (frozenset(keys), tuple(sorted(keys)))
     return out
 

@@ -84,10 +84,6 @@ def vdot(a: RatVector, b: RatVector) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
 
 
-def is_zero_vector(v: RatVector) -> bool:
-    return all(x == 0 for x in v)
-
-
 def clear_denominators(v: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """(P, D) with v == P / D: D > 0 is the lcm of v's denominators and
     P the integer numerators over it.  A sign test a . v <= b on an
@@ -196,18 +192,6 @@ def int_rref(rows: Iterable[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...]
     if d < 0:
         g = -g
     return tuple([tuple([x // g for x in row]) for row in top]), d // g, tuple(pivots)
-
-
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[RatVector, ...], tuple[int, ...]]:
-    """Reduced row echelon form: (nonzero rows, pivot columns).
-
-    The returned rows are a canonical basis of the row space, so two
-    inputs spanning the same subspace produce identical output.  The
-    elimination runs in integers (`int_rref`); each entry is divided by
-    the common denominator once, at the end.
-    """
-    reduced, den, pivots = int_rref(_integer_rows(rows))
-    return tuple(tuple(Fraction(x, den) for x in row) for row in reduced), pivots
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:

@@ -675,11 +675,12 @@ def test_engine_matches_reference_on_seeded_cpn(args):
 
 @pytest.mark.parametrize("name", ["cp3", "cp4", "ncp4", "seeded3"])
 def test_propagation_plan_is_built_once_per_xray(monkeypatch, request, name):
-    """The first propagate reads each wall's crossing graph once; later
-    ones, with any spec, read none.  A spec computes w(f, b) exactly
-    once per distinct (f, b) the walk crosses, on its first call on the
-    X-ray, and never again: a second call computes none and gives the
-    same values."""
+    """Every spec walks one plan per X-ray: the first propagate reads
+    each wall's crossing graph once, and later ones, with any spec,
+    read none and find the same plan.  The plan holds each oriented
+    (f, b) its terms cross once, and a spec computes w(f, b) exactly
+    once per such pair, on its first call on the X-ray, and never
+    again.  No per-spec copy of the plan is kept."""
     x = fresh(cpn_xray(4, seeded_rows(3, 4, 0)) if name == "seeded3" else request.getfixturevalue(name))
     graphs = []
 
@@ -691,38 +692,38 @@ def test_propagation_plan_is_built_once_per_xray(monkeypatch, request, name):
     propagate(x, SIGNATURE)
     assert sorted(graphs) == sorted(f for f in x.ids if x.dim(f) > 0)
     graphs.clear()
-    crossings = Counter()
-
-    def counting_cross(f, b):
-        crossings[(f, b)] += 1
-        return f - b
-
-    clone = RecursiveInvariantSpec("euler-clone", "INTEGER", counting_cross, lambda vd: vd.seed_euler)
-    walked = {
-        (f, b)
-        for _, wall in engine._plan(x)
+    plan = engine._plan(x)
+    pairs = plan.pairs
+    assert pairs and len(set(pairs)) == len(pairs)
+    used = {
+        pairs[i]
+        for _, wall in plan.strata
         if wall is not None
         for edges in (wall.steps, wall.recheck)
         for _, _, terms in edges
-        for _, f, b in terms
+        for _, i in terms
     }
+    assert used == set(pairs)
+    # every edge is crossed forward by the walk or by the cycle check
+    forward = {(s.f, s.b) for f in x.ids if x.dim(f) for e in crossing_graph(x, f).edges for s in e.separators}
+    assert forward <= used <= forward | {(b, f) for f, b in forward}
+
+    def counting_clone(crossings):
+        def cross(f, b):
+            crossings[(f, b)] += 1
+            return f - b
+
+        return RecursiveInvariantSpec("euler-clone", "INTEGER", cross, lambda vd: vd.seed_euler)
+
+    counts = (Counter(), Counter())
+    clones = tuple(counting_clone(c) for c in counts)
     for spec in (POINCARE, EULER):
         propagate(x, spec)
-    first = propagate(x, clone)
-    assert walked and set(crossings) == walked and set(crossings.values()) == {1}
-    weighed = [
-        w
-        for _, wall in engine._spec_plan(x, clone)
-        if wall is not None
-        for edges in (wall.steps, wall.recheck)
-        for _, _, terms in edges
-        for _, w in terms
-    ]
-    assert all(weighed), "a term with w(f, b) = 0 is kept"
-    again = propagate(x, clone)
-    assert set(crossings) == walked and set(crossings.values()) == {1}
-    assert first.values == again.values == propagate(x, EULER).values
-    assert graphs == []
+    tables = [propagate(x, spec).values for _ in range(2) for spec in clones]
+    assert all(c == Counter(dict.fromkeys(pairs, 1)) for c in counts)
+    assert all(t == propagate(x, EULER).values for t in tables)
+    assert engine._plan(x) is plan and graphs == []
+    assert not any(isinstance(key, tuple) and key[0] == "spec plan" for key in x._cache)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -764,8 +765,9 @@ def test_tables_with_other_keys_are_read_as_they_stand(request, name):
     ],
 )
 def test_lopsided_after_other_specs_keeps_its_message(request, name, message):
-    """Each spec weighs the plan for itself: a spec run after SIGNATURE
-    (and again after that) fails with the same message as on its own."""
+    """Each spec keeps crossing coefficients of its own beside the shared
+    plan: a spec run after SIGNATURE (and again after that) fails with
+    the same message as on its own."""
     x = fresh(request.getfixturevalue(name))
     propagate(x, SIGNATURE)
     for _ in range(2):

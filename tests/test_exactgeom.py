@@ -24,7 +24,7 @@ from xraycross.exactgeom import (
     tight_mask,
 )
 from xraycross.generators import cpn_xray
-from xraycross.ratmath import ZERO, as_vec, clear_denominators, idot, rref, solve_square, span_key, vdot, vneg, vsub
+from xraycross.ratmath import ZERO, as_vec, clear_denominators, idot, solve_square, span_key, vdot, vneg, vsub
 
 from conftest import seeded_rows
 from test_ratmath import (
@@ -33,6 +33,7 @@ from test_ratmath import (
     nullspace_by_fractions,
     primitive_by_fractions,
     rank_by_fractions,
+    rref,
     rref_by_fractions,
     solve_square_by_fractions,
 )

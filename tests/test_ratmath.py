@@ -11,6 +11,7 @@ from xraycross.exactgeom import AffineSpan
 from xraycross.ratmath import (
     ZERO,
     _eliminate,
+    _integer_rows,
     as_vec,
     clear_denominators,
     cross_product,
@@ -18,12 +19,10 @@ from xraycross.ratmath import (
     idot,
     int_rank,
     int_rref,
-    is_zero_vector,
     parse_rational,
     primitive,
     rank,
     rat,
-    rref,
     sign,
     solve_square,
     span_key,
@@ -152,6 +151,19 @@ def primitive_ints(v):
 def lin_contains(span, v):
     """Does the rational vector v lie in the linear part of span?"""
     return span.lin_holds(clear_denominators(v)[0])
+
+
+def is_zero_vector(v):
+    return all(x == 0 for x in v)
+
+
+def rref(rows):
+    """Reduced row echelon form in Fractions: (nonzero rows, pivot
+    columns), a canonical basis of the row space, from the integer
+    elimination (`int_rref`) with each entry divided by the common
+    denominator once, at the end."""
+    reduced, den, pivots = int_rref(_integer_rows(rows))
+    return tuple(tuple(Fraction(x, den) for x in row) for row in reduced), pivots
 
 
 def test_parse_basic():

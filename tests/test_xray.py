@@ -20,10 +20,8 @@ from xraycross.ratmath import (
     clear_denominators,
     format_rational,
     idot,
-    is_zero_vector,
     primitive,
     rank,
-    rref,
     span_key,
     vdot,
     vsub,
@@ -49,10 +47,12 @@ from conftest import seeded_rows, transform, vertices_below
 from test_exactgeom import centroid, faces_by_facet_hulls
 from test_ratmath import (
     in_span,
+    is_zero_vector,
     lin_contains,
     primitive_ints,
     primitive_vector,
     reduce_mod,
+    rref,
     rref_by_fractions,
     solve_square_by_fractions,
     vadd,
