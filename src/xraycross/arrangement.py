@@ -14,8 +14,10 @@ The cells are cut by double description (`exactgeom.Refinement`): each
 vertex carries the set of cell inequalities it is tight on, so a cut, a
 merged chamber's facets and vertices, and the face two chambers share
 are all read off those sets, with no convex hull.  Each subwall's
-hyperplane is computed once per wall, in integers
-(`exactgeom.span_hyperplane`), and shared by the cuts and the edges.
+hyperplane is computed once per wall, in integers, in the facet form of
+the wall's own `int_facets` (`exactgeom.span_hyperplane`), and shared
+by the cuts and the edges; a face-only wall's cuts are its facets, in
+that same form.
 
 The refinement records each cell's sign vector over the cut planes.  A
 facet two cells share lies on exactly one cut plane, so its sign vector
@@ -125,8 +127,10 @@ class _Decomposition:
               side (-1 or +1) of that cut.  Otherwise plane and side are
               None, and the rep's signs on the cuts decide (`_signs`).
     cuts:     the distinct hyperplanes of the codimension-1 subwalls in
-              cut order, as primitive integer (normal, offset) pairs;
-              for a wall whose subwalls are all faces, its own facets.
+              cut order, or for a wall whose subwalls are all faces its
+              own facets: on both paths in `hull`'s facet form, primitive
+              integer (normal, offset) pairs with the normal supported on
+              the wall's pivot columns (`exactgeom.span_hyperplane`).
     subwalls: (id, wall, plane, holding) for every smaller stratum,
               sorted by id.  plane is the index in cuts of a
               codimension-1 subwall's own hyperplane, None for a subwall
@@ -233,16 +237,12 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
     wall = x.stratum(f).wall
     k = wall.dim
     lower = sorted(x.below(f))
-    planes = {}
-    for g in lower:
-        if x.dim(g) == k - 1:
-            normal, offset = span_hyperplane(wall.span, x.stratum(g).wall.span)
-            planes[g] = tuple([int(c) for c in normal]), int(offset)
+    planes = {g: span_hyperplane(wall.span, x.stratum(g).wall.span) for g in lower if x.dim(g) == k - 1}
     cuts = tuple(dict.fromkeys(planes.values()))
 
     ref = Refinement(wall)
-    for normal, offset in cuts:
-        ref.cut(normal, offset)
+    for plane in cuts:
+        ref.cut(plane)
     cells = ref.cells
 
     root = list(range(len(cells)))
@@ -364,8 +364,8 @@ def subchambers(x: WeightedXray, f: str) -> tuple[Subchamber, ...]:
 
 def _facet_cut(bit: int, nfacets: int) -> int:
     """The index in cuts of the plane a cell facet lies on, from its bit
-    in `Refinement.facets`: the wall's nfacets facets come first, then
-    the lower and upper orientation of each cut."""
+    in `Refinement.int_facets`: the wall's nfacets facets come first,
+    then the lower and upper orientation of each cut."""
     return (bit - nfacets) // 2
 
 

@@ -15,6 +15,12 @@ A polytope carries both descriptions: its vertex list and a facet system
 of linear inequalities.  The inequalities use ambient coordinates and are
 valid for points inside the polytope's affine span; membership always
 checks the span first.
+
+Every hyperplane of a span has one form, `hull`'s: a primitive integer
+(normal, offset) with the normal supported on the span's pivot columns.
+A polytope's `int_facets`, a cut through a sub-flat (`span_hyperplane`)
+and the facet table of a `Refinement` are all written in it, so a cut
+along a facet is that facet, up to sign.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from .ratmath import (
@@ -86,24 +91,6 @@ class AffineSpan:
         return int_equations(rows, den_r, self.pivots, base, den_b)
 
     @cached_property
-    def free_coords(self) -> tuple[int, ...]:
-        """The coordinates left free when the basis is completed to a
-        basis of Q^d by standard basis vectors e_i, taken greedily in
-        index order, each one kept when it is independent of the rows so
-        far.  The linear part maps one-to-one onto these coordinates.
-        Decided in integers, once per span."""
-        rows = [list(row) for row in self.int_frame[0]]
-        taken = set()
-        for i in range(self.ambient_dim):
-            if len(rows) == self.ambient_dim:
-                break
-            e = [int(j == i) for j in range(self.ambient_dim)]
-            if int_rank(rows + [e]) > len(rows):
-                rows.append(e)
-                taken.add(i)
-        return tuple(i for i in range(self.ambient_dim) if i not in taken)
-
-    @cached_property
     def key(self) -> tuple[tuple[int, ...], ...]:
         """The linear part's integer key (`span_key`): equal for two
         spans exactly when their bases are, so it hashes in place of the
@@ -122,9 +109,6 @@ class AffineSpan:
 
     def contains(self, point: RatVector) -> bool:
         return self.holds(*clear_denominators(point))
-
-    def same_lin(self, other: "AffineSpan") -> bool:
-        return self.basis == other.basis
 
 
 def int_equations(
@@ -387,32 +371,6 @@ def faces(p: Polytope, k: int) -> list[Polytope]:
     return [hull(key) for key in keys]
 
 
-def span_facet(span: AffineSpan, normal: RatVector, offset: Fraction) -> IntFunctional:
-    """{x in span : normal . x <= offset} in `hull`'s canonical form, as
-    the integer (normal, offset) pair.
-
-    The normal is supported on the span's pivot columns, and (normal,
-    offset) is primitive integer, so a facet of any full-dimensional
-    polytope in the span equals the one `hull` finds (`int_facets`).
-
-    It runs in integers, on (a, b), (normal, offset) with denominators
-    cleared.  With the basis rows R / L and the base B / D
-    (`AffineSpan.int_frame`), the pivot entry p of the normal is
-    a . R_p / L, and the offset is b - a . base plus that normal at the
-    base; both are scaled by L * D before the gcd.
-    """
-    ints, _ = clear_denominators(tuple(normal) + (offset,))
-    a, b = ints[:-1], ints[-1]
-    rows, den_r, base, den_b = span.int_frame
-    n = [0] * span.ambient_dim
-    for row, p in zip(rows, span.pivots):
-        n[p] = idot(a, row)
-    c = (b * den_b - idot(a, base)) * den_r + idot(n, base)
-    n = [x * den_b for x in n]
-    g = gcd(c, *n) or 1
-    return tuple([x // g for x in n]), c // g
-
-
 def tight_mask(p: Polytope, point: RatVector) -> int:
     """Bitmask of p's facets through point: bit i is set when point lies
     on p.facets[i]."""
@@ -437,15 +395,15 @@ class Refinement:
 
     points: every vertex of every cell, by id; cells share ids.
     scaled: each point's `clear_denominators` form, for the cut signs.
-    facets: the inequality table, in `span_facet` form: the polytope's
-            own facets, then both orientations of each cut.
-    int_facets: the same table as integer (normal, offset) pairs.
+    int_facets: the inequality table, in `hull`'s integer facet form:
+            the polytope's own facets, then both orientations of each
+            cut.
     normals: each facet's integer normal on the span's pivot columns,
             where it is supported, for the rank tests in `vertices`.
     cells:  (vertex ids, tight masks), ids ascending: bit i of a
-            vertex's mask is set when the vertex lies on facets[i].  The
-            masks only ever name facets of the cell, so their union is
-            the cell's facet set.
+            vertex's mask is set when the vertex lies on int_facets[i].
+            The masks only ever name facets of the cell, so their union
+            is the cell's facet set.
     signs:  each cell's sign vector over the cuts, in cut order: -1 or
             +1 as the cell's interior lies below or above the cut.
 
@@ -458,20 +416,19 @@ class Refinement:
         self.span = p.span
         self.points = list(p.vertices)
         self.scaled = [clear_denominators(v) for v in self.points]
-        self.facets = list(p.facets)
         self.int_facets = list(p.int_facets)
         self.normals = [tuple(n[j] for j in p.span.pivots) for n, _ in p.int_facets]
         self.cells: list[Cell] = [(tuple(range(len(self.points))), p.vertex_masks)]
         self.signs: list[tuple[int, ...]] = [()]
         self._masks_at: list[list[int]] | None = None
 
-    def cut(self, normal: RatVector, offset: Fraction) -> None:
+    def cut(self, plane: IntFunctional) -> None:
         """Split every cell with vertices strictly on both sides of the
-        hyperplane normal . x = offset into its lower and upper halves,
-        in that order, and extend every sign vector by the cell's side:
-        -1 for a lower half or a cell below the plane, +1 otherwise.
-        normal must be a functional on the span whose zero set meets the
-        span in a hyperplane.
+        hyperplane n . x = c into its lower and upper halves, in that
+        order, and extend every sign vector by the cell's side: -1 for a
+        lower half or a cell below the plane, +1 otherwise.  plane is
+        (n, c) in `hull`'s facet form (`span_hyperplane`), and its zero
+        set meets the span in a hyperplane.
 
         One double-description step per cell: a half keeps the vertices
         on its side and on the plane, and gains one point on each edge
@@ -480,18 +437,15 @@ class Refinement:
         survives in a half when one of its vertices is strictly inside
         that half; the plane is the half's one new facet.
         """
-        lo = len(self.facets)
-        n, c = span_facet(self.span, normal, offset)
+        lo = len(self.int_facets)
+        n, c = plane
         neg = tuple([-x for x in n])
-        self.int_facets += [(n, c), (neg, -c)]
-        self.facets += [(tuple(map(Fraction, n)), Fraction(c)), (tuple(map(Fraction, neg)), Fraction(-c))]
+        self.int_facets += [plane, (neg, -c)]
         on_pivots = tuple([n[j] for j in self.span.pivots])
         self.normals += [on_pivots, tuple([-x for x in on_pivots])]
-        ints, _ = clear_denominators(tuple(normal) + (offset,))
-        a_int, b_int = ints[:-1], ints[-1]
         k = self.span.dim
-        # A positive multiple of normal . p - offset at each point p.
-        vals = [sum(map(mul, a_int, scaled)) - b_int * den for scaled, den in self.scaled]
+        # den times n . p - c at each point p.
+        vals = [idot(n, scaled) - c * den for scaled, den in self.scaled]
         edge_points: dict[tuple[int, int], int] = {}
         cells: list[Cell] = []
         signs: list[tuple[int, ...]] = []
@@ -581,20 +535,24 @@ class Refinement:
         rows = [[x * (den // d) for x in p] for p, d in (self.scaled[v] for v in ids)]
         return tuple([sum(col) for col in zip(*rows)]), den * len(ids)
 
-    def polytope(self, ids: Iterable[int], mask: int) -> Polytope:
-        """The polytope with vertex ids ids and the facets in mask.
+    def polytope(self, ids: Sequence[int], mask: int) -> Polytope:
+        """The polytope with vertex ids ids and the facets in mask, built
+        as `hull` builds it (`_polytope`), so its `int_vertices` and
+        `int_facets` are filled in.
 
         The vertices are sorted by their integer forms over one common
         denominator, which is positive, so in the order of their
-        coordinates, and the facets by their integer forms, which sort as
-        their Fractions do."""
-        ids = list(ids)
+        coordinates, and the facets by their integer forms."""
         den = lcm(*[self.scaled[v][1] for v in ids])
-        ids.sort(key=lambda v: [x * (den // self.scaled[v][1]) for x in self.scaled[v][0]])
-        verts = tuple([self.points[v] for v in ids])
+        rows = []
+        for v in ids:
+            p, d = self.scaled[v]
+            rows.append((tuple([x * (den // d) for x in p]), v))
+        rows.sort()
+        verts = tuple([self.points[v] for _, v in rows])
         span = AffineSpan(verts[0], self.span.basis, self.span.pivots)
-        facets = sorted(bits(mask), key=self.int_facets.__getitem__)
-        return Polytope(verts, span, tuple([self.facets[i] for i in facets]))
+        facets = sorted([self.int_facets[i] for i in bits(mask)])
+        return _polytope(verts, [q for q, _ in rows], den, span, facets)
 
 
 @dataclass(frozen=True)
@@ -603,11 +561,12 @@ class SideFunctional:
 
     value(x) = normal . x - offset is zero exactly on the separator,
     positive on the side it was oriented toward.  on_vector classifies
-    displacement vectors (weights) by the same linear part.
+    displacement vectors (weights) by the same linear part.  normal and
+    offset are `span_hyperplane`'s integers, up to sign.
     """
 
-    normal: RatVector
-    offset: Fraction
+    normal: tuple[int, ...]
+    offset: int
 
     def value(self, point: RatVector) -> Fraction:
         return vdot(self.normal, point) - self.offset
@@ -616,43 +575,45 @@ class SideFunctional:
         return vdot(self.normal, v)
 
 
-def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> Facet:
-    """Unoriented hyperplane (normal, offset) through `sub` within `ambient`.
+def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> IntFunctional:
+    """The hyperplane through `sub` within `ambient`, in `hull`'s facet
+    form: the primitive integer (normal, offset), normal supported on
+    `ambient`'s pivot columns, with its first nonzero entry positive.
 
-    `sub` must have codimension 1 in `ambient`.  The normal is zero on
-    `sub`'s directions and on the standard basis vectors that complete
-    `ambient`'s to a basis of Q^d (`AffineSpan.free_coords`).  That
-    completion is fixed by the RREF basis, so the key is canonical: the
-    normal is primitive integer with first nonzero entry positive, and
-    two sub-flats spanning the same hyperplane produce equal keys.  The
-    normal need not vanish on the orthogonal complement of `ambient`
-    (for the line through (1,1) in Q^2 it is (0, 1)), so it classifies
-    only vectors in `ambient`'s linear span.  Those are all it is given:
-    `arrangement.crossing_graph` classifies `scaled_weights_in(x, g, f)`
-    (g's weights in f's span, in integers), and the cell cuts in
-    `arrangement._decompose` evaluate it at points of the wall.
+    `sub` must lie in `ambient` with codimension 1.  A vector of
+    `ambient`'s linear part is fixed by its pivot entries, so the
+    functionals supported there that vanish on `sub`'s directions are
+    the multiples of one, and the form is canonical: two sub-flats
+    spanning the same hyperplane give equal pairs, and a cut along a
+    facet of a full-dimensional polytope in `ambient` is that facet's
+    `Polytope.int_facets` entry or its negation.  The normal need not
+    vanish on the orthogonal complement of `ambient` (in the line
+    through (1,1) in Q^2, the point (2,2) is cut out by x = 2), so it
+    classifies only vectors in `ambient`'s linear span.  Those are all
+    it is given: `arrangement.crossing_graph` classifies
+    `scaled_weights_in(x, g, f)` (g's weights in f's span, in
+    integers), and `Refinement.cut` evaluates it at points of the wall.
 
-    It runs in integers: on the free coordinates, `sub`'s integer
-    basis rows leave one direction, their generalized cross product
+    It runs in integers: on the pivot columns, `sub`'s integer basis
+    rows leave one direction, their generalized cross product
     (`cross_product`), and the offset is that normal at `sub`'s base
     with its denominators cleared.
     """
-    rows = sub.int_frame[0]
-    if not all(ambient.lin_holds(row) for row in rows):
+    rows, _, base, den = sub.int_frame
+    if not (ambient.holds(base, den) and all(ambient.lin_holds(row) for row in rows)):
         raise ValueError("sub-flat is not contained in the ambient span")
     if sub.dim != ambient.dim - 1:
         raise ValueError("sub-flat is not codimension 1 in the ambient span")
-    free = ambient.free_coords
-    u = cross_product([[row[j] for j in free] for row in rows], len(free))
-    base, den = clear_denominators(sub.base)
+    pivots = ambient.pivots
+    u = cross_product([[row[j] for j in pivots] for row in rows], len(pivots))
     normal = [0] * ambient.ambient_dim
-    for j, c in zip(free, u):
+    for j, c in zip(pivots, u):
         normal[j] = c * den
-    offset = idot(u, [base[j] for j in free])
+    offset = idot(u, [base[j] for j in pivots])
     g = gcd(offset, *normal)
     if next(c for c in normal if c) < 0:
         g = -g
-    return tuple([Fraction(c // g) for c in normal]), Fraction(offset // g)
+    return tuple([c // g for c in normal]), offset // g
 
 
 def side_functional(ambient: AffineSpan, separator: AffineSpan, toward: RatVector) -> SideFunctional:

@@ -220,18 +220,12 @@ def solve_scaled(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
     their last column over the last pivot.  Raises on singular M."""
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("solve_square needs a square system")
+        raise ValueError("solve_scaled needs a square system")
     aug = [list(clear_denominators(tuple(r) + (rhs[i],))[0]) for i, r in enumerate(rows)]
     pivots, d = _eliminate(aug)
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return tuple(aug[i][n] for i in range(n)), d
-
-
-def solve_square(rows: Sequence[RatVector], rhs: RatVector) -> RatVector:
-    """Solve M x = rhs exactly for square M given by rows.  Raises on singular M."""
-    scaled, d = solve_scaled(rows, rhs)
-    return tuple(Fraction(x, d) for x in scaled)
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -240,10 +234,3 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*v) or 1
     return tuple([x // g for x in v])
 
-
-def sign(q: Fraction) -> int:
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0

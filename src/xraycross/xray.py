@@ -449,10 +449,9 @@ def validate_poset(x: WeightedXray) -> list[Violation]:
     in a dict from each wall's key to its strata; no face is hulled.
     Points are told apart by their coordinates' (numerator, denominator)
     pairs (`_point_key`).
-    Two strata share a span when their RREF bases are equal
-    (`AffineSpan.same_lin`), so strata are grouped by the bases' integer
-    key (`AffineSpan.key`) once, and the groups are checked along the
-    chain above each minimal stratum.
+    Two strata share a span when their RREF bases are equal, so strata
+    are grouped by the bases' integer key (`AffineSpan.key`) once, and
+    the groups are checked along the chain above each minimal stratum.
     """
     vio: set[Violation] = set()
     tops = [s.id for s in x.strata if not s.parents]

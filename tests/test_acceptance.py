@@ -33,10 +33,10 @@ from xraycross.engine import (
 )
 from xraycross.exactgeom import hull, side_functional
 from xraycross.intpoly import IntPolynomial
-from xraycross.ratmath import as_vec, sign
+from xraycross.ratmath import as_vec
 from xraycross.xray import Stratum, VertexData, WeightedXray, validate_all
 from conftest import transform, vertices_below
-from test_ratmath import lin_contains
+from test_ratmath import lin_contains, sign
 
 DIAG = "w2-3-4-5"
 P_CPN = IntPolynomial((1, 0, 1, 0, 1))

@@ -19,11 +19,11 @@ from xraycross.exactgeom import (
     span_hyperplane,
 )
 from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, save_xray
-from xraycross.ratmath import as_vec, clear_denominators, format_rational, sign, vdot
+from xraycross.ratmath import as_vec, clear_denominators, format_rational, vdot
 from xraycross.xray import stratum_weights_in
 from conftest import CP4_ROWS, NCP4_ROWS, seeded_rows, vertices_below
 from test_exactgeom import centroid, relative_interior_contains
-from test_ratmath import lin_contains, vscale
+from test_ratmath import lin_contains, sign, vscale
 
 DIAG = "w2-3-4-5"
 
@@ -561,16 +561,33 @@ def test_faces_only_uncovered_facet_matches_refinement(make, drop):
 @FRESH
 def test_cells_cut_without_hulls(monkeypatch, make):
     """Subchambers and crossing graphs take no hull and walk no face
-    lattice, and every chamber's cell is in hull's canonical form."""
+    lattice, and every chamber's cell is in hull's canonical form, its
+    integer vertices and facets filled in as hull fills them.  On both
+    `_decompose` paths, refined and face-only, every cut is in that form
+    too: it or its negation is an integer facet of one of the wall's
+    chambers."""
     x = make()
     calls = count_calls(monkeypatch, ["hull", "clip_halfspace", "faces", "facet_polytopes"])
-    chambers = [c for sid in x.ids for c in subchambers(x, sid)]
+    chambers = {sid: subchambers(x, sid) for sid in x.ids}
     for sid in x.ids:
         crossing_graph(x, sid)
     assert calls == {"hull": 0, "clip_halfspace": 0, "faces": 0, "facet_polytopes": 0}
     monkeypatch.undo()
-    for chamber in chambers:
-        assert chamber.cell == hull(chamber.cell.vertices)
+    paths = set()
+    for sid, cells in chambers.items():
+        for chamber in cells:
+            want = hull(chamber.cell.vertices)
+            assert chamber.cell == want
+            assert {"int_vertices", "int_facets"} <= chamber.cell.__dict__.keys()
+            assert chamber.cell.int_vertices == want.int_vertices
+            assert chamber.cell.int_facets == want.int_facets
+        if x.dim(sid) == 0:
+            continue
+        facets = {facet for chamber in cells for facet in chamber.cell.int_facets}
+        for normal, offset in arrangement._decompose(x, sid).cuts:
+            assert (normal, offset) in facets or (tuple(-a for a in normal), -offset) in facets, (sid, normal, offset)
+        paths.add("faces only" if xray.subwall_facets(x, sid) is not None else "refined")
+    assert paths == {"faces only", "refined"}
 
 
 @pytest.mark.parametrize("d,n,seed", [(1, 6, 0), (2, 6, 1), (2, 5, 2), (3, 4, 3)])
@@ -594,8 +611,8 @@ def shared_facets(x, f):
     """f's wall cut as `_decompose` cuts it, and each cell facet two cells
     share: (vertex ids, the two (cell, facet bit) owners)."""
     ref = Refinement(x.stratum(f).wall)
-    for normal, offset in arrangement._decompose(x, f).cuts:
-        ref.cut(normal, offset)
+    for plane in arrangement._decompose(x, f).cuts:
+        ref.cut(plane)
     owners = {}
     for i, (ids, tight) in enumerate(ref.cells):
         mask = 0

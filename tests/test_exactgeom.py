@@ -19,12 +19,11 @@ from xraycross.exactgeom import (
     faces,
     hull,
     side_functional,
-    span_facet,
     span_hyperplane,
     tight_mask,
 )
 from xraycross.generators import cpn_xray
-from xraycross.ratmath import ZERO, as_vec, clear_denominators, idot, solve_square, span_key, vdot, vneg, vsub
+from xraycross.ratmath import ZERO, as_vec, clear_denominators, idot, span_key, vdot, vneg, vsub
 
 from conftest import seeded_rows
 from test_ratmath import (
@@ -35,6 +34,7 @@ from test_ratmath import (
     rank_by_fractions,
     rref,
     rref_by_fractions,
+    solve_square,
     solve_square_by_fractions,
 )
 
@@ -456,8 +456,9 @@ def test_span_hyperplane_vanishes_on_sub():
         assert sum(n * c for n, c in zip(normal, v)) == offset
 
 
-# The Fraction forms of span_hyperplane, span_facet and centroid from
-# before they moved to integers, as references.
+# The Fraction forms of span_hyperplane, of the projection that put its
+# plane in hull's facet form, and of centroid, from before they moved to
+# integers, as references.
 
 
 def complete_to_ambient_by_fractions(rows, d):
@@ -476,7 +477,7 @@ def span_hyperplane_by_fractions(ambient, sub):
     """Solve for the normal that is 0 on sub's basis and on the
     completing standard basis vectors, and 1 on one ambient direction
     off sub; then make it primitive with its first nonzero entry positive."""
-    if not all(in_span(ambient.basis, ambient.pivots, b) for b in sub.basis):
+    if not all(in_span(ambient.basis, ambient.pivots, b) for b in sub.basis + (vsub(sub.base, ambient.base),)):
         raise ValueError("sub-flat is not contained in the ambient span")
     if sub.dim != ambient.dim - 1:
         raise ValueError("sub-flat is not codimension 1 in the ambient span")
@@ -496,11 +497,24 @@ def span_hyperplane_by_fractions(ambient, sub):
 
 
 def span_facet_by_fractions(span, normal, offset):
+    """{x in span : normal . x <= offset} in hull's facet form: the
+    primitive integer pair (n, c), n supported on span's pivot columns,
+    n taking normal's values on span's basis rows."""
     n = [ZERO] * span.ambient_dim
     for row, p in zip(span.basis, span.pivots):
         n[p] = vdot(normal, row)
     n = tuple(n)
-    return primitive_by_fractions(n, offset - vdot(normal, span.base) + vdot(n, span.base))
+    n, c = primitive_by_fractions(n, offset - vdot(normal, span.base) + vdot(n, span.base))
+    return tuple(int(x) for x in n), int(c)
+
+
+def span_plane_by_fractions(ambient, sub):
+    """Reference for span_hyperplane: the free-coordinate hyperplane in
+    Fractions, put in hull's facet form, first nonzero entry positive."""
+    n, c = span_facet_by_fractions(ambient, *span_hyperplane_by_fractions(ambient, sub))
+    if next(x for x in n if x) < 0:
+        n, c = tuple(-x for x in n), -c
+    return n, c
 
 
 def centroid_by_fractions(points):
@@ -531,11 +545,10 @@ def cpn_walls(draw):
 @given(cpn_walls(), st.integers(0, 2**32))
 def test_span_geometry_matches_fraction_reference(case, seed):
     """span_hyperplane of the wall against every stratum of the X-ray,
-    below it or not, of any dimension: equal output, or the same
-    ValueError for a sub-flat outside the span or of the wrong
-    codimension.  span_facet on every cut plane and on seeded rational
-    functionals, and centroid on seeded vertex subsets, equal the
-    Fraction forms."""
+    below it or not, of any dimension: the reference's integer pair, or
+    the same ValueError for a sub-flat outside the span or of the wrong
+    codimension.  centroid on seeded vertex subsets equals the Fraction
+    form."""
     x, f = case
     rng = random.Random(seed)
     span = x.stratum(f).wall.span
@@ -543,33 +556,42 @@ def test_span_geometry_matches_fraction_reference(case, seed):
     for g in sorted(x.ids):
         sub = x.stratum(g).wall
         got = outcome_of(span_hyperplane, span, sub.span)
-        assert got == outcome_of(span_hyperplane_by_fractions, span, sub.span), (f, g)
-        kinds.add(got[1] if got[0] is ValueError else "hyperplane")
-        if got[0] is not ValueError:
-            assert span_facet(span, *got) == span_facet_by_fractions(span, *got)
+        assert got == outcome_of(span_plane_by_fractions, span, sub.span), (f, g)
+        if got[0] is ValueError:
+            kinds.add(got[1])
+        else:
+            kinds.add("hyperplane")
+            assert all(type(c) is int for c in got[0] + (got[1],))
     assert "hyperplane" in kinds or all(x.dim(g) != x.dim(f) - 1 for g in x.below(f))
     for _ in range(5):
-        normal = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(span.ambient_dim))
-        offset = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
-        assert span_facet(span, normal, offset) == span_facet_by_fractions(span, normal, offset)
         verts = rng.sample(x.stratum(f).wall.vertices, rng.randint(1, len(x.stratum(f).wall.vertices)))
         assert centroid(verts) == centroid_by_fractions(verts)
 
 
 def test_span_hyperplane_on_the_diagonal_line():
-    """In the line through (1,1), the point (2,2) is cut out by y = 2:
-    e_0 completes the line's direction, so the normal is zero there."""
+    """In the line through (1,1), the point (2,2) is cut out by x = 2:
+    the line's pivot column is 0, so the normal is zero elsewhere."""
     line = span_from_points(pts((0, 0), (1, 1)))
     point = span_from_points(pts((2, 2)))
-    assert line.free_coords == (1,)
-    assert span_hyperplane(line, point) == span_hyperplane_by_fractions(line, point) == (as_vec((0, 1)), Fraction(2))
+    assert span_hyperplane(line, point) == span_plane_by_fractions(line, point) == ((1, 0), 2)
     across = span_from_points(pts((0, 1), (1, 1)))
     errors = [outcome_of(span_hyperplane, line, other) for other in (across, line)]
-    assert errors == [outcome_of(span_hyperplane_by_fractions, line, other) for other in (across, line)]
+    assert errors == [outcome_of(span_plane_by_fractions, line, other) for other in (across, line)]
     assert [message for _, message in errors] == [
         "sub-flat is not contained in the ambient span",
         "sub-flat is not codimension 1 in the ambient span",
     ]
+
+
+def test_span_hyperplane_rejects_a_sub_flat_off_the_ambient():
+    """A sub-flat whose directions lie in the ambient span but whose base
+    does not is refused: the point (3,0) is off the line through (0,0)
+    and (2,2), so no plane of the line passes through it."""
+    line = span_from_points(pts((0, 0), (2, 2)))
+    point = span_from_points(pts((3, 0)))
+    refused = (ValueError, "sub-flat is not contained in the ambient span")
+    assert outcome_of(span_hyperplane, line, point) == outcome_of(span_plane_by_fractions, line, point) == refused
+    assert outcome_of(side_functional, line, point, as_vec((0, 0))) == refused
 
 
 def barycentric_inside(simplex_vertices, q):
@@ -627,7 +649,7 @@ def test_clip_to_polytope():
 
 def refinement_halves(p, normal, offset):
     ref = Refinement(p)
-    ref.cut(normal, offset)
+    ref.cut(span_facet_by_fractions(p.span, normal, offset))
     assert len(ref.cells) == 2
     assert ref.signs == [(-1,), (1,)]
     out = []
@@ -673,10 +695,12 @@ def test_refinement_cut_matches_clip_halfspace(case):
 def test_refinement_sign_vectors():
     """Each cell's sign vector gives the side of every cut its interior
     lies on, whether the cut split it or passed it by."""
-    ref = Refinement(hull(pts((0, 0), (4, 0), (0, 4))))
-    cuts = [(as_vec((1, 0)), Fraction(1)), (as_vec((0, 1)), Fraction(1)), (as_vec((1, 1)), Fraction(3))]
+    p = hull(pts((0, 0), (4, 0), (0, 4)))
+    ref = Refinement(p)
+    cuts = [(as_vec((1, 0)), Fraction(1)), (as_vec((0, 1)), Fraction(1)), (as_vec((2, 2)), Fraction(6))]
     for normal, offset in cuts:
-        ref.cut(normal, offset)
+        ref.cut(span_facet_by_fractions(p.span, normal, offset))
+    assert ref.int_facets[len(p.facets) :: 2] == [((1, 0), 1), ((0, 1), 1), ((1, 1), 3)]
     assert len(ref.signs) == len(ref.cells) == len(set(ref.signs)) == 7
     for (ids, _), signs in zip(ref.cells, ref.signs):
         mid = tuple(sum(col) / len(ids) for col in zip(*(ref.points[v] for v in ids)))

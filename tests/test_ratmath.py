@@ -23,8 +23,7 @@ from xraycross.ratmath import (
     primitive,
     rank,
     rat,
-    sign,
-    solve_square,
+    solve_scaled,
     span_key,
     vdot,
     vsub,
@@ -155,6 +154,17 @@ def lin_contains(span, v):
 
 def is_zero_vector(v):
     return all(x == 0 for x in v)
+
+
+def solve_square(rows, rhs):
+    """Solve M x = rhs exactly for square M given by rows, in Fractions
+    read off the integer solve (`solve_scaled`).  Raises on singular M."""
+    scaled, d = solve_scaled(rows, rhs)
+    return tuple(Fraction(x, d) for x in scaled)
+
+
+def sign(q):
+    return (q > 0) - (q < 0)
 
 
 def rref(rows):

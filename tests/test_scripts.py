@@ -93,8 +93,71 @@ def test_bench_bindings_resolve():
     assert not missing, f"bench/ binds names the package no longer has: {missing}"
 
 
+# Functions and methods of the package that nothing in src/, scripts/ or
+# bench/ refers to, kept on purpose, each with its reason.
+UNREFERENCED = {
+    "xray.to_interchange": "the plain-dict reference canonical_json is tested against",
+    "IntPolynomial.degree": "a property of the public polynomial type, pinned in test_intpoly.py",
+    "SideFunctional.on_vector": "half of what side_functional returns, which bench/ binds by name",
+}
+
+
+def unreferenced_functions():
+    """`module.function` and `Class.method` for every top-level function
+    and every method (dunders aside) defined in src/ whose name no name,
+    attribute or import in src/, scripts/ or bench/ refers to, and that
+    bench/ does not bind by name (`bench_bindings`).  References are
+    counted on the syntax tree, so a name that appears only inside a
+    string or a docstring is not a use."""
+    defined = []
+    used = {name for _, name in bench_bindings()}
+    for top in ("src", "scripts", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.update((node.name.rsplit(".", 1)[-1], node.asname or node.name))
+            if top != "src":
+                continue
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.append((path.stem, node.name))
+                elif isinstance(node, ast.ClassDef):
+                    defined += [
+                        (node.name, item.name)
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                    ]
+    return sorted(f"{owner}.{name}" for owner, name in defined if name not in used)
+
+
+def test_no_unreferenced_functions():
+    """Every function and method of the package is used by the package,
+    the scripts or the benchmark, or is listed in UNREFERENCED with its
+    reason; an entry that has gained a use leaves the list."""
+    assert unreferenced_functions() == sorted(UNREFERENCED)
+
+
 def test_load_gate_passes():
-    run_script("load_gate.py", "fixtures", "2,4", "3,4,2", "cube3")
+    """The load path's digests, pinned: generated and loaded-back JSON,
+    fingerprints and every wall's vertices, facets and vertex masks."""
+    lines = run_script("load_gate.py", "fixtures", "2,4", "3,4,2", "cube3")
+    digests = [line for line in lines if line.startswith("digest ")]
+    assert digests == [
+        "digest cp3: 16db12831ff875ec1407a6b591c5261c",
+        "digest cp4: 5cb12a169b6d46e250027568b6fac93a",
+        "digest ncp4: f2f74791747309d46e485be16016c4dd",
+        "digest simplex2: a08a2d6c170b74056a3eb0209554f73f",
+        "digest cube2: 1cb1ae74da2bd020fa4e443832a8e1fe",
+        "digest (2,4): df37be06fcdd133513a4699768c05f04",
+        "digest (3,4) grid 2: ed9418755db0cea974673fe3903a8035",
+        "digest cube3: 6420f8c3c7cd01cf65effa03767c8357",
+    ]
 
 
 def test_query_gate_passes():

@@ -578,7 +578,7 @@ def validate_poset_by_faces(x):
     for j in x.ids:
         ups = sorted({j} | set(x.above(j)))
         for a, b in combinations(ups, 2):
-            if x.stratum(a).wall.span.same_lin(x.stratum(b).wall.span):
+            if x.stratum(a).wall.span.basis == x.stratum(b).wall.span.basis:
                 vio.add(Violation(a, "span-uniqueness", f"strata '{a}' and '{b}' above a common stratum share a wall span"))
     return sorted(vio)
 
