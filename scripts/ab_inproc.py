@@ -3,6 +3,7 @@
     PYTHONPATH=src python3 scripts/ab_inproc.py PARENT_SRC CHANGE_SRC
     PYTHONPATH=src python3 scripts/ab_inproc.py ../parent/src src --ops 60 --rounds 30
     PYTHONPATH=src python3 scripts/ab_inproc.py ../parent/src src --workload query
+    PYTHONPATH=src python3 scripts/ab_inproc.py ../parent/src src --workload tables
 
 Each SRC is a directory holding an `xraycross` package (a checkout's
 `src`).  The benchmark's own modules, which draw the inputs, import
@@ -34,6 +35,19 @@ serialize (`serialize_table` of the three tables), circle (the top
 wall's circle-oracle values and deltas with the engine's) and locate
 (`locate` of the seeded points).
 
+`--workload tables` runs the benchmark's `tables` op.  Op k's X-ray is
+the k-th instance of the `tables` mix, drawn as for checked-load, and
+its canonical JSON is made before any timing; both trees load the same
+text.  An op makes the calls of `bench/workloads.py`'s `Tables.op`:
+load (`json.loads` and `from_interchange`, the checked `load_xray`
+before it validates) and validate (`validate_all`), then subchambers
+and crossing_graph of every stratum, then tables (`propagate` of the
+three invariants, both checks and `serialize_table` of the three
+tables, as `invariant_tables` makes them).  When a change allocates
+less in one stage, garbage collections move into later stages of the
+same process, so a stage the change leaves alone can read a few
+percent slower; the op ratio is the one to trust.
+
 One round runs every op on both trees; a first, untimed round warms
 both up.  For the op and for each stage it prints the median, over
 rounds, of the change/parent ratio of the round's summed seconds, with
@@ -41,7 +55,7 @@ its quartiles.  A ratio below 1 means the change is faster.  It ends
 with a PASS line when, on every op, both trees gave the same output:
 for checked-load the same JSON and the same violations; for query the
 same table rows, check lines, engine and circle deltas and located
-chambers.
+chambers; for tables the same violations and table rows.
 
 `--workload query` favours the tree given second, for a reason not yet
 found (switching the garbage collector off does not remove it): an A/A
@@ -69,11 +83,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
 from inputs import instance_order, load_reference, projection_rows  # noqa: E402
-from workloads import CheckedLoad, Query, delta, level_delta  # noqa: E402
+from workloads import CheckedLoad, Query, Tables, delta, level_delta  # noqa: E402
+from xraycross.generators import ProjectionMatrix, cpn_xray  # noqa: E402
 from xraycross.xray import canonical_json  # noqa: E402
 
 CHECKED_LOAD_STAGES = ("generate", "canonical_json", "from_interchange", "validate_poset", "validate_consistency", "validate_darboux")
 QUERY_STAGES = ("tables", "checks", "serialize", "circle", "locate")
+TABLES_STAGES = ("load", "validate", "subchambers", "crossing_graph", "tables")
 MODULES = ("arrangement", "circle", "engine", "generators", "intpoly", "xray")
 
 
@@ -90,17 +106,24 @@ def import_tree(src: Path, name: str) -> SimpleNamespace:
     return SimpleNamespace(**{module: importlib.import_module(f"{name}.{module}") for module in MODULES})
 
 
-def checked_load_ops(trees, args) -> list[list]:
-    """Each tree's checked-load ops: (n, its projection matrix) per op."""
-    mix = CheckedLoad.mix
+def mix_instances(workload, args) -> list[tuple[int, int, int]]:
+    """(d, n, universe index) of each op: op k takes the k-th size of the
+    workload's mix in turn, and the next instance of that size in the
+    seed's order."""
     drawn: dict = {}
     sizes = []
     for k in range(args.ops):
-        d, n = mix[k % len(mix)]
-        order = instance_order("checked-load", args.seed, d, n)
+        d, n = workload.mix[k % len(workload.mix)]
+        order = instance_order(workload.name, args.seed, d, n)
         j = drawn.get((d, n), 0)
         drawn[(d, n)] = j + 1
         sizes.append((d, n, order[j % len(order)]))
+    return sizes
+
+
+def checked_load_ops(trees, args) -> list[list]:
+    """Each tree's checked-load ops: (n, its projection matrix) per op."""
+    sizes = mix_instances(CheckedLoad, args)
     return [[(n, tree.generators.ProjectionMatrix(projection_rows(d, n, i))) for d, n, i in sizes] for tree in trees]
 
 
@@ -126,6 +149,40 @@ def run_checked_load(tree, op, seconds: list[float]):
     for i, (a, b) in enumerate(zip((t0, t1, t2, t3, t4, t5), (t1, t2, t3, t4, t5, t6))):
         seconds[i] += b - a
     return text, [str(v) for v in poset + consistency + darboux]
+
+
+def tables_ops(trees, args) -> list[list]:
+    """Each tree's tables ops: the canonical JSON text of each op's
+    X-ray, the same texts for both trees."""
+    texts = [canonical_json(cpn_xray(n, ProjectionMatrix(projection_rows(d, n, i)))) for d, n, i in mix_instances(Tables, args)]
+    return [texts for _ in trees]
+
+
+def run_tables(tree, text, seconds: list[float]):
+    """One tables op, adding each stage's seconds to seconds; returns the
+    violations and table rows as JSON text."""
+    arrangement, engine, xray = tree.arrangement, tree.engine, tree.xray
+    specs = (engine.SIGNATURE, engine.POINCARE, engine.EULER)
+    clock = time.perf_counter
+    t0 = clock()
+    x = xray.from_interchange(json.loads(text))
+    t1 = clock()
+    violations = xray.validate_all(x)
+    t2 = clock()
+    for sid in x.ids:
+        arrangement.subchambers(x, sid)
+    t3 = clock()
+    for sid in x.ids:
+        arrangement.crossing_graph(x, sid)
+    t4 = clock()
+    sig, poin, eul = (engine.propagate(x, spec) for spec in specs)
+    engine.check_parity(x, sig, eul)
+    engine.check_sig_equals_poincare_at_i(x, sig, poin)
+    rows = [engine.serialize_table(x, t) for t in (sig, poin, eul)]
+    t5 = clock()
+    for i, (a, b) in enumerate(zip((t0, t1, t2, t3, t4), (t1, t2, t3, t4, t5))):
+        seconds[i] += b - a
+    return json.dumps([[str(v) for v in violations], rows])
 
 
 def query_ops(trees, args) -> list[list]:
@@ -217,6 +274,7 @@ def plain_query(reports, rows, pairs, located) -> list:
 WORKLOADS = {
     "checked-load": (CHECKED_LOAD_STAGES, checked_load_ops, run_checked_load),
     "query": (QUERY_STAGES, query_ops, run_query),
+    "tables": (TABLES_STAGES, tables_ops, run_tables),
 }
 
 

@@ -191,7 +191,7 @@ def _faces_only(x: WeightedXray, f: str, through: dict[str, int]) -> _Decomposit
     rows, den = wall.int_vertices
     masks = wall.vertex_masks
     pieces = tuple(
-        (EXTERIOR, 0, _mean([v for v, t in zip(rows, masks) if t >> i & 1], den), i, -1) for i in range(len(wall.facets))
+        (EXTERIOR, 0, _mean([v for v, t in zip(rows, masks) if t >> i & 1], den), i, -1) for i in range(len(wall.int_facets))
     )
     return _Decomposition(
         (Subchamber(f, 0, wall, _mean(rows, den)),),
@@ -199,7 +199,7 @@ def _faces_only(x: WeightedXray, f: str, through: dict[str, int]) -> _Decomposit
         wall.int_facets,
         tuple(subwalls),
         (),
-        {(-1,) * len(wall.facets): 0},
+        {(-1,) * len(wall.int_facets): 0},
     )
 
 
@@ -281,7 +281,7 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
     for _, sub, _, holding in subwalls:
         if len(holding) == 1:
             alone.setdefault(holding[0], []).append(sub)
-    nfacets = len(wall.facets)
+    nfacets = len(wall.int_facets)
     for facet, own in owners.items():
         if len(own) == 2:
             (i, bit), (j, _) = own

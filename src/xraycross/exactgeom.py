@@ -9,7 +9,10 @@ denominator (`Polytope.int_vertices`), so a . x <= b is decided as
 a . P <= b * D against integer equations and facets that each span and
 polytope builds once.  `hull` deduplicates and sorts its points by their
 integer forms, and spans are keyed by an integer form of their basis
-(`AffineSpan.key`).  Fractions remain for stored coordinates and output.
+(`AffineSpan.key`).  A span stores its basis and a polytope its facets
+in integers only; Fractions remain for the points themselves, which
+are the input points, and for the views `AffineSpan.basis` and
+`Polytope.facets` that `repr` and output read.
 
 A polytope carries both descriptions: its vertex list and a facet system
 of linear inequalities.  The inequalities use ambient coordinates and are
@@ -33,7 +36,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .ratmath import (
-    ZERO,
     RatVector,
     as_vec,
     clear_denominators,
@@ -49,36 +51,44 @@ from .ratmath import (
 IntFunctional = tuple[tuple[int, ...], int]  # (a, b): the form a . x against b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class AffineSpan:
-    """Affine subspace: base point plus a canonical (RREF) linear basis.
+    """Affine subspace: base point plus a canonical (RREF) linear basis,
+    kept in integers.
 
-    The basis rows are in reduced row echelon form, so two spans with the
-    same linear part always store the same basis tuple; `pivots` are the
-    pivot columns, which make coordinates a plain read-off.
+    rows / den are the basis rows in reduced row echelon form over one
+    common denominator den > 0, the lcm of their entries' denominators
+    (`ratmath.int_rref`), so two spans with the same linear part always
+    store the same rows and den; `pivots` are the pivot columns, which
+    make coordinates a plain read-off.  `basis` is the Fraction view of
+    the rows, made only for `repr` and readers of output.
     """
 
     base: RatVector
-    basis: tuple[RatVector, ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
     pivots: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def ambient_dim(self) -> int:
         return len(self.base)
 
+    @property
+    def basis(self) -> tuple[RatVector, ...]:
+        """The RREF rows as Fractions, rows / den."""
+        return tuple([tuple([Fraction(x, self.den) for x in row]) for row in self.rows])
+
+    def __repr__(self) -> str:
+        return f"AffineSpan(base={self.base!r}, basis={self.basis!r}, pivots={self.pivots!r})"
+
     @cached_property
-    def int_frame(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...], int]:
-        """(R, L, B, D): the basis rows are R / L over one common
-        denominator and the base is B / D, so the rows R span the linear
-        part in integers."""
-        d = self.ambient_dim
-        flat, den_r = clear_denominators([c for row in self.basis for c in row])
-        base, den_b = clear_denominators(self.base)
-        return tuple(flat[i : i + d] for i in range(0, len(flat), d)), den_r, base, den_b
+    def int_base(self) -> tuple[tuple[int, ...], int]:
+        """(B, D): the base point B / D (`clear_denominators`)."""
+        return clear_denominators(self.base)
 
     @cached_property
     def equations(self) -> tuple[IntFunctional, ...]:
@@ -87,17 +97,15 @@ class AffineSpan:
         annihilator of the RREF basis, in integers.  With the basis
         R / L, L times the annihilator row is L on fc and -R_p[fc] on
         each pivot p; with the base B / D its value there is a . B / D."""
-        rows, den_r, base, den_b = self.int_frame
-        return int_equations(rows, den_r, self.pivots, base, den_b)
+        return int_equations(self.rows, self.den, self.pivots, *self.int_base)
 
     @cached_property
     def key(self) -> tuple[tuple[int, ...], ...]:
         """The linear part's integer key (`span_key`): equal for two
-        spans exactly when their bases are, so it hashes in place of the
-        Fraction basis.  The `int_frame` rows are the RREF rows over a
-        positive denominator already, so each is made primitive and
-        nothing is eliminated."""
-        return tuple([primitive(row) for row in self.int_frame[0]])
+        spans exactly when their bases are.  The rows are the RREF rows
+        over a positive denominator already, so each is made primitive
+        and nothing is eliminated."""
+        return tuple([primitive(row) for row in self.rows])
 
     def holds(self, scaled: tuple[int, ...], den: int) -> bool:
         """Does the point scaled / den lie in the span?"""
@@ -133,21 +141,23 @@ def int_equations(
     return tuple(out)
 
 
-Facet = tuple[RatVector, Fraction]  # (normal, offset): normal . x <= offset
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Polytope:
     """Convex hull with exact dual description.
 
-    vertices: the extreme points, lexicographically sorted.
-    span:     affine hull, based at the lex-smallest vertex.
-    facets:   irredundant inequalities cutting the polytope out of its span.
+    vertices:   the extreme points, lexicographically sorted.
+    span:       affine hull, based at the lex-smallest vertex.
+    int_facets: irredundant inequalities a . x <= b cutting the
+                polytope out of its span, in `hull`'s facet form:
+                primitive integer (a, b), in sorted order.
+
+    `facets` is the Fraction view of int_facets, made only for `repr`
+    and readers of output.
     """
 
     vertices: tuple[RatVector, ...]
     span: AffineSpan
-    facets: tuple[Facet, ...]
+    int_facets: tuple[IntFunctional, ...]
 
     @property
     def dim(self) -> int:
@@ -157,15 +167,13 @@ class Polytope:
     def ambient_dim(self) -> int:
         return self.span.ambient_dim
 
-    @cached_property
-    def int_facets(self) -> tuple[IntFunctional, ...]:
-        """The facets as integer tuples, each a positive multiple of
-        (normal, offset); `hull`'s facets are primitive integer already."""
-        out = []
-        for n, c in self.facets:
-            ints, _ = clear_denominators(n + (c,))
-            out.append((ints[:-1], ints[-1]))
-        return tuple(out)
+    @property
+    def facets(self) -> tuple[tuple[RatVector, Fraction], ...]:
+        """The facets as Fraction (normal, offset): normal . x <= offset."""
+        return tuple([(tuple(map(Fraction, n)), Fraction(c)) for n, c in self.int_facets])
+
+    def __repr__(self) -> str:
+        return f"Polytope(vertices={self.vertices!r}, span={self.span!r}, facets={self.facets!r})"
 
     @cached_property
     def int_vertices(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -209,8 +217,9 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     every side and tightness test is an integer dot product.  That
     denominator is positive, so the points are deduplicated and sorted by
     their integer forms, in the order of their coordinates.  The span's
-    `int_frame` and the polytope's `int_vertices` and `int_facets` are
-    read off the same integer forms, not cleared again.
+    rows and `int_base` and the polytope's `int_vertices` and
+    `int_facets` are read off the same integer forms, not cleared again,
+    and no Fraction is made: the vertices are input points.
 
     A segment (k = 1) needs no search: the points differ first on its
     one pivot column, so the sorted ends are its vertices and facets.
@@ -234,12 +243,11 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     pts = [by_form[q] for q in scaled]
     origin = scaled[0]
     rows, den_r, pivots = int_rref([[x - o for x, o in zip(p, origin)] for p in scaled[1:]])
-    span = AffineSpan(pts[0], tuple([tuple([Fraction(x, den_r) if x else ZERO for x in row]) for row in rows]), pivots)
     g = gcd(den, *origin)
-    _fill(span, int_frame=(rows, den_r, tuple([x // g for x in origin]), den // g))
+    span = _fill(AffineSpan(pts[0], rows, den_r, pivots), int_base=(tuple([x // g for x in origin]), den // g))
     k = span.dim
     if k == 0:
-        return _polytope((pts[0],), [origin], den, span, [])
+        return _polytope((pts[0],), [origin], den, span, ())
     if k == 1:
         # The ends' facets, -x_p <= -lo / den and x_p <= hi / den made
         # primitive, in sorted order: the normals differ only at p.
@@ -250,7 +258,7 @@ def hull(points: Iterable[RatVector]) -> Polytope:
             n = [0] * d
             n[p] = sgn * den // g
             facets.append((tuple(n), sgn * end // g))
-        return _polytope((pts[0], pts[-1]), [origin, scaled[-1]], den, span, facets)
+        return _polytope((pts[0], pts[-1]), [origin, scaled[-1]], den, span, tuple(facets))
 
     # den times the span coordinates of each point, and the normals of
     # the facets found through each.
@@ -298,20 +306,18 @@ def hull(points: Iterable[RatVector]) -> Polytope:
         offset = c + idot(u, (origin[p] for p in pivots))
         g = gcd(offset, *n)
         amb_facets.append((tuple([a // g for a in n]), offset // g))
-    return _polytope(tuple([pts[i] for i in on]), [scaled[i] for i in on], den, span, sorted(amb_facets))
+    return _polytope(tuple([pts[i] for i in on]), [scaled[i] for i in on], den, span, tuple(sorted(amb_facets)))
 
 
 def _polytope(
-    verts: tuple[RatVector, ...], scaled: list[tuple[int, ...]], den: int, span: AffineSpan, facets: list[IntFunctional]
+    verts: tuple[RatVector, ...], scaled: list[tuple[int, ...]], den: int, span: AffineSpan, facets: tuple[IntFunctional, ...]
 ) -> Polytope:
     """The polytope `hull` found: vertices verts, scaled / den in integers,
-    and primitive integer facets in sorted order, which sort as their
-    Fractions do.  Its `int_vertices` (over the vertices' own least
-    common denominator) and `int_facets` are filled in from those.  Zero
-    entries share one Fraction."""
+    and primitive integer facets in sorted order.  Its `int_vertices`,
+    over the vertices' own least common denominator, are filled in from
+    those."""
     g = gcd(den, *[x for q in scaled for x in q])
-    p = Polytope(verts, span, tuple([(tuple([Fraction(x) if x else ZERO for x in n]), Fraction(c)) for n, c in facets]))
-    return _fill(p, int_vertices=(tuple([tuple([x // g for x in q]) for q in scaled]), den // g), int_facets=tuple(facets))
+    return _fill(Polytope(verts, span, facets), int_vertices=(tuple([tuple([x // g for x in q]) for q in scaled]), den // g))
 
 
 def _fill(obj, **values):
@@ -330,7 +336,7 @@ def facet_polytopes(p: Polytope) -> tuple[Polytope, ...]:
     because bench/tracer.py binds it by name and bench/run.py reports
     its `cache_info()`; tests/test_arrangement.py also uses it.
     """
-    return tuple(hull(v for v, t in zip(p.vertices, p.vertex_masks) if t >> i & 1) for i in range(len(p.facets)))
+    return tuple(hull(v for v, t in zip(p.vertices, p.vertex_masks) if t >> i & 1) for i in range(len(p.int_facets)))
 
 
 def face_lattice(p: Polytope) -> list[list[int]]:
@@ -344,7 +350,7 @@ def face_lattice(p: Polytope) -> list[list[int]]:
     facet G of F is a face of p, cut out by the facets of p through it,
     one of which misses a vertex of F; so G = F & V_i for that i.
     """
-    on = [0] * len(p.facets)
+    on = [0] * len(p.int_facets)
     for j, t in enumerate(p.vertex_masks):
         for i in bits(t):
             on[i] |= 1 << j
@@ -373,7 +379,7 @@ def faces(p: Polytope, k: int) -> list[Polytope]:
 
 def tight_mask(p: Polytope, point: RatVector) -> int:
     """Bitmask of p's facets through point: bit i is set when point lies
-    on p.facets[i]."""
+    on p.int_facets[i]."""
     scaled, den = clear_denominators(point)
     return sum(1 << i for i, (n, c) in enumerate(p.int_facets) if idot(n, scaled) == c * den)
 
@@ -537,12 +543,14 @@ class Refinement:
 
     def polytope(self, ids: Sequence[int], mask: int) -> Polytope:
         """The polytope with vertex ids ids and the facets in mask, built
-        as `hull` builds it (`_polytope`), so its `int_vertices` and
-        `int_facets` are filled in.
+        as `hull` builds it (`_polytope`), so its `int_vertices` are
+        filled in, and its span's `int_base` too; no Fraction is made.
 
         The vertices are sorted by their integer forms over one common
         denominator, which is positive, so in the order of their
-        coordinates, and the facets by their integer forms."""
+        coordinates, and the facets by their integer forms.  The span
+        shares the refined polytope's rows: a cell is full-dimensional
+        in it."""
         den = lcm(*[self.scaled[v][1] for v in ids])
         rows = []
         for v in ids:
@@ -550,8 +558,8 @@ class Refinement:
             rows.append((tuple([x * (den // d) for x in p]), v))
         rows.sort()
         verts = tuple([self.points[v] for _, v in rows])
-        span = AffineSpan(verts[0], self.span.basis, self.span.pivots)
-        facets = sorted([self.int_facets[i] for i in bits(mask)])
+        span = _fill(AffineSpan(verts[0], self.span.rows, self.span.den, self.span.pivots), int_base=self.scaled[rows[0][1]])
+        facets = tuple(sorted([self.int_facets[i] for i in bits(mask)]))
         return _polytope(verts, [q for q, _ in rows], den, span, facets)
 
 
@@ -599,7 +607,8 @@ def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> IntFunctional:
     (`cross_product`), and the offset is that normal at `sub`'s base
     with its denominators cleared.
     """
-    rows, _, base, den = sub.int_frame
+    rows = sub.rows
+    base, den = sub.int_base
     if not (ambient.holds(base, den) and all(ambient.lin_holds(row) for row in rows)):
         raise ValueError("sub-flat is not contained in the ambient span")
     if sub.dim != ambient.dim - 1:
@@ -628,8 +637,9 @@ def side_functional(ambient: AffineSpan, separator: AffineSpan, toward: RatVecto
     return SideFunctional(normal, offset)
 
 
-def clip_halfspace(p: Polytope, normal: RatVector, offset: Fraction) -> Polytope | None:
-    """Exact intersection of p with {x : normal . x <= offset}.
+def clip_halfspace(p: Polytope, normal: Sequence[int | Fraction], offset: int | Fraction) -> Polytope | None:
+    """Exact intersection of p with {x : normal . x <= offset}, for an
+    integer or rational normal and offset.
 
     May drop dimension (the cut can graze a face); returns None when the
     intersection is empty.
@@ -665,7 +675,7 @@ def clip_to_polytope(p: Polytope, q: Polytope) -> Polytope | None:
     tests/test_arrangement.py, and because bench/tracer.py binds it by
     name; tests/test_scripts.py checks that binding."""
     cur: Polytope | None = p
-    for n, c in q.facets:
+    for n, c in q.int_facets:
         if cur is None:
             return None
         cur = clip_halfspace(cur, n, c)

@@ -75,7 +75,9 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
     that denominator keeps which columns lie on which flat.  Each flat's
     integer equations come from the RREF of its column differences
     (`ratmath.int_rref`, `exactgeom.int_equations`).  A stratum's
-    parents are the column bitmasks that contain its own.
+    parents are the other column sets that hold all of its columns: the
+    intersection of one bitmask over the column sets per column, so no
+    pair of strata is compared.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -110,11 +112,18 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
             return f"v{K[0] + 1}"
         return "w" + "-".join(str(k + 1) for k in K)
 
-    masks = {K: sum(1 << k for k in K) for K in subsets}
-    names = {K: name(K) for K in subsets}
+    names = [name(K) for K in subsets]
+    # Bit i of holding[j] is set when the i-th column set holds column j.
+    holding = [0] * (n + 1)
+    for i, K in enumerate(subsets):
+        for j in K:
+            holding[j] |= 1 << i
     strata = []
-    for K, mask in masks.items():
-        parents = tuple(names[P] for P, up in masks.items() if up & mask == mask and up != mask)
+    for i, K in enumerate(subsets):
+        up = holding[K[0]]
+        for j in K[1:]:
+            up &= holding[j]
+        parents = tuple([names[u] for u in bits(up & ~(1 << i))])
         vertex_data = None
         if len(K) == 1:
             k = K[0]
@@ -122,7 +131,7 @@ def cpn_xray(n: int, pi: ProjectionMatrix) -> WeightedXray:
             vertex_data = VertexData(tuple(weights), 1, IntPolynomial.one(), 1)
         strata.append(
             Stratum(
-                id=names[K],
+                id=names[i],
                 wall=hull([cols[k] for k in K]),
                 parents=parents,
                 vertex_data=vertex_data,

@@ -3,10 +3,12 @@
 Every predicate in this package is decided by an exact sign test, never
 by a tolerance, and runs on Python ints: a vector's denominators are
 cleared once (`clear_denominators`), and elimination is fraction-free
-(Bareiss 1968), dividing by a pivot only at the end.  Fractions remain
-for stored coordinates, the canonical RREF rows and output; subspaces
-are compared by an integer key (`span_key`).  Vectors are
-plain tuples of fractions so they hash, sort, and compare structurally.
+(Bareiss 1968), dividing by a pivot only at the end.  The canonical
+RREF rows stay in integers too, over one common denominator
+(`int_rref`), and subspaces are compared by an integer key (`span_key`).
+Fractions remain for input coordinates and output, parsed from ASCII
+integers only (`parse_rational`).  Vectors are plain tuples of
+fractions so they hash, sort, and compare structurally.
 """
 
 from __future__ import annotations
@@ -36,20 +38,28 @@ def rat(value: int | str | Fraction) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den", with the "/den" part omitted for integers.
 
-    Rejects zero denominators and anything that is not a ratio of
-    integers (floats carry binary rounding and are not welcome here).
+    Each part is ASCII digits with an optional sign, and whitespace may
+    surround the text and either part.  Rejects zero denominators and
+    anything that is not a ratio of such integers: floats carry binary
+    rounding and are not welcome here, and `int` alone would also take
+    underscores ("1_000") and non-ASCII digits.
     """
-    s = text.strip()
     try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            d = int(den.strip())
-            if d == 0:
-                raise ValueError
-            return Fraction(int(num.strip()), d)
-        return Fraction(int(s))
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(_parse_int(num), _parse_int(den))
+        return Fraction(_parse_int(text))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"invalid rational {text!r}") from None
+
+
+def _parse_int(text: str) -> int:
+    """An optionally signed run of ASCII digits, surrounding whitespace
+    stripped: what `int` takes of an ASCII string with no underscore."""
+    s = text.strip()
+    if not s.isascii() or "_" in s:
+        raise ValueError(s)
+    return int(s)
 
 
 def format_rational(q: Fraction) -> str:

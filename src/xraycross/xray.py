@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -81,24 +82,46 @@ class VertexData:
     Seeds are the invariant values of the fixed component itself; for an
     isolated fixed point they are all 1, but callers may supply anything
     (e.g. orientation-adjusted signs for non-Hamiltonian circle data).
+    int_weights is (rows, D): the weights over one common denominator,
+    weight j being rows[j] / D, cleared once at construction.
     """
 
     weights: tuple[RatVector, ...]
     seed_signature: int
     seed_poincare: IntPolynomial
     seed_euler: int
+    int_weights: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Sorted by their integer forms over one common denominator, which
         # is positive, so in the order of the weights' coordinates.
         ws = [as_vec(w) for w in self.weights]
-        flat, _ = clear_denominators([c for w in ws for c in w])
-        keys = []
+        flat, den = clear_denominators([c for w in ws for c in w])
+        rows = []
         start = 0
         for w in ws:
-            keys.append(flat[start : start + len(w)])
+            rows.append(flat[start : start + len(w)])
             start += len(w)
-        object.__setattr__(self, "weights", tuple([ws[i] for i in sorted(range(len(ws)), key=keys.__getitem__)]))
+        order = sorted(range(len(ws)), key=rows.__getitem__)
+        object.__setattr__(self, "weights", tuple([ws[i] for i in order]))
+        object.__setattr__(self, "int_weights", (tuple([rows[i] for i in order]), den))
+
+    @cached_property
+    def table(self) -> tuple[_Weight, ...]:
+        """One `_Weight` per weight, in order, read off int_weights with
+        no clearing.  A weight's row R over D has the `clear_denominators`
+        form R / g over D / g with g = gcd(D, R), the one form in lowest
+        terms with a positive denominator, and its ray is R over k =
+        gcd(R).  When k = g (the zero weight included, taking k = D) the
+        ray is that form, and the one tuple serves as both."""
+        rows, den = self.int_weights
+        out = []
+        for w, row in zip(self.weights, rows):
+            k = math.gcd(*row) or den
+            g = math.gcd(den, k)
+            scaled = tuple([c // g for c in row])
+            out.append(_Weight(w, scaled, den // g, scaled if k == g else tuple([c // k for c in row])))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -353,30 +376,9 @@ class _Weight(NamedTuple):
 
 
 def _scaled_weights(x: WeightedXray, vid: str) -> tuple[_Weight, ...]:
-    """The integer weight table of vertex vid, once per X-ray: cached on
-    it, in one dict by vertex id.
-
-    The weights are cleared over one common denominator D at once.  A
-    weight's row R over D then has the `clear_denominators` form R / g
-    over D / g with g = gcd(D, R), the one form in lowest terms with a
-    positive denominator, and its ray is R over k = gcd(R).  When k = g
-    (the zero weight included, taking k = D) the ray is that form, and
-    the one tuple serves as both."""
-    table = x._cache.setdefault("weight table", {})
-    out = table.get(vid)
-    if out is None:
-        ws = x.stratum(vid).vertex_data.weights
-        d = x.torus_rank
-        flat, den = clear_denominators([c for w in ws for c in w])
-        forms = []
-        for w, i in zip(ws, range(0, len(flat), d)):
-            row = flat[i : i + d]
-            k = math.gcd(*row) or den
-            g = math.gcd(den, k)
-            scaled = tuple([c // g for c in row])
-            forms.append(_Weight(w, scaled, den // g, scaled if k == g else tuple([c // k for c in row])))
-        out = table[vid] = tuple(forms)
-    return out
+    """The integer weight table of vertex vid (`VertexData.table`), read
+    off the weights its vertex data cleared when it was made."""
+    return x.stratum(vid).vertex_data.table
 
 
 def complex_dim_of_stratum(x: WeightedXray, f: str) -> int:

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xraycross import exactgeom
+from xraycross import exactgeom, xray
 from xraycross.exactgeom import (
-    AffineSpan,
     Polytope,
     Refinement,
     bits,
@@ -27,6 +26,7 @@ from xraycross.ratmath import ZERO, as_vec, clear_denominators, idot, span_key, 
 
 from conftest import seeded_rows
 from test_ratmath import (
+    fraction_span,
     in_span,
     lin_contains,
     nullspace_by_fractions,
@@ -52,8 +52,7 @@ def pts(*rows):
 def span_from_points(points):
     """The affine span of a nonempty point list, based at its least point."""
     base = min(points)
-    basis, pivots = rref([vsub(p, base) for p in points])
-    return AffineSpan(base, basis, pivots)
+    return fraction_span(base, *rref([vsub(p, base) for p in points]))
 
 
 def centroid(points):
@@ -79,7 +78,7 @@ def hull_by_fractions(points):
     nullspace per subset and Fraction elimination throughout."""
     pts_ = sorted({as_vec(p) for p in points})
     base = pts_[0]
-    span = AffineSpan(base, *rref_by_fractions([vsub(p, base) for p in pts_]))
+    span = fraction_span(base, *rref_by_fractions([vsub(p, base) for p in pts_]))
     k = span.dim
     if k == 0:
         return Polytope((pts_[0],), span, ())
@@ -105,7 +104,8 @@ def hull_by_fractions(points):
         n = [ZERO] * span.ambient_dim
         for coef, p in zip(u, span.pivots):
             n[p] = coef
-        amb_facets.append(primitive_by_fractions(tuple(n), c + vdot(tuple(n), span.base)))
+        n, c = primitive_by_fractions(tuple(n), c + vdot(tuple(n), span.base))
+        amb_facets.append((tuple(int(a) for a in n), int(c)))
     return Polytope(tuple(verts), span, tuple(sorted(amb_facets)))
 
 
@@ -228,13 +228,15 @@ def test_solid_hull_with_boundary_points_matches_fraction_reference(points):
 def test_int_vertices_and_masks_match_per_vertex_clearing(case):
     """int_vertices is the vertices over the lcm of all their
     denominators, and vertex_masks is each vertex's `tight_mask`.  The
-    integer forms `hull` fills in equal those a copy computes afresh."""
+    integer forms `hull` fills in equal those a copy computes afresh,
+    and its stored rows and facets are its Fraction views cleared."""
     points, _ = case
     p = hull(points)
-    span = AffineSpan(p.span.base, p.span.basis, p.span.pivots)
-    fresh = Polytope(p.vertices, span, p.facets)
-    assert p.span.int_frame == span.int_frame
-    assert p.int_facets == fresh.int_facets
+    span = fraction_span(p.span.base, p.span.basis, p.span.pivots)
+    fresh = Polytope(p.vertices, span, p.int_facets)
+    assert p.span == span
+    assert p.span.int_base == clear_denominators(p.span.base)
+    assert p.int_facets == tuple((ints[:-1], ints[-1]) for ints in (clear_denominators(n + (c,))[0] for n, c in p.facets))
     assert p.int_vertices == fresh.int_vertices
     assert p.vertex_masks == fresh.vertex_masks
     rows, den = p.int_vertices
@@ -264,6 +266,60 @@ def test_integer_predicates_match_fraction_evaluation(case):
     assert all(p.contains(q) for q in points)
 
 
+def test_build_path_makes_no_fraction(cp3, cp4, ncp4, toric_triangle, unit_square, monkeypatch):
+    """The X-ray build stores integer forms only.  hull, on every wall of
+    the fixtures and of seeded (2,6) and (3,4) CP^n X-rays, and
+    Refinement.polytope, on every cell of each wall refined along its
+    codimension-1 subwalls' hyperplanes, construct no Fraction; and a
+    vertex's weight table is read off its vertex data, so
+    `_scaled_weights` clears nothing, on X-rays no query has touched."""
+    fresh = [cpn_xray(6, seeded_rows(2, 6, 1)), cpn_xray(4, seeded_rows(3, 4, 1))]
+    jobs = []
+    for x in [cp3, cp4, ncp4, toric_triangle, unit_square] + fresh:
+        for s in x.strata:
+            wall = s.wall
+            ref = Refinement(wall)
+            planes = [span_hyperplane(wall.span, x.stratum(g).wall.span) for g in x.below(s.id) if x.dim(g) == wall.dim - 1]
+            for plane in dict.fromkeys(planes):
+                ref.cut(plane)
+            cells = []
+            for ids, tight in ref.cells:
+                mask = 0
+                for t in tight:
+                    mask |= t
+                cells.append((ids, mask))
+            jobs.append((wall, ref, cells))
+    assert any(len(cells) > 1 for _, _, cells in jobs)
+
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for wall, ref, cells in jobs:
+        assert hull(wall.vertices) == wall
+        for ids, mask in cells:
+            ref.polytope(ids, mask)
+    monkeypatch.undo()
+    assert made == []
+
+    cleared = []
+    real_clear = xray.clear_denominators
+
+    def counting_clear(v):
+        cleared.append(v)
+        return real_clear(v)
+
+    monkeypatch.setattr(xray, "clear_denominators", counting_clear)
+    for x in fresh:
+        for v in x.vertex_ids:
+            assert len(xray._scaled_weights(x, v)) == x.half_dim
+    assert cleared == []
+
+
 def test_hull_and_contains_call_no_nullspace(cp4, monkeypatch):
     """hull takes each subset's normal by integer cross product, and
     membership reads integer facets: no Fraction nullspace is solved."""
@@ -283,11 +339,11 @@ def test_hull_and_contains_call_no_nullspace(cp4, monkeypatch):
 @given(st.integers(1, 4).flatmap(lambda d: st.lists(st.tuples(*[coords] * d), min_size=1, max_size=6)))
 def test_span_key_read_off_int_frame(raw):
     """The key of a hull's span, and of the same span built from its
-    Fraction basis, is `span_key` of the `int_frame` rows: those rows are
-    RREF over a positive denominator already."""
+    Fraction basis, is `span_key` of its integer frame's rows: those rows
+    are RREF over a positive denominator already."""
     p = hull([as_vec(q) for q in raw])
-    rebuilt = AffineSpan(p.span.base, p.span.basis, p.span.pivots)
-    assert p.span.key == rebuilt.key == span_key(p.span.int_frame[0]) == span_key(rebuilt.int_frame[0])
+    rebuilt = fraction_span(p.span.base, p.span.basis, p.span.pivots)
+    assert p.span.key == rebuilt.key == span_key(p.span.rows) == span_key(rebuilt.rows)
 
 
 def test_hull_single_point():

@@ -147,6 +147,14 @@ def primitive_ints(v):
     return primitive(clear_denominators(v)[0])
 
 
+def fraction_span(base, basis, pivots):
+    """The AffineSpan of a Fraction RREF basis: its rows over the lcm of
+    all their entries' denominators, as `int_rref` gives them."""
+    d = len(base)
+    flat, den = clear_denominators([c for row in basis for c in row])
+    return AffineSpan(base, tuple(flat[i : i + d] for i in range(0, len(flat), d)), den, pivots)
+
+
 def lin_contains(span, v):
     """Does the rational vector v lie in the linear part of span?"""
     return span.lin_holds(clear_denominators(v)[0])
@@ -183,10 +191,19 @@ def test_parse_basic():
     assert parse_rational("-7/3") == Fraction(-7, 3)
 
 
-@pytest.mark.parametrize("bad", ["3/0", "", "a", "1/2/3", "1.5", "--1"])
+@pytest.mark.parametrize("bad", ["3/0", "", "a", "1/2/3", "1.5", "--1", "1_000", "\u0661\u0662/\u0663"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_parse_keeps_whitespace():
+    """Whitespace around the text and around either part is accepted."""
+    assert parse_rational(" 3 / 2\n") == Fraction(3, 2)
+    assert parse_rational("\t-4 ") == Fraction(-4)
+    assert parse_rational("+6/ 4") == Fraction(3, 2)
+    with pytest.raises(ValueError):
+        parse_rational("- 4")
 
 
 def test_format_basic():
@@ -226,7 +243,7 @@ def test_rref_canonical_and_rank():
 
 def test_span_membership_and_coords():
     basis, pivots = rref([as_vec([1, 1, 0]), as_vec([0, 0, 1])])
-    span = AffineSpan(as_vec([0, 0, 0]), basis, pivots)
+    span = fraction_span(as_vec([0, 0, 0]), basis, pivots)
     assert lin_contains(span, as_vec([3, 3, 5]))
     assert not lin_contains(span, as_vec([1, 2, 0]))
 

@@ -178,9 +178,9 @@ def test_query_gate_passes():
 
 
 def test_ab_inproc_passes():
-    """Two imports of this tree on two ops of the checked-load mix and of
-    the query pass: every stage gets a ratio line, and the two copies
-    agree on every output."""
+    """Two imports of this tree on two ops of the checked-load mix, of
+    the query pass and of the tables mix: every stage gets a ratio line,
+    and the two copies agree on every output."""
     src = str(ROOT / "src")
     lines = run_script("ab_inproc.py", src, src, "--ops", "2", "--rounds", "2")
     assert lines[0].startswith("checked-load: 2 ops x 2 rounds")
@@ -198,3 +198,7 @@ def test_ab_inproc_passes():
     assert lines[0].startswith("query: 2 ops x 2 rounds")
     stages = [line.split()[0] for line in lines[1:-1]]
     assert stages == ["tables", "checks", "serialize", "circle", "locate", "op"]
+    lines = run_script("ab_inproc.py", src, src, "--workload", "tables", "--ops", "2", "--rounds", "2")
+    assert lines[0].startswith("tables: 2 ops x 2 rounds")
+    stages = [line.split()[0] for line in lines[1:-1]]
+    assert stages == ["load", "validate", "subchambers", "crossing_graph", "tables", "op"]

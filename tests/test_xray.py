@@ -97,12 +97,12 @@ def test_weights_require_comparable_strata(cp4):
 def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
     """stratum_weights_in keeps the weights a per-call Fraction test keeps,
     in order, and scaled_weights_in gives each one's integer form.  Each
-    vertex's weights are cleared to integers once per X-ray: asking
-    again for every pair clears nothing.  The validators, both weight
-    queries and the rank-1 circle read one table, so after validate_all
-    none of them clears anything.  That table holds one entry per vertex,
-    and no cache entry grows past one per stratum: nothing is kept per
-    (vertex, wall) pair."""
+    vertex's weights are cleared to integers once, when its vertex data
+    is made (`VertexData.int_weights`): no weight query clears anything.
+    The validators, both weight queries and the rank-1 circle read that
+    one table, so after validate_all none of them clears anything.  No
+    cache entry grows past one per stratum: nothing is kept per (vertex,
+    wall) pair."""
     x = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
     fresh_keys = len(x._cache)
     pairs = [(g, f) for f in sorted(x.ids) for g in sorted(x.ids) if x.leq(g, f)]
@@ -120,8 +120,7 @@ def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
         want = tuple(w for w in vd.weights if span.lin_holds(real(w)[0]))
         assert stratum_weights_in(x, g, f) == want
         assert xray.scaled_weights_in(x, g, f) == tuple(real(w)[0] for w in want)
-    assert 0 < len(cleared) <= sum(len(x.stratum(v).vertex_data.weights) for v in x.vertex_ids)
-    cleared.clear()
+    assert cleared == []
     for g, f in pairs:
         stratum_weights_in(x, g, f)
         xray.scaled_weights_in(x, g, f)
@@ -136,9 +135,10 @@ def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
     if d == 1:
         from_rank1_xray(y)
     assert cleared == []
-    table = y._cache["weight table"]
-    assert sorted(table) == sorted(y.vertex_ids)
-    assert all(len(forms) == y.half_dim for forms in table.values())
+    for v in y.vertex_ids:
+        vd = y.stratum(v).vertex_data
+        assert [w.weight for w in vd.table] == list(vd.weights)
+        assert all((w.scaled, w.den) == real(w.weight) for w in vd.table)
     assert len(y._cache) <= fresh_keys + 3
     assert all(len(entry) <= len(y.strata) for entry in y._cache.values() if isinstance(entry, dict))
 
