@@ -57,7 +57,6 @@ from .engine import (
 from .errors import PropagationError, SingularLevel, XrayError
 from .intpoly import IntPolynomial
 from .ratmath import ZERO, Rational, format_point, format_rational, rat
-from .xray import _scaled_weights
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ def from_rank1_xray(x) -> CircleFixedData:
 
     Weight vectors reduce to their signs (the closed forms only count
     them), read off each weight's primitive ray in the vertex's integer
-    weight table (`xray._scaled_weights`); zero weights are
+    weight table (`VertexData.table`); zero weights are
     tangent directions and drop out, shrinking q for non-isolated
     components.  Built once per X-ray and cached on it, so its prefix
     sums and crossing coefficients are gathered once too.
@@ -274,7 +273,7 @@ def from_rank1_xray(x) -> CircleFixedData:
         for vid in x.vertex_ids:
             s = x.stratum(vid)
             vd = s.vertex_data
-            weights = tuple(1 if w.ray[0] > 0 else -1 for w in _scaled_weights(x, vid) if w.ray[0])
+            weights = tuple(1 if w.ray[0] > 0 else -1 for w in vd.table if w.ray[0])
             components.append(
                 FixedComponent(s.wall.vertices[0][0], weights, vd.seed_signature, vd.seed_poincare)
             )

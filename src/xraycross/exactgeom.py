@@ -10,9 +10,10 @@ a . P <= b * D against integer equations and facets that each span and
 polytope builds once.  `hull` deduplicates and sorts its points by their
 integer forms, and spans are keyed by an integer form of their basis
 (`AffineSpan.key`).  A span stores its basis and a polytope its facets
-in integers only; Fractions remain for the points themselves, which
-are the input points, and for the views `AffineSpan.basis` and
-`Polytope.facets` that `repr` and output read.
+in integers only; Fractions remain for the points themselves (the
+input points, and the vertices of a refinement's cells, made from their
+integer forms by `Refinement.polytope`), and for the views
+`AffineSpan.basis` and `Polytope.facets` that `repr` and output read.
 
 A polytope carries both descriptions: its vertex list and a facet system
 of linear inequalities.  The inequalities use ambient coordinates and are
@@ -399,8 +400,8 @@ class Refinement:
     """A polytope cut into cells by hyperplanes of its span, kept by
     double description (Motzkin et al. 1953; Fukuda & Prodon 1996).
 
-    points: every vertex of every cell, by id; cells share ids.
-    scaled: each point's `clear_denominators` form, for the cut signs.
+    scaled: every vertex of every cell, by id, in `clear_denominators`
+            form; cells share ids.
     int_facets: the inequality table, in `hull`'s integer facet form:
             the polytope's own facets, then both orientations of each
             cut.
@@ -420,11 +421,10 @@ class Refinement:
 
     def __init__(self, p: Polytope):
         self.span = p.span
-        self.points = list(p.vertices)
-        self.scaled = [clear_denominators(v) for v in self.points]
+        self.scaled = [clear_denominators(v) for v in p.vertices]
         self.int_facets = list(p.int_facets)
         self.normals = [tuple(n[j] for j in p.span.pivots) for n, _ in p.int_facets]
-        self.cells: list[Cell] = [(tuple(range(len(self.points))), p.vertex_masks)]
+        self.cells: list[Cell] = [(tuple(range(len(self.scaled))), p.vertex_masks)]
         self.signs: list[tuple[int, ...]] = [()]
         self._masks_at: list[list[int]] | None = None
 
@@ -483,8 +483,7 @@ class Refinement:
                         den = vals[b] * da - vals[a] * db
                         nums = [vals[b] * x - vals[a] * y for x, y in zip(pa, pb)]
                         g = gcd(den, *nums)
-                        edge_points[key] = len(self.points)
-                        self.points.append(tuple([Fraction(x, den) for x in nums]))
+                        edge_points[key] = len(self.scaled)
                         self.scaled.append((tuple([x // g for x in nums]), den // g))
                     cross.append((edge_points[key], common))
             for side, bit in ((neg, lo), (pos, lo + 1)):
@@ -516,7 +515,7 @@ class Refinement:
         (`int_rank`) only for the other candidates.
         """
         if self._masks_at is None:
-            self._masks_at = [[] for _ in self.points]
+            self._masks_at = [[] for _ in self.scaled]
             for ids, tight in self.cells:
                 for v, t in zip(ids, tight):
                     self._masks_at[v].append(t)
@@ -544,7 +543,8 @@ class Refinement:
     def polytope(self, ids: Sequence[int], mask: int) -> Polytope:
         """The polytope with vertex ids ids and the facets in mask, built
         as `hull` builds it (`_polytope`), so its `int_vertices` are
-        filled in, and its span's `int_base` too; no Fraction is made.
+        filled in, and its span's `int_base` too.  Its vertices, made
+        from their integer forms, are the only Fractions made.
 
         The vertices are sorted by their integer forms over one common
         denominator, which is positive, so in the order of their
@@ -557,7 +557,7 @@ class Refinement:
             p, d = self.scaled[v]
             rows.append((tuple([x * (den // d) for x in p]), v))
         rows.sort()
-        verts = tuple([self.points[v] for _, v in rows])
+        verts = tuple([tuple([Fraction(x, den) for x in q]) for q, _ in rows])
         span = _fill(AffineSpan(verts[0], self.span.rows, self.span.den, self.span.pivots), int_base=self.scaled[rows[0][1]])
         facets = tuple(sorted([self.int_facets[i] for i in bits(mask)]))
         return _polytope(verts, [q for q, _ in rows], den, span, facets)

@@ -225,12 +225,11 @@ def load_xray(path, checked: bool = True) -> WeightedXray:
     checked=False skips the three validators (the parse-level shape
     checks always run).
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise MalformedXray(f"parse error: line {e.lineno} column {e.colno}: {e.msg}") from None
-    except ValueError as e:  # an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as e:  # not UTF-8, an integer past the digit limit, or nested too deep
         raise MalformedXray(f"parse error: {e}") from None
     x = from_interchange(doc)
     if checked:

@@ -361,7 +361,7 @@ def _weights_in(x: WeightedXray, g: str, f: str) -> list[tuple[RatVector, tuple[
             raise MalformedXray(f"stratum '{g}' has no vertex stratum below it")
         first[g] = vid
     span = x.stratum(f).wall.span
-    return [(w.weight, w.scaled) for w in _scaled_weights(x, vid) if span.lin_holds(w.ray)]
+    return [(w.weight, w.scaled) for w in x.stratum(vid).vertex_data.table if span.lin_holds(w.ray)]
 
 
 class _Weight(NamedTuple):
@@ -373,12 +373,6 @@ class _Weight(NamedTuple):
     scaled: tuple[int, ...]
     den: int
     ray: tuple[int, ...]
-
-
-def _scaled_weights(x: WeightedXray, vid: str) -> tuple[_Weight, ...]:
-    """The integer weight table of vertex vid (`VertexData.table`), read
-    off the weights its vertex data cleared when it was made."""
-    return x.stratum(vid).vertex_data.table
 
 
 def complex_dim_of_stratum(x: WeightedXray, f: str) -> int:
@@ -499,7 +493,7 @@ def validate_consistency(x: WeightedXray) -> list[Violation]:
     congruent modulo the span exactly when their values on those normals
     agree.  A weight's class is that value vector, kept as integer
     numerators over a denominator in lowest terms, read off the vertex's
-    integer weight table (`_scaled_weights`).  A span with no equations
+    integer weight table (`VertexData.table`).  A span with no equations
     is the whole space: every class there is the empty vector, and the
     constructor gives every vertex half_dim weights, so such strata are
     skipped.  The vertices at or below a stratum come off its cached
@@ -520,7 +514,7 @@ def validate_consistency(x: WeightedXray) -> list[Violation]:
 
         def classes(vid: str) -> tuple[tuple[tuple[int, ...], int], ...]:
             out = []
-            for _, scaled, den, _ in _scaled_weights(x, vid):
+            for _, scaled, den, _ in x.stratum(vid).vertex_data.table:
                 values = [idot(a, scaled) for a in normals]
                 common = math.gcd(den, *values)
                 out.append((tuple([v // common for v in values]), den // common))
@@ -554,7 +548,7 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     vertices are cleared to integers once (`Polytope.int_vertices`) and
     its vertex masks computed once (`Polytope.vertex_masks`), and each
     vertex's primitive integer rays are read off its weight table
-    (`_scaled_weights`).
+    (`VertexData.table`).
 
     A span of directions in Q^d is spanned by at most d of them, so
     subsets of <= d directions reach every linear subset; an independent
@@ -575,7 +569,7 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     for pid in x.vertex_ids:
         p = x.stratum(pid)
         point = p.wall.vertices[0]
-        table = _scaled_weights(x, pid)
+        table = p.vertex_data.table
         rays = [w.ray for w in table]
         passed: dict[tuple[tuple[int, ...], ...], list[str]] = {}
         for fid in [pid] + sorted(x.above(pid)):
@@ -631,7 +625,7 @@ def _tangent_cone_matches(
     """Is the tangent cone of wall at point the cone on gens?
 
     tight[j] is `tight_mask(wall, wall.vertices[j])`; point lies in the
-    wall, and gens are primitive integer rays (`_scaled_weights`) in its
+    wall, and gens are primitive integer rays (`VertexData.table`) in its
     linear span, the zero vector allowed.  gens lie in the tangent cone when
     they satisfy every facet through point.  At a vertex, the cone's
     extreme rays run to the adjacent vertices q (no third vertex is

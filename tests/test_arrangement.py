@@ -22,7 +22,7 @@ from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, save_xra
 from xraycross.ratmath import as_vec, clear_denominators, format_rational, vdot
 from xraycross.xray import stratum_weights_in
 from conftest import CP4_ROWS, NCP4_ROWS, seeded_rows, vertices_below
-from test_exactgeom import centroid, relative_interior_contains
+from test_exactgeom import centroid, relative_interior_contains, scaled_point
 from test_ratmath import lin_contains, sign, vscale
 
 DIAG = "w2-3-4-5"
@@ -664,7 +664,7 @@ def test_merge_test_reads_facet_sign_vectors(monkeypatch, make):
         cuts = arrangement._decompose(x, f).cuts
         nfacets = len(x.stratum(f).wall.facets)
         for facet, own in shared:
-            mid = centroid([ref.points[v] for v in facet])
+            mid = centroid([scaled_point(ref, v) for v in facet])
             for cell, bit in own:
                 signs = list(ref.signs[cell])
                 signs[arrangement._facet_cut(bit, nfacets)] = 0

@@ -12,6 +12,7 @@ import pytest
 from xraycross import cli
 from xraycross.engine import EULER, POINCARE, SIGNATURE, CheckLine, propagate, rechecked_edges
 from test_engine import SEED_BREAKS
+from test_generators import UNPARSABLE
 from test_xray import NO_STRATA_DOC, two_segments_doc
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -355,6 +356,16 @@ def test_parse_error_diagnostics(files):
     assert out.returncode == 1
     assert "parse error" in out.stderr
     assert "line" in out.stderr
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE))
+def test_unparsable_file_is_a_parse_error(files, name):
+    bad = files["base"] / f"{name}.json"
+    bad.write_bytes(UNPARSABLE[name])
+    out = run_cli("validate", str(bad))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: parse error")
+    assert "Traceback" not in out.stderr
 
 
 def test_invariants_cycle_line_counts_rechecked_edges(cp3, ncp4, files):

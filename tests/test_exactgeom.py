@@ -65,6 +65,12 @@ def centroid(points):
     return tuple([Fraction(sum(flat[j::d]), den) for j in range(d)])
 
 
+def scaled_point(ref, v):
+    """Point v of a Refinement, made from its integer form."""
+    p, d = ref.scaled[v]
+    return tuple(Fraction(x, d) for x in p)
+
+
 def relative_interior_contains(p, point):
     """Does point lie in the relative interior of the polytope p?"""
     if p.dim == 0:
@@ -269,28 +275,12 @@ def test_integer_predicates_match_fraction_evaluation(case):
 def test_build_path_makes_no_fraction(cp3, cp4, ncp4, toric_triangle, unit_square, monkeypatch):
     """The X-ray build stores integer forms only.  hull, on every wall of
     the fixtures and of seeded (2,6) and (3,4) CP^n X-rays, and
-    Refinement.polytope, on every cell of each wall refined along its
-    codimension-1 subwalls' hyperplanes, construct no Fraction; and a
-    vertex's weight table is read off its vertex data, so
-    `_scaled_weights` clears nothing, on X-rays no query has touched."""
+    Refinement.cut, along each wall's codimension-1 subwalls'
+    hyperplanes, construct no Fraction; Refinement.polytope, on every
+    cell, constructs its vertices' coordinates and no other Fraction;
+    and a vertex's weight table is read off its vertex data, so
+    `VertexData.table` clears nothing, on X-rays no query has touched."""
     fresh = [cpn_xray(6, seeded_rows(2, 6, 1)), cpn_xray(4, seeded_rows(3, 4, 1))]
-    jobs = []
-    for x in [cp3, cp4, ncp4, toric_triangle, unit_square] + fresh:
-        for s in x.strata:
-            wall = s.wall
-            ref = Refinement(wall)
-            planes = [span_hyperplane(wall.span, x.stratum(g).wall.span) for g in x.below(s.id) if x.dim(g) == wall.dim - 1]
-            for plane in dict.fromkeys(planes):
-                ref.cut(plane)
-            cells = []
-            for ids, tight in ref.cells:
-                mask = 0
-                for t in tight:
-                    mask |= t
-                cells.append((ids, mask))
-            jobs.append((wall, ref, cells))
-    assert any(len(cells) > 1 for _, _, cells in jobs)
-
     made = []
     real_new = Fraction.__new__
 
@@ -298,13 +288,35 @@ def test_build_path_makes_no_fraction(cp3, cp4, ncp4, toric_triangle, unit_squar
         made.append(args)
         return real_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    for wall, ref, cells in jobs:
-        assert hull(wall.vertices) == wall
-        for ids, mask in cells:
-            ref.polytope(ids, mask)
-    monkeypatch.undo()
+    jobs = []
+    for x in [cp3, cp4, ncp4, toric_triangle, unit_square] + fresh:
+        for s in x.strata:
+            wall = s.wall
+            planes = [span_hyperplane(wall.span, x.stratum(g).wall.span) for g in x.below(s.id) if x.dim(g) == wall.dim - 1]
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+            assert hull(wall.vertices) == wall
+            ref = Refinement(wall)
+            for plane in dict.fromkeys(planes):
+                ref.cut(plane)
+            monkeypatch.undo()
+            cells = []
+            for ids, tight in ref.cells:
+                mask = 0
+                for t in tight:
+                    mask |= t
+                cells.append((ids, mask))
+            jobs.append((ref, cells))
     assert made == []
+    assert any(len(cells) > 1 for _, cells in jobs)
+
+    coordinates = 0
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for ref, cells in jobs:
+        for ids, mask in cells:
+            cell = ref.polytope(ids, mask)
+            coordinates += len(cell.vertices) * cell.ambient_dim
+    monkeypatch.undo()
+    assert len(made) == coordinates
 
     cleared = []
     real_clear = xray.clear_denominators
@@ -316,7 +328,7 @@ def test_build_path_makes_no_fraction(cp3, cp4, ncp4, toric_triangle, unit_squar
     monkeypatch.setattr(xray, "clear_denominators", counting_clear)
     for x in fresh:
         for v in x.vertex_ids:
-            assert len(xray._scaled_weights(x, v)) == x.half_dim
+            assert len(x.stratum(v).vertex_data.table) == x.half_dim
     assert cleared == []
 
 
@@ -759,7 +771,7 @@ def test_refinement_sign_vectors():
     assert ref.int_facets[len(p.facets) :: 2] == [((1, 0), 1), ((0, 1), 1), ((1, 1), 3)]
     assert len(ref.signs) == len(ref.cells) == len(set(ref.signs)) == 7
     for (ids, _), signs in zip(ref.cells, ref.signs):
-        mid = tuple(sum(col) / len(ids) for col in zip(*(ref.points[v] for v in ids)))
+        mid = tuple(sum(col) / len(ids) for col in zip(*(scaled_point(ref, v) for v in ids)))
         assert signs == tuple(1 if vdot(n, mid) > c else -1 for n, c in cuts)
 
 

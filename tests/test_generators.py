@@ -180,6 +180,21 @@ def test_load_rejects_overlong_integer(tmp_path):
         load_xray(path)
 
 
+UNPARSABLE = {"not-utf8": b'{"euler": "\xff"}', "nested": b"[" * 200_000}
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE))
+def test_load_rejects_unparsable_file(tmp_path, name):
+    """A file that is not UTF-8, and one nested past the recursion limit,
+    are parse errors like any other; a missing file is still an OSError."""
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNPARSABLE[name])
+    with pytest.raises(MalformedXray, match="parse error: "):
+        load_xray(path)
+    with pytest.raises(OSError):
+        load_xray(tmp_path / "missing.json")
+
+
 def test_load_rejects_invalid_xray(tmp_path, cp4):
     import json
 

@@ -5,9 +5,12 @@ import ast
 import importlib
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -178,27 +181,38 @@ def test_query_gate_passes():
 
 
 def test_ab_inproc_passes():
-    """Two imports of this tree on two ops of the checked-load mix, of
-    the query pass and of the tables mix: every stage gets a ratio line,
-    and the two copies agree on every output."""
+    """Two imports of this tree on two ops of each workload: one ratio
+    line for the op, and both copies' checks pass with equal digests."""
     src = str(ROOT / "src")
-    lines = run_script("ab_inproc.py", src, src, "--ops", "2", "--rounds", "2")
-    assert lines[0].startswith("checked-load: 2 ops x 2 rounds")
-    stages = [line.split()[0] for line in lines[1:-1]]
-    assert stages == [
-        "generate",
-        "canonical_json",
-        "from_interchange",
-        "validate_poset",
-        "validate_consistency",
-        "validate_darboux",
-        "op",
-    ]
-    lines = run_script("ab_inproc.py", src, src, "--workload", "query", "--ops", "2", "--rounds", "2")
-    assert lines[0].startswith("query: 2 ops x 2 rounds")
-    stages = [line.split()[0] for line in lines[1:-1]]
-    assert stages == ["tables", "checks", "serialize", "circle", "locate", "op"]
-    lines = run_script("ab_inproc.py", src, src, "--workload", "tables", "--ops", "2", "--rounds", "2")
-    assert lines[0].startswith("tables: 2 ops x 2 rounds")
-    stages = [line.split()[0] for line in lines[1:-1]]
-    assert stages == ["load", "validate", "subchambers", "crossing_graph", "tables", "op"]
+    for workload in ("checked-load", "query", "tables"):
+        lines = run_script("ab_inproc.py", src, src, "--workload", workload, "--ops", "2", "--rounds", "2")
+        assert lines[0].startswith(f"{workload}: 2 ops x 2 rounds")
+        assert len(lines) == 3 and lines[1].startswith("op ")
+        assert lines[2] == "ab_inproc: PASS"
+
+
+# Faults patched into a copy of src/xraycross/engine.py: (text, replacement).
+BROKEN = {
+    "w_euler doubled": ("    return f - b\n", "    return 2 * (f - b)\n"),
+    "propagate raising": ('path-dependent table.\n    """\n', 'path-dependent table.\n    """\n    raise RuntimeError("broken")\n'),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BROKEN))
+def test_ab_inproc_fails_on_a_broken_tree(tmp_path, fault):
+    """A copy of src whose engine is broken fails with a FAIL line naming
+    the tree, and a raising op gives no traceback."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    engine = tmp_path / "src" / "xraycross" / "engine.py"
+    old, new = BROKEN[fault]
+    text = engine.read_text()
+    assert old in text
+    engine.write_text(text.replace(old, new, 1))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_inproc.py"), str(ROOT / "src"), str(tmp_path / "src"), "--workload", "tables", "--ops", "2", "--rounds", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[-1].startswith("ab_inproc: FAIL: change op 0")
+    assert "Traceback" not in result.stderr
