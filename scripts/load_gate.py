@@ -20,10 +20,11 @@ For each input it prints:
   `from_interchange` of that JSON, and each validator on the loaded
   X-ray, in the order the checked load runs them (the first validator
   to read a vertex's weights builds its integer weight table);
-- one `violations` block for each of three seeded corruptions that keep
+- one `violations` block for each of four seeded corruptions that keep
   one maximal stratum (a moved vertex, a mutated weight, a twin
-  stratum): every line of each validator's list, or the `MalformedXray`
-  text when the corrupted document does not load.
+  stratum, a weight rescaled along its ray): every line of each
+  validator's list, or the `MalformedXray` text when the corrupted
+  document does not load.
 
 It then prints the `MalformedXray` text of every document in a small
 malformed set.  Running it in two checkouts and comparing everything but
@@ -44,7 +45,14 @@ from arrangement_gate import GRIDS, inputs
 from xraycross.errors import MalformedXray
 from xraycross.generators import standard_cube_xray
 from xraycross.ratmath import format_rational
-from xraycross.xray import canonical_json, from_interchange, validate_consistency, validate_darboux, validate_poset
+from xraycross.xray import (
+    canonical_json,
+    from_interchange,
+    stratum_weights_in,
+    validate_consistency,
+    validate_darboux,
+    validate_poset,
+)
 
 SEEDED = [(1, n) for n in range(2, 12)] + [(2, n) for n in range(3, 8)] + [(3, n) for n in range(4, 7)]
 LOAD_GRIDS = [g for g in GRIDS if g[:2] <= (3, 6)]
@@ -113,7 +121,31 @@ def twin_stratum(doc: dict, rng: random.Random) -> dict:
     return doc
 
 
-CORRUPTIONS = (("moved-vertex", moved_vertex), ("mutated-weight", mutated_weight), ("twin-stratum", twin_stratum))
+def rescaled_weight(doc: dict, rng: random.Random) -> dict:
+    """One weight of one vertex multiplied by 3/2, seeded among the
+    weights that lie off the span of some wall through their vertex, or
+    among all weights when none does (every wall of a d = 1 X-ray spans
+    the line).  Its ray is unchanged, so the Darboux check reads the
+    same, but its class modulo that span is not."""
+    x = from_interchange(doc)
+    off = []
+    for vid in x.vertex_ids:
+        for j, w in enumerate(doc["vertex_data"][vid]["weights"]):
+            w = tuple(map(Fraction, w))
+            if any(w not in stratum_weights_in(x, vid, f) for f in sorted(x.above(vid))):
+                off.append((vid, j))
+    vid, j = rng.choice(off or [(vid, j) for vid in x.vertex_ids for j in range(x.half_dim)])
+    ws = doc["vertex_data"][vid]["weights"]
+    ws[j] = [format_rational(Fraction(c) * 3 / 2) for c in ws[j]]
+    return doc
+
+
+CORRUPTIONS = (
+    ("moved-vertex", moved_vertex),
+    ("mutated-weight", mutated_weight),
+    ("twin-stratum", twin_stratum),
+    ("rescaled-weight", rescaled_weight),
+)
 
 
 def corruption_lines(label: str, text: str) -> list[str]:

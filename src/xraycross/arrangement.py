@@ -119,13 +119,19 @@ def _fmt_point(p: RatVector) -> str:
 class _Decomposition:
     """One wall's subchambers and what is read off them, cached.
 
-    pieces:   (source, dest, rep, plane, side) per face between two
-              subchambers, source < dest, or between EXTERIOR and a
-              subchamber.  When the face is one wall facet, or one cell
-              facet between two subchambers, it lies on the cut with
-              index plane and on no other, and dest's chamber lies on
-              side (-1 or +1) of that cut.  Otherwise plane and side are
-              None, and the rep's signs on the cuts decide (`_signs`).
+    pieces:   (source, dest, rep, form, plane, side) per face between
+              two subchambers, source < dest, or between EXTERIOR and a
+              subchamber.  form is the rep as (P, D), the point P / D
+              with D > 0, unreduced: the vertices' sum over their count
+              (`Refinement.mean`, `_mean`).  Every integer test on the
+              rep reads form, as none changes when P and D are scaled
+              by one positive integer; the Fraction rep is kept for the
+              edge's `facet_rep` and for `locate`.  When the face is one
+              wall facet, or one cell facet between two subchambers, it
+              lies on the cut with index plane and on no other, and
+              dest's chamber lies on side (-1 or +1) of that cut.
+              Otherwise plane and side are None, and the rep's signs on
+              the cuts decide (`_signs`).
     cuts:     the distinct hyperplanes of the codimension-1 subwalls in
               cut order, or for a wall whose subwalls are all faces its
               own facets: on both paths in `hull`'s facet form, primitive
@@ -146,7 +152,7 @@ class _Decomposition:
     """
 
     chambers: tuple[Subchamber, ...]
-    pieces: tuple[tuple[int, int, RatVector, int | None, int | None], ...]
+    pieces: tuple[tuple[int, int, RatVector, tuple[tuple[int, ...], int], int | None, int | None], ...]
     cuts: tuple[tuple[tuple[int, ...], int], ...]
     subwalls: tuple[tuple[str, Polytope, int | None, tuple[int, ...]], ...]
     loose: tuple[tuple[str, Polytope], ...]
@@ -190,12 +196,13 @@ def _faces_only(x: WeightedXray, f: str, through: dict[str, int]) -> _Decomposit
         subwalls.append((g, x.stratum(g).wall, holding[0] if x.dim(g) == wall.dim - 1 else None, holding))
     rows, den = wall.int_vertices
     masks = wall.vertex_masks
-    pieces = tuple(
-        (EXTERIOR, 0, _mean([v for v, t in zip(rows, masks) if t >> i & 1], den), i, -1) for i in range(len(wall.int_facets))
-    )
+    pieces = []
+    for i in range(len(wall.int_facets)):
+        form = _mean([v for v, t in zip(rows, masks) if t >> i & 1], den)
+        pieces.append((EXTERIOR, 0, _point(*form), form, i, -1))
     return _Decomposition(
-        (Subchamber(f, 0, wall, _mean(rows, den)),),
-        pieces,
+        (Subchamber(f, 0, wall, _point(*_mean(rows, den))),),
+        tuple(pieces),
         wall.int_facets,
         tuple(subwalls),
         (),
@@ -232,7 +239,8 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
     subchambers lies on that facet's cut alone, and dest's chamber lies
     on the side of it where the facet's cell in that chamber does, as a
     convex chamber lies on one side of the plane of any of its facets.
-    Chamber and piece reps are summed from the points' integer forms.
+    Chamber and piece reps are summed from the points' integer forms,
+    and each piece keeps that form for its edge's tests.
     """
     wall = x.stratum(f).wall
     k = wall.dim
@@ -342,7 +350,8 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
             plane = _facet_cut(bit, nfacets)
             cell = i if index[find(i)] == dest else j
             side = ref.signs[cell][plane]
-        pieces.append((source, dest, _point(*ref.mean(ids)), plane, side))
+        form = ref.mean(ids)
+        pieces.append((source, dest, _point(*form), form, plane, side))
     return _Decomposition(
         chambers,
         tuple(pieces),
@@ -371,8 +380,9 @@ def _facet_cut(bit: int, nfacets: int) -> int:
 
 def _signs(cuts: tuple[tuple[tuple[int, ...], int], ...], scaled: tuple[int, ...], den: int) -> tuple[int, ...]:
     """Sign of normal . q - offset on each cut, for the point q = scaled
-    / den in its integer form (`ratmath.clear_denominators`), den > 0:
-    the cuts are integer already, so each sign is one integer test."""
+    / den with den > 0, in lowest terms (`ratmath.clear_denominators`)
+    or not: the cuts are integer already, so each sign is one integer
+    test, which scaling scaled and den alike leaves as it is."""
     out = []
     for normal, offset in cuts:
         s = idot(normal, scaled) - offset * den
@@ -392,9 +402,10 @@ def _point(scaled: tuple[int, ...], den: int) -> RatVector:
     return tuple([Fraction(p, den) for p in scaled])
 
 
-def _mean(rows: list[tuple[int, ...]], den: int) -> RatVector:
-    """The vertex centroid of the points rows / den, summed in integers."""
-    return _point([sum(col) for col in zip(*rows)], den * len(rows))
+def _mean(rows: list[tuple[int, ...]], den: int) -> tuple[tuple[int, ...], int]:
+    """The vertex centroid of the points rows / den as (P, D), summed in
+    integers and not reduced."""
+    return tuple([sum(col) for col in zip(*rows)]), den * len(rows)
 
 
 def _subwall_holding(
@@ -490,8 +501,8 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
             on_plane.setdefault(i, []).append((g, wall, i))
     counts: dict[str, tuple[int, int]] = {}
     edges = [
-        _build_edge(x, f, dec, on_plane, counts, chambers[dest].rep, source, dest, rep, plane, side)
-        for source, dest, rep, plane, side in dec.pieces
+        _build_edge(x, f, dec, on_plane, counts, chambers[dest].rep, source, dest, rep, form, plane, side)
+        for source, dest, rep, form, plane, side in dec.pieces
     ]
     edges.sort(key=lambda e: (e.source, e.dest, e.facet_rep))
     graph = CrossingGraph(f, (EXTERIOR,) + tuple(range(len(chambers))), tuple(edges))
@@ -522,6 +533,7 @@ def _build_edge(
     source: int,
     dest: int,
     facet_rep: RatVector,
+    form: tuple[tuple[int, ...], int],
     plane: int | None,
     side: int | None,
 ) -> CrossingEdge:
@@ -530,10 +542,11 @@ def _build_edge(
     separates.  A piece known to lie on one plane (`_Decomposition`)
     tests the subwalls on it and takes dest's side as given; any other
     tests those on the planes where its rep's sign is zero (`_signs`),
-    each with the side of toward, dest's rep.  facet_rep's denominators
-    are cleared once here, for its signs and the subwall tests; a
-    `locate` call clears its own."""
-    scaled, den = clear_denominators(facet_rep)
+    each with the side of toward, dest's rep.  form is facet_rep as the
+    piece carries it, (P, D) unreduced, and every sign and subwall test
+    here reads it: none changes when P and D are scaled alike by a
+    positive integer.  A `locate` call clears facet_rep itself."""
+    scaled, den = form
     if plane is None:
         signs = _signs(dec.cuts, scaled, den)
         candidates = [(g, wall, i) for g, wall, i, _ in dec.subwalls if i is not None and signs[i] == 0]

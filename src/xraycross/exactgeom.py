@@ -7,13 +7,14 @@ runs in integers: a point's denominators are cleared once into (P, D)
 (`clear_denominators`), and a polytope's vertices once, over one common
 denominator (`Polytope.int_vertices`), so a . x <= b is decided as
 a . P <= b * D against integer equations and facets that each span and
-polytope builds once.  `hull` deduplicates and sorts its points by their
-integer forms, and spans are keyed by an integer form of their basis
-(`AffineSpan.key`).  A span stores its basis and a polytope its facets
-in integers only; Fractions remain for the points themselves (the
-input points, and the vertices of a refinement's cells, made from their
-integer forms by `Refinement.polytope`), and for the views
-`AffineSpan.basis` and `Polytope.facets` that `repr` and output read.
+polytope builds once.  `hull` orders its points by their integer forms
+(and deduplicates more than two), and spans are keyed by an integer
+form of their basis (`AffineSpan.key`).  A span stores its basis and a
+polytope its facets in integers only; Fractions remain for the points
+themselves (the input points, and the vertices of a refinement's cells,
+made once per point from its integer form by `Refinement.point`), and
+for the views `AffineSpan.basis` and `Polytope.facets` that `repr` and
+output read.
 
 A polytope carries both descriptions: its vertex list and a facet system
 of linear inequalities.  The inequalities use ambient coordinates and are
@@ -226,6 +227,13 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     one pivot column, so the sorted ends are its vertices and facets.
     Its span is one difference, which `int_rref` reduces in closed form.
 
+    One point, or two equal ones, is the 0-polytope on its one
+    `clear_denominators` form (`_vertex`), and two distinct points are
+    the segment on their two forms (`_segment`): neither is deduplicated,
+    sorted or eliminated, and each form is in lowest terms already, so
+    no gcd is taken of the points together.  Most walls of an X-ray are
+    points and segments, hulled on every load.
+
     A point is a vertex when the normals of the facets through it have
     rank k (`int_rank`).  The search records which points are tight on
     each new facet, so no facet is tested against every point again.
@@ -235,6 +243,10 @@ def hull(points: Iterable[RatVector]) -> Polytope:
         raise ValueError("empty point set")
     if len({len(p) for p in raw}) != 1:
         raise ValueError("points of mixed dimension")
+    if len(raw) == 1 or len(raw) == 2 and raw[0] == raw[1]:
+        return _vertex(raw[0])
+    if len(raw) == 2:
+        return _segment(*raw)
     d = len(raw[0])
     flat, den = clear_denominators([c for p in raw for c in p])
     by_form: dict[tuple[int, ...], RatVector] = {}
@@ -250,16 +262,7 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     if k == 0:
         return _polytope((pts[0],), [origin], den, span, ())
     if k == 1:
-        # The ends' facets, -x_p <= -lo / den and x_p <= hi / den made
-        # primitive, in sorted order: the normals differ only at p.
-        p = pivots[0]
-        facets = []
-        for sgn, end in ((-1, scaled[0][p]), (1, scaled[-1][p])):
-            g = gcd(end, den)
-            n = [0] * d
-            n[p] = sgn * den // g
-            facets.append((tuple(n), sgn * end // g))
-        return _polytope((pts[0], pts[-1]), [origin, scaled[-1]], den, span, tuple(facets))
+        return _polytope((pts[0], pts[-1]), [origin, scaled[-1]], den, span, _end_facets(pivots[0], origin, scaled[-1], den))
 
     # den times the span coordinates of each point, and the normals of
     # the facets found through each.
@@ -308,6 +311,48 @@ def hull(points: Iterable[RatVector]) -> Polytope:
         g = gcd(offset, *n)
         amb_facets.append((tuple([a // g for a in n]), offset // g))
     return _polytope(tuple([pts[i] for i in on]), [scaled[i] for i in on], den, span, tuple(sorted(amb_facets)))
+
+
+def _vertex(point: RatVector) -> Polytope:
+    """`hull((point,))`: the 0-polytope, its span and `int_vertices` read
+    off the point's one `clear_denominators` form."""
+    form = clear_denominators(point)
+    span = _fill(AffineSpan(point, (), 1, ()), int_base=form)
+    return _fill(Polytope((point,), span, ()), int_vertices=((form[0],), form[1]))
+
+
+def _segment(a: RatVector, b: RatVector) -> Polytope:
+    """`hull((a, b))` of two distinct points, from their cleared forms.
+
+    Over the lcm D of their denominators the ends are ordered by integer
+    form, low end first, and no gcd is taken of both together: each
+    form is in lowest terms, so the low end's is the span's `int_base`,
+    and no prime divides D and every coordinate of both.  The one RREF
+    row is the difference hi - lo over its gcd, whose first nonzero
+    entry, the pivot, is positive (`ratmath.int_rref`)."""
+    (pa, da), (pb, db) = fa, fb = clear_denominators(a), clear_denominators(b)
+    den = lcm(da, db)
+    lo, hi = tuple([x * (den // da) for x in pa]), tuple([x * (den // db) for x in pb])
+    if hi < lo:
+        a, b, fa, lo, hi = b, a, fb, hi, lo
+    diff = [y - x for x, y in zip(lo, hi)]
+    p = next(j for j, x in enumerate(diff) if x)
+    g = gcd(*diff)
+    span = _fill(AffineSpan(a, (tuple([x // g for x in diff]),), diff[p] // g, (p,)), int_base=fa)
+    return _fill(Polytope((a, b), span, _end_facets(p, lo, hi, den)), int_vertices=((lo, hi), den))
+
+
+def _end_facets(p: int, lo: tuple[int, ...], hi: tuple[int, ...], den: int) -> tuple[IntFunctional, ...]:
+    """A segment's facets, -x_p <= -lo_p / den and x_p <= hi_p / den made
+    primitive, for ends lo / den < hi / den differing first at column p:
+    in sorted order, as the normals differ only at p."""
+    facets = []
+    for sgn, end in ((-1, lo[p]), (1, hi[p])):
+        g = gcd(end, den)
+        n = [0] * len(lo)
+        n[p] = sgn * den // g
+        facets.append((tuple(n), sgn * end // g))
+    return tuple(facets)
 
 
 def _polytope(
@@ -401,7 +446,8 @@ class Refinement:
     double description (Motzkin et al. 1953; Fukuda & Prodon 1996).
 
     scaled: every vertex of every cell, by id, in `clear_denominators`
-            form; cells share ids.
+            form; cells share ids, and the chambers built from them
+            share one Fraction tuple per id (`point`).
     int_facets: the inequality table, in `hull`'s integer facet form:
             the polytope's own facets, then both orientations of each
             cut.
@@ -427,6 +473,7 @@ class Refinement:
         self.cells: list[Cell] = [(tuple(range(len(self.scaled))), p.vertex_masks)]
         self.signs: list[tuple[int, ...]] = [()]
         self._masks_at: list[list[int]] | None = None
+        self._points: dict[int, RatVector] = dict(enumerate(p.vertices))
 
     def cut(self, plane: IntFunctional) -> None:
         """Split every cell with vertices strictly on both sides of the
@@ -540,11 +587,23 @@ class Refinement:
         rows = [[x * (den // d) for x in p] for p, d in (self.scaled[v] for v in ids)]
         return tuple([sum(col) for col in zip(*rows)]), den * len(ids)
 
+    def point(self, v: int) -> RatVector:
+        """Point v as Fractions: one tuple per id, made from its integer
+        form the first time it is read, and the refined polytope's own
+        vertex tuples for its vertices, so every chamber through a point
+        holds the same tuple."""
+        pt = self._points.get(v)
+        if pt is None:
+            p, d = self.scaled[v]
+            pt = self._points[v] = tuple([Fraction(x, d) for x in p])
+        return pt
+
     def polytope(self, ids: Sequence[int], mask: int) -> Polytope:
         """The polytope with vertex ids ids and the facets in mask, built
         as `hull` builds it (`_polytope`), so its `int_vertices` are
-        filled in, and its span's `int_base` too.  Its vertices, made
-        from their integer forms, are the only Fractions made.
+        filled in, and its span's `int_base` too.  Its vertices are the
+        refinement's shared tuples (`point`), so the only Fractions made
+        are those of a point no chamber has read before.
 
         The vertices are sorted by their integer forms over one common
         denominator, which is positive, so in the order of their
@@ -557,7 +616,7 @@ class Refinement:
             p, d = self.scaled[v]
             rows.append((tuple([x * (den // d) for x in p]), v))
         rows.sort()
-        verts = tuple([tuple([Fraction(x, den) for x in q]) for q, _ in rows])
+        verts = tuple([self.point(v) for _, v in rows])
         span = _fill(AffineSpan(verts[0], self.span.rows, self.span.den, self.span.pivots), int_base=self.scaled[rows[0][1]])
         facets = tuple(sorted([self.int_facets[i] for i in bits(mask)]))
         return _polytope(verts, [q for q, _ in rows], den, span, facets)

@@ -491,10 +491,14 @@ def validate_consistency(x: WeightedXray) -> list[Violation]:
     The normals of the span's integer equations are a basis of the
     functionals vanishing on its linear part, so two weights are
     congruent modulo the span exactly when their values on those normals
-    agree.  A weight's class is that value vector, kept as integer
-    numerators over a denominator in lowest terms, read off the vertex's
-    integer weight table (`VertexData.table`).  A span with no equations
-    is the whole space: every class there is the empty vector, and the
+    agree.  A vertex's weights are its integer rows over one denominator
+    D > 0 (`VertexData.int_weights`), so its classes are the sorted
+    tuples of the rows' values on the normals, over D; sorting over a
+    positive D keeps the order of the classes themselves.  Two vertices
+    agree when their sorted tuples are equal once each is multiplied by
+    the other's D, so no weight is reduced to lowest terms, and
+    `VertexData.table` is not read.  A span with no equations is the
+    whole space: every class there is the empty vector, and the
     constructor gives every vertex half_dim weights, so such strata are
     skipped.  The vertices at or below a stratum come off its cached
     `below` set, in id order.
@@ -512,17 +516,19 @@ def validate_consistency(x: WeightedXray) -> list[Violation]:
         if len(vs) < 2:
             continue
 
-        def classes(vid: str) -> tuple[tuple[tuple[int, ...], int], ...]:
-            out = []
-            for _, scaled, den, _ in x.stratum(vid).vertex_data.table:
-                values = [idot(a, scaled) for a in normals]
-                common = math.gcd(den, *values)
-                out.append((tuple([v // common for v in values]), den // common))
-            return tuple(sorted(out))
+        def classes(vid: str) -> tuple[list[tuple[int, ...]], int]:
+            rows, den = x.stratum(vid).vertex_data.int_weights
+            return sorted([tuple([idot(a, w) for a in normals]) for w in rows]), den
 
-        ref = classes(vs[0])
+        ref, ref_den = classes(vs[0])
         for v in vs[1:]:
-            if classes(v) != ref:
+            got, den = classes(v)
+            if den != ref_den:
+                got = [tuple([c * ref_den for c in t]) for t in got]
+                want = [tuple([c * den for c in t]) for t in ref]
+            else:
+                want = ref
+            if got != want:
                 vio.add(Violation(g.id, "consistency", f"weight classes at '{v}' differ from '{vs[0]}' modulo the wall span"))
     return sorted(vio)
 
@@ -548,7 +554,11 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     vertices are cleared to integers once (`Polytope.int_vertices`) and
     its vertex masks computed once (`Polytope.vertex_masks`), and each
     vertex's primitive integer rays are read off its weight table
-    (`VertexData.table`).
+    (`VertexData.table`).  A vertex's nonzero rays are grouped once by
+    their line's key (`_line_key`), which is what `AffineSpan.key` gives
+    a line: so the rays in a 1-dimensional wall's span are the zero rays
+    and one lookup by its key, with no span test, and at an end of that
+    wall the comparison is one set equality (`_tangent_cone_matches`).
 
     A span of directions in Q^d is spanned by at most d of them, so
     subsets of <= d directions reach every linear subset; an independent
@@ -562,7 +572,8 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     in a dict from the basis's integer key (`span_key`, `AffineSpan.key`)
     to wall ids.  The key of no direction is empty, and that of one
     direction is its primitive ray, made positive on its first nonzero
-    entry (`_line_key`), so only subsets of two or more are eliminated.
+    entry (`_line_key`, the keys the rays were grouped by), so only
+    subsets of two or more are eliminated.
     """
     d = x.torus_rank
     vio: set[Violation] = set()
@@ -571,13 +582,22 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
         point = p.wall.vertices[0]
         table = p.vertex_data.table
         rays = [w.ray for w in table]
+        zeros = []
+        lines: dict[tuple[tuple[int, ...]], list[tuple[int, ...]]] = {}
+        for r in rays:
+            if any(r):
+                lines.setdefault(_line_key(r), []).append(r)
+            else:
+                zeros.append(r)
         passed: dict[tuple[tuple[int, ...], ...], list[str]] = {}
         for fid in [pid] + sorted(x.above(pid)):
             wall = x.stratum(fid).wall
             if wall.dim == d:
                 inspan = rays
             elif wall.dim == 0:  # the vertex itself: only zero weights
-                inspan = [r for r in rays if not any(r)]
+                inspan = zeros
+            elif wall.dim == 1:  # a line: the zero weights and its own rays
+                inspan = zeros + lines.get(wall.span.key, [])
             else:
                 inspan = [r for r in rays if wall.span.lin_holds(r)]
             if _tangent_cone_matches(wall, wall.vertex_masks, point, inspan, d):
@@ -587,7 +607,7 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
         dirs = sorted({r for r in rays if any(r)})
         spans = {()}
         if d > 1:
-            spans.update(_line_key(r) for r in dirs)
+            spans.update(lines)
         spans.update(span_key(B) for size in range(2, min(len(dirs), d - 1) + 1) for B in combinations(dirs, size))
         whole = span_key(dirs)
         if len(whole) == d:
@@ -634,10 +654,17 @@ def _tangent_cone_matches(
     the cone only as a multiple of one of them.  Elsewhere each vertex
     direction must lie in the cone on gens.  The directions are integer
     differences of the wall's `int_vertices`, made primitive.
+
+    At an end of a 1-dimensional wall the cone is the one primitive ray
+    to the other end, and gens lie in the wall's line: they satisfy the
+    end's facet exactly when each nonzero one is that ray, so the cones
+    are equal exactly when the set of nonzero gens is that ray alone.
     """
     verts = wall.vertices
     rows, den = wall.int_vertices
     i = verts.index(point) if point in verts else None
+    if i is not None and wall.dim == 1:
+        return {g for g in gens if any(g)} == {primitive([a - b for a, b in zip(rows[1 - i], rows[i])])}
     here = tight_mask(wall, point) if i is None else tight[i]
     normals = [n for b, (n, _) in enumerate(wall.int_facets) if here >> b & 1]
     if any(idot(n, g) > 0 for g in gens for n in normals):

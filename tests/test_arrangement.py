@@ -706,7 +706,7 @@ def crossing_graph_by_scan(x, f):
     chamber's rep, counting the separator's weights in Fractions."""
     dec = arrangement._decompose(x, f)
     edges = []
-    for source, dest, rep, _, _ in dec.pieces:
+    for source, dest, rep, _, _, _ in dec.pieces:
         signs = arrangement._signs(dec.cuts, *clear_denominators(rep))
         separators = []
         for g, wall, i, _ in dec.subwalls:
@@ -754,7 +754,8 @@ def test_crossing_graph_matches_edge_by_edge_scan(make):
     """Reading each piece's plane and side off the decomposition, testing
     only the subwalls on that plane, and placing a rep strictly inside a
     separator read off its faces in its chamber 0 with no `locate`, give
-    the graph the full scan gives.  A piece that carries a plane has its
+    the graph the full scan gives.  Each piece's integer form, unreduced,
+    is its rep.  A piece that carries a plane has its
     only zero sign there, and dest's chamber rep lies on the side the
     piece carries."""
     x = make()
@@ -763,7 +764,8 @@ def test_crossing_graph_matches_edge_by_edge_scan(make):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert graph_outcome(crossing_graph, x, f) == graph_outcome(crossing_graph_by_scan, x, f), f
-        for _, dest, rep, plane, side in dec.pieces:
+        for _, dest, rep, (scaled, den), plane, side in dec.pieces:
+            assert den > 0 and tuple(Fraction(c, den) for c in scaled) == rep
             if plane is not None:
                 assert [i for i, s in enumerate(arrangement._signs(dec.cuts, *clear_denominators(rep))) if s == 0] == [plane]
                 assert arrangement._signs(dec.cuts, *clear_denominators(dec.chambers[dest].rep))[plane] == side
@@ -776,7 +778,7 @@ def test_crossing_graph_reads_every_kind_of_piece():
     kinds = set()
     for x in [cpn_xray(7, seeded_rows(2, 7, 1, grid=3)), cpn_xray(5, seeded_rows(3, 5, 1, grid=2))]:
         for f in x.ids:
-            for source, _, _, plane, _ in arrangement._decompose(x, f).pieces:
+            for source, _, _, _, plane, _ in arrangement._decompose(x, f).pieces:
                 kinds.add("signs" if plane is None else "exterior" if source == EXTERIOR else "interior")
     assert kinds == {"signs", "exterior", "interior"}
 

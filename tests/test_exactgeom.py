@@ -277,8 +277,10 @@ def test_build_path_makes_no_fraction(cp3, cp4, ncp4, toric_triangle, unit_squar
     the fixtures and of seeded (2,6) and (3,4) CP^n X-rays, and
     Refinement.cut, along each wall's codimension-1 subwalls'
     hyperplanes, construct no Fraction; Refinement.polytope, on every
-    cell, constructs its vertices' coordinates and no other Fraction;
-    and a vertex's weight table is read off its vertex data, so
+    cell, constructs the coordinates of each point a cut made, once per
+    point however many cells it bounds, and no other Fraction: cells
+    share one tuple per point, and the wall's own vertex tuples; and a
+    vertex's weight table is read off its vertex data, so
     `VertexData.table` clears nothing, on X-rays no query has touched."""
     fresh = [cpn_xray(6, seeded_rows(2, 6, 1)), cpn_xray(4, seeded_rows(3, 4, 1))]
     made = []
@@ -305,16 +307,21 @@ def test_build_path_makes_no_fraction(cp3, cp4, ncp4, toric_triangle, unit_squar
                 for t in tight:
                     mask |= t
                 cells.append((ids, mask))
-            jobs.append((ref, cells))
+            jobs.append((wall, ref, cells))
     assert made == []
-    assert any(len(cells) > 1 for _, cells in jobs)
+    assert any(len(cells) > 1 for _, _, cells in jobs)
 
     coordinates = 0
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    for ref, cells in jobs:
+    for wall, ref, cells in jobs:
+        points = {}
         for ids, mask in cells:
             cell = ref.polytope(ids, mask)
-            coordinates += len(cell.vertices) * cell.ambient_dim
+            for v in ids:
+                points.setdefault(v, ref.point(v))
+            assert all(any(q is points[v] for v in ids) for q in cell.vertices)
+        coordinates += sum(v >= len(wall.vertices) for v in points) * wall.ambient_dim
+        assert all(points[v] is q for v, q in enumerate(wall.vertices))
     monkeypatch.undo()
     assert len(made) == coordinates
 
@@ -384,6 +391,32 @@ def test_hull_empty_rejected():
 def test_hull_mixed_dimension_rejected():
     with pytest.raises(ValueError, match="mixed dimension"):
         hull(pts((0, 0), (1, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "points, pivots",
+    [
+        (pts(("1/2", "-2/3", "5/4")), ()),
+        (pts(("3/2", "1/3"), ("1/2", "5/6")), (0,)),
+        (pts(("1/2", "-1/3"), ("1/2", "-1/3")), ()),
+        (pts((1, "5/2", "-2/3"), (1, "1/3", "7/6")), (1,)),
+    ],
+    ids=["one-point", "high-end-first", "equal-points", "pivot-not-0"],
+)
+def test_hull_of_one_or_two_points_matches_fraction_reference(points, pivots):
+    """The closed forms for one point and for two match the search in
+    Fractions, keep the input tuples as vertices, and fill in integer
+    forms, which nothing would compute again, equal to the vertices' and
+    the base's cleared forms."""
+    got, want = hull(points), hull_by_fractions(points)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert got.span.pivots == pivots
+    assert all(any(v is q for q in points) for v in got.vertices)
+    d = got.ambient_dim
+    flat, den = clear_denominators([c for v in got.vertices for c in v])
+    assert got.int_vertices == (tuple(flat[i : i + d] for i in range(0, len(flat), d)), den)
+    assert got.span.int_base == clear_denominators(got.span.base)
 
 
 def test_hull_all_points_equal():

@@ -161,6 +161,17 @@ def test_load_gate_passes():
         "digest (3,4) grid 2: ed9418755db0cea974673fe3903a8035",
         "digest cube3: 6420f8c3c7cd01cf65effa03767c8357",
     ]
+    # A weight rescaled along its ray leaves the Darboux check as it was
+    # but moves a class modulo a wall span: some input prints the
+    # consistency check's violation lines under it.
+    block = None
+    flagged = []
+    for line in lines:
+        if line.startswith("violations "):
+            block = line
+        elif line.startswith("  [consistency] ") and " rescaled-weight consistency: " in block:
+            flagged.append(block)
+    assert flagged
 
 
 def test_query_gate_passes():

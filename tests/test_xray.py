@@ -543,8 +543,40 @@ def validate_consistency_by_reduce_mod(x):
     return sorted(vio)
 
 
+def rescaled_triangle(scale=1):
+    """The standard triangle with its weights rescaled along their rays,
+    so that the vertices' weights have common denominators 6, 2 and 3 and
+    every class modulo every edge still agrees; v3's weight off the edge
+    e1-3, (-1/3, 1/3), is then multiplied by scale."""
+    doc = to_interchange(standard_simplex_xray(2))
+    w = Fraction(1, 3) * scale
+    weights = {
+        "v1": [["0", "1/3"], ["1/2", "0"]],
+        "v2": [["0", "-1"], ["1/2", "-1/2"]],
+        "v3": [["-1", "0"], [format_rational(-w), format_rational(w)]],
+    }
+    for vid, ws in weights.items():
+        doc["vertex_data"][vid]["weights"] = ws
+    return from_interchange(doc)
+
+
+@pytest.mark.parametrize(
+    "scale, dens, flagged", [(1, [6, 2, 3], []), (Fraction(3, 2), [6, 2, 2], ["e1-3"])], ids=["equal-classes", "rescaled-weight"]
+)
+def test_consistency_compares_classes_over_different_denominators(scale, dens, flagged):
+    """Vertices whose weight rows have different denominators agree when
+    their classes do; a weight off an edge's span, rescaled along its
+    ray, leaves the Darboux check clean but moves its class there."""
+    x = rescaled_triangle(scale)
+    assert [x.stratum(v).vertex_data.int_weights[1] for v in x.vertex_ids] == dens
+    got = validate_consistency(x)
+    assert [v.stratum for v in got] == flagged
+    assert got == validate_consistency_by_reduce_mod(x)
+    assert validate_poset(x) == validate_darboux(x) == []
+
+
 def test_consistency_matches_reduce_mod_classes(cp3, cp4, ncp4, toric_triangle, unit_square, segment):
-    xs = [cp3, cp4, ncp4, toric_triangle, unit_square, segment]
+    xs = [cp3, cp4, ncp4, toric_triangle, unit_square, segment, rescaled_triangle(), rescaled_triangle(Fraction(3, 2))]
     xs += [cpn_xray(n, seeded_rows(d, n, seed)) for d, n, seed in ((1, 5, 0), (1, 7, 1), (2, 4, 2), (2, 5, 3), (3, 4, 4))]
     xs += [mutate_weight(x, seed) for x in xs for seed in range(4)]
     with_violations = 0
