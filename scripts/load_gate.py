@@ -18,8 +18,7 @@ For each input it prints:
 - a `time` line: the seconds each stage of the path took, one after
   another on fresh objects: generating the X-ray, `canonical_json`,
   `from_interchange` of that JSON, and each validator on the loaded
-  X-ray, in the order the checked load runs them (the first validator
-  to read a vertex's weights builds its integer weight table);
+  X-ray, in the order the checked load runs them;
 - one `violations` block for each of four seeded corruptions that keep
   one maximal stratum (a moved vertex, a mutated weight, a twin
   stratum, a weight rescaled along its ray): every line of each

@@ -18,7 +18,7 @@ each is asked for.
 
 from_rank1_xray is cached on the X-ray, with the prefix sums and
 crossing coefficients its components gather, and reads each weight's
-sign off the weight's integer form.
+sign off its row over the vertex's common denominator.
 
 restrict_to_line turns one crossing-graph edge of a higher-rank X-ray
 into rank-1 fixed data for the residual circle, so the closed forms can
@@ -259,11 +259,11 @@ def from_rank1_xray(x) -> CircleFixedData:
     """Fixed data of a torus_rank-1 X-ray: one component per vertex stratum.
 
     Weight vectors reduce to their signs (the closed forms only count
-    them), read off each weight's primitive ray in the vertex's integer
-    weight table (`VertexData.table`); zero weights are
-    tangent directions and drop out, shrinking q for non-isolated
-    components.  Built once per X-ray and cached on it, so its prefix
-    sums and crossing coefficients are gathered once too.
+    them), read off each weight's row in `VertexData.int_weights`, a
+    positive multiple of the weight, so row[0] has the weight's sign;
+    zero weights are tangent directions and drop out, shrinking q for
+    non-isolated components.  Built once per X-ray and cached on it, so
+    its prefix sums and crossing coefficients are gathered once too.
     """
     if x.torus_rank != 1:
         raise ValueError("rank-1 fixed data requires a d = 1 X-ray")
@@ -273,7 +273,7 @@ def from_rank1_xray(x) -> CircleFixedData:
         for vid in x.vertex_ids:
             s = x.stratum(vid)
             vd = s.vertex_data
-            weights = tuple(1 if w.ray[0] > 0 else -1 for w in vd.table if w.ray[0])
+            weights = tuple(1 if row[0] > 0 else -1 for row in vd.int_weights[0] if row[0])
             components.append(
                 FixedComponent(s.wall.vertices[0][0], weights, vd.seed_signature, vd.seed_poincare)
             )

@@ -223,16 +223,16 @@ def hull(points: Iterable[RatVector]) -> Polytope:
     `int_facets` are read off the same integer forms, not cleared again,
     and no Fraction is made: the vertices are input points.
 
-    A segment (k = 1) needs no search: the points differ first on its
-    one pivot column, so the sorted ends are its vertices and facets.
-    Its span is one difference, which `int_rref` reduces in closed form.
-
-    One point, or two equal ones, is the 0-polytope on its one
-    `clear_denominators` form (`_vertex`), and two distinct points are
-    the segment on their two forms (`_segment`): neither is deduplicated,
-    sorted or eliminated, and each form is in lowest terms already, so
-    no gcd is taken of the points together.  Most walls of an X-ray are
-    points and segments, hulled on every load.
+    Each 0- and 1-dimensional hull has one closed form and no search.
+    One distinct point is the 0-polytope on its one `clear_denominators`
+    form (`_vertex`).  Distinct points on one line differ first on its
+    pivot column, so their hull is the segment between the first and the
+    last in sorted order, on those two points' own forms (`_segment`).
+    One or two input points are not deduplicated, sorted or eliminated;
+    more are deduplicated and sorted first, and their differences'
+    rank, read off their RREF, marks a segment.  Each form is in lowest
+    terms already, so no gcd is taken of the points together.  Most
+    walls of an X-ray are points and segments, hulled on every load.
 
     A point is a vertex when the normals of the facets through it have
     rank k (`int_rank`).  The search records which points are tight on
@@ -254,15 +254,15 @@ def hull(points: Iterable[RatVector]) -> Polytope:
         by_form.setdefault(flat[i : i + d], p)
     scaled = sorted(by_form)
     pts = [by_form[q] for q in scaled]
+    if len(pts) == 1:
+        return _vertex(pts[0])
     origin = scaled[0]
     rows, den_r, pivots = int_rref([[x - o for x, o in zip(p, origin)] for p in scaled[1:]])
+    k = len(pivots)
+    if k == 1:
+        return _segment(pts[0], pts[-1])
     g = gcd(den, *origin)
     span = _fill(AffineSpan(pts[0], rows, den_r, pivots), int_base=(tuple([x // g for x in origin]), den // g))
-    k = span.dim
-    if k == 0:
-        return _polytope((pts[0],), [origin], den, span, ())
-    if k == 1:
-        return _polytope((pts[0], pts[-1]), [origin, scaled[-1]], den, span, _end_facets(pivots[0], origin, scaled[-1], den))
 
     # den times the span coordinates of each point, and the normals of
     # the facets found through each.
@@ -329,7 +329,9 @@ def _segment(a: RatVector, b: RatVector) -> Polytope:
     form is in lowest terms, so the low end's is the span's `int_base`,
     and no prime divides D and every coordinate of both.  The one RREF
     row is the difference hi - lo over its gcd, whose first nonzero
-    entry, the pivot, is positive (`ratmath.int_rref`)."""
+    entry, the pivot, is positive (`ratmath.int_rref`).  Its facets are
+    -x_p <= -lo_p / D and x_p <= hi_p / D made primitive, in sorted
+    order, as the normals differ only at p."""
     (pa, da), (pb, db) = fa, fb = clear_denominators(a), clear_denominators(b)
     den = lcm(da, db)
     lo, hi = tuple([x * (den // da) for x in pa]), tuple([x * (den // db) for x in pb])
@@ -339,20 +341,13 @@ def _segment(a: RatVector, b: RatVector) -> Polytope:
     p = next(j for j, x in enumerate(diff) if x)
     g = gcd(*diff)
     span = _fill(AffineSpan(a, (tuple([x // g for x in diff]),), diff[p] // g, (p,)), int_base=fa)
-    return _fill(Polytope((a, b), span, _end_facets(p, lo, hi, den)), int_vertices=((lo, hi), den))
-
-
-def _end_facets(p: int, lo: tuple[int, ...], hi: tuple[int, ...], den: int) -> tuple[IntFunctional, ...]:
-    """A segment's facets, -x_p <= -lo_p / den and x_p <= hi_p / den made
-    primitive, for ends lo / den < hi / den differing first at column p:
-    in sorted order, as the normals differ only at p."""
     facets = []
     for sgn, end in ((-1, lo[p]), (1, hi[p])):
         g = gcd(end, den)
         n = [0] * len(lo)
         n[p] = sgn * den // g
         facets.append((tuple(n), sgn * end // g))
-    return tuple(facets)
+    return _fill(Polytope((a, b), span, tuple(facets)), int_vertices=((lo, hi), den))
 
 
 def _polytope(
@@ -658,8 +653,9 @@ def span_hyperplane(ambient: AffineSpan, sub: AffineSpan) -> IntFunctional:
     through (1,1) in Q^2, the point (2,2) is cut out by x = 2), so it
     classifies only vectors in `ambient`'s linear span.  Those are all
     it is given: `arrangement.crossing_graph` classifies
-    `scaled_weights_in(x, g, f)` (g's weights in f's span, in
-    integers), and `Refinement.cut` evaluates it at points of the wall.
+    `scaled_weights_in(x, g, f)` (the rows of g's weights in f's span,
+    each a positive multiple of its weight), and `Refinement.cut`
+    evaluates it at points of the wall.
 
     It runs in integers: on the pivot columns, `sub`'s integer basis
     rows leave one direction, their generalized cross product

@@ -176,8 +176,7 @@ def delzant_xray(p: Polytope, weights_at_vertices: Mapping[RatVector, Sequence[R
                 v = verts[0]
                 if v not in weights_at_vertices:
                     raise ValueError(f"no weights supplied for vertex ({', '.join(format_rational(c) for c in v)})")
-                weights = tuple(sorted(as_vec(w) for w in weights_at_vertices[v]))
-                vertex_data = VertexData(weights, 1, IntPolynomial.one(), 1)
+                vertex_data = VertexData(tuple(weights_at_vertices[v]), 1, IntPolynomial.one(), 1)
             strata.append(Stratum(id=name(k, mask), wall=hull(verts), parents=parents, vertex_data=vertex_data))
     x = WeightedXray(d, d, tuple(strata))
     violations = validate_all(x)

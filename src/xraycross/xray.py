@@ -16,10 +16,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedXray
 from .exactgeom import Polytope, bits, face_lattice, hull, tight_mask
@@ -30,7 +29,6 @@ from .ratmath import (
     clear_denominators,
     format_rational,
     idot,
-    int_rank,
     primitive,
     rat,
     solve_scaled,
@@ -82,8 +80,12 @@ class VertexData:
     Seeds are the invariant values of the fixed component itself; for an
     isolated fixed point they are all 1, but callers may supply anything
     (e.g. orientation-adjusted signs for non-Hamiltonian circle data).
-    int_weights is (rows, D): the weights over one common denominator,
-    weight j being rows[j] / D, cleared once at construction.
+    A weight has two forms, as a `Polytope`'s vertices do: the Fraction
+    vector in weights, for output and messages, and its row in
+    int_weights = (rows, D), the weights over one common denominator
+    D > 0, weight j being rows[j] / D, cleared once at construction.  A
+    row is a positive multiple of its weight, so every sign test, span
+    test and primitive ray reads the same on either.
     """
 
     weights: tuple[RatVector, ...]
@@ -105,23 +107,6 @@ class VertexData:
         order = sorted(range(len(ws)), key=rows.__getitem__)
         object.__setattr__(self, "weights", tuple([ws[i] for i in order]))
         object.__setattr__(self, "int_weights", (tuple([rows[i] for i in order]), den))
-
-    @cached_property
-    def table(self) -> tuple[_Weight, ...]:
-        """One `_Weight` per weight, in order, read off int_weights with
-        no clearing.  A weight's row R over D has the `clear_denominators`
-        form R / g over D / g with g = gcd(D, R), the one form in lowest
-        terms with a positive denominator, and its ray is R over k =
-        gcd(R).  When k = g (the zero weight included, taking k = D) the
-        ray is that form, and the one tuple serves as both."""
-        rows, den = self.int_weights
-        out = []
-        for w, row in zip(self.weights, rows):
-            k = math.gcd(*row) or den
-            g = math.gcd(den, k)
-            scaled = tuple([c // g for c in row])
-            out.append(_Weight(w, scaled, den // g, scaled if k == g else tuple([c // k for c in row])))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -341,16 +326,18 @@ def stratum_weights_in(x: WeightedXray, g: str, f: str) -> tuple[RatVector, ...]
 
 
 def scaled_weights_in(x: WeightedXray, g: str, f: str) -> tuple[tuple[int, ...], ...]:
-    """`stratum_weights_in(x, g, f)` with each weight's denominators
-    cleared: integer vectors, each a positive multiple of its weight, in
-    the same order, so any sign test on a weight reads the same."""
-    return tuple(scaled for _, scaled in _weights_in(x, g, f))
+    """`stratum_weights_in(x, g, f)` as their rows in
+    `VertexData.int_weights`: integer vectors, each D > 0 times its
+    weight, in the same order, so any sign test on a weight reads the
+    same."""
+    return tuple(row for _, row in _weights_in(x, g, f))
 
 
 def _weights_in(x: WeightedXray, g: str, f: str) -> list[tuple[RatVector, tuple[int, ...]]]:
-    """(weight, integer form) of g's weights in f's wall span, tested in
-    integers against the span's equations.  g's first vertex is found
-    once per X-ray: cached on it, in one dict by stratum id."""
+    """(weight, row) of g's weights in f's wall span, the row tested in
+    integers against the span's equations: the test is homogeneous, so
+    the row answers for its weight.  g's first vertex is found once per
+    X-ray: cached on it, in one dict by stratum id."""
     if not x.leq(g, f):
         raise ValueError(f"stratum '{g}' is not below '{f}'")
     first = x._cache.setdefault("first vertex", {})
@@ -361,18 +348,8 @@ def _weights_in(x: WeightedXray, g: str, f: str) -> list[tuple[RatVector, tuple[
             raise MalformedXray(f"stratum '{g}' has no vertex stratum below it")
         first[g] = vid
     span = x.stratum(f).wall.span
-    return [(w.weight, w.scaled) for w in x.stratum(vid).vertex_data.table if span.lin_holds(w.ray)]
-
-
-class _Weight(NamedTuple):
-    """One weight with the integer forms the validators, the arrangement
-    and the circle read: weight == scaled / den (`clear_denominators`),
-    and ray is its primitive integer multiple, zero for the zero weight."""
-
-    weight: RatVector
-    scaled: tuple[int, ...]
-    den: int
-    ray: tuple[int, ...]
+    vd = x.stratum(vid).vertex_data
+    return [(w, row) for w, row in zip(vd.weights, vd.int_weights[0]) if span.lin_holds(row)]
 
 
 def complex_dim_of_stratum(x: WeightedXray, f: str) -> int:
@@ -496,12 +473,11 @@ def validate_consistency(x: WeightedXray) -> list[Violation]:
     tuples of the rows' values on the normals, over D; sorting over a
     positive D keeps the order of the classes themselves.  Two vertices
     agree when their sorted tuples are equal once each is multiplied by
-    the other's D, so no weight is reduced to lowest terms, and
-    `VertexData.table` is not read.  A span with no equations is the
-    whole space: every class there is the empty vector, and the
-    constructor gives every vertex half_dim weights, so such strata are
-    skipped.  The vertices at or below a stratum come off its cached
-    `below` set, in id order.
+    the other's D, so no weight is reduced to lowest terms.  A span with
+    no equations is the whole space: every class there is the empty
+    vector, and the constructor gives every vertex half_dim weights, so
+    such strata are skipped.  The vertices at or below a stratum come
+    off its cached `below` set, in id order.
     """
     vio: set[Violation] = set()
     vertices = set(x.vertex_ids)
@@ -553,12 +529,13 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     tested for membership in the weight cone (`_in_cone`).  Each wall's
     vertices are cleared to integers once (`Polytope.int_vertices`) and
     its vertex masks computed once (`Polytope.vertex_masks`), and each
-    vertex's primitive integer rays are read off its weight table
-    (`VertexData.table`).  A vertex's nonzero rays are grouped once by
-    their line's key (`_line_key`), which is what `AffineSpan.key` gives
-    a line: so the rays in a 1-dimensional wall's span are the zero rays
-    and one lookup by its key, with no span test, and at an end of that
-    wall the comparison is one set equality (`_tangent_cone_matches`).
+    vertex's primitive integer rays are made once per call from its
+    weight rows (`VertexData.int_weights`).  A vertex's nonzero rays are
+    grouped once by their line's key (`_line_key`), which is what
+    `AffineSpan.key` gives a line: so the rays in a 1-dimensional wall's
+    span are the zero rays and one lookup by its key, with no span test,
+    and at an end of that wall the comparison is one set equality
+    (`_tangent_cone_matches`).
 
     A span of directions in Q^d is spanned by at most d of them, so
     subsets of <= d directions reach every linear subset; an independent
@@ -574,14 +551,22 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     direction is its primitive ray, made positive on its first nonzero
     entry (`_line_key`, the keys the rays were grouped by), so only
     subsets of two or more are eliminated.
+
+    Each key keeps the directions it was made from: none for the empty
+    key, its group for a line, every member of every subset B giving it,
+    and all of them at full rank.  By the exchange lemma that is every
+    direction in its span: a direction u in the span of B, of rank m,
+    replaces one member of a basis of it drawn from B, and that m-subset
+    is enumerated too.  So S, for a key no wall matches once, is the
+    weights whose ray is zero or one of those, with no elimination.
     """
     d = x.torus_rank
     vio: set[Violation] = set()
     for pid in x.vertex_ids:
         p = x.stratum(pid)
         point = p.wall.vertices[0]
-        table = p.vertex_data.table
-        rays = [w.ray for w in table]
+        vd = p.vertex_data
+        rays = [primitive(row) for row in vd.int_weights[0]]
         zeros = []
         lines: dict[tuple[tuple[int, ...]], list[tuple[int, ...]]] = {}
         for r in rays:
@@ -600,22 +585,24 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
                 inspan = zeros + lines.get(wall.span.key, [])
             else:
                 inspan = [r for r in rays if wall.span.lin_holds(r)]
-            if _tangent_cone_matches(wall, wall.vertex_masks, point, inspan, d):
+            if _tangent_cone_matches(wall, point, inspan):
                 passed.setdefault(wall.span.key, []).append(fid)
             else:
                 vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
         dirs = sorted({r for r in rays if any(r)})
-        spans = {()}
+        held: dict[tuple[tuple[int, ...], ...], set[tuple[int, ...]]] = {(): set()}
         if d > 1:
-            spans.update(lines)
-        spans.update(span_key(B) for size in range(2, min(len(dirs), d - 1) + 1) for B in combinations(dirs, size))
+            held.update((key, set(group)) for key, group in lines.items())
+        for size in range(2, min(len(dirs), d - 1) + 1):
+            for B in combinations(dirs, size):
+                held.setdefault(span_key(B), set()).update(B)
         whole = span_key(dirs)
         if len(whole) == d:
-            spans.add(whole)
-        for key in spans:
+            held[whole] = set(dirs)
+        for key, inside in held.items():
             matches = passed.get(key, [])
             if len(matches) != 1:
-                S = tuple(w.weight for w in table if int_rank(key + (w.ray,)) == len(key))
+                S = tuple(w for w, r in zip(vd.weights, rays) if r in inside or not any(r))
                 vio.add(
                     Violation(
                         pid,
@@ -639,14 +626,14 @@ def validate_all(x: WeightedXray) -> list[Violation]:
     return sorted(validate_poset(x) + validate_consistency(x) + validate_darboux(x))
 
 
-def _tangent_cone_matches(
-    wall: Polytope, tight: Sequence[int], point: RatVector, gens: Sequence[tuple[int, ...]], dim: int
-) -> bool:
+def _tangent_cone_matches(wall: Polytope, point: RatVector, gens: Sequence[tuple[int, ...]]) -> bool:
     """Is the tangent cone of wall at point the cone on gens?
 
-    tight[j] is `tight_mask(wall, wall.vertices[j])`; point lies in the
-    wall, and gens are primitive integer rays (`VertexData.table`) in its
-    linear span, the zero vector allowed.  gens lie in the tangent cone when
+    point lies in the wall, and gens are primitive integer rays of
+    weights (`VertexData.int_weights` made primitive) in its linear span,
+    the zero vector allowed.  The wall's vertex masks
+    (`Polytope.vertex_masks`, each vertex's `tight_mask`) say which
+    facets pass through a vertex.  gens lie in the tangent cone when
     they satisfy every facet through point.  At a vertex, the cone's
     extreme rays run to the adjacent vertices q (no third vertex is
     tight on every facet point and q share, the test `Refinement.cut`
@@ -665,6 +652,7 @@ def _tangent_cone_matches(
     i = verts.index(point) if point in verts else None
     if i is not None and wall.dim == 1:
         return {g for g in gens if any(g)} == {primitive([a - b for a, b in zip(rows[1 - i], rows[i])])}
+    tight = wall.vertex_masks
     here = tight_mask(wall, point) if i is None else tight[i]
     normals = [n for b, (n, _) in enumerate(wall.int_facets) if here >> b & 1]
     if any(idot(n, g) > 0 for g in gens for n in normals):
@@ -676,7 +664,7 @@ def _tangent_cone_matches(
         at, at_den = clear_denominators(point)
         ends = [[a * at_den - b * den for a, b in zip(q, at)] for q in rows]
         gs = sorted(dirs)
-        return all(u in dirs or _in_cone(gs, u, dim) for u in {primitive(e) for e in ends})
+        return all(u in dirs or _in_cone(gs, u, wall.ambient_dim) for u in {primitive(e) for e in ends})
     for j, t in enumerate(tight):
         common = here & t
         if j == i or any(k != i and k != j and s & common == common for k, s in enumerate(tight)):

@@ -279,9 +279,10 @@ def test_build_path_makes_no_fraction(cp3, cp4, ncp4, toric_triangle, unit_squar
     hyperplanes, construct no Fraction; Refinement.polytope, on every
     cell, constructs the coordinates of each point a cut made, once per
     point however many cells it bounds, and no other Fraction: cells
-    share one tuple per point, and the wall's own vertex tuples; and a
-    vertex's weight table is read off its vertex data, so
-    `VertexData.table` clears nothing, on X-rays no query has touched."""
+    share one tuple per point, and the wall's own vertex tuples; and
+    validate_darboux reads each vertex's weight rows as its vertex data
+    made them, so it clears no weight, on X-rays no query has touched:
+    only fixed points that are no vertex of a wall through them."""
     fresh = [cpn_xray(6, seeded_rows(2, 6, 1)), cpn_xray(4, seeded_rows(3, 4, 1))]
     made = []
     real_new = Fraction.__new__
@@ -334,9 +335,9 @@ def test_build_path_makes_no_fraction(cp3, cp4, ncp4, toric_triangle, unit_squar
 
     monkeypatch.setattr(xray, "clear_denominators", counting_clear)
     for x in fresh:
-        for v in x.vertex_ids:
-            assert len(x.stratum(v).vertex_data.table) == x.half_dim
-    assert cleared == []
+        assert xray.validate_darboux(x) == []
+    fixed = [x.stratum(v).wall.vertices[0] for x in fresh for v in x.vertex_ids]
+    assert all(any(v is p for p in fixed) for v in cleared)
 
 
 def test_hull_and_contains_call_no_nullspace(cp4, monkeypatch):
@@ -399,13 +400,14 @@ def test_hull_mixed_dimension_rejected():
         (pts(("1/2", "-2/3", "5/4")), ()),
         (pts(("3/2", "1/3"), ("1/2", "5/6")), (0,)),
         (pts(("1/2", "-1/3"), ("1/2", "-1/3")), ()),
+        (pts(("-5/6", "4/3"), ("-5/6", "4/3"), ("-5/6", "4/3")), ()),
         (pts((1, "5/2", "-2/3"), (1, "1/3", "7/6")), (1,)),
     ],
-    ids=["one-point", "high-end-first", "equal-points", "pivot-not-0"],
+    ids=["one-point", "high-end-first", "equal-points", "three-equal-points", "pivot-not-0"],
 )
 def test_hull_of_one_or_two_points_matches_fraction_reference(points, pivots):
-    """The closed forms for one point and for two match the search in
-    Fractions, keep the input tuples as vertices, and fill in integer
+    """The closed forms for one distinct point, given once or repeated,
+    and for two match the search in Fractions, keep the input tuples as vertices, and fill in integer
     forms, which nothing would compute again, equal to the vertices' and
     the base's cleared forms."""
     got, want = hull(points), hull_by_fractions(points)

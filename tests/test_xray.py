@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xraycross import xray
+from xraycross import ratmath, xray
 from xraycross.circle import from_rank1_xray
 from xraycross.errors import MalformedXray, ValidationFailed
 from xraycross.exactgeom import faces, hull, tight_mask
@@ -20,6 +20,7 @@ from xraycross.ratmath import (
     clear_denominators,
     format_rational,
     idot,
+    int_rank,
     primitive,
     rank,
     span_key,
@@ -96,11 +97,12 @@ def test_weights_require_comparable_strata(cp4):
 )
 def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
     """stratum_weights_in keeps the weights a per-call Fraction test keeps,
-    in order, and scaled_weights_in gives each one's integer form.  Each
-    vertex's weights are cleared to integers once, when its vertex data
-    is made (`VertexData.int_weights`): no weight query clears anything.
-    The validators, both weight queries and the rank-1 circle read that
-    one table, so after validate_all none of them clears anything.  No
+    in order, and scaled_weights_in gives the rows of those weights in
+    `VertexData.int_weights`.  Each vertex's weights are cleared to
+    integers once, when its vertex data is made, each row D > 0 times its
+    weight: no weight query clears anything.  The validators, both
+    weight queries and the rank-1 circle read those rows, so after
+    validate_all none of them clears anything.  No
     cache entry grows past one per stratum: nothing is kept per (vertex,
     wall) pair."""
     x = cpn_xray(n, seeded_rows(d, n, seed, grid=grid))
@@ -117,9 +119,9 @@ def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
     for g, f in pairs:
         vd = x.stratum(vertices_below(x, g)[0]).vertex_data
         span = x.stratum(f).wall.span
-        want = tuple(w for w in vd.weights if span.lin_holds(real(w)[0]))
-        assert stratum_weights_in(x, g, f) == want
-        assert xray.scaled_weights_in(x, g, f) == tuple(real(w)[0] for w in want)
+        keep = [span.lin_holds(real(w)[0]) for w in vd.weights]
+        assert stratum_weights_in(x, g, f) == tuple(w for w, k in zip(vd.weights, keep) if k)
+        assert xray.scaled_weights_in(x, g, f) == tuple(r for r, k in zip(vd.int_weights[0], keep) if k)
     assert cleared == []
     for g, f in pairs:
         stratum_weights_in(x, g, f)
@@ -137,8 +139,9 @@ def test_weights_in_are_cleared_once_per_vertex(monkeypatch, d, n, seed, grid):
     assert cleared == []
     for v in y.vertex_ids:
         vd = y.stratum(v).vertex_data
-        assert [w.weight for w in vd.table] == list(vd.weights)
-        assert all((w.scaled, w.den) == real(w.weight) for w in vd.table)
+        rows, den = vd.int_weights
+        assert den > 0 and len(rows) == len(vd.weights)
+        assert all(tuple(c * den for c in w) == row for w, row in zip(vd.weights, rows))
     assert len(y._cache) <= fresh_keys + 3
     assert all(len(entry) <= len(y.strata) for entry in y._cache.values() if isinstance(entry, dict))
 
@@ -784,13 +787,58 @@ def test_darboux_compares_each_wall_cone_once(monkeypatch, request, name):
     calls = []
     compare = xray._tangent_cone_matches
 
-    def counting_compare(wall, tight, point, gens, dim):
+    def counting_compare(wall, point, gens):
         calls.append((wall, point))
-        return compare(wall, tight, point, gens, dim)
+        return compare(wall, point, gens)
 
     monkeypatch.setattr(xray, "_tangent_cone_matches", counting_compare)
     assert validate_darboux(x) == []
     assert len(calls) == sum(1 + len(x.above(v)) for v in x.vertex_ids)
+
+
+def test_darboux_subsets_eliminate_once_per_subset(monkeypatch):
+    """A lone d = 3 vertex with 40 weights, some repeated, some opposite,
+    one zero: no stratum but the vertex matches a subset, so nearly every
+    subset key is a violation.  Its weight subset S comes off the
+    directions the key was made from, so the only eliminations are one
+    per subset of two directions and one for all of them, and the
+    violations are those of one rank test per weight and key."""
+    rng = random.Random(3)
+    d, n = 3, 40
+    weights = [as_vec((0, 0, 0))]
+    while len(weights) < n:
+        w = as_vec([Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(d)])
+        if any(w):
+            weights.append(w)
+            if rng.random() < 0.2 and len(weights) < n:
+                weights.append(tuple(-c * 2 for c in w) if rng.random() < 0.5 else w)
+    vd = VertexData(tuple(weights), **seeds_one())
+    x = WeightedXray(d, n, (Stratum("p", hull([as_vec((1, 0, 2))]), (), (), vd),))
+    rays = [primitive(r) for r in vd.int_weights[0]]
+    dirs = sorted({r for r in rays if any(r)})
+
+    calls = []
+    eliminate = ratmath._eliminate
+
+    def counting_eliminate(mat):
+        calls.append(len(mat))
+        return eliminate(mat)
+
+    monkeypatch.setattr(ratmath, "_eliminate", counting_eliminate)
+    got = validate_darboux(x)
+    monkeypatch.undo()
+    assert len(calls) <= comb(len(dirs), 2) + 1
+
+    keys = {span_key(B) for size in (1, 2) for B in combinations(dirs, size)}
+    whole = span_key(dirs)
+    assert len(whole) == d
+    keys.add(whole)
+    want = []
+    for key in keys:
+        S = tuple(w for w, r in zip(vd.weights, rays) if int_rank(key + (r,)) == len(key))
+        message = f"weight subset {_fmt_points(S)} is the tangent cone of 0 strata []"
+        want.append(Violation("p", "darboux-subset", message))
+    assert got == sorted(want)
 
 
 @pytest.mark.parametrize("x", [standard_simplex_xray(3), standard_cube_xray(2)], ids=["simplex3", "cube2"])
@@ -843,10 +891,9 @@ def test_tangent_cone_matches_cones_equal(k, seed, where, kind):
         for b in wall.span.basis:
             extra = vadd(extra, vscale(b, Fraction(rng.randint(-2, 2))))
         gens.append(extra)
-    tight = tuple(tight_mask(wall, v) for v in verts)
     tangent = [vsub(q, point) for q in verts]
     rays = [primitive_ints(g) for g in gens]
-    assert xray._tangent_cone_matches(wall, tight, point, rays, k) == _cones_equal(tangent, gens, k)
+    assert xray._tangent_cone_matches(wall, point, rays) == _cones_equal(tangent, gens, k)
 
 
 def test_darboux_two_matches_and_cone_violation_match_all_subsets():
