@@ -199,6 +199,15 @@ def malformed_documents(cp3_text: str) -> list[tuple[str, object]]:
             "oversized-stratum",
             {"torus_rank": 3, "half_dim": 1, "strata": [{"id": "s", "vertices": [[str(i), str(i * i), str(i**3)] for i in range(60)]}], "vertex_data": {}},
         ),
+        (
+            "oversized-vertex",
+            {
+                "torus_rank": 4,
+                "half_dim": 120,
+                "strata": [{"id": "p", "vertices": [["0"] * 4]}],
+                "vertex_data": {"p": {"weights": [[str(i**j) for j in range(4)] for i in range(120)], "signature": 1, "poincare": [1], "euler": 1}},
+            },
+        ),
     ]
 
 

@@ -35,14 +35,12 @@ counts.  A separator's weights are counted once per (subwall, wall)
 against its unoriented plane; an edge swaps the two counts when its
 destination lies below that plane.
 
-Each edge is read off the decomposition too.  A piece that is one wall
-facet, or one cell facet between two subchambers, records the cut
-plane it lies on and the side of it where its destination lies (the
-facet's cell's sign there), so only the subwalls on that plane are
-tested, and no point is signed.  Only a piece of several cell facets,
-or a refined wall's exterior piece, takes its rep's signs.  A separator
-whose smaller walls are all faces has one subchamber, so a rep strictly
-inside its facets is placed there with no `locate`.
+Each edge is read off the decomposition too, by one rule: every piece
+records the cut plane it lies on and its destination's side of it, its
+cell's sign there, so only the subwalls on that plane are tested and no
+point is signed.  A separator whose smaller walls are all faces has one
+subchamber, so a rep strictly inside its facets is placed there with no
+`locate`.
 
 `locate` places a point by its signs on the cut planes, taken on the
 point's integer form, which it clears once for all its tests: a point
@@ -126,12 +124,10 @@ class _Decomposition:
               (`Refinement.mean`, `_mean`).  Every integer test on the
               rep reads form, as none changes when P and D are scaled
               by one positive integer; the Fraction rep is kept for the
-              edge's `facet_rep` and for `locate`.  When the face is one
-              wall facet, or one cell facet between two subchambers, it
-              lies on the cut with index plane and on no other, and
-              dest's chamber lies on side (-1 or +1) of that cut.
-              Otherwise plane and side are None, and the rep's signs on
-              the cuts decide (`_signs`).
+              edge's `facet_rep` and for `locate`.  The face lies on
+              the cut with index plane, dest's chamber on side (-1 or
+              +1) of it; both are None for a face on a wall facet that
+              no cut lies along.
     cuts:     the distinct hyperplanes of the codimension-1 subwalls in
               cut order, or for a wall whose subwalls are all faces its
               own facets: on both paths in `hull`'s facet form, primitive
@@ -215,10 +211,10 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
     hyperplanes, the path for a wall that some smaller wall cuts into.
 
     Each codimension-1 subwall's hyperplane is computed once: the cuts
-    use the distinct ones, `locate` and `crossing_graph` read a point's
-    signs on them, and `crossing_graph` counts separator weights
-    against them.  A subwall of higher codimension records the cut
-    planes holding it, found by testing its vertices in integers.
+    use the distinct ones, `locate` reads a point's signs on them, and
+    `crossing_graph` counts separator weights against them.  A subwall
+    of higher codimension records the cut planes holding it, found by
+    testing its vertices in integers.
 
     A facet of a cell is the tuple of its vertex ids tight on one of
     its inequalities.  A facet two cells share lies on the cut whose
@@ -235,12 +231,12 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
     those facets have full rank; a subchamber is convex, so this is the
     hull of its cells.  A piece's rep is the vertex centroid of the face
     the two sides share, whose vertices are found the same way from the
-    two sides' facets.  A piece that is one cell facet between two
-    subchambers lies on that facet's cut alone, and dest's chamber lies
-    on the side of it where the facet's cell in that chamber does, as a
-    convex chamber lies on one side of the plane of any of its facets.
-    Chamber and piece reps are summed from the points' integer forms,
-    and each piece keeps that form for its edge's tests.
+    two sides' facets.  Every piece lies on one cut: two convex
+    subchambers meet in one hyperplane, the cut their first shared
+    facet's bit names, and an exterior piece on a wall facet, which a
+    cut along it equals up to sign (both in `hull`'s facet form); dest's
+    chamber lies on its cell's side of it.  Chamber and piece reps are
+    summed from the points' integer forms, which each piece keeps.
     """
     wall = x.stratum(f).wall
     k = wall.dim
@@ -261,7 +257,7 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
             i = root[i]
         return i
 
-    cut_index = {plane: i for i, plane in enumerate(cuts)}
+    cut_index = {c: i for i, (n, o) in enumerate(cuts) for c in ((n, o), (tuple([-v for v in n]), -o))}
     subwalls = []
     for g in lower:
         sub = x.stratum(g).wall
@@ -339,19 +335,21 @@ def _refine(x: WeightedXray, f: str) -> _Decomposition:
     pieces = []
     for (a, b, *_), facets in shared.items():
         source, dest = sorted((index[a], index[b]))
-        (ids, own), plane, side = facets[0], None, None
+        ids, own = facets[0]
         if len(facets) > 1:
             mask = bounds[b] if a == EXTERIOR else bounds[a] | bounds[b]
             ids = ref.vertices(dict.fromkeys(v for facet, _ in facets for v in facet), mask)
-        elif a != EXTERIOR:
-            # One cell facet between two subchambers: on the cut its bit
+        if a == EXTERIOR:
+            (cell, bit), = own
+            plane = cut_index.get(wall.int_facets[bit])  # either orientation; None if no cut lies along it
+        else:
+            # Between two subchambers: on the cut the first facet's bit
             # names, and dest's chamber on its cell's side of that cut.
             (i, bit), (j, _) = own
             plane = _facet_cut(bit, nfacets)
             cell = i if index[find(i)] == dest else j
-            side = ref.signs[cell][plane]
         form = ref.mean(ids)
-        pieces.append((source, dest, _point(*form), form, plane, side))
+        pieces.append((source, dest, _point(*form), form, plane, None if plane is None else ref.signs[cell][plane]))
     return _Decomposition(
         chambers,
         tuple(pieces),
@@ -482,30 +480,30 @@ def crossing_graph(x: WeightedXray, f: str) -> CrossingGraph:
     its destination lies below that plane.  Cached on the X-ray.
 
     The codimension-1 subwalls are indexed by cut plane once per wall,
-    so a piece known to lie on one plane (`_Decomposition.pieces`) tests
-    only the subwalls on it, on the rep's integer form taken once.  A
-    separator whose smaller walls are all faces (`xray.subwall_facets`)
-    has one subchamber, its open wall: a rep strictly inside all of its
-    facets is in subchamber 0 with no `locate`.  That covers every edge
-    of a wall whose smaller walls are all faces, whose pieces are whole
-    facets and whose reps are the separators' own chamber reps.
+    and every piece carries its plane (`_Decomposition.pieces`), so an
+    edge tests only the subwalls on it, on the rep's integer form taken
+    once.  A separator whose smaller walls are all faces
+    (`xray.subwall_facets`) has one subchamber, its open wall: a rep
+    strictly inside all of its facets is in subchamber 0 with no
+    `locate`.  That covers every edge of a wall whose smaller walls are
+    all faces, whose pieces are whole facets and whose reps are the
+    separators' own chamber reps.
     """
     key = ("crossing_graph", f)
     if key in x._cache:
         return x._cache[key]
     dec = _decompose(x, f)
-    chambers = dec.chambers
-    on_plane: dict[int, list[tuple[str, Polytope, int]]] = {}
+    on_plane: dict[int, list[tuple[str, Polytope]]] = {}
     for g, wall, i, _ in dec.subwalls:
         if i is not None:
-            on_plane.setdefault(i, []).append((g, wall, i))
+            on_plane.setdefault(i, []).append((g, wall))
     counts: dict[str, tuple[int, int]] = {}
     edges = [
-        _build_edge(x, f, dec, on_plane, counts, chambers[dest].rep, source, dest, rep, form, plane, side)
+        _build_edge(x, f, dec, on_plane, counts, source, dest, rep, form, plane, side)
         for source, dest, rep, form, plane, side in dec.pieces
     ]
     edges.sort(key=lambda e: (e.source, e.dest, e.facet_rep))
-    graph = CrossingGraph(f, (EXTERIOR,) + tuple(range(len(chambers))), tuple(edges))
+    graph = CrossingGraph(f, (EXTERIOR,) + tuple(range(len(dec.chambers))), tuple(edges))
     x._cache[key] = graph
     return graph
 
@@ -527,9 +525,8 @@ def _build_edge(
     x: WeightedXray,
     f: str,
     dec: _Decomposition,
-    on_plane: dict[int, list[tuple[str, Polytope, int]]],
+    on_plane: dict[int, list[tuple[str, Polytope]]],
     counts: dict[str, tuple[int, int]],
-    toward: RatVector,
     source: int,
     dest: int,
     facet_rep: RatVector,
@@ -537,24 +534,17 @@ def _build_edge(
     plane: int | None,
     side: int | None,
 ) -> CrossingEdge:
-    """The edge across one piece: every codimension-1 subwall on a cut
-    plane through facet_rep that holds it, and is not singular there,
-    separates.  A piece known to lie on one plane (`_Decomposition`)
-    tests the subwalls on it and takes dest's side as given; any other
-    tests those on the planes where its rep's sign is zero (`_signs`),
-    each with the side of toward, dest's rep.  form is facet_rep as the
-    piece carries it, (P, D) unreduced, and every sign and subwall test
-    here reads it: none changes when P and D are scaled alike by a
-    positive integer.  A `locate` call clears facet_rep itself."""
+    """The edge across one piece: every codimension-1 subwall on the
+    piece's cut plane that holds facet_rep, and is not singular there,
+    separates, with dest on side of that plane (`_Decomposition.pieces`).
+    A piece with no plane, a wall facet no cut lies along, has none.
+    form is facet_rep as the piece carries it, (P, D) unreduced, and
+    every subwall test here reads it: none changes when P and D are
+    scaled alike by a positive integer.  A `locate` call clears
+    facet_rep itself."""
     scaled, den = form
-    if plane is None:
-        signs = _signs(dec.cuts, scaled, den)
-        candidates = [(g, wall, i) for g, wall, i, _ in dec.subwalls if i is not None and signs[i] == 0]
-        toward_scaled, toward_den = clear_denominators(toward)
-    else:
-        candidates = on_plane.get(plane, ())
     separators = []
-    for g, wall, i in candidates:
+    for g, wall in on_plane.get(plane, ()):
         if not wall.holds(scaled, den):
             continue
         if subwall_facets(x, g) is not None and all(idot(n, scaled) < c * den for n, c in wall.int_facets):
@@ -564,13 +554,8 @@ def _build_edge(
                 r = locate(x, g, facet_rep).index
             except SingularLevel:
                 continue  # on a subwall of g, not in an open subchamber
-        normal, offset = dec.cuts[i]
-        if plane is None:
-            side = idot(normal, toward_scaled) - offset * toward_den
-            if side == 0:
-                raise ValueError("toward point lies on the separator")
         if g not in counts:
-            counts[g] = _weight_counts(x, g, f, normal)
+            counts[g] = _weight_counts(x, g, f, dec.cuts[plane][0])
         above, below = counts[g]
         if side < 0:
             above, below = below, above

@@ -188,8 +188,9 @@ class Polytope:
 
     @cached_property
     def vertex_masks(self) -> tuple[int, ...]:
-        """`tight_mask` of each vertex, in vertex order: the vertex-facet
-        incidences, tested on `int_vertices`."""
+        """Each vertex's bitmask of the facets through it, in vertex order:
+        bit i is set when the vertex lies on int_facets[i], tested on
+        `int_vertices`."""
         rows, den = self.int_vertices
         facets = [(n, c * den) for n, c in self.int_facets]
         return tuple([sum(1 << i for i, (n, c) in enumerate(facets) if idot(n, v) == c) for v in rows])
@@ -416,13 +417,6 @@ def faces(p: Polytope, k: int) -> list[Polytope]:
         return [p]
     keys = sorted(tuple(p.vertices[j] for j in bits(m)) for m in face_lattice(p)[k])
     return [hull(key) for key in keys]
-
-
-def tight_mask(p: Polytope, point: RatVector) -> int:
-    """Bitmask of p's facets through point: bit i is set when point lies
-    on p.int_facets[i]."""
-    scaled, den = clear_denominators(point)
-    return sum(1 << i for i, (n, c) in enumerate(p.int_facets) if idot(n, scaled) == c * den)
 
 
 def bits(mask: int) -> Iterable[int]:

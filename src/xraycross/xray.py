@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedXray
-from .exactgeom import Polytope, bits, face_lattice, hull, tight_mask
+from .exactgeom import Polytope, bits, face_lattice, hull
 from .intpoly import IntPolynomial
 from .ratmath import (
     RatVector,
@@ -39,7 +39,10 @@ from .ratmath import (
 # with more than this many is refused before any geometry runs.  At this
 # bound one hull takes 0.3-1 s on a 2-CPU Xeon VM (199 points in convex
 # position at d = 2: 1.0 s); `delzant --cube 4`, the largest input the
-# tests and the benchmark build, has 2517.
+# tests and the benchmark build, has 2517.  It bounds a vertex's subsets
+# of < d weight directions, the keys of `validate_darboux`, as well: at
+# the bound a lone vertex with random weights in [-50, 50] validates in
+# 0.9-1.1 s at d = 3 (199 directions), 0.8-1.0 s at d = 4 (49).
 MAX_HULL_SUBSETS = 20_000
 
 # `hull` scales a stratum's points by the lcm of all their denominators,
@@ -526,21 +529,22 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     weight cone exactly when each ray is the direction of some weight.
     When the point is not a vertex (an inner fixed point of a d = 1
     CP^n, a fixed point inside a polygon), each vertex direction is
-    tested for membership in the weight cone (`_in_cone`).  Each wall's
-    vertices are cleared to integers once (`Polytope.int_vertices`) and
-    its vertex masks computed once (`Polytope.vertex_masks`), and each
-    vertex's primitive integer rays are made once per call from its
-    weight rows (`VertexData.int_weights`).  A vertex's nonzero rays are
-    grouped once by their line's key (`_line_key`), which is what
-    `AffineSpan.key` gives a line: so the rays in a 1-dimensional wall's
-    span are the zero rays and one lookup by its key, with no span test,
-    and at an end of that wall the comparison is one set equality
-    (`_tangent_cone_matches`).
+    tested for membership in the weight cone (`_in_cone`).  Every wall's
+    vertices, the fixed point's own among them, are cleared to integers
+    once (`Polytope.int_vertices`) and its vertex masks computed once
+    (`Polytope.vertex_masks`), and each vertex's primitive integer rays
+    are made once per call from its weight rows (`VertexData.int_weights`).
+    A vertex's nonzero rays are grouped once by their line's key
+    (`_line_key`), which is what `AffineSpan.key` gives a line: so the
+    rays in a 1-dimensional wall's span are the zero rays and one lookup
+    by its key, with no span test, and at an end of that wall the
+    comparison is one set equality (`_tangent_cone_matches`).
 
-    A span of directions in Q^d is spanned by at most d of them, so
-    subsets of <= d directions reach every linear subset; an independent
-    d-subset spans Q^d and a dependent one spans what a smaller subset
-    does, so subsets of < d directions and, at full rank, Q^d suffice.
+    A direction is a line, the ray its key holds.  A span of directions in
+    Q^d is spanned by at most d of them, so subsets of <= d directions
+    reach every linear subset; an independent d-subset spans Q^d and a
+    dependent one spans what a smaller subset does, so subsets of < d
+    directions and, at full rank, Q^d suffice.
     A tangent cone spans its wall's linear part and a subset S spans the
     subspace it was cut out by, so equal cones need equal RREF bases:
     only walls with S's basis can match.  The weights in such a wall's
@@ -553,18 +557,18 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
     subsets of two or more are eliminated.
 
     Each key keeps the directions it was made from: none for the empty
-    key, its group for a line, every member of every subset B giving it,
+    key, its own for a line, every member of every subset B giving it,
     and all of them at full rank.  By the exchange lemma that is every
     direction in its span: a direction u in the span of B, of rank m,
     replaces one member of a basis of it drawn from B, and that m-subset
     is enumerated too.  So S, for a key no wall matches once, is the
-    weights whose ray is zero or one of those, with no elimination.
+    weights whose ray is zero or on one of those, with no elimination.
     """
     d = x.torus_rank
     vio: set[Violation] = set()
     for pid in x.vertex_ids:
         p = x.stratum(pid)
-        point = p.wall.vertices[0]
+        (point,), den = p.wall.int_vertices
         vd = p.vertex_data
         rays = [primitive(row) for row in vd.int_weights[0]]
         zeros = []
@@ -585,14 +589,14 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
                 inspan = zeros + lines.get(wall.span.key, [])
             else:
                 inspan = [r for r in rays if wall.span.lin_holds(r)]
-            if _tangent_cone_matches(wall, point, inspan):
+            if _tangent_cone_matches(wall, (point, den), inspan):
                 passed.setdefault(wall.span.key, []).append(fid)
             else:
                 vio.add(Violation(pid, "darboux-cone", f"tangent cone of '{fid}' differs from the cone of its weights"))
-        dirs = sorted({r for r in rays if any(r)})
+        dirs = sorted(ray for ray, in lines)
         held: dict[tuple[tuple[int, ...], ...], set[tuple[int, ...]]] = {(): set()}
         if d > 1:
-            held.update((key, set(group)) for key, group in lines.items())
+            held.update(((ray,), {ray}) for ray in dirs)
         for size in range(2, min(len(dirs), d - 1) + 1):
             for B in combinations(dirs, size):
                 held.setdefault(span_key(B), set()).update(B)
@@ -602,7 +606,8 @@ def validate_darboux(x: WeightedXray) -> list[Violation]:
         for key, inside in held.items():
             matches = passed.get(key, [])
             if len(matches) != 1:
-                S = tuple(w for w, r in zip(vd.weights, rays) if r in inside or not any(r))
+                on = {r for ray in inside for r in lines[(ray,)]}
+                S = tuple(w for w, r in zip(vd.weights, rays) if r in on or not any(r))
                 vio.add(
                     Violation(
                         pid,
@@ -626,47 +631,50 @@ def validate_all(x: WeightedXray) -> list[Violation]:
     return sorted(validate_poset(x) + validate_consistency(x) + validate_darboux(x))
 
 
-def _tangent_cone_matches(wall: Polytope, point: RatVector, gens: Sequence[tuple[int, ...]]) -> bool:
-    """Is the tangent cone of wall at point the cone on gens?
+def _tangent_cone_matches(wall: Polytope, at: tuple[tuple[int, ...], int], gens: Sequence[tuple[int, ...]]) -> bool:
+    """Is the tangent cone of wall at the point at = (P, D) the cone on gens?
 
-    point lies in the wall, and gens are primitive integer rays of
-    weights (`VertexData.int_weights` made primitive) in its linear span,
-    the zero vector allowed.  The wall's vertex masks
-    (`Polytope.vertex_masks`, each vertex's `tight_mask`) say which
-    facets pass through a vertex.  gens lie in the tangent cone when
-    they satisfy every facet through point.  At a vertex, the cone's
-    extreme rays run to the adjacent vertices q (no third vertex is
-    tight on every facet point and q share, the test `Refinement.cut`
-    uses), and an extreme ray is a nonnegative combination of members of
-    the cone only as a multiple of one of them.  Elsewhere each vertex
-    direction must lie in the cone on gens.  The directions are integer
-    differences of the wall's `int_vertices`, made primitive.
+    P / D lies in the wall, D its least common denominator as
+    `Polytope.int_vertices` clears it, which divides the wall's own when
+    P / D is a vertex; gens are primitive integer rays of weights
+    (`VertexData.int_weights` made primitive) in its linear span, the
+    zero vector allowed.  The facets through a vertex are its mask
+    (`Polytope.vertex_masks`), through any other point tested on P and
+    D.  gens lie in the tangent cone when they satisfy every facet
+    through the point.  At a vertex, the cone's extreme rays run to the
+    adjacent vertices q (no third vertex is tight on every facet point
+    and q share, the test `Refinement.cut` uses), and an extreme ray is
+    a nonnegative combination of members of the cone only as a multiple
+    of one of them.  Elsewhere each vertex direction, made primitive
+    from `int_vertices` and P, must lie in the cone on gens.
 
     At an end of a 1-dimensional wall the cone is the one primitive ray
     to the other end, and gens lie in the wall's line: they satisfy the
     end's facet exactly when each nonzero one is that ray, so the cones
     are equal exactly when the set of nonzero gens is that ray alone.
     """
-    verts = wall.vertices
+    scaled, at_den = at
     rows, den = wall.int_vertices
-    i = verts.index(point) if point in verts else None
+    row = None if den % at_den else tuple([c * (den // at_den) for c in scaled])
+    i = rows.index(row) if row in rows else None
     if i is not None and wall.dim == 1:
         return {g for g in gens if any(g)} == {primitive([a - b for a, b in zip(rows[1 - i], rows[i])])}
     tight = wall.vertex_masks
-    here = tight_mask(wall, point) if i is None else tight[i]
-    normals = [n for b, (n, _) in enumerate(wall.int_facets) if here >> b & 1]
+    if i is None:
+        normals = [n for n, c in wall.int_facets if idot(n, scaled) == c * at_den]
+    else:
+        normals = [n for b, (n, _) in enumerate(wall.int_facets) if tight[i] >> b & 1]
     if any(idot(n, g) > 0 for g in gens for n in normals):
         return False
     dirs = {g for g in gens if any(g)}
     if i is None:
         # q - point is a positive multiple of q_rows * D - P * den; a
         # direction that is a weight's ray lies in the cone at once.
-        at, at_den = clear_denominators(point)
-        ends = [[a * at_den - b * den for a, b in zip(q, at)] for q in rows]
+        ends = [[a * at_den - b * den for a, b in zip(q, scaled)] for q in rows]
         gs = sorted(dirs)
         return all(u in dirs or _in_cone(gs, u, wall.ambient_dim) for u in {primitive(e) for e in ends})
     for j, t in enumerate(tight):
-        common = here & t
+        common = tight[i] & t
         if j == i or any(k != i and k != j and s & common == common for k, s in enumerate(tight)):
             continue
         if primitive([a - b for a, b in zip(rows[j], rows[i])]) not in dirs:
@@ -828,7 +836,7 @@ def from_interchange(doc: Mapping) -> WeightedXray:
         if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
             raise MalformedXray(f"{where}: parents must be a list of ids")
         m = len({_point_key(v) for v in verts})
-        subsets = sum(math.comb(m, j) for j in range(min(d, m) + 1))
+        subsets = _subsets(m, d)
         if subsets > MAX_HULL_SUBSETS:
             raise MalformedXray(
                 f"{where}: stratum '{sid}' has {m} distinct vertices at torus_rank {d}, "
@@ -862,12 +870,24 @@ def from_interchange(doc: Mapping) -> WeightedXray:
             if not (isinstance(poin, list) and all(_is_int(c) for c in poin)):
                 raise MalformedXray(f"vertex_data['{sid}']: poincare must be a list of integer coefficients")
             vertex_data = VertexData(tuple(weights), sig, IntPolynomial(tuple(poin)), eul)
+            if _subsets(len(weights), d - 1) > MAX_HULL_SUBSETS:  # too many weights may key too many subsets
+                lines = len({_line_key(primitive(r)) for r in vertex_data.int_weights[0] if any(r)})
+                if _subsets(lines, d - 1) > MAX_HULL_SUBSETS:
+                    raise MalformedXray(
+                        f"vertex_data['{sid}']: {lines} distinct weight directions at torus_rank {d}, "
+                        f"more than {MAX_HULL_SUBSETS} direction subsets to check"
+                    )
         parsed.append((sid, verts, tuple(parents), vertex_data))
     stray = sorted(set(raw_vd) - {sid for sid, _, _, vd in parsed if vd is not None})
     if stray:
         raise MalformedXray(f"vertex_data supplied for non-vertex strata: {stray}")
     strata = (Stratum(id=sid, wall=hull(verts), parents=parents, vertex_data=vd) for sid, verts, parents, vd in parsed)
     return WeightedXray(d, n, tuple(strata))
+
+
+def _subsets(m: int, k: int) -> int:
+    """sum_{j <= k} C(m, j), the subsets of at most k of m things."""
+    return sum(math.comb(m, j) for j in range(min(m, k) + 1))
 
 
 def _digits(n: int) -> int:

@@ -755,58 +755,97 @@ def test_crossing_graph_matches_edge_by_edge_scan(make):
     only the subwalls on that plane, and placing a rep strictly inside a
     separator read off its faces in its chamber 0 with no `locate`, give
     the graph the full scan gives.  Each piece's integer form, unreduced,
-    is its rep.  A piece that carries a plane has its
-    only zero sign there, and dest's chamber rep lies on the side the
-    piece carries."""
+    is its rep.  Every piece carries a plane, its rep's sign there is 0
+    (a merged rep may lie on other planes too), and dest's chamber rep
+    lies on the side the piece carries; only a wall facet no cut lies
+    along carries none, and its wall's graph raises."""
     x = make()
     for f in x.ids:
         dec = arrangement._decompose(x, f)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert graph_outcome(crossing_graph, x, f) == graph_outcome(crossing_graph_by_scan, x, f), f
+            got = graph_outcome(crossing_graph, x, f)
+            assert got == graph_outcome(crossing_graph_by_scan, x, f), f
         for _, dest, rep, (scaled, den), plane, side in dec.pieces:
             assert den > 0 and tuple(Fraction(c, den) for c in scaled) == rep
-            if plane is not None:
-                assert [i for i, s in enumerate(arrangement._signs(dec.cuts, *clear_denominators(rep))) if s == 0] == [plane]
-                assert arrangement._signs(dec.cuts, *clear_denominators(dec.chambers[dest].rep))[plane] == side
+            if plane is None:
+                assert "not covered by any subwall" in got
+                continue
+            assert arrangement._signs(dec.cuts, scaled, den)[plane] == 0
+            assert arrangement._signs(dec.cuts, *clear_denominators(dec.chambers[dest].rep))[plane] == side
 
 
 def test_crossing_graph_reads_every_kind_of_piece():
-    """The grids the scan is compared on have pieces of every kind: a
-    wall facet, one cell facet between two subchambers, and pieces whose
-    signs are taken (several cell facets, or a refined wall's exterior)."""
+    """The grids the scan is compared on have pieces of every kind, and
+    each carries its cut plane: a wall facet of a wall whose smaller
+    walls are all faces, a refined wall's exterior piece, and one or
+    several cell facets between two subchambers."""
     kinds = set()
     for x in [cpn_xray(7, seeded_rows(2, 7, 1, grid=3)), cpn_xray(5, seeded_rows(3, 5, 1, grid=2))]:
         for f in x.ids:
-            for source, _, _, _, plane, _ in arrangement._decompose(x, f).pieces:
-                kinds.add("signs" if plane is None else "exterior" if source == EXTERIOR else "interior")
-    assert kinds == {"signs", "exterior", "interior"}
+            dec = arrangement._decompose(x, f)
+            refined = xray.subwall_facets(x, f) is None
+            between = {}
+            if refined:
+                ref, shared = shared_facets(x, f)
+                for _, ((i, _), (j, _)) in shared:
+                    pair = tuple(sorted((dec.cell_of[ref.signs[i]], dec.cell_of[ref.signs[j]])))
+                    between[pair] = between.get(pair, 0) + 1
+            for source, dest, _, _, plane, _ in dec.pieces:
+                assert plane is not None, (f, source, dest)
+                if source == EXTERIOR:
+                    kinds.add("refined exterior" if refined else "wall facet")
+                else:
+                    kinds.add("one cell facet" if between[source, dest] == 1 else "several cell facets")
+    assert kinds == {"wall facet", "refined exterior", "one cell facet", "several cell facets"}
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: generators.standard_cube_xray(3), lambda: random_cpn(2, 6, 0), lambda: random_cpn(3, 4, 1)], ids=["cube3", "s26", "s34"]
+    "make",
+    [
+        lambda: generators.standard_cube_xray(3),
+        lambda: random_cpn(2, 6, 0),
+        lambda: random_cpn(3, 4, 1),
+        lambda: cpn_xray(7, seeded_rows(2, 7, 1, grid=3)),
+        lambda: cpn_xray(5, seeded_rows(3, 5, 1, grid=2)),
+    ],
+    ids=["cube3", "s26", "s34", "g273", "g352"],
 )
 def test_faces_only_graph_signs_and_locates_nothing(monkeypatch, make):
-    """The crossing graph of a wall whose smaller walls are all faces, on
-    a fresh X-ray with its decompositions built, calls neither `_signs`
-    nor `locate`: each piece is a wall facet, and each separator's wall
-    is that facet, read off its own faces."""
+    """The crossing graph of every wall, on a fresh X-ray with its
+    decompositions built, signs no point but in `locate`: every piece
+    carries its cut plane and side.  A wall whose smaller walls are all
+    faces calls no `locate` either: each piece is a wall facet, and each
+    separator's wall is that facet, read off its own faces."""
     x = make()
     walls = [f for f in x.ids if xray.subwall_facets(x, f) is not None and x.dim(f) > 0]
     assert walls
     for f in x.ids:
         arrangement._decompose(x, f)
     calls = dict.fromkeys(["_signs", "locate"], 0)
-    for name in calls:
+    inside = []
+    real_signs, real_locate = arrangement._signs, arrangement.locate
 
-        def counting(*args, name=name, fn=getattr(arrangement, name)):
-            calls[name] += 1
-            return fn(*args)
+    def signs(*args):
+        calls["_signs"] += not inside
+        return real_signs(*args)
 
-        monkeypatch.setattr(arrangement, name, counting)
+    def locating(*args):
+        calls["locate"] += 1
+        inside.append(True)
+        try:
+            return real_locate(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(arrangement, "_signs", signs)
+    monkeypatch.setattr(arrangement, "locate", locating)
     edges = sum(len(crossing_graph(x, f).edges) for f in walls)
     assert edges > 0
     assert calls == {"_signs": 0, "locate": 0}
+    for f in x.ids:
+        crossing_graph(x, f)
+    assert calls["_signs"] == 0
 
 
 def graph_outcome(build, x, f):

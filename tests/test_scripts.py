@@ -44,9 +44,10 @@ def test_oracle_sweep_passes():
 
 
 def test_arrangement_gate_passes():
-    """Pinned digests, one of them of a degenerate grid input whose walls
-    have pieces of several cell facets and cut planes on wall facets."""
-    lines = run_script("arrangement_gate.py", "fixtures", "2,4", "3,4,2", "2,7,3")
+    """Pinned digests, two of them of degenerate grid inputs whose walls
+    have pieces of several cell facets and cut planes on wall facets; at
+    (3,5) grid 2 some piece reps lie on two or three cut planes at once."""
+    lines = run_script("arrangement_gate.py", "fixtures", "2,4", "3,4,2", "2,7,3", "3,5,2")
     digests = [line for line in lines if line.startswith("digest ")]
     assert digests == [
         "digest cp3: 5a5c3398280552f3ce7bc70546eb6f0d",
@@ -57,6 +58,7 @@ def test_arrangement_gate_passes():
         "digest (2,4): 10a48a8b29f613ce0b6db84a14271b0c",
         "digest (3,4) grid 2: 850bc5fb186c9e33da8372c843935c69",
         "digest (2,7) grid 3: de46efa1be3f4bda0d4d5275149f7886",
+        "digest (3,5) grid 2: 1679c34ae3440680caf45890c766d1b1",
     ]
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from xraycross import ratmath, xray
 from xraycross.circle import from_rank1_xray
 from xraycross.errors import MalformedXray, ValidationFailed
-from xraycross.exactgeom import faces, hull, tight_mask
+from xraycross.exactgeom import faces, hull
 from xraycross.generators import ProjectionMatrix, cpn_xray, load_xray, standard_cube_xray, standard_simplex_xray
 from xraycross.intpoly import IntPolynomial
 from xraycross.ratmath import (
@@ -45,7 +45,7 @@ from xraycross.xray import (
     validate_poset,
 )
 from conftest import seeded_rows, transform, vertices_below
-from test_exactgeom import centroid, faces_by_facet_hulls
+from test_exactgeom import centroid, faces_by_facet_hulls, tight_mask
 from test_ratmath import (
     in_span,
     is_zero_vector,
@@ -787,9 +787,9 @@ def test_darboux_compares_each_wall_cone_once(monkeypatch, request, name):
     calls = []
     compare = xray._tangent_cone_matches
 
-    def counting_compare(wall, point, gens):
-        calls.append((wall, point))
-        return compare(wall, point, gens)
+    def counting_compare(wall, at, gens):
+        calls.append((wall, at))
+        return compare(wall, at, gens)
 
     monkeypatch.setattr(xray, "_tangent_cone_matches", counting_compare)
     assert validate_darboux(x) == []
@@ -839,6 +839,51 @@ def test_darboux_subsets_eliminate_once_per_subset(monkeypatch):
         message = f"weight subset {_fmt_points(S)} is the tangent cone of 0 strata []"
         want.append(Violation("p", "darboux-subset", message))
     assert got == sorted(want)
+
+
+def lone_vertex_document(d, weights):
+    """The interchange document of one vertex at the origin with the
+    given integer weights and every seed 1."""
+    entry = {"weights": [[str(c) for c in w] for w in weights], "signature": 1, "poincare": [1], "euler": 1}
+    return {"torus_rank": d, "half_dim": len(weights), "strata": [{"id": "p", "vertices": [["0"] * d]}], "vertex_data": {"p": entry}}
+
+
+@pytest.mark.parametrize("d,most", [(3, 199), (4, 49)])
+def test_interchange_bounds_darboux_direction_subsets(d, most):
+    """A vertex whose distinct weight directions have more subsets of at
+    most d - 1 members than MAX_HULL_SUBSETS, the keys `validate_darboux`
+    would make, is refused at load; one at the bound loads.  Directions
+    are lines: twenty weights opposite to others add none.  The weights
+    lie on the moment curve, so no three are coplanar with 0."""
+    moment = [[i**j for j in range(d)] for i in range(most + 1)]
+    assert sum(comb(most, j) for j in range(d)) <= xray.MAX_HULL_SUBSETS < sum(comb(most + 1, j) for j in range(d))
+    opposite = [[-c for c in w] for w in moment[:20]]
+    assert from_interchange(lone_vertex_document(d, moment[:most] + opposite)).vertex_ids == ("p",)
+    with pytest.raises(MalformedXray) as refused:
+        from_interchange(lone_vertex_document(d, moment + opposite))
+    assert str(refused.value) == (
+        f"vertex_data['p']: {most + 1} distinct weight directions at torus_rank {d}, "
+        f"more than {xray.MAX_HULL_SUBSETS} direction subsets to check"
+    )
+
+
+def test_interchange_refuses_many_direction_subsets_quickly(monkeypatch):
+    """The lone d = 4 vertex with 120 random weights, whose validation
+    once took 17 s, is refused in under a second.  A document whose
+    half_dim allows no more subsets than the bound counts no direction,
+    as every CP^n the benchmark builds."""
+    rng = random.Random(5)
+    doc = lone_vertex_document(4, [[rng.randint(-50, 50) for _ in range(4)] for _ in range(120)])
+    start = time.perf_counter()
+    with pytest.raises(MalformedXray, match="distinct weight directions at torus_rank 4"):
+        from_interchange(doc)
+    assert time.perf_counter() - start < 1
+    calls = []
+    line_key = xray._line_key
+    monkeypatch.setattr(xray, "_line_key", lambda ray: calls.append(ray) or line_key(ray))
+    for x in [cpn_xray(7, seeded_rows(2, 7, 1)), cpn_xray(6, seeded_rows(3, 6, 1))]:
+        from_interchange(to_interchange(x))
+    assert calls == []
 
 
 @pytest.mark.parametrize("x", [standard_simplex_xray(3), standard_cube_xray(2)], ids=["simplex3", "cube2"])
@@ -893,7 +938,7 @@ def test_tangent_cone_matches_cones_equal(k, seed, where, kind):
         gens.append(extra)
     tangent = [vsub(q, point) for q in verts]
     rays = [primitive_ints(g) for g in gens]
-    assert xray._tangent_cone_matches(wall, point, rays) == _cones_equal(tangent, gens, k)
+    assert xray._tangent_cone_matches(wall, clear_denominators(point), rays) == _cones_equal(tangent, gens, k)
 
 
 def test_darboux_two_matches_and_cone_violation_match_all_subsets():
